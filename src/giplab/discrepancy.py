@@ -2,17 +2,28 @@
 
 Given ak columns in R^m, a target D, and a tolerance theta, find a k-subset
 K with || sum_{j in K} Y_j - D ||_inf <= theta.  Small universes are solved
-exactly by enumeration; larger ones by a randomized swap local search whose
-quality is bounded by the exact oracle on small instances.  A Monte Carlo
-driver estimates the success probability of the whole selection problem
-under Gaussian or uniform+Gaussian-mixture column laws.
+exactly by split-half enumeration (Horowitz-Sahni): subset sums of the two
+halves of the pool meet in outer sums, so every k-subset is scored once
+without building it, and the minimum-deviation subset is returned with
+ties going to the lexicographically first one.  Larger universes use a
+randomized swap local search whose quality is bounded by the exact oracle
+on small instances.  A Monte Carlo driver estimates the success
+probability of the whole selection problem under Gaussian or
+uniform+Gaussian-mixture column laws.
+
+EXACT_ENUM_BUDGET caps the exact search at C(count, k) subsets.  It is
+independent of the enumeration's speed on purpose: it sets
+rounding.exact_pool_k_cap and with it the default k of the rounding
+pipeline, which the frozen calibrations assume.  Raising it belongs in a
+change that recalibrates those openly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -34,6 +45,7 @@ __all__ = [
 EXACT_ENUM_BUDGET = 2_000_000
 SIDEWAYS_PROB = 0.1   # chance of taking the best swap when it does not improve
 _ENUM_CHUNK = 32768
+_EPS = float(np.finfo(float).eps)
 
 
 class ExactBudgetError(ValueError):
@@ -78,43 +90,147 @@ def exact_enum_size(count: int, k: int) -> int:
     return math.comb(count, k)
 
 
-def disc_exact(instance: DiscInstance) -> DiscOutcome:
-    """Enumerate every k-subset and return the minimum-deviation one.
+@lru_cache(maxsize=8)
+def _split_plan(count: int, k: int):
+    """Subset table and slabs of the split-half enumeration of C(count, k).
 
-    Refuses instances with more than EXACT_ENUM_BUDGET subsets.
+    Row r of `table` holds one subset of a half as k + 1 column indices
+    into [columns | 0 | -target].  A left size-j subset fills slots
+    0..j-1; a right subset of size k-j fills slots j..k-1 and points slot k
+    at -target; every other slot points at the zero column, index count.
+    So a row sum is the subset sum (minus the target on the right), and
+    the elementwise minimum of a left and a right row's first k slots is
+    their union in lexicographic order.  Rows run lexicographically within
+    each (half, size) block.  Slab (r0, r1, c0, c1) pairs left rows
+    r0..r1-1 with right rows c0..c1-1 of one size pair j, k-j: at most
+    _ENUM_CHUNK * k pairs, with rows and pairs in lexicographic order.
     """
-    total = exact_enum_size(instance.count, instance.k)
+    h = count // 2
+    sizes = range(max(0, k - (count - h)), min(k, h) + 1)
+    blocks = [(range(h), j, 0) for j in sizes]
+    blocks += [(range(h, count), k - j, j) for j in sizes]
+    starts = np.cumsum([0] + [math.comb(len(items), size) for items, size, _ in blocks])
+    table = np.full((starts[-1], k + 1), count, dtype=np.intp)
+    table[starts[len(sizes)] :, k] = count + 1
+    for (items, size, slot), lo, hi in zip(blocks, starts[:-1], starts[1:]):
+        table[lo:hi, slot : slot + size] = np.fromiter(
+            chain.from_iterable(combinations(items, size)),
+            dtype=np.intp,
+            count=(hi - lo) * size,
+        ).reshape(hi - lo, size)
+    table.flags.writeable = False
+    starts = starts.tolist()
+    cap = _ENUM_CHUNK * k
+    slabs = []
+    for b in range(len(sizes)):
+        l0, l1 = starts[b], starts[b + 1]
+        r0, r1 = starts[len(sizes) + b], starts[len(sizes) + b + 1]
+        cstep = min(r1 - r0, cap)
+        rstep = max(1, cap // cstep)
+        slabs.extend(
+            (a, min(a + rstep, l1), c, min(c + cstep, r1))
+            for a in range(l0, l1, rstep)
+            for c in range(r0, r1, cstep)
+        )
+    return table, tuple(slabs)
+
+
+def disc_exact(instance: DiscInstance) -> DiscOutcome:
+    """Score every k-subset and return the minimum-deviation one.
+
+    Split-half enumeration (Horowitz-Sahni): the pool splits into columns
+    [0, h) and [h, count).  For each left size j, the sums of the size-j
+    left subsets meet the sums of the size-(k-j) right subsets minus the
+    target in an outer sum, one coordinate at a time, keeping the running
+    maximum of absolute values; slabs hold at most _ENUM_CHUNK * k pairs.
+    Every k-subset is scored exactly once, so `evaluations` is C(count, k).
+
+    A split-half score differs from the direct score
+    |cols[:, subset].sum() - target|_inf by rounding only.  The subsets
+    within a rounding bound of the smallest split-half score are scored
+    again directly, and the minimum direct score wins, ties going to the
+    lexicographically first subset.  Subset, deviation and verdict are
+    therefore those of scoring every combinations() tuple in order.
+
+    Refuses instances with more than EXACT_ENUM_BUDGET subsets; the
+    module docstring says why that budget stays fixed.
+    """
+    count, k = instance.count, instance.k
+    total = exact_enum_size(count, k)
     if total > EXACT_ENUM_BUDGET:
         raise ExactBudgetError(
             f"{total} subsets exceed the exact budget of {EXACT_ENUM_BUDGET}"
         )
-    cols = instance.columns
-    target = instance.target
-    best_dev = np.inf
-    best_subset: tuple[int, ...] = ()
-    evaluations = 0
-    gen = combinations(range(instance.count), instance.k)
-    while True:
-        chunk = list(islice(gen, _ENUM_CHUNK))
-        if not chunk:
-            break
-        idx = np.array(chunk)
-        sums = cols[:, idx].sum(axis=2)  # (m, chunk)
-        dev = np.abs(sums - target[:, None]).max(axis=0)
-        evaluations += len(chunk)
-        j = int(np.argmin(dev))
-        if dev[j] < best_dev:
-            best_dev = float(dev[j])
-            best_subset = tuple(chunk[j])
+    m = instance.columns.shape[0]
+    table, slabs = _split_plan(count, k)
+    ext = np.zeros((m, count + 2))
+    ext[:, :count] = instance.columns
+    np.negative(instance.target, out=ext[:, -1])
+    sums = np.empty((m, table.shape[0]))
+    for r0 in range(0, table.shape[0], _ENUM_CHUNK):
+        part = table[r0 : r0 + _ENUM_CHUNK]
+        np.add.reduce(ext[:, part], axis=2, out=sums[:, r0 : r0 + part.shape[0]])
+    # the two scores of a subset add at most k + 1 terms bounded by max|ext|
+    # in different orders, so they differ by less than tol / 4; the window
+    # needs tol / 2 to hold the direct minimum and all its ties
+    tol =4.0 * (k + 1) ** 2 * _EPS * np.abs(ext).max()
+    near = np.inf  # smallest split-half score so far
+    kept = []  # (lowest score, scores, slab) of slabs that may hold the minimum
+    kept_size = 0
+    best = (np.inf, ())
+    for slab in slabs:
+        a, b, c, d = slab
+        dev = np.add.outer(sums[0, a:b], sums[0, c:d])
+        np.abs(dev, out=dev)
+        if m > 1:
+            row = np.empty_like(dev)
+            for i in range(1, m):
+                np.add.outer(sums[i, a:b], sums[i, c:d], out=row)
+                np.abs(row, out=row)
+                np.maximum(dev, row, out=dev)
+        low = dev.min()
+        if low > near + tol:
+            continue
+        near = min(near, low)
+        kept.append((low, dev, slab))
+        kept_size += dev.size
+        if kept_size > _ENUM_CHUNK * k:
+            best = _rescore(instance, table, kept, near + tol, best)
+            kept, kept_size = [], 0
+    best_dev, best_subset = _rescore(instance, table, kept, near + tol, best)
     return DiscOutcome(
         found=best_dev <= instance.theta,
         subset=best_subset,
         deviation=best_dev,
-        evaluations=evaluations,
+        evaluations=total,
     )
 
 
-def _deviation(cols, subset_sum, target):
+def _rescore(instance, table, kept, cutoff, best):
+    """Fold the kept slabs' subsets with split-half score <= cutoff into
+    `best`, a (deviation, subset) pair, by their direct score."""
+    cols = instance.columns
+    target = instance.target[:, None]
+    k = instance.k
+    best_dev, best_subset = best
+    for low, dev, (a, _, c, _) in kept:
+        if low > cutoff:
+            continue
+        hit_l, hit_r = np.nonzero(dev <= cutoff)
+        subsets = np.minimum(table[a + hit_l, :k], table[c + hit_r, :k])
+        for s0 in range(0, subsets.shape[0], _ENUM_CHUNK):
+            chunk = subsets[s0 : s0 + _ENUM_CHUNK]
+            exact = np.abs(cols[:, chunk].sum(axis=2) - target).max(axis=0)
+            i = int(exact.argmin())  # chunks and hits run in lexicographic order
+            if exact[i] > best_dev:
+                continue
+            subset = tuple(chunk[i].tolist())
+            if exact[i] < best_dev or subset < best_subset:
+                best_dev, best_subset = float(exact[i]), subset
+    return best_dev, best_subset
+
+
+def _deviation(subset_sum, target):
     return float(np.abs(subset_sum - target).max())
 
 
@@ -148,7 +264,7 @@ def disc_search(
         members = np.zeros(count, dtype=bool)
         members[gen.choice(count, size=k, replace=False)] = True
         current = cols[:, members].sum(axis=1)
-        cur_dev = _deviation(cols, current, target)
+        cur_dev = _deviation(current, target)
         evaluations += 1
         if cur_dev < best_dev:
             best_dev = cur_dev

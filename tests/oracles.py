@@ -7,7 +7,7 @@ library paths it checks.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 from scipy.integrate import quad
@@ -97,6 +97,33 @@ def count_disc_successes(columns, target, theta, k) -> int:
         if dev <= theta:
             hits += 1
     return hits
+
+
+def disc_exact_oracle(columns, target, theta, k):
+    """Minimum-deviation k-subset by scoring every itertools.combinations
+    tuple in order; a later subset replaces the best only when strictly
+    better, so ties go to the lexicographically first one.
+
+    Returns (found, subset, deviation, evaluations).
+    """
+    cols = np.asarray(columns, dtype=float)
+    target = np.asarray(target, dtype=float)
+    best_dev = math.inf
+    best_subset = ()
+    evaluations = 0
+    subsets = combinations(range(cols.shape[1]), k)
+    while True:
+        batch = list(islice(subsets, 1 << 15))
+        if not batch:
+            break
+        idx = np.array(batch)
+        dev = np.abs(cols[:, idx].sum(axis=2) - target[:, None]).max(axis=0)
+        evaluations += len(batch)
+        i = int(np.argmin(dev))
+        if dev[i] < best_dev:
+            best_dev = float(dev[i])
+            best_subset = batch[i]
+    return best_dev <= theta, best_subset, best_dev, evaluations
 
 
 def band_y_cdf(omega: float, nu: float):

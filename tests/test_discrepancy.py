@@ -16,7 +16,7 @@ from giplab.discrepancy import (
 from giplab.numerics import calibrate_theta
 from giplab.rng import RngHandle
 
-from oracles import count_disc_successes
+from oracles import count_disc_successes, disc_exact_oracle
 
 
 def random_instance(seed, m=2, count=10, k=3, theta=0.5):
@@ -45,6 +45,8 @@ class TestDiscExact:
         assert out.found
 
     def test_theta_zero_rejected_but_tiny_never_found(self):
+        with pytest.raises(ValueError):
+            random_instance(1, theta=0.0)
         inst = random_instance(1, theta=1e-15)
         out = disc_exact(inst)
         assert not out.found
@@ -71,6 +73,67 @@ class TestDiscExact:
         out = disc_exact(inst)
         hits = count_disc_successes(inst.columns, inst.target, inst.theta, inst.k)
         assert out.found == (hits > 0)
+
+
+def assert_matches_oracle(inst):
+    out = disc_exact(inst)
+    found, subset, deviation, evaluations = disc_exact_oracle(
+        inst.columns, inst.target, inst.theta, inst.k
+    )
+    assert out.subset == subset
+    assert out.deviation == deviation  # bit for bit
+    assert out.found == found
+    assert out.evaluations == evaluations
+
+
+class TestDiscExactOracle:
+    """The split-half enumeration returns exactly what scoring every
+    combinations() tuple in order returns."""
+
+    @pytest.mark.parametrize("seed", range(38))
+    def test_random_pools(self, seed):
+        m = 1 + seed % 8
+        count = 2 + seed % 19
+        gen = np.random.default_rng(900 + seed)
+        cols = gen.standard_normal((m, count))
+        target = gen.standard_normal(m) * gen.uniform(0.0, 2.0)
+        # k = 1, k = count and k > count // 2 leave some half sizes empty
+        ks = {1, count, count // 2 + 1, int(gen.integers(1, count + 1))}
+        for k in sorted(ks):
+            theta = float(gen.uniform(0.05, 1.5))
+            assert_matches_oracle(DiscInstance(cols, target, theta, k))
+
+    @pytest.mark.parametrize("unit", [1.0, 0.1])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_duplicate_columns_exact_ties(self, seed, unit):
+        # whole units tie exactly in floating point; tenths tie exactly on
+        # paper, and the two summation orders round those ties differently
+        gen = np.random.default_rng(950 + seed)
+        m = 1 + seed % 4
+        count = 4 + seed
+        distinct = gen.integers(-2, 3, size=(m, 3)) * unit
+        cols = distinct[:, gen.integers(0, 3, size=count)]
+        target = gen.integers(-3, 4, size=m) * unit
+        for k in (1, 2, count // 2 + 1, count):
+            assert_matches_oracle(DiscInstance(cols, target, 0.5, k))
+
+    @pytest.mark.parametrize("m,count,k", [(2, 24, 8), (8, 36, 6), (3, 800, 2)])
+    def test_full_size_pools(self, m, count, k):
+        # C(36,6) splits its largest block into row slabs and C(800,2) its
+        # j=0 block into column slabs
+        gen = np.random.default_rng(m * 1000 + count)
+        cols = gen.standard_normal((m, count))
+        target = gen.standard_normal(m)
+        assert_matches_oracle(DiscInstance(cols, target, 0.3, k))
+
+    def test_all_subsets_tied(self):
+        # every subset ties, so the near-minimum set outgrows one slab
+        target = np.array([0.25, -0.5])
+        out = disc_exact(DiscInstance(np.zeros((2, 24)), target, 0.1, 8))
+        assert out.subset == tuple(range(8))
+        assert out.deviation == 0.5
+        assert not out.found
+        assert out.evaluations == math.comb(24, 8)
 
 
 class TestDiscSearch:
