@@ -45,7 +45,6 @@ __all__ = [
 EXACT_ENUM_BUDGET = 2_000_000
 SIDEWAYS_PROB = 0.1   # chance of taking the best swap when it does not improve
 _ENUM_CHUNK = 32768
-_EPS = float(np.finfo(float).eps)
 
 
 class ExactBudgetError(ValueError):
@@ -171,9 +170,11 @@ def disc_exact(instance: DiscInstance) -> DiscOutcome:
         part = table[r0 : r0 + _ENUM_CHUNK]
         np.add.reduce(ext[:, part], axis=2, out=sums[:, r0 : r0 + part.shape[0]])
     # the two scores of a subset add at most k + 1 terms bounded by max|ext|
-    # in different orders, so they differ by less than tol / 4; the window
-    # needs tol / 2 to hold the direct minimum and all its ties
-    tol =4.0 * (k + 1) ** 2 * _EPS * np.abs(ext).max()
+    # in different orders, rounding at most to the columns' precision, so
+    # they differ by less than tol / 4; the window needs tol / 2 to hold
+    # the direct minimum and all its ties
+    eps = np.finfo(np.result_type(instance.columns, 1.0)).eps
+    tol = 4.0 * (k + 1) ** 2 * eps * np.abs(ext).max()
     near = np.inf  # smallest split-half score so far
     kept = []  # (lowest score, scores, slab) of slabs that may hold the minimum
     kept_size = 0

@@ -104,10 +104,11 @@ def disc_exact_oracle(columns, target, theta, k):
     tuple in order; a later subset replaces the best only when strictly
     better, so ties go to the lexicographically first one.
 
-    Returns (found, subset, deviation, evaluations).
+    Sums keep the columns' dtype.  Returns (found, subset, deviation,
+    evaluations).
     """
-    cols = np.asarray(columns, dtype=float)
-    target = np.asarray(target, dtype=float)
+    cols = np.asarray(columns)
+    target = np.asarray(target)
     best_dev = math.inf
     best_subset = ()
     evaluations = 0

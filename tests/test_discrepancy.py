@@ -117,6 +117,18 @@ class TestDiscExactOracle:
         for k in (1, 2, count // 2 + 1, count):
             assert_matches_oracle(DiscInstance(cols, target, 0.5, k))
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_single_precision_columns(self, seed):
+        # float32 sums round far more coarsely than the float64 split-half
+        # sums, and the re-score window has to cover that
+        gen = np.random.default_rng(970 + seed)
+        m = 1 + seed % 3
+        count = 8 + seed
+        cols = (gen.integers(-3, 4, size=(m, count)) * 0.1).astype(np.float32)
+        target = gen.integers(-5, 6, size=m) * 0.1
+        for k in (2, 3, count // 2 + 1):
+            assert_matches_oracle(DiscInstance(cols, target, 0.5, k))
+
     @pytest.mark.parametrize("m,count,k", [(2, 24, 8), (8, 36, 6), (3, 800, 2)])
     def test_full_size_pools(self, m, count, k):
         # C(36,6) splits its largest block into row slabs and C(800,2) its
