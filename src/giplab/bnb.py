@@ -2,10 +2,11 @@
 
 The open list is a max-priority queue on the node LP value (ties broken by
 insertion order), so the sequence of processed bounds is non-increasing;
-this is asserted on every solve.  Child LPs are solved at creation time with
-the parent basis as a warm start; infeasible children are counted as created
-but never enter the queue.  Tree size is the number of nodes created, the
-root included.
+this is asserted on every solve.  Child LPs are solved at creation time,
+cold, under the parent's bounds with the branched variable fixed; infeasible
+children are counted as created but never enter the queue.  An open node is
+just its bound, its variable bounds and its LP point.  Tree size is the
+number of nodes created, the root included.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import CLASSIFY_TOL, InfeasibleError, LpSolution, solve_box_lp, solve_lp
+from .lp import InfeasibleError, solve_box_lp, solve_lp, support_partition
 
 __all__ = [
-    "BnbNode",
     "BnbResult",
     "solve_ip",
     "brute_force_ip",
@@ -30,16 +30,6 @@ __all__ = [
 PRUNE_TOL = 1e-9
 BRUTE_FORCE_MAX_N = 25
 _CHUNK_BITS = 18
-
-
-@dataclass(frozen=True)
-class BnbNode:
-    """One node of the enumeration tree: a partial fixing plus its LP bound."""
-
-    fixed0: frozenset[int]
-    fixed1: frozenset[int]
-    bound: float
-    depth: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +50,11 @@ class BnbResult:
     best_bound: float | None
 
 
-def branch_variable(node_lp: LpSolution, rule: str = "most-frac") -> int:
-    """Index to branch on: the most fractional coordinate (closest to 1/2),
-    ties and the "first-frac" rule both resolved by lowest index."""
-    x = node_lp.x_star
-    frac = np.flatnonzero((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL))
+def branch_variable(x: np.ndarray, rule: str = "most-frac") -> int:
+    """Index of the node LP point x to branch on: the most fractional
+    coordinate (closest to 1/2), ties and the "first-frac" rule both resolved
+    by lowest index."""
+    frac = support_partition(x)[2]
     if frac.size == 0:
         raise ValueError("node LP is integral; nothing to branch on")
     if rule == "first-frac":
@@ -80,7 +70,6 @@ def solve_ip(
     node_limit: int = 1_000_000,
     *,
     branch_rule: str = "most-frac",
-    warm_start: bool = True,
     prune: bool = True,
 ) -> BnbResult:
     """Solve max c @ x, A x <= b, x in {0,1}^n exactly (or up to node_limit).
@@ -107,15 +96,11 @@ def solve_ip(
         return BnbResult(None, None, 1, 0, 0, "Infeasible", None)
 
     counter = 0
-    heap: list = []
-    heapq.heappush(
-        heap,
-        (-root.value, counter, BnbNode(frozenset(), frozenset(), root.value, 0), root),
-    )
+    heap = [(-root.value, counter, np.zeros(n), np.ones(n), root.x_star)]
     last_bound = np.inf
 
     while heap:
-        neg_bound, _, node, node_lp = heapq.heappop(heap)
+        neg_bound, _, lower, upper, x = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
@@ -127,9 +112,7 @@ def solve_ip(
                 incumbent_updates, "Optimal", inc_value,
             )
         nodes_expanded += 1
-        x = node_lp.x_star
-        frac = np.flatnonzero((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL))
-        if frac.size == 0:
+        if support_partition(x)[2].size == 0:
             xi = np.round(x)
             val = float(c @ xi)
             if np.any(a @ xi > b + 1e-7):
@@ -139,15 +122,7 @@ def solve_ip(
                 incumbent_updates += 1
             continue
 
-        j = branch_variable(node_lp, branch_rule)
-        lower = np.zeros(n)
-        upper = np.ones(n)
-        for i in node.fixed0:
-            upper[i] = 0.0
-        for i in node.fixed1:
-            lower[i] = 1.0
-        warm = (node_lp.basis, node_lp.at_upper) if warm_start else None
-
+        j = branch_variable(x, branch_rule)
         for side in (0, 1):
             if nodes_created >= node_limit:
                 return BnbResult(
@@ -159,34 +134,17 @@ def solve_ip(
             up = upper.copy()
             if side == 0:
                 up[j] = 0.0
-                child = BnbNode(node.fixed0 | {j}, node.fixed1, np.nan, node.depth + 1)
             else:
                 lo[j] = 1.0
-                child = BnbNode(node.fixed0, node.fixed1 | {j}, np.nan, node.depth + 1)
             try:
-                child_box = solve_box_lp(a, b, c, lo, up, warm=warm)
+                child = solve_box_lp(a, b, c, lo, up)
             except InfeasibleError:
                 continue
-            child_bound = min(child_box.value, bound)  # parent bound is valid too
+            child_bound = min(child.value, bound)  # parent bound is valid too
             if prune and inc_value is not None and child_bound <= inc_value + PRUNE_TOL:
                 continue
-            child = BnbNode(child.fixed0, child.fixed1, child_bound, child.depth)
-            child_lp = LpSolution(
-                x_star=child_box.x,
-                value=child_box.value,
-                u_star=np.maximum(child_box.y, 0.0),
-                reduced_costs=c - a.T @ np.maximum(child_box.y, 0.0),
-                basis=child_box.basis,
-                at_upper=child_box.at_upper,
-                n0=np.flatnonzero(child_box.x <= CLASSIFY_TOL),
-                n1=np.flatnonzero(child_box.x >= 1.0 - CLASSIFY_TOL),
-                s=np.flatnonzero(
-                    (child_box.x > CLASSIFY_TOL) & (child_box.x < 1.0 - CLASSIFY_TOL)
-                ),
-                pivots=child_box.pivots,
-            )
             counter += 1
-            heapq.heappush(heap, (-child_bound, counter, child, child_lp))
+            heapq.heappush(heap, (-child_bound, counter, lo, up, child.x))
 
     if inc_value is None:
         return BnbResult(

@@ -8,6 +8,7 @@ knap-mc.  Exit codes: 0 success, 1 usage error (bad flags, missing files),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -91,7 +92,6 @@ def _cmd_ip(args) -> int:
         inst,
         node_limit=args.node_limit,
         branch_rule=args.branch,
-        warm_start=not args.no_warm_start,
         prune=not args.no_prune,
     )
     print(f"status: {res.status}")
@@ -116,7 +116,7 @@ def _cmd_round(args) -> int:
     params = rounding.RoundingParams.defaults(
         inst.m, inst.n,
         k=args.k, delta=args.delta,
-        t=args.t if args.t is not None else 5,
+        t=args.t,
         theta=args.theta, max_restarts=args.restarts,
     )
     try:
@@ -151,29 +151,13 @@ def _read_config(args) -> experiments.SweepConfig:
         print(f"error: bad config: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
     if args.out:
-        cfg = experiments.SweepConfig(**{**_cfg_dict(cfg), "out": args.out})
+        cfg = dataclasses.replace(cfg, out=args.out)
     return cfg
 
 
-def _cfg_dict(cfg: experiments.SweepConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(cfg)
-
-
-def _cmd_gap_sweep(args) -> int:
+def _cmd_sweep(args) -> int:
     cfg = _read_config(args)
-    records = experiments.gap_sweep(cfg)
-    if not cfg.out:
-        sys.stdout.write(experiments.records_to_csv(records, cfg.record_timings))
-    else:
-        print(f"wrote {cfg.out}: {len(records)} rows")
-    return 0
-
-
-def _cmd_tree_sweep(args) -> int:
-    cfg = _read_config(args)
-    records = experiments.tree_sweep(cfg)
+    records = args.sweep(cfg)
     if not cfg.out:
         sys.stdout.write(experiments.records_to_csv(records, cfg.record_timings))
     else:
@@ -256,7 +240,6 @@ def build_parser() -> _Parser:
     p.add_argument("--node-limit", type=int, default=1_000_000)
     p.add_argument("--branch", choices=("most-frac", "first-frac"),
                    default="most-frac")
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--no-prune", action="store_true")
     p.set_defaults(func=_cmd_ip)
 
@@ -275,12 +258,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap-sweep", help="gap scaling sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gap_sweep)
+    p.set_defaults(func=_cmd_sweep, sweep=experiments.gap_sweep)
 
     p = sub.add_parser("tree-sweep", help="tree-size sweep with knapsack proxy")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_tree_sweep)
+    p.set_defaults(func=_cmd_sweep, sweep=experiments.tree_sweep)
 
     p = sub.add_parser("stats", help="dual-norm / value / zero-count statistics")
     p.add_argument("--m", type=int, required=True)
@@ -323,6 +306,9 @@ def run_cli(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except experiments.ParallelismError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (lp.IterationLimitError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUN_ERROR

@@ -154,7 +154,7 @@ def _cell_params(cfg: SweepConfig, m: int, n: int) -> rounding.RoundingParams:
         m, n,
         k=cfg.k,
         delta=cfg.delta,
-        t=cfg.t if cfg.t is not None else 5,
+        t=cfg.t,
         theta=cfg.theta,
         max_restarts=cfg.max_restarts,
     )
@@ -237,10 +237,19 @@ def _run_trial_star(args):
     return run_trial(*args)
 
 
+class ParallelismError(ValueError):
+    """GIPLAB_THREADS is set to something that is not an integer."""
+
+
 def _parallelism(cfg: SweepConfig) -> int:
     env = os.environ.get("GIPLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ParallelismError(
+                f"GIPLAB_THREADS must be an integer, got {env!r}"
+            ) from None
     if cfg.parallelism is not None:
         return max(1, cfg.parallelism)
     return min(os.cpu_count() or 1, 8)

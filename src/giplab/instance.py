@@ -25,7 +25,6 @@ bit-exact and diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -129,11 +128,10 @@ class BSpec:
 
 @dataclass(frozen=True)
 class InstanceMeta:
-    """Provenance: generator identity token, b recipe, creation timestamp."""
+    """Provenance: generator identity token and b recipe."""
 
     seed: str | None
     b_spec: str
-    created_at: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,11 +174,7 @@ def generate(m: int, n: int, b_spec: BSpec, rng: RngHandle) -> Instance:
     a = gaussian_matrix(m, n, rng)
     c = rng.gen.standard_normal(n)
     b = b_spec.build_b(m, n, rng)
-    meta = InstanceMeta(
-        seed=rng.key,
-        b_spec=b_spec.descriptor(),
-        created_at=datetime.now(timezone.utc).isoformat(),
-    )
+    meta = InstanceMeta(seed=rng.key, b_spec=b_spec.descriptor())
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 
 

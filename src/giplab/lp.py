@@ -7,8 +7,13 @@ up to a few thousand this is cheap and numerically clean.  Pricing uses the
 largest-reduced-cost rule and falls back to Bland's rule permanently after a
 run of degenerate pivots, which guarantees termination.
 
+Every solve starts cold: structurals at their lower bound and the slacks
+basic, with a phase one for rows that point violates.  Branch-and-bound
+children are cold solves of the same kind under tightened bounds.
+
 Returned solutions carry the optimal basic primal point, the dual vector,
-reduced costs, and the support partition (variables at 0, at 1, fractional).
+reduced costs, and the support partition (variables at 0, at 1, fractional)
+computed by `support_partition`, the one place that classifies it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ __all__ = [
     "IterationLimitError",
     "solve_lp",
     "solve_box_lp",
+    "support_partition",
     "dual_value",
     "gap_formula",
     "resample_zero_column",
@@ -74,18 +80,13 @@ class GapBreakdown:
 class LpSolution:
     """Optimal basic solution with duals and support partition.
 
-    `basis` lists basic column indices in the combined numbering
-    (structural 0..n-1, slacks n..n+m-1); `at_upper` lists nonbasic columns
-    sitting at their upper bound.  Both together allow warm starts.
-    The partition n0/n1/s is recomputed from x_star with tolerance 1e-9.
+    The partition n0/n1/s is `support_partition(x_star)`.
     """
 
     x_star: np.ndarray
     value: float
     u_star: np.ndarray
     reduced_costs: np.ndarray
-    basis: tuple[int, ...]
-    at_upper: frozenset[int]
     n0: np.ndarray
     n1: np.ndarray
     s: np.ndarray
@@ -185,40 +186,11 @@ class _BoxResult:
     x: np.ndarray
     value: float
     y: np.ndarray
-    basis: tuple[int, ...]
-    at_upper: frozenset[int]
     pivots: int
 
 
 def _box_min(weights: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
     return float(np.sum(np.minimum(weights * lower, weights * upper)))
-
-
-def _warm_state(mat, rhs, low, upp, warm):
-    """Status/basis arrays from a previous solve, or None if unusable."""
-    warm_basis, warm_upper = warm
-    total = mat.shape[1]
-    m = mat.shape[0]
-    if len(warm_basis) != m or len(set(warm_basis)) != m:
-        return None
-    if not all(0 <= j < total for j in warm_basis):
-        return None
-    status = np.full(total, _AT_LOWER, dtype=np.int8)
-    for j in warm_upper:
-        if 0 <= j < total and np.isfinite(upp[j]):
-            status[j] = _AT_UPPER
-    for j in warm_basis:
-        status[j] = _BASIC
-    x_n = np.where(status == _AT_UPPER, upp, low)
-    x_n[list(warm_basis)] = 0.0
-    try:
-        xb = np.linalg.solve(mat[:, list(warm_basis)], rhs - mat @ x_n)
-    except np.linalg.LinAlgError:
-        return None
-    idx = list(warm_basis)
-    if np.any(xb < low[idx] - FEAS_TOL) or np.any(xb > upp[idx] + FEAS_TOL):
-        return None
-    return list(warm_basis), status
 
 
 def solve_box_lp(
@@ -228,15 +200,9 @@ def solve_box_lp(
     lower: np.ndarray | None = None,
     upper: np.ndarray | None = None,
     *,
-    warm: tuple[tuple[int, ...], frozenset[int]] | None = None,
     max_pivots: int | None = None,
 ) -> _BoxResult:
-    """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
-
-    `warm` is a (basis, at_upper) pair from a previous solve of the same
-    matrix under different bounds; an unusable warm basis silently falls back
-    to a cold start, so correctness never depends on it.
-    """
+    """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -254,21 +220,16 @@ def solve_box_lp(
     upp = np.concatenate([upper, np.full(m, np.inf)])
     gamma = np.concatenate([c, np.zeros(m)])
 
-    state = _warm_state(mat, b, low, upp, warm) if warm is not None else None
+    status = np.full(total, _AT_LOWER, dtype=np.int8)
+    basis = list(range(n, total))
+    for j in basis:
+        status[j] = _BASIC
     pivots_used = 0
-
-    if state is None:
-        status = np.full(total, _AT_LOWER, dtype=np.int8)
-        basis = list(range(n, total))
-        for j in basis:
-            status[j] = _BASIC
-        bad = np.flatnonzero(b - a @ lower < -FEAS_TOL)
-        if bad.size:
-            mat, low, upp, gamma, basis, status, pivots_used = _phase_one(
-                mat, b, low, upp, gamma, basis, status, bad, max_pivots, lower, upper
-            )
-    else:
-        basis, status = state
+    bad = np.flatnonzero(b - a @ lower < -FEAS_TOL)
+    if bad.size:
+        mat, low, upp, gamma, basis, status, pivots_used = _phase_one(
+            mat, b, low, upp, gamma, basis, status, bad, max_pivots, lower, upper
+        )
 
     core = _Simplex(mat, b, gamma, low, upp, basis, status,
                     max_pivots - pivots_used)
@@ -276,15 +237,7 @@ def solve_box_lp(
     pivots_used += core.pivots
 
     x = np.clip(x_full[:n], lower, upper)
-    at_upper = frozenset(int(j) for j in np.flatnonzero(core.status == _AT_UPPER))
-    return _BoxResult(
-        x=x,
-        value=float(c @ x),
-        y=y,
-        basis=tuple(int(j) for j in core.basis),
-        at_upper=at_upper,
-        pivots=pivots_used,
-    )
+    return _BoxResult(x=x, value=float(c @ x), y=y, pivots=pivots_used)
 
 
 def _phase_one(mat, rhs, low, upp, gamma, basis, status, bad_rows, max_pivots,
@@ -344,10 +297,18 @@ def _check_optimum(instance, x, u, value):
         raise ArithmeticError("complementary slackness violated on rows")
 
 
+def support_partition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices of x at 0, at 1 and strictly between, within CLASSIFY_TOL."""
+    x = np.asarray(x, dtype=float)
+    n0 = np.flatnonzero(x <= CLASSIFY_TOL)
+    n1 = np.flatnonzero(x >= 1.0 - CLASSIFY_TOL)
+    s = np.flatnonzero((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL))
+    return n0, n1, s
+
+
 def solve_lp(
     instance: Instance,
     *,
-    warm: tuple[tuple[int, ...], frozenset[int]] | None = None,
     max_pivots: int | None = None,
 ) -> LpSolution:
     """Optimal basic solution of the box relaxation of `instance`.
@@ -355,9 +316,7 @@ def solve_lp(
     Raises InfeasibleError (with a Farkas certificate) when no x in [0,1]^n
     satisfies A x <= b, and IterationLimitError past the pivot budget.
     """
-    res = solve_box_lp(
-        instance.A, instance.b, instance.c, warm=warm, max_pivots=max_pivots
-    )
+    res = solve_box_lp(instance.A, instance.b, instance.c, max_pivots=max_pivots)
     y = res.y
     if np.any(y < -1e-7):
         raise ArithmeticError("negative dual beyond roundoff tolerance")
@@ -365,9 +324,7 @@ def solve_lp(
     x = res.x
     value = float(instance.c @ x)
     _check_optimum(instance, x, u, value)
-    n0 = np.flatnonzero(x <= CLASSIFY_TOL)
-    n1 = np.flatnonzero(x >= 1.0 - CLASSIFY_TOL)
-    frac = np.flatnonzero((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL))
+    n0, n1, frac = support_partition(x)
     if frac.size > instance.m:
         raise ArithmeticError("more fractional coordinates than constraints")
     return LpSolution(
@@ -375,8 +332,6 @@ def solve_lp(
         value=value,
         u_star=u,
         reduced_costs=instance.c - instance.A.T @ u,
-        basis=res.basis,
-        at_upper=res.at_upper,
         n0=n0,
         n1=n1,
         s=frac,

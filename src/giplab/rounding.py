@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import LpSolution, gap_formula
+from .lp import LpSolution, gap_formula, support_partition
 from .numerics import calibrate_theta, householder_to_axis
 from .discrepancy import (
     EXACT_ENUM_BUDGET,
@@ -110,7 +110,7 @@ class RoundingParams:
         *,
         k: int | None = None,
         delta: float | None = None,
-        t: int = 5,
+        t: int | None = None,
         theta: float | None = None,
         max_restarts: int = 50,
     ) -> "RoundingParams":
@@ -121,12 +121,14 @@ class RoundingParams:
         budget of the subset solver; delta = 8*sqrt(m)*k/n keeps the
         filtered set comfortably larger than the t pools on centered
         instances.  Both constants were frozen by one calibration run at
-        m = 2, n = 400, b = 0.
+        m = 2, n = 400, b = 0.  t defaults to 5 pools.
         """
         if k is None:
             k = min(math.ceil(2.0 * m * (math.log(n) + m)), exact_pool_k_cap(m))
         if delta is None:
             delta = 8.0 * math.sqrt(m) * k / n
+        if t is None:
+            t = 5
         if theta is None:
             theta = calibrate_theta(m, k).theta
         return cls(
@@ -182,7 +184,7 @@ def randomized_round(
     x_star = np.asarray(x_star, dtype=float)
     if np.any(x_star < -1e-12) or np.any(x_star > 1.0 + 1e-12):
         raise ValueError("x_star must lie in [0, 1]^n")
-    frac = np.flatnonzero((x_star > 1e-9) & (x_star < 1.0 - 1e-9))
+    frac = support_partition(x_star)[2]
     base = np.round(x_star)
     if frac.size == 0:
         return base, 0.0

@@ -168,3 +168,23 @@ def band_y_cdf_quadrature(omega: float, nu: float):
 ENTROPY_0_998 = 0.014427214862176115
 ALPHA_EPS_19_DELTA = 0.2820011622124830   # eps = 1/9, delta = sqrt(2*pi)/10
 BETA_FOR_ALPHA_EPS_19 = 0.9970930563138169
+
+
+def milp_oracle(a, b, c):
+    """Optimum of max c @ x, A x <= b, x in {0,1}^n by scipy's HiGHS
+    branch and cut, or None when HiGHS proves no binary point feasible."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    a = np.asarray(a, dtype=float)
+    res = milp(
+        -np.asarray(c, dtype=float),
+        constraints=LinearConstraint(a, -np.inf, np.asarray(b, dtype=float)),
+        integrality=np.ones(a.shape[1]),
+        bounds=Bounds(0, 1),
+        options={"mip_rel_gap": 0.0},
+    )
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS milp did not finish: {res.message}")
+    return -float(res.fun)

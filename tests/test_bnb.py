@@ -3,9 +3,10 @@ import pytest
 
 from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
 from giplab.instance import BSpec, generate
-from giplab.lp import InfeasibleError, solve_lp
+from giplab.lp import InfeasibleError
 from giplab.rng import RngHandle
 
+from oracles import milp_oracle
 from test_instance import make_instance
 
 
@@ -87,18 +88,6 @@ class TestAblation:
         assert pruned.nodes_created <= unpruned.nodes_created
         assert pruned.opt_value == pytest.approx(unpruned.opt_value, abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_warm_start_does_not_change_result(self, seed):
-        inst = generate(3, 12, BSpec.gaussian(), RngHandle(800 + seed))
-        try:
-            warm = solve_ip(inst, warm_start=True)
-            cold = solve_ip(inst, warm_start=False)
-        except InfeasibleError:
-            return
-        assert warm.status == cold.status
-        if warm.status == "Optimal":
-            assert warm.opt_value == pytest.approx(cold.opt_value, abs=1e-9)
-
     def test_first_frac_rule(self):
         inst = generate(2, 14, BSpec.zeros(), RngHandle(801))
         a = solve_ip(inst, branch_rule="most-frac")
@@ -108,38 +97,56 @@ class TestAblation:
 
 class TestBranchVariable:
     def test_most_fractional(self):
-        inst = generate(1, 3, BSpec.zeros(), RngHandle(1))
-        sol = solve_lp(inst)
-        fake = sol.__class__(
-            x_star=np.array([1.0, 0.5, 0.0]),
-            value=0.0, u_star=sol.u_star, reduced_costs=np.zeros(3),
-            basis=sol.basis, at_upper=sol.at_upper,
-            n0=np.array([2]), n1=np.array([0]), s=np.array([1]), pivots=0,
-        )
-        assert branch_variable(fake) == 1
+        assert branch_variable(np.array([1.0, 0.5, 0.0])) == 1
 
     def test_tie_breaks_low_index(self):
-        inst = generate(1, 2, BSpec.zeros(), RngHandle(1))
-        sol = solve_lp(inst)
-        fake = sol.__class__(
-            x_star=np.array([0.4, 0.6]),
-            value=0.0, u_star=sol.u_star, reduced_costs=np.zeros(2),
-            basis=sol.basis, at_upper=sol.at_upper,
-            n0=np.array([]), n1=np.array([]), s=np.array([0, 1]), pivots=0,
-        )
-        assert branch_variable(fake) == 0
+        assert branch_variable(np.array([0.4, 0.6])) == 0
 
     def test_integral_errors(self):
-        inst = generate(1, 2, BSpec.zeros(), RngHandle(1))
-        sol = solve_lp(inst)
-        fake = sol.__class__(
-            x_star=np.array([0.0, 1.0]),
-            value=0.0, u_star=sol.u_star, reduced_costs=np.zeros(2),
-            basis=sol.basis, at_upper=sol.at_upper,
-            n0=np.array([0]), n1=np.array([1]), s=np.array([]), pivots=0,
-        )
         with pytest.raises(ValueError):
-            branch_variable(fake)
+            branch_variable(np.array([0.0, 1.0]))
+
+
+class TestHighsDifferential:
+    """solve_ip against HiGHS milp past brute-force sizes (n 26-60)."""
+
+    @staticmethod
+    def _instance(i):
+        m = 1 + i % 4
+        n = 26 + (i * 7) % 35
+        if i % 3 == 0:
+            b_spec = BSpec.zeros()
+        elif i % 3 == 1:
+            b_spec = BSpec.gaussian()
+        else:
+            # row budgets from clearly infeasible to slack
+            b_spec = BSpec.scaled_ones([(-0.3, -0.1, 0.05)[(i // 3) % 3]] * m)
+        return generate(m, n, b_spec, RngHandle(4200, i))
+
+    def test_optimum_and_node_limit_bracket(self):
+        rel = 1e-7
+        brackets = 0
+        for i in range(24):
+            inst = self._instance(i)
+            truth = milp_oracle(inst.A, inst.b, inst.c)
+            res = solve_ip(inst)
+            assert (res.status == "Infeasible") == (truth is None), i
+            if truth is None:
+                continue
+            assert res.status == "Optimal", i
+            tol = rel * (1.0 + abs(truth))
+            assert abs(res.opt_value - truth) <= tol, i
+            limit = res.nodes_created // 3
+            if limit < 1:
+                continue
+            cut = solve_ip(inst, node_limit=limit)
+            if cut.status != "NodeLimit":
+                continue
+            brackets += 1
+            if cut.opt_value is not None:
+                assert cut.opt_value <= truth + tol, i
+            assert truth <= cut.best_bound + tol, i
+        assert brackets > 0
 
 
 class TestIpGap:

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from giplab.cli import run_cli
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -129,6 +131,30 @@ class TestSweepCli:
 
     def test_missing_config_exits_one(self, capsys):
         assert cli("gap-sweep", "--config", "nope.json") == 1
+
+    def test_tree_sweep_out_flag_overrides_config(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            m_list=[2], n_list=[12], seeds_per_cell=2, seed=5,
+            rounding="never", parallelism=1,
+        )))
+        out = tmp_path / "t.csv"
+        assert cli("tree-sweep", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert capsys.readouterr().out == f"wrote {out}: 2 rows\n"
+        assert len(out.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "two"])
+    @pytest.mark.parametrize("command", ["gap-sweep", "tree-sweep"])
+    def test_malformed_threads_env_exits_one(self, tmp_path, capsys,
+                                             monkeypatch, command, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            m_list=[2], n_list=[12], seeds_per_cell=1, rounding="never",
+        )))
+        monkeypatch.setenv("GIPLAB_THREADS", value)
+        assert cli(command, "--config", str(cfg_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: GIPLAB_THREADS must be an integer, got {value!r}\n"
 
 
 class TestMonteCarloCommands:
