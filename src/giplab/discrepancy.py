@@ -239,22 +239,19 @@ def disc_search(
     instance: DiscInstance,
     rng: RngHandle,
     restarts: int = 50,
-    moves_per_restart: int | None = None,
 ) -> DiscOutcome:
     """Randomized swap local search on the infinity-norm objective.
 
     Each restart starts from a uniform random k-subset and repeatedly applies
     the best (in, out) swap; a non-improving best swap is still taken with
-    probability SIDEWAYS_PROB to escape plateaus.  A restart stops after 3k
-    moves without improvement.  found=False is a legal outcome and does not
-    prove nonexistence.
+    probability SIDEWAYS_PROB to escape plateaus.  A restart stops after 30k
+    moves, or after 3k moves without improvement.  found=False is a legal
+    outcome and does not prove nonexistence.
     """
     cols = instance.columns
     target = instance.target
     m, count = cols.shape
     k = instance.k
-    if moves_per_restart is None:
-        moves_per_restart = 30 * k
     gen = rng.gen
 
     best_dev = np.inf
@@ -274,7 +271,7 @@ def disc_search(
             break
         restart_best = cur_dev
         stagnation = 0
-        for _ in range(moves_per_restart):
+        for _ in range(30 * k):
             ins = np.flatnonzero(members)
             outs = np.flatnonzero(~members)
             if outs.size == 0:
@@ -342,15 +339,14 @@ def disc_success_mc(
     target,
     trials: int,
     rng: RngHandle,
-    *,
-    search_restarts: int = 100,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the k-subset success probability.
 
     theta and the universe size come from calibrate_theta(m, k).  Each trial
     draws a*k fresh columns and asks whether some k-subset lands within theta
     of the target; the exact oracle decides when the enumeration budget
-    permits, otherwise the local search provides a lower bound on the rate.
+    permits, otherwise the local search with 100 restarts provides a lower
+    bound on the rate.
     Returns (rate, binomial standard error).
     """
     if trials < 100:
@@ -366,7 +362,7 @@ def disc_success_mc(
         if use_exact:
             out = disc_exact(inst)
         else:
-            out = disc_search(inst, handle.derive(1), restarts=search_restarts)
+            out = disc_search(inst, handle.derive(1), restarts=100)
         successes += bool(out.found)
     rate = successes / trials
     stderr = math.sqrt(max(rate * (1.0 - rate), 1e-12) / trials)

@@ -237,17 +237,13 @@ def _run_trial_star(args):
     return run_trial(*args)
 
 
-class ParallelismError(ValueError):
-    """GIPLAB_THREADS is set to something that is not an integer."""
-
-
 def _parallelism(cfg: SweepConfig) -> int:
     env = os.environ.get("GIPLAB_THREADS")
     if env:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ParallelismError(
+            raise ValueError(
                 f"GIPLAB_THREADS must be an integer, got {env!r}"
             ) from None
     if cfg.parallelism is not None:
@@ -312,6 +308,8 @@ def stats_check(
     fixed-constant variants (dual norm <= 3, zero count >= n/500) that the
     rounding pipeline conditions on.
     """
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     spec = BSpec.parse(b_spec)
     counts = {
         "value_ge_alpha_n": 0,

@@ -167,12 +167,13 @@ def reduced_cost_knapsack(
     return knapsack_count(weights, gap)
 
 
-def sphere_net(d: int, spacing: float = 0.25) -> np.ndarray:
+def sphere_net(d: int) -> np.ndarray:
     """Deterministic covering of the unit sphere in R^d, d <= 3.
 
-    d=1 is the two signs, d=2 an angular grid with chord length <= spacing,
+    d=1 is the two signs, d=2 an angular grid with chord length <= 0.25,
     d=3 a Fibonacci lattice sized for a comparable covering radius.
     """
+    spacing = 0.25
     if d == 1:
         return np.array([[1.0], [-1.0]])
     if d == 2:

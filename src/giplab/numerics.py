@@ -10,13 +10,14 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 LN2 = math.log(2.0)
+SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
 __all__ = [
@@ -50,12 +51,6 @@ class DiscParams:
     @property
     def universe(self) -> int:
         return self.a * self.k
-
-    def calibration_residual(self) -> float:
-        """log of (2*theta/sqrt(2*pi*k))**m * C(a*k, k); zero when calibrated."""
-        return self.m * (
-            math.log(2.0 * self.theta) - 0.5 * math.log(2.0 * math.pi * self.k)
-        ) + log_binomial(self.universe, self.k)
 
 
 @dataclass(frozen=True)
@@ -138,10 +133,10 @@ def theory_params(epsilon: float, delta: float) -> TheoryParams:
 
 
 def log_binomial(n: int, k: int) -> float:
-    """ln C(n, k) via log-gamma; avoids overflow for large n."""
+    """ln C(n, k) of the exact integer C(n, k), rounded once."""
     if k < 0 or k > n:
         raise ValueError("binomial coefficient requires 0 <= k <= n")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.log(math.comb(n, k))
 
 
 def calibrate_theta(m: int, k: int) -> DiscParams:
@@ -186,6 +181,12 @@ def householder_to_axis(u, axis: int = -1) -> np.ndarray:
     return r
 
 
+@functools.partial(np.vectorize, otypes=[float])
+def _normal_cdf(z):
+    # erfc of the negated argument keeps the lower tail's relative accuracy
+    return 0.5 * math.erfc(-z / SQRT2)
+
+
 def mixture_density(eps: float, x):
     """Density at x of sqrt(eps)*U + sqrt(1-eps)*Z.
 
@@ -204,7 +205,8 @@ def mixture_density(eps: float, x):
         half_width = math.sqrt(3.0 * eps)
         scale = math.sqrt(1.0 - eps)
         out = (
-            ndtr((arr + half_width) / scale) - ndtr((arr - half_width) / scale)
+            _normal_cdf((arr + half_width) / scale)
+            - _normal_cdf((arr - half_width) / scale)
         ) / (2.0 * half_width)
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)

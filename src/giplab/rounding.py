@@ -284,25 +284,22 @@ def round_pipeline(
     params: RoundingParams,
     rng: RngHandle,
     *,
-    theta: float | None = None,
     thin: bool = False,
 ) -> RoundingCertificate:
     """Run the full rounding pipeline and certify the resulting gap.
 
-    `theta` overrides the discrepancy tolerance (default
-    params.theta_prime / (2*sqrt(m))); `thin` applies the band rejection
-    step to the filtered set before pooling (a fidelity device that discards
-    usable columns, off by default).  A failed flip-set search is reported
-    in the certificate, not raised.
+    The discrepancy tolerance is params.theta_prime / (2*sqrt(m)); `thin`
+    applies the band rejection step to the filtered set before pooling (a
+    fidelity device that discards usable columns, off by default).  A failed
+    flip-set search is reported in the certificate, not raised.
     """
     a, b, c = instance.A, instance.b, instance.c
     m, n = instance.m, instance.n
     x_star = lp_solution.x_star
     u_star = lp_solution.u_star
 
-    if theta is None:
-        theta = params.theta_prime / (2.0 * math.sqrt(m))
-    theta_prime = 2.0 * math.sqrt(m) * theta
+    theta_prime = params.theta_prime
+    theta = theta_prime / (2.0 * math.sqrt(m))
 
     diagnostics = _event_flags(instance, lp_solution)
     diagnostics["theta"] = theta

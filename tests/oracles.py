@@ -164,6 +164,20 @@ def band_y_cdf_quadrature(omega: float, nu: float):
     return cdf
 
 
+def mixture_density_oracle(eps: float, x):
+    """Density of sqrt(eps)*U + sqrt(1-eps)*Z, U uniform on [-sqrt(3),
+    sqrt(3)] and Z standard normal: the uniform's window of scipy's normal
+    CDF, or one law alone at eps = 0 and eps = 1."""
+    x = np.asarray(x, dtype=float)
+    if eps == 0.0:
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    half = math.sqrt(3.0 * eps)
+    if eps == 1.0:
+        return np.where(np.abs(x) <= half, 0.5 / half, 0.0)
+    scale = math.sqrt(1.0 - eps)
+    return (ndtr((x + half) / scale) - ndtr((x - half) / scale)) / (2.0 * half)
+
+
 # high-precision frozen values (50-digit decimal evaluation)
 ENTROPY_0_998 = 0.014427214862176115
 ALPHA_EPS_19_DELTA = 0.2820011622124830   # eps = 1/9, delta = sqrt(2*pi)/10

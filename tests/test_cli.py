@@ -86,6 +86,25 @@ class TestGenLpIp:
         assert cli() == 1
 
 
+@pytest.mark.parametrize("command", [
+    "ip {path} --node-limit 0",
+    "round {path} --k 0",
+    "round {path} --t 0",
+    "round {path} --delta -1",
+    "disc-mc --m 0 --k 2",
+    "stats --m 2 --n 60 --epsilon 0.5",
+    "stats --m 2 --n 60 --seeds 0",
+])
+def test_rejected_flag_value_exits_one(tmp_path, capsys, command):
+    path = str(tmp_path / "a.gip")
+    cli("gen", "--m", "2", "--n", "20", "--b", "zeros", "--seed", "1",
+        "--out", path)
+    capsys.readouterr()
+    assert cli(*command.format(path=path).split()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 class TestRound:
     def test_round_prints_certificate(self, tmp_path, capsys):
         path = str(tmp_path / "a.gip")

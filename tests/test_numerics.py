@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +20,14 @@ from giplab.numerics import (
     theory_params,
 )
 
-from oracles import ALPHA_EPS_19_DELTA, BETA_FOR_ALPHA_EPS_19, ENTROPY_0_998
+from oracles import (
+    ALPHA_EPS_19_DELTA,
+    BETA_FOR_ALPHA_EPS_19,
+    ENTROPY_0_998,
+    mixture_density_oracle,
+)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestEntropy:
@@ -81,6 +93,23 @@ class TestSolveBeta:
         for beta in rng.uniform(0.5, 1.0, size=1000):
             alpha = 2.0 * math.sqrt(entropy(beta))
             assert abs(solve_beta(alpha) - beta) <= 1e-9
+
+
+class TestLogBinomial:
+    def test_within_one_ulp_of_decimal_reference(self):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            for n in range(0, 601, 6):
+                for k in range(0, n + 1, max(1, n // 90)):
+                    got = log_binomial(n, k)
+                    ref = Decimal(math.comb(n, k)).ln()
+                    assert abs(Decimal(got) - ref) <= Decimal(math.ulp(got)), (n, k)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            log_binomial(3, 4)
+        with pytest.raises(ValueError):
+            log_binomial(3, -1)
 
 
 class TestCalibrateTheta:
@@ -172,6 +201,13 @@ class TestMixtureDensity:
                             limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_ndtr_oracle(self):
+        xs = np.linspace(-12.0, 12.0, 2401)
+        for eps in np.linspace(0.0, 1.0, 21):
+            got = mixture_density(float(eps), xs)
+            ref = mixture_density_oracle(float(eps), xs)
+            assert np.abs(got - ref).max() <= 1e-14, eps
+
     def test_symmetric_in_x(self):
         xs = np.linspace(0.0, 5.0, 100)
         for eps in (0.2, 0.7):
@@ -199,3 +235,23 @@ class TestTheoryParams:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             theory_params(0.3, 0.0)
+
+
+def test_importing_every_module_loads_no_scipy():
+    code = (
+        "import importlib, pkgutil, sys, giplab\n"
+        "names = [m.name for m in pkgutil.iter_modules(giplab.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('giplab.' + name)\n"
+        "print(len(names))\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        check=True,
+    )
+    count, loaded = res.stdout.splitlines()
+    assert int(count) >= 10
+    assert loaded == "[]"

@@ -267,8 +267,8 @@ class TestRoundPipeline:
         if sol.s.size == 0:
             pytest.skip("integral optimum drawn")
         # absurdly tight tolerance forces NoFlipSetFound, reported not raised
-        params = RoundingParams.defaults(2, 400)
-        cert = round_pipeline(inst, sol, params, RngHandle(11), theta=1e-14)
+        params = RoundingParams.defaults(2, 400, theta=1e-14)
+        cert = round_pipeline(inst, sol, params, RngHandle(11))
         assert not cert.feasible
         assert cert.flip_set == ()
         assert cert.diagnostics["disc_best_dev"] > 0.0
@@ -277,8 +277,8 @@ class TestRoundPipeline:
 class TestGapChain:
     def test_requires_feasible(self):
         inst, sol = solved(48)
-        params = RoundingParams.defaults(2, 400)
-        cert = round_pipeline(inst, sol, params, RngHandle(12), theta=1e-14)
+        params = RoundingParams.defaults(2, 400, theta=1e-14)
+        cert = round_pipeline(inst, sol, params, RngHandle(12))
         if not cert.feasible:
             with pytest.raises(ValueError):
                 gap_chain_check(cert, inst, sol)
@@ -292,8 +292,8 @@ class TestGapChain:
         assert sol.x_star[0] == pytest.approx(0.3, abs=1e-9)
         assert sorted(sol.s.tolist()) == [0]
         assert sol.u_star[0] == pytest.approx(1.0, abs=1e-9)
-        params = RoundingParams(k=1, delta=2.0, t=1, theta_prime=2.0)
-        cert = round_pipeline(inst, sol, params, RngHandle(13), theta=1.0)
+        params = RoundingParams.defaults(1, 3, k=1, delta=2.0, t=1, theta=1.0)
+        cert = round_pipeline(inst, sol, params, RngHandle(13))
         assert cert.feasible
         assert cert.flip_set == (2,)
         assert np.array_equal(cert.x_double_prime, [0.0, 0.0, 1.0])
