@@ -2,11 +2,12 @@
 
 The open list is a max-priority queue on the node LP value (ties broken by
 insertion order), so the sequence of processed bounds is non-increasing;
-this is asserted on every solve.  Child LPs are solved at creation time,
-cold, under the parent's bounds with the branched variable fixed; infeasible
-children are counted as created but never enter the queue.  An open node is
-just its bound, its variable bounds and its LP point.  Tree size is the
-number of nodes created, the root included.
+this is asserted on every solve.  Child LPs are solved at creation time
+under the parent's bounds with the branched variable fixed, from the same
+crash start as every LP (no parent basis is carried); infeasible children
+are counted as created but never enter the queue.  An open node is just
+its bound, its variable bounds and its LP point.  Tree size is the number
+of nodes created, the root included.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ bit-exact and diffable.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,10 +188,13 @@ def validate_b(instance: Instance) -> bool:
 def serialize(instance: Instance) -> bytes:
     lines = [MAGIC, f"{instance.m} {instance.n}", instance.meta.b_spec]
     lines.append(instance.meta.seed if instance.meta.seed is not None else "-")
-    lines.extend(repr(float(v)) for v in instance.b)
-    lines.extend(repr(float(v)) for v in instance.c)
-    for row in instance.A:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    b, c, a = (
+        np.asarray(v, dtype=float).tolist()
+        for v in (instance.b, instance.c, instance.A)
+    )
+    lines.extend(map(repr, b))
+    lines.extend(map(repr, c))
+    lines.extend(" ".join(map(repr, row)) for row in a)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -202,6 +206,23 @@ def _parse_float(tok: str, what: str) -> float:
     if not np.isfinite(value):
         raise InstanceFormatError(f"non-finite {what}: {tok!r}")
     return value
+
+
+def _parse_floats(toks: list[str], what: Callable[[int], str]) -> np.ndarray:
+    """All tokens as finite floats, converted in bulk.
+
+    Only when the bulk pass fails are the tokens scanned one by one, so the
+    error names the first bad field, what(pos), in document order.
+    """
+    try:
+        values = np.fromiter(map(float, toks), float, count=len(toks))
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = np.array(
+            [_parse_float(tok, what(pos)) for pos, tok in enumerate(toks)]
+        )
+    return values
 
 
 def deserialize(data: bytes) -> Instance:
@@ -235,9 +256,9 @@ def deserialize(data: bytes) -> Instance:
         raise InstanceFormatError(
             f"truncated document: expected {m + n} vector lines, got {len(body)}"
         )
-    b = np.array([_parse_float(body[i].strip(), f"b[{i}]") for i in range(m)])
-    c = np.array(
-        [_parse_float(body[m + i].strip(), f"c[{i}]") for i in range(n)]
+    b = _parse_floats([ln.strip() for ln in body[:m]], lambda i: f"b[{i}]")
+    c = _parse_floats(
+        [ln.strip() for ln in body[m : m + n]], lambda i: f"c[{i}]"
     )
     # A is row-major and whitespace-separated; any line layout is accepted
     toks = " ".join(body[m + n :]).split()
@@ -245,9 +266,7 @@ def deserialize(data: bytes) -> Instance:
         raise InstanceFormatError(
             f"A: expected {m * n} entries, got {len(toks)}"
         )
-    a = np.empty((m, n))
-    for pos, tok in enumerate(toks):
-        a[pos // n, pos % n] = _parse_float(tok, f"A[{pos // n},{pos % n}]")
+    a = _parse_floats(toks, lambda pos: f"A[{pos // n},{pos % n}]").reshape(m, n)
     meta = InstanceMeta(seed=seed, b_spec=b_spec_text)
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 

@@ -7,9 +7,12 @@ up to a few thousand this is cheap and numerically clean.  Pricing uses the
 largest-reduced-cost rule and falls back to Bland's rule permanently after a
 run of degenerate pivots, which guarantees termination.
 
-Every solve starts cold: structurals at their lower bound and the slacks
-basic, with a phase one for rows that point violates.  Branch-and-bound
-children are cold solves of the same kind under tightened bounds.
+Every solve starts from a crash point (Bixby 1992): each free structural
+with c_j > 0 at its upper bound, every other structural at its lower bound,
+and the slacks basic, with a phase one for the rows that point violates.
+A structural fixed by its box is never started at its upper bound.
+Branch-and-bound children are solves of the same kind under tightened
+bounds; there is one start rule.
 
 Returned solutions carry the optimal basic primal point, the dual vector,
 reduced costs, and the support partition (variables at 0, at 1, fractional)
@@ -202,7 +205,15 @@ def solve_box_lp(
     *,
     max_pivots: int | None = None,
 ) -> _BoxResult:
-    """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n)."""
+    """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
+
+    The start point x0 puts each free structural (upper - lower above the
+    pivot tolerance) with c_j > 0 at its upper bound and every other one at
+    its lower bound, with the slacks basic.  Phase one runs on the rows
+    with b - A x0 < -FEAS_TOL.  When no row needs it, the reduced costs
+    at the start are c itself, so x0 is optimal and the solve takes no
+    pivot.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -220,12 +231,13 @@ def solve_box_lp(
     upp = np.concatenate([upper, np.full(m, np.inf)])
     gamma = np.concatenate([c, np.zeros(m)])
 
+    start_up = (c > 0.0) & (upper - lower > PIV_TOL)
     status = np.full(total, _AT_LOWER, dtype=np.int8)
+    status[:n][start_up] = _AT_UPPER
     basis = list(range(n, total))
-    for j in basis:
-        status[j] = _BASIC
+    status[n:] = _BASIC
     pivots_used = 0
-    bad = np.flatnonzero(b - a @ lower < -FEAS_TOL)
+    bad = np.flatnonzero(b - a @ np.where(start_up, upper, lower) < -FEAS_TOL)
     if bad.size:
         mat, low, upp, gamma, basis, status, pivots_used = _phase_one(
             mat, b, low, upp, gamma, basis, status, bad, max_pivots, lower, upper

@@ -202,3 +202,41 @@ def milp_oracle(a, b, c):
     if res.status != 0:
         raise RuntimeError(f"HiGHS milp did not finish: {res.message}")
     return -float(res.fun)
+
+
+def linprog_oracle(a, b, c, lower=None, upper=None):
+    """Optimum of max c @ x, A x <= b, lower <= x <= upper (default
+    [0, 1]^n) by scipy's HiGHS `linprog`, or None when HiGHS proves the LP
+    infeasible."""
+    from scipy.optimize import linprog
+
+    a = np.asarray(a, dtype=float)
+    n = a.shape[1]
+    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
+    res = linprog(
+        -np.asarray(c, dtype=float),
+        A_ub=a,
+        b_ub=np.asarray(b, dtype=float),
+        bounds=np.column_stack([lower, upper]),
+        method="highs",
+    )
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS linprog did not finish: {res.message}")
+    return -float(res.fun)
+
+
+def serialize_oracle(instance) -> bytes:
+    """GIPLAB v1 bytes written one element at a time with repr(float(v))."""
+    meta = instance.meta
+    lines = ["GIPLAB v1", f"{instance.m} {instance.n}", meta.b_spec]
+    lines.append("-" if meta.seed is None else meta.seed)
+    for v in instance.b:
+        lines.append(repr(float(v)))
+    for v in instance.c:
+        lines.append(repr(float(v)))
+    for row in instance.A:
+        lines.append(" ".join(repr(float(v)) for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")

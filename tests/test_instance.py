@@ -16,6 +16,8 @@ from giplab.instance import (
 from giplab.lp import solve_lp
 from giplab.rng import RngHandle
 
+from oracles import serialize_oracle
+
 
 def make_instance(a, b, c):
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -115,6 +117,65 @@ class TestSerialization:
         lines[0] = "GIPLAB v2"
         with pytest.raises(InstanceFormatError, match="header"):
             deserialize(("\n".join(lines)).encode())
+
+    def test_error_names_first_bad_field_in_document_order(self):
+        inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
+        lines = serialize(inst).decode().splitlines()
+
+        def a_row(row, col, tok):
+            toks = lines[12 + row].split()
+            toks[col] = tok
+            return lines[: 12 + row] + [" ".join(toks)] + lines[13 + row :]
+
+        def load(doc):
+            deserialize(("\n".join(doc) + "\n").encode())
+
+        lines = a_row(0, 5, "nan")
+        lines = a_row(1, 0, "x")
+        with pytest.raises(InstanceFormatError, match=r"^non-finite A\[0,5\]: 'nan'$"):
+            load(lines)
+        lines = a_row(0, 5, "1.0")
+        with pytest.raises(InstanceFormatError, match=r"^bad A\[1,0\]: 'x'$"):
+            load(lines)
+        lines[6 + 3] = "inf"
+        with pytest.raises(InstanceFormatError, match=r"^non-finite c\[3\]: 'inf'$"):
+            load(lines)
+        lines[5] = "-Infinity"
+        with pytest.raises(InstanceFormatError, match=r"^non-finite b\[1\]: "):
+            load(lines)
+
+    @pytest.mark.parametrize(
+        "b_spec",
+        [
+            BSpec.zeros(),
+            BSpec.gaussian(),
+            BSpec.scaled_ones([0.02] * 8),
+            BSpec.explicit(np.linspace(-3.0, 3.0, 8)),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    def test_roundtrip_bit_exact_at_scale(self, b_spec):
+        inst = generate(8, 4000, b_spec, RngHandle(6))
+        data = serialize(inst)
+        back = deserialize(data)
+        for name in ("A", "b", "c"):
+            got, want = getattr(back, name), getattr(inst, name)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert serialize(back) == data
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_per_element_writer(self, dtype):
+        inst = generate(3, 50, BSpec.gaussian(), RngHandle(8))
+        typed = Instance(
+            m=3,
+            n=50,
+            A=inst.A.astype(dtype),
+            b=inst.b.astype(dtype),
+            c=inst.c.astype(dtype),
+            meta=inst.meta,
+        )
+        assert serialize(typed) == serialize_oracle(typed)
 
     def test_truncated(self):
         inst = generate(2, 3, BSpec.zeros(), RngHandle(1))

@@ -8,12 +8,13 @@ from giplab.lp import (
     dual_value,
     gap_formula,
     resample_zero_column,
+    solve_box_lp,
     solve_lp,
 )
 from giplab.numerics import theory_params
 from giplab.rng import RngHandle
 
-from oracles import lp_vertex_oracle
+from oracles import linprog_oracle, lp_vertex_oracle
 from test_instance import make_instance
 
 
@@ -47,6 +48,115 @@ class TestSolveLpHandCases:
         inst = generate(3, 60, BSpec.zeros(), RngHandle(3))
         with pytest.raises(IterationLimitError):
             solve_lp(inst, max_pivots=2)
+
+
+class TestStartRule:
+    """Every solve starts its free structurals with c_j > 0 at the upper
+    bound and the rest at the lower bound."""
+
+    @pytest.mark.parametrize(
+        "m, n, beta", [(1, 50, 1.0), (3, 400, 1.0), (8, 1000, 2.5)]
+    )
+    def test_feasible_start_needs_no_pivot(self, m, n, beta):
+        inst = generate(m, n, BSpec.scaled_ones([beta] * m), RngHandle(31, n))
+        assert np.all(inst.A @ (inst.c > 0) <= inst.b)
+        sol = solve_lp(inst)
+        assert sol.pivots == 0
+        assert np.array_equal(sol.x_star, (inst.c > 0).astype(float))
+
+    def test_nonpositive_costs_with_nonnegative_b_need_no_pivot(self):
+        gen = np.random.default_rng(32)
+        a = gen.standard_normal((4, 200))
+        c = -np.abs(gen.standard_normal(200))
+        c[::7] = 0.0
+        sol = solve_lp(make_instance(a, np.abs(gen.standard_normal(4)), c))
+        assert sol.pivots == 0
+        assert np.array_equal(sol.x_star, np.zeros(200))
+
+    def test_variable_fixed_by_its_box_starts_at_lower(self):
+        inst = generate(2, 40, BSpec.scaled_ones([1.0, 1.0]), RngHandle(33))
+        up = np.flatnonzero(inst.c > 0)[:6]
+        lower = np.zeros(40)
+        upper = np.ones(40)
+        lower[up[:2]] = upper[up[:2]] = 0.0
+        lower[up[2:4]] = upper[up[2:4]] = 1.0
+        # narrower than the pivot tolerance: fixed, so it stays at lower
+        lower[up[4:]] = 0.5
+        upper[up[4:]] = 0.5 + 5e-12
+        res = solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
+        assert res.pivots == 0
+        assert np.array_equal(res.x[up], [0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+
+
+class TestHighsLpDifferential:
+    """Root LPs and branch-and-bound child boxes against scipy's HiGHS
+    `linprog`: values to 1e-7 relative, infeasibility verdicts exactly, and
+    every Farkas vector certifies its verdict."""
+
+    SHAPES = [
+        (1, 40), (2, 120), (3, 300), (4, 60), (5, 500), (6, 200), (8, 80), (8, 1000)
+    ]
+    RECIPES = [
+        "zeros", "gaussian", "scaled_ones+", "scaled_ones-", "scaled_ones--", "explicit"
+    ]
+
+    @staticmethod
+    def _b_spec(recipe, m):
+        return {
+            "zeros": BSpec.zeros,
+            "gaussian": BSpec.gaussian,
+            "scaled_ones+": lambda: BSpec.scaled_ones([0.05] * m),
+            "scaled_ones-": lambda: BSpec.scaled_ones([-0.1] * m),
+            # row 0 below its box minimum (about -0.4 n) once n is not tiny
+            "scaled_ones--": lambda: BSpec.scaled_ones([-0.45] + [0.0] * (m - 1)),
+            "explicit": lambda: BSpec.explicit(np.linspace(-2.0, 2.0, m)),
+        }[recipe]()
+
+    @staticmethod
+    def _child_boxes(inst, gen):
+        n = inst.n
+        for k in range(6):
+            lower, upper = np.zeros(n), np.ones(n)
+            idx = gen.choice(n, int(gen.integers(1, max(2, n // 4))), replace=False)
+            if k % 3 == 0:
+                # against the start point: c_j > 0 at 0 and c_j < 0 at 1
+                vals = (inst.c[idx] < 0).astype(float)
+            elif k % 3 == 1:
+                vals = gen.integers(0, 2, idx.size).astype(float)
+            else:
+                # push row 0 up: its positive entries at 1
+                idx = idx[inst.A[0, idx] > 0]
+                vals = np.ones(idx.size)
+            lower[idx] = upper[idx] = vals
+            yield lower, upper
+
+    @staticmethod
+    def _check(inst, lower, upper, solve):
+        ref = linprog_oracle(inst.A, inst.b, inst.c, lower, upper)
+        try:
+            value = solve()
+        except InfeasibleError as exc:
+            assert ref is None, f"giplab infeasible, HiGHS optimum {ref!r}"
+            w = inst.A.T @ exc.farkas_u
+            assert np.all(exc.farkas_u >= 0.0)
+            assert np.minimum(w * lower, w * upper).sum() > inst.b @ exc.farkas_u
+            return False
+        assert ref is not None, f"HiGHS infeasible, giplab optimum {value!r}"
+        assert abs(value - ref) <= 1e-7 * max(1.0, abs(ref))
+        return True
+
+    @pytest.mark.parametrize("recipe", RECIPES)
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_root_and_child_boxes(self, m, n, recipe):
+        inst = generate(m, n, self._b_spec(recipe, m), RngHandle(7, 1000 * m + n))
+        lower, upper = np.zeros(n), np.ones(n)
+        self._check(inst, lower, upper, lambda: solve_lp(inst).value)
+        gen = np.random.default_rng([m, n, self.RECIPES.index(recipe)])
+        for lower, upper in self._child_boxes(inst, gen):
+            self._check(
+                inst, lower, upper,
+                lambda: solve_box_lp(inst.A, inst.b, inst.c, lower, upper).value,
+            )
 
 
 class TestSolveLpAgainstOracle:
