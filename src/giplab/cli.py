@@ -112,9 +112,7 @@ def _cmd_round(args) -> int:
         t=args.t,
         theta=args.theta, max_restarts=args.restarts,
     )
-    cert = rounding.round_pipeline(
-        inst, sol, params, RngHandle(args.seed), thin=args.thin
-    )
+    cert = rounding.round_pipeline(inst, sol, params, RngHandle(args.seed))
     print(f"feasible: {int(cert.feasible)}")
     print(f"certified_gap: {cert.certified_gap!r}")
     print(f"slack_inf_norm: {cert.slack_inf_norm!r}")
@@ -231,7 +229,6 @@ def build_parser() -> _Parser:
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--thin", action="store_true")
     p.add_argument("--full-x", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_round)

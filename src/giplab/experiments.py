@@ -225,8 +225,11 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
         rec["round_ms"] = int(1000 * (time.perf_counter() - t0))
 
     if with_knapsack and exact_ip and rec.get("ipgap") is not None:
-        if n <= knapsack.MAX_COUNT_N:
+        try:
             kc = knapsack.reduced_cost_knapsack(inst, sol, rec["ipgap"])
+        except knapsack.CountBudgetError:
+            pass  # the trial keeps its LP and IP fields, without a proxy row
+        else:
             rec["knap_count"] = kc.count
             rec["knap_bound"] = knapsack.expectation_bound(n, rec["ipgap"])
 

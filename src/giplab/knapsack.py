@@ -2,10 +2,14 @@
 
 knapsack_count returns the exact number of subsets of nonnegative weights
 whose sum stays within a capacity.  Two algorithms are provided and must
-agree exactly: a depth-first search over weights sorted descending with
-remaining-minimum and remaining-total prunes, and a fully vectorized
-meet-in-the-middle.  Counts are Python integers, so they stay exact up to
-the 2**48 ceiling.
+agree exactly.  The default, at any n, is a depth-first search over weights
+sorted descending with remaining-minimum and remaining-total prunes; it runs
+on an explicit stack and does at most (n+1) * count visits, so its cost
+follows the size of the count.  A fixed visit budget (DFS_VISIT_BUDGET)
+stops it with a CountBudgetError that carries the partial count.
+Meet-in-the-middle always builds 2 * 2**(n/2) sums, is limited to
+n <= MAX_COUNT_N, and is the method for weight laws with large counts.
+Counts are Python integers, so they are exact at any size.
 
 The weight sums are floating point; a capacity slack of 1e-12 * n makes the
 counts robust to summation order and is applied identically in both
@@ -24,6 +28,7 @@ from .lp import LpSolution
 from .rng import RngHandle, mixture_sample
 
 __all__ = [
+    "CountBudgetError",
     "KnapsackCount",
     "MAX_COUNT_N",
     "knapsack_count",
@@ -34,9 +39,28 @@ __all__ = [
     "sphere_net",
 ]
 
-MAX_COUNT_N = 48
-DFS_MAX_N = 30
+MAX_COUNT_N = 48  # meet-in-the-middle only
+# perfbench checks each DFS proxy count against meet-in-the-middle up to
+# this n, so it equals MAX_COUNT_N: every count that can be checked is.
+DFS_MAX_N = MAX_COUNT_N
+DFS_VISIT_BUDGET = 20_000_000
 CAP_SLACK_PER_ITEM = 1e-12
+
+
+class CountBudgetError(RuntimeError):
+    """The pruned DFS used up DFS_VISIT_BUDGET visits before finishing.
+
+    `partial_count` is the number of fitting subsets found so far, a lower
+    bound on the true count; `visits` is the number of nodes visited.
+    """
+
+    def __init__(self, partial_count: int, visits: int):
+        super().__init__(
+            f"pruned DFS stopped after {visits} visits "
+            f"with a partial count of {partial_count}"
+        )
+        self.partial_count = partial_count
+        self.visits = visits
 
 
 @dataclass(frozen=True)
@@ -48,30 +72,43 @@ class KnapsackCount:
 
 
 def _count_dfs(weights: np.ndarray, cap_eff: float) -> int:
-    """DFS over weights sorted descending.
+    """DFS over weights sorted descending, on an explicit stack.
 
     At depth i with residual r: all remaining weights fit -> add 2**(n-i);
     even the smallest remaining weight exceeds r -> only the empty
-    completion remains.
+    completion remains.  Each popped node follows its exclude branch in
+    place and pushes its include branch, so every pop ends in one leaf,
+    every leaf adds at least 1, and a pop visits at most n + 1 nodes.
     """
-    w = np.sort(weights)[::-1]
-    n = w.size
-    suffix_total = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-    smallest = w[-1] if n else 0.0
-
-    def go(i: int, residual: float) -> int:
-        if i == n:
-            return 1
-        if suffix_total[i] <= residual:
-            return 1 << (n - i)
-        if smallest > residual:
-            return 1
-        total = go(i + 1, residual)
-        if w[i] <= residual:
-            total += go(i + 1, residual - w[i])
-        return total
-
-    return go(0, cap_eff)
+    desc = np.sort(weights)[::-1]
+    n = desc.size
+    suffix_total = np.concatenate([np.cumsum(desc[::-1])[::-1], [0.0]]).tolist()
+    smallest = float(desc[-1]) if n else 0.0
+    w = desc.tolist()
+    budget = DFS_VISIT_BUDGET
+    count = 0
+    visits = 0
+    stack = [(0, cap_eff)]
+    while stack:
+        start, residual = stack.pop()
+        i = start
+        while True:
+            if i == n:
+                count += 1
+                break
+            if suffix_total[i] <= residual:
+                count += 1 << (n - i)
+                break
+            if smallest > residual:
+                count += 1
+                break
+            if w[i] <= residual:
+                stack.append((i + 1, residual - w[i]))
+            i += 1
+        visits += i - start + 1
+        if visits > budget and stack:
+            raise CountBudgetError(count, visits)
+    return count
 
 
 def _count_mim(weights: np.ndarray, cap_eff: float) -> int:
@@ -87,28 +124,31 @@ def _count_mim(weights: np.ndarray, cap_eff: float) -> int:
     return int(counts.sum(dtype=np.int64))
 
 
-def knapsack_count(weights, capacity: float, *, method: str | None = None) -> KnapsackCount:
+def knapsack_count(
+    weights, capacity: float, *, method: str = "dfs_pruned"
+) -> KnapsackCount:
     """Exact |{ x in {0,1}^n : sum_i x_i w_i <= capacity }|.
 
-    `method` forces an algorithm; by default the DFS handles n <= 30 and
-    meet-in-the-middle the rest.  Refuses n > 48 and negative inputs.
+    `method` forces an algorithm; by default the pruned DFS counts at any n
+    and raises CountBudgetError when its visit budget runs out.
+    Meet-in-the-middle refuses n > MAX_COUNT_N.  Negative inputs are refused.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be a vector")
     n = w.size
-    if n > MAX_COUNT_N:
-        raise ValueError(f"exact counting limited to n <= {MAX_COUNT_N}")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if capacity < 0.0:
         raise ValueError("capacity must be nonnegative")
-    if method is None:
-        method = "dfs_pruned" if n <= DFS_MAX_N else "meet_in_middle"
     cap_eff = float(capacity) + CAP_SLACK_PER_ITEM * n
     if method == "dfs_pruned":
         count = _count_dfs(w, cap_eff)
     elif method == "meet_in_middle":
+        if n > MAX_COUNT_N:
+            raise ValueError(
+                f"meet-in-the-middle counting limited to n <= {MAX_COUNT_N}"
+            )
         count = _count_mim(w, cap_eff)
     else:
         raise ValueError(f"unknown counting method: {method!r}")
@@ -160,9 +200,9 @@ def reduced_cost_knapsack(
 
     Weights are |A' u* - c| under the optimal dual vector; the capacity is
     the caller's integrality gap.  This is the canonical tree-size proxy.
+    The count is small when the gap is, so the pruned DFS counts it at any
+    n; CountBudgetError says it was not small enough.
     """
-    if instance.n > MAX_COUNT_N:
-        raise ValueError(f"exact counting limited to n <= {MAX_COUNT_N}")
     weights = np.abs(instance.A.T @ lp_solution.u_star - instance.c)
     return knapsack_count(weights, gap)
 

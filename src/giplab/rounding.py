@@ -40,7 +40,7 @@ from .discrepancy import (
     disc_search,
     exact_enum_size,
 )
-from .rng import RngHandle, band_accept_prob
+from .rng import RngHandle
 
 __all__ = [
     "RoundingParams",
@@ -89,7 +89,7 @@ class RoundingParams:
     k: int
     delta: float
     t: int
-    theta_prime: float
+    theta: float
     max_restarts: int = 50
 
     def __post_init__(self):
@@ -99,8 +99,12 @@ class RoundingParams:
             raise ValueError("delta must be positive")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.theta_prime <= 0.0:
-            raise ValueError("theta_prime must be positive")
+        if self.theta <= 0.0:
+            raise ValueError("theta must be positive")
+
+    def theta_prime(self, m: int) -> float:
+        """Slack tolerance 2*sqrt(m)*theta of the flip-set search target."""
+        return 2.0 * math.sqrt(m) * self.theta
 
     @classmethod
     def defaults(
@@ -135,7 +139,7 @@ class RoundingParams:
             k=k,
             delta=delta,
             t=t,
-            theta_prime=2.0 * math.sqrt(m) * theta,
+            theta=theta,
             max_restarts=max_restarts,
         )
 
@@ -283,23 +287,20 @@ def round_pipeline(
     lp_solution: LpSolution,
     params: RoundingParams,
     rng: RngHandle,
-    *,
-    thin: bool = False,
 ) -> RoundingCertificate:
     """Run the full rounding pipeline and certify the resulting gap.
 
-    The discrepancy tolerance is params.theta_prime / (2*sqrt(m)); `thin`
-    applies the band rejection step to the filtered set before pooling (a
-    fidelity device that discards usable columns, off by default).  A failed
-    flip-set search is reported in the certificate, not raised.
+    The discrepancy tolerance is params.theta and the slack target is
+    shifted by params.theta_prime(m).  A failed flip-set search is reported
+    in the certificate, not raised.
     """
     a, b, c = instance.A, instance.b, instance.c
     m, n = instance.m, instance.n
     x_star = lp_solution.x_star
     u_star = lp_solution.u_star
 
-    theta_prime = params.theta_prime
-    theta = theta_prime / (2.0 * math.sqrt(m))
+    theta = params.theta
+    theta_prime = params.theta_prime(m)
 
     diagnostics = _event_flags(instance, lp_solution)
     diagnostics["theta"] = theta
@@ -329,17 +330,6 @@ def round_pipeline(
     d_prime = d - theta_prime
 
     z = filter_reduced_costs(instance, lp_solution, params.delta, params.t)
-    diagnostics["z_raw_size"] = float(z.size)
-    if thin:
-        u_norm = diagnostics["u_norm"]
-        nu = params.delta * params.t
-        gen = rng.derive(1).gen
-        keep = []
-        for i in z:
-            slack_cost = -float(lp_solution.reduced_costs[i])
-            if gen.random() < band_accept_prob(u_norm, nu, slack_cost):
-                keep.append(i)
-        z = np.asarray(keep, dtype=int)
     diagnostics["z_size"] = float(z.size)
 
     a_mult = math.ceil(2.0 * math.sqrt(m))

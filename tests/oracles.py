@@ -87,6 +87,24 @@ def count_subsets_exhaustive(weights, capacity) -> int:
     return count
 
 
+def count_small_weight_subsets(weights, capacity, max_small: int = 20) -> int:
+    """Exact knapsack count at any n when few weights fit on their own.
+
+    A weight above the capacity is in no fitting subset, so enumerating the
+    subsets of the others is exact for the full problem.  The capacity
+    slack is 1e-12 per item of the full vector, as in the library.
+    """
+    w = np.asarray(weights, dtype=float)
+    cap = capacity + 1e-12 * w.size
+    small = w[w <= cap]
+    if small.size > max_small:
+        raise ValueError(f"{small.size} weights fit alone; enumeration refused")
+    sums = np.zeros(1)
+    for wi in small:
+        sums = np.concatenate([sums, sums + wi])
+    return int(np.count_nonzero(sums <= cap))
+
+
 def count_disc_successes(columns, target, theta, k) -> int:
     """Number of k-subsets of the columns within theta of the target."""
     cols = np.asarray(columns, dtype=float)

@@ -13,10 +13,13 @@ from giplab.experiments import (
     stats_check,
     tree_sweep,
 )
+from giplab import knapsack
 from giplab.instance import BSpec, generate
 from giplab.bnb import ipgap
 from giplab.lp import solve_lp
 from giplab.rng import RngHandle
+
+from oracles import count_small_weight_subsets
 
 
 def small_config(**over):
@@ -133,6 +136,65 @@ class TestSweeps:
         for rec in records:
             assert rec.knap_count is not None and rec.knap_count >= 1
             assert rec.tree_size >= 1
+
+    def test_tree_sweep_proxy_rows_beyond_mim_limit(self, tmp_path):
+        out = tmp_path / "tree60.csv"
+        cfg = small_config(
+            out=str(out), n_list=(60,), seeds_per_cell=8, seed=7,
+            exact_ip_max_n=60,
+        )
+        records = tree_sweep(cfg)
+        rows = (tmp_path / "tree60.csv.knap.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(records) == 8
+        for rec, row in zip(records, rows):
+            assert rec.status == "ok"
+            inst = generate(2, 60, BSpec.zeros(), RngHandle(cfg.seed, rec.seed))
+            sol = solve_lp(inst)
+            weights = np.abs(inst.A.T @ sol.u_star - inst.c)
+            expect = count_small_weight_subsets(weights, rec.ipgap)
+            assert rec.knap_count == expect
+            assert row.split(",")[:6] == [
+                str(rec.seed), "2", "60", repr(rec.ipgap), str(rec.tree_size),
+                str(expect),
+            ]
+        assert max(r.knap_count for r in records) > 1
+
+    def test_tree_sweep_counts_below_mim_limit_unchanged(self):
+        # (stream, m, n, tree_size, knap_count) as written when the proxy
+        # was counted by meet-in-the-middle above n = 30
+        cfg = small_config(
+            m_list=(2, 3), n_list=(32, 40, 48), seeds_per_cell=2, seed=2024,
+            exact_ip_max_n=48,
+        )
+        got = [(r.seed, r.m, r.n, r.tree_size, r.knap_count) for r in tree_sweep(cfg)]
+        assert got == [
+            (0, 2, 32, 7, 8), (1, 2, 32, 21, 10), (2, 2, 40, 1, 1),
+            (3, 2, 40, 5, 2), (4, 2, 48, 1, 1), (5, 2, 48, 27, 56),
+            (6, 3, 32, 3, 2), (7, 3, 32, 9, 2), (8, 3, 40, 9, 4),
+            (9, 3, 40, 1, 1), (10, 3, 48, 143, 152), (11, 3, 48, 1, 1),
+        ]
+
+    def test_count_budget_keeps_ip_fields(self, tmp_path, monkeypatch):
+        out = tmp_path / "budget.csv"
+        cfg = small_config(
+            out=str(out), n_list=(60,), seeds_per_cell=3, seed=7,
+            exact_ip_max_n=60,
+        )
+        full = tree_sweep(cfg)
+        # stream 2 counts 204 subsets; one visit cannot finish that count
+        assert full[2].knap_count > 1
+        monkeypatch.setattr(knapsack, "DFS_VISIT_BUDGET", 1)
+        capped = tree_sweep(cfg)
+        starved = capped[2]
+        assert starved.status == "ok"
+        assert starved.knap_count is None and starved.knap_bound is None
+        assert starved.ip_value == full[2].ip_value
+        assert starved.tree_size == full[2].tree_size
+        assert starved.to_csv_row() == full[2].to_csv_row()
+        rows = (tmp_path / "budget.csv.knap.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [
+            r.seed for r in capped if r.knap_count is not None
+        ]
 
     def test_gap_below_certificate_when_both_present(self):
         cfg = small_config(

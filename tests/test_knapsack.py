@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from giplab.instance import BSpec, generate
+from giplab import knapsack
 from giplab.knapsack import (
+    CountBudgetError,
     expectation_bound,
     knapsack_count,
     knapsack_expectation_mc,
@@ -16,7 +18,7 @@ from giplab.lp import solve_lp
 from giplab.bnb import ipgap
 from giplab.rng import RngHandle
 
-from oracles import count_subsets_exhaustive
+from oracles import count_small_weight_subsets, count_subsets_exhaustive
 
 
 class TestKnapsackCount:
@@ -35,7 +37,14 @@ class TestKnapsackCount:
         with pytest.raises(ValueError):
             knapsack_count([0.1], -1.0)
         with pytest.raises(ValueError):
-            knapsack_count(np.ones(49), 1.0)
+            knapsack_count(np.ones(49), 1.0, method="meet_in_middle")
+        with pytest.raises(ValueError):
+            knapsack_count([0.1], 1.0, method="greedy")
+
+    def test_dfs_counts_beyond_mim_limit(self):
+        # the empty set and the 49 singletons fit
+        kc = knapsack_count(np.ones(49), 1.0)
+        assert kc.method == "dfs_pruned" and kc.count == 50
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_exhaustive_oracle(self, seed):
@@ -68,6 +77,15 @@ class TestKnapsackCount:
         expect = count_subsets_exhaustive(relevant, cap)
         assert knapsack_count(w, cap).count == expect
 
+    def test_deep_dfs_needs_no_recursion(self):
+        # the exclude chain runs through every large weight: a recursive DFS
+        # would go about 2000 frames deep
+        w = np.random.default_rng(11).random(2000)
+        cap = 0.003
+        expect = count_small_weight_subsets(w, cap)
+        assert expect > 1
+        assert knapsack_count(w, cap).count == expect
+
     def test_monotone_in_capacity_and_permutation_invariant(self):
         gen = np.random.default_rng(7)
         w = gen.random(15)
@@ -77,6 +95,74 @@ class TestKnapsackCount:
         shuffled = w.copy()
         gen.shuffle(shuffled)
         assert knapsack_count(shuffled, caps[2]).count == counts[2]
+
+
+def reduced_cost_case(m, n, seed):
+    inst = generate(m, n, BSpec.zeros(), RngHandle(71, seed))
+    sol = solve_lp(inst)
+    return np.abs(inst.A.T @ sol.u_star - inst.c), ipgap(inst)
+
+
+class TestDfsAgainstMim:
+    """Exact integer counts: the DFS must equal meet-in-the-middle at the
+    sizes where the proxy used to need meet-in-the-middle."""
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in (2, 3) for n in (32, 36, 40, 44, 48)]
+    )
+    def test_reduced_cost_weights(self, m, n):
+        weights, gap = reduced_cost_case(m, n, 10 * m + n)
+        dfs = knapsack_count(weights, gap, method="dfs_pruned").count
+        assert dfs == knapsack_count(weights, gap, method="meet_in_middle").count
+
+    def test_reduced_cost_weights_scaled_gap(self):
+        # larger capacities than the exact gap give larger counts
+        for m, n in ((2, 40), (3, 44)):
+            weights, gap = reduced_cost_case(m, n, 5)
+            for cap in (0.25, 1.0, 3.0 * gap + 0.5):
+                dfs = knapsack_count(weights, cap, method="dfs_pruned").count
+                mim = knapsack_count(weights, cap, method="meet_in_middle").count
+                assert dfs == mim
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_weights(self, seed):
+        gen = np.random.default_rng(300 + seed)
+        n = 32 + 2 * seed
+        w = gen.random(n)
+        cap = float(gen.uniform(0.5, 1.5))
+        dfs = knapsack_count(w, cap, method="dfs_pruned").count
+        assert dfs == knapsack_count(w, cap, method="meet_in_middle").count
+
+
+class TestVisitBudget:
+    def test_partial_count_is_a_lower_bound(self, monkeypatch):
+        w = np.random.default_rng(12).random(36)
+        cap = 1.2
+        true = knapsack_count(w, cap, method="meet_in_middle").count
+        monkeypatch.setattr(knapsack, "DFS_VISIT_BUDGET", 500)
+        with pytest.raises(CountBudgetError) as info:
+            knapsack_count(w, cap)
+        assert 500 < info.value.visits <= 500 + w.size + 1
+        assert 0 < info.value.partial_count <= true
+
+    def test_budget_counts_nodes_not_leaves(self, monkeypatch):
+        # 7 fitting subsets, but the first leaf lies past 30 weights that
+        # never fit
+        w = np.array([10.0] * 30 + [0.1] * 3)
+        assert knapsack_count(w, 0.25).count == 7
+        monkeypatch.setattr(knapsack, "DFS_VISIT_BUDGET", 30)
+        with pytest.raises(CountBudgetError) as info:
+            knapsack_count(w, 0.25)
+        assert info.value.visits > 30 and info.value.partial_count <= 7
+
+    def test_visits_bounded_by_n_plus_one_times_count(self, monkeypatch):
+        for seed in range(5):
+            gen = np.random.default_rng(400 + seed)
+            w = gen.random(40)
+            cap = float(gen.uniform(0.2, 1.0))
+            true = knapsack_count(w, cap, method="meet_in_middle").count
+            monkeypatch.setattr(knapsack, "DFS_VISIT_BUDGET", (w.size + 1) * true)
+            assert knapsack_count(w, cap).count == true
 
 
 class TestExpectationMc:

@@ -33,16 +33,34 @@ def solved(seed, m=2, n=400):
 class TestRoundingParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RoundingParams(k=0, delta=0.1, t=1, theta_prime=0.1)
+            RoundingParams(k=0, delta=0.1, t=1, theta=0.1)
         with pytest.raises(ValueError):
-            RoundingParams(k=1, delta=0.0, t=1, theta_prime=0.1)
+            RoundingParams(k=1, delta=0.0, t=1, theta=0.1)
+        with pytest.raises(ValueError):
+            RoundingParams(k=1, delta=0.1, t=1, theta=0.0)
 
     def test_defaults_consistent(self):
         p = RoundingParams.defaults(2, 400)
         assert p.k == min(math.ceil(4 * (math.log(400) + 2)), exact_pool_k_cap(2))
         assert p.delta == pytest.approx(8.0 * math.sqrt(2) * p.k / 400)
         theta = calibrate_theta(2, p.k).theta
-        assert p.theta_prime == pytest.approx(2.0 * math.sqrt(2) * theta)
+        assert p.theta == theta
+        assert p.theta_prime(2) == pytest.approx(2.0 * math.sqrt(2) * theta)
+
+    def test_pipeline_reports_calibrated_theta_exactly(self):
+        # diag.theta must be calibrate_theta's value itself, not one rebuilt
+        # from theta_prime, for every default calibration
+        # (an integral LP optimum, x* = 0, returns right after the diagnostics)
+        for m in range(1, 9):
+            inst = make_instance(np.ones((m, 3)), np.zeros(m), -np.ones(3))
+            sol = solve_lp(inst)
+            assert sol.s.size == 0
+            for k in range(1, exact_pool_k_cap(m) + 1):
+                params = RoundingParams.defaults(m, 400, k=k)
+                cert = round_pipeline(inst, sol, params, RngHandle(k))
+                theta = calibrate_theta(m, k).theta
+                assert cert.diagnostics["theta"] == theta
+                assert cert.diagnostics["theta_prime"] == 2.0 * math.sqrt(m) * theta
 
     def test_k_cap_values(self):
         assert exact_pool_k_cap(1) == 11
@@ -249,18 +267,7 @@ class TestRoundPipeline:
         params = RoundingParams.defaults(2, 400)
         cert = round_pipeline(inst, sol, params, RngHandle(9))
         if cert.feasible and cert.flip_set:
-            assert cert.slack_inf_norm <= 2.0 * params.theta_prime + 1e-12
-
-    def test_thinning_flag_runs(self):
-        inst, sol = solved(48)
-        if sol.s.size == 0:
-            pytest.skip("integral optimum drawn")
-        params = RoundingParams.defaults(2, 400, t=3)
-        try:
-            cert = round_pipeline(inst, sol, params, RngHandle(10), thin=True)
-        except PoolTooSmallError:
-            return  # thinning may legitimately starve the pools
-        assert cert.diagnostics["z_size"] <= cert.diagnostics["z_raw_size"]
+            assert cert.slack_inf_norm <= 2.0 * params.theta_prime(2) + 1e-12
 
     def test_failure_reports_best_deviation(self):
         inst, sol = solved(48)
