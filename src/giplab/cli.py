@@ -169,12 +169,8 @@ def _cmd_disc_mc(args) -> int:
     rate, stderr = discrepancy.disc_success_mc(
         args.m, args.k, args.dist, target, args.trials, RngHandle(args.seed)
     )
-    mode = (
-        "exact"
-        if discrepancy.exact_enum_size(params.universe, args.k)
-        <= discrepancy.EXACT_ENUM_BUDGET
-        else "search"
-    )
+    exact = discrepancy.fits_exact_budget(params.universe, args.k)
+    mode = "exact" if exact else "search"
     successes = round(rate * args.trials)
     print("m,k,a,theta,trials,successes,rate,stderr,mode")
     print(

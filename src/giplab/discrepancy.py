@@ -35,7 +35,7 @@ __all__ = [
     "DiscOutcome",
     "ExactBudgetError",
     "EXACT_ENUM_BUDGET",
-    "exact_enum_size",
+    "fits_exact_budget",
     "disc_exact",
     "disc_search",
     "disc_success_mc",
@@ -85,8 +85,10 @@ class DiscOutcome:
     evaluations: int
 
 
-def exact_enum_size(count: int, k: int) -> int:
-    return math.comb(count, k)
+def fits_exact_budget(count: int, k: int) -> bool:
+    """Whether disc_exact accepts a pool of `count` columns and subset size k:
+    C(count, k) <= EXACT_ENUM_BUDGET."""
+    return math.comb(count, k) <= EXACT_ENUM_BUDGET
 
 
 @lru_cache(maxsize=8)
@@ -155,8 +157,8 @@ def disc_exact(instance: DiscInstance) -> DiscOutcome:
     module docstring says why that budget stays fixed.
     """
     count, k = instance.count, instance.k
-    total = exact_enum_size(count, k)
-    if total > EXACT_ENUM_BUDGET:
+    total = math.comb(count, k)
+    if not fits_exact_budget(count, k):
         raise ExactBudgetError(
             f"{total} subsets exceed the exact budget of {EXACT_ENUM_BUDGET}"
         )
@@ -354,7 +356,7 @@ def disc_success_mc(
     params = calibrate_theta(m, k)
     target = np.asarray(target, dtype=float)
     successes = 0
-    use_exact = exact_enum_size(params.universe, k) <= EXACT_ENUM_BUDGET
+    use_exact = fits_exact_budget(params.universe, k)
     for trial in range(trials):
         handle = rng.derive(trial)
         cols = draw_columns(m, params.universe, column_law, handle)

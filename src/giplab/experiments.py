@@ -226,7 +226,7 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
 
     if with_knapsack and exact_ip and rec.get("ipgap") is not None:
         try:
-            kc = knapsack.reduced_cost_knapsack(inst, sol, rec["ipgap"])
+            kc = knapsack.reduced_cost_knapsack(sol, rec["ipgap"])
         except knapsack.CountBudgetError:
             pass  # the trial keeps its LP and IP fields, without a proxy row
         else:

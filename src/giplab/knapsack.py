@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import Instance
 from .lp import LpSolution
 from .rng import RngHandle, mixture_sample
 
@@ -193,18 +192,16 @@ def knapsack_expectation_mc(
     return mean, stderr, expectation_bound(n, g)
 
 
-def reduced_cost_knapsack(
-    instance: Instance, lp_solution: LpSolution, gap: float
-) -> KnapsackCount:
+def reduced_cost_knapsack(lp_solution: LpSolution, gap: float) -> KnapsackCount:
     """Count of binary points whose reduced-cost weight stays within the gap.
 
-    Weights are |A' u* - c| under the optimal dual vector; the capacity is
-    the caller's integrality gap.  This is the canonical tree-size proxy.
-    The count is small when the gap is, so the pruned DFS counts it at any
-    n; CountBudgetError says it was not small enough.
+    Weights are |c - A' u*| under the optimal dual vector, the LP solution's
+    reduced costs; the capacity is the caller's integrality gap.  This is
+    the canonical tree-size proxy.  The count is small when the gap is, so
+    the pruned DFS counts it at any n; CountBudgetError says it was not
+    small enough.
     """
-    weights = np.abs(instance.A.T @ lp_solution.u_star - instance.c)
-    return knapsack_count(weights, gap)
+    return knapsack_count(np.abs(lp_solution.reduced_costs), gap)
 
 
 def sphere_net(d: int) -> np.ndarray:

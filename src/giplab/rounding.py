@@ -12,13 +12,14 @@ Stages:
 
 1. randomized_round: binary x' agreeing with x* off the fractional support,
    resampled until ||A (x* - x')||_2 meets the half-column-norm bound.
-2. filter_reduced_costs: Z = zero variables with |c - A'u*| <= t * delta.
-3. prepare_columns: rotate u* onto the last axis, center the last coordinate
-   at mu = delta * t / 2 and rescale it by sigma so all coordinates are
-   standardized.
-4. Split Z into t disjoint pools of ceil(2*sqrt(m)) * k columns; for each
-   pool search for a k-subset whose normalized column sum approximates the
-   rotated slack target within theta.  First success wins.
+2. filter_reduced_costs: Z = zero variables with |c - A'u*| <= t * delta,
+   taken in order of reduced-cost magnitude.
+3. Rotate u* onto the last axis, once, for the first t pools' worth of Z
+   and for the slack target; center the last coordinate at mu = delta * t / 2
+   and rescale it by sigma so all coordinates are standardized.
+4. Split those columns into t disjoint pools of ceil(2*sqrt(m)) * k; for
+   each pool search for a k-subset whose standardized column sum
+   approximates the standardized target within theta.  First success wins.
 5. Verify A x'' <= b, record the slack infinity norm, and certify the gap
    through the primal-dual gap formula.
 """
@@ -33,25 +34,17 @@ import numpy as np
 from .instance import Instance
 from .lp import LpSolution, gap_formula, support_partition
 from .numerics import calibrate_theta, householder_to_axis
-from .discrepancy import (
-    EXACT_ENUM_BUDGET,
-    DiscInstance,
-    disc_exact,
-    disc_search,
-    exact_enum_size,
-)
+from .discrepancy import DiscInstance, disc_exact, disc_search, fits_exact_budget
 from .rng import RngHandle
 
 __all__ = [
     "RoundingParams",
     "RoundingCertificate",
-    "FilteredColumns",
     "PoolTooSmallError",
     "RoundingBoundNotMetError",
     "exact_pool_k_cap",
     "randomized_round",
     "filter_reduced_costs",
-    "prepare_columns",
     "round_pipeline",
     "gap_chain_check",
 ]
@@ -68,7 +61,7 @@ def exact_pool_k_cap(m: int) -> int:
     exactly within the subset solver's enumeration budget."""
     a = math.ceil(2.0 * math.sqrt(m))
     k = 1
-    while exact_enum_size(a * (k + 1), k + 1) <= EXACT_ENUM_BUDGET:
+    while fits_exact_budget(a * (k + 1), k + 1):
         k += 1
     return k
 
@@ -145,17 +138,6 @@ class RoundingParams:
 
 
 @dataclass(frozen=True, eq=False)
-class FilteredColumns:
-    """Rotated and standardized candidate columns of one pool."""
-
-    indices: np.ndarray     # global column indices, subset of the zero support
-    rotated: np.ndarray     # (m, p): R @ A[:, i]
-    normalized: np.ndarray  # (m, p): last row centered at mu_t, scaled by sigma_t
-    mu_t: float
-    sigma_t: float
-
-
-@dataclass(frozen=True, eq=False)
 class RoundingCertificate:
     """Outcome of one pipeline run.
 
@@ -206,9 +188,7 @@ def randomized_round(
     )
 
 
-def filter_reduced_costs(
-    instance: Instance, lp_solution: LpSolution, delta: float, t: int
-) -> np.ndarray:
+def filter_reduced_costs(lp_solution: LpSolution, delta: float, t: int) -> np.ndarray:
     """Zero-support indices whose reduced-cost magnitude is at most t*delta."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -217,51 +197,11 @@ def filter_reduced_costs(
     return n0[np.abs(rc) <= t * delta]
 
 
-def _rotation(u_star: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(u_star))
-    if norm <= 1e-15:
-        return np.eye(u_star.shape[0])
-    return householder_to_axis(u_star, axis=-1)
-
-
 def sigma_last(u_norm: float, delta: float, t: int) -> float:
     """Standard deviation of the last rotated coordinate on the filtered set."""
     s2 = 1.0 + u_norm * u_norm
     var = 1.0 / s2 + (u_norm * delta * t / s2) ** 2 / 12.0
     return math.sqrt(var)
-
-
-def prepare_columns(
-    instance: Instance,
-    lp_solution: LpSolution,
-    pool,
-    t: int,
-    params: RoundingParams,
-) -> FilteredColumns:
-    """Rotate and standardize the candidate columns of one pool.
-
-    The rotation sends u* to the last axis, making the first m-1 coordinates
-    of the rotated columns standard normal; the last coordinate is centered
-    at mu = delta*t/2 and rescaled by sigma so all entries are standardized.
-    """
-    pool = np.asarray(pool, dtype=int)
-    if pool.size == 0:
-        raise ValueError("pool of candidate columns is empty")
-    m = instance.m
-    u_norm = float(np.linalg.norm(lp_solution.u_star))
-    rot = _rotation(lp_solution.u_star)
-    rotated = rot @ instance.A[:, pool]
-    mu_t = params.delta * t / 2.0
-    sigma_t = sigma_last(u_norm, params.delta, t)
-    normalized = rotated.copy()
-    normalized[m - 1, :] = (normalized[m - 1, :] - mu_t) / sigma_t
-    return FilteredColumns(
-        indices=pool,
-        rotated=rotated,
-        normalized=normalized,
-        mu_t=mu_t,
-        sigma_t=sigma_t,
-    )
 
 
 def _event_flags(instance: Instance, lp_solution: LpSolution) -> dict[str, float]:
@@ -282,6 +222,77 @@ def _event_flags(instance: Instance, lp_solution: LpSolution) -> dict[str, float
     }
 
 
+def _flip_search(
+    instance: Instance,
+    lp_solution: LpSolution,
+    params: RoundingParams,
+    d_prime: np.ndarray,
+    rng: RngHandle,
+    diagnostics: dict[str, float],
+) -> tuple[tuple[int, ...], int | None]:
+    """Search the t pools of Z for a k-subset that meets the slack target.
+
+    The rotation sends u* to the last axis, making the first m-1 coordinates
+    of the rotated columns standard normal; the last coordinate is centered
+    at mu = delta*t/2 and rescaled by sigma, and the target d' gets the same
+    treatment for a sum of k columns.  Returns (flip set, pool index) of the
+    first pool with a subset within theta, or ((), None).
+    """
+    m, k, t = instance.m, params.k, params.t
+    z = filter_reduced_costs(lp_solution, params.delta, t)
+    diagnostics["z_size"] = float(z.size)
+
+    pool_size = math.ceil(2.0 * math.sqrt(m)) * k
+    need = pool_size * t
+    diagnostics["pool_size"] = float(pool_size)
+    diagnostics["pools"] = float(t)
+    if z.size < need:
+        raise PoolTooSmallError(
+            f"filtered set has {z.size} columns; {need} required "
+            f"({t} pools of {pool_size})"
+        )
+
+    # cheapest flips first: pools in order of reduced-cost magnitude, so
+    # the first success pays the smallest objective price
+    z = z[np.argsort(np.abs(lp_solution.reduced_costs[z]), kind="stable")][:need]
+
+    u_star = lp_solution.u_star
+    u_norm = float(np.linalg.norm(u_star))
+    rot = householder_to_axis(u_star, axis=-1) if u_norm > 1e-15 else np.eye(m)
+    mu_t = params.delta * t / 2.0
+    sigma_t = sigma_last(u_norm, params.delta, t)
+    columns = rot @ instance.A[:, z]
+    columns[m - 1] = (columns[m - 1] - mu_t) / sigma_t
+    target = rot @ d_prime
+    target[m - 1] -= k * mu_t
+    target[m - 1] /= sigma_t
+    diagnostics["mu_t"] = mu_t
+    diagnostics["sigma_t"] = sigma_t
+    diagnostics["target_norm"] = float(np.linalg.norm(target))
+
+    use_exact = fits_exact_budget(pool_size, k)
+    best_dev = math.inf
+    evaluations = 0
+    found = ((), None)
+    for l in range(t):
+        pool = slice(l * pool_size, (l + 1) * pool_size)
+        inst = DiscInstance(
+            columns=columns[:, pool], target=target, theta=params.theta, k=k
+        )
+        if use_exact:
+            out = disc_exact(inst)
+        else:
+            out = disc_search(inst, rng.derive(2, l), restarts=params.max_restarts)
+        evaluations += out.evaluations
+        best_dev = min(best_dev, out.deviation)
+        if out.found:
+            found = (tuple(int(i) for i in z[pool][list(out.subset)]), l)
+            break
+    diagnostics["disc_best_dev"] = best_dev
+    diagnostics["disc_evaluations"] = float(evaluations)
+    return found
+
+
 def round_pipeline(
     instance: Instance,
     lp_solution: LpSolution,
@@ -291,122 +302,44 @@ def round_pipeline(
     """Run the full rounding pipeline and certify the resulting gap.
 
     The discrepancy tolerance is params.theta and the slack target is
-    shifted by params.theta_prime(m).  A failed flip-set search is reported
-    in the certificate, not raised.
+    shifted by params.theta_prime(m).  An integral LP optimum needs no
+    repair and skips the search.  A failed flip-set search is reported in
+    the certificate, not raised: x'' = x' and `feasible` is False.
     """
     a, b, c = instance.A, instance.b, instance.c
-    m, n = instance.m, instance.n
     x_star = lp_solution.x_star
-    u_star = lp_solution.u_star
-
-    theta = params.theta
-    theta_prime = params.theta_prime(m)
 
     diagnostics = _event_flags(instance, lp_solution)
-    diagnostics["theta"] = theta
+    diagnostics["theta"] = params.theta
+    theta_prime = params.theta_prime(instance.m)
     diagnostics["theta_prime"] = theta_prime
 
     x_prime, round_l2 = randomized_round(x_star, a, rng.derive(0))
     diagnostics["round_l2"] = round_l2
 
-    if lp_solution.s.size == 0:
-        # integral optimum: nothing to repair
-        slack_inf = float(np.abs(a @ (x_prime - x_star)).max(initial=0.0))
-        certified = lp_solution.value - float(c @ x_prime)
-        diagnostics["t_delta_k"] = 0.0
-        diagnostics["gap_formula_total"] = gap_formula(x_prime, u_star, instance).total
-        return RoundingCertificate(
-            x_prime=x_prime,
-            flip_set=(),
-            x_double_prime=x_prime,
-            feasible=bool(np.all(a @ x_prime <= b + FEAS_CHECK_TOL)),
-            slack_inf_norm=slack_inf,
-            certified_gap=certified,
-            pool_index_used=None,
-            diagnostics=diagnostics,
+    searched = lp_solution.s.size > 0
+    flips, pool_index = (), None
+    if searched:
+        d_prime = a @ (x_star - x_prime) - theta_prime
+        flips, pool_index = _flip_search(
+            instance, lp_solution, params, d_prime, rng, diagnostics
         )
+    diagnostics["t_delta_k"] = params.t * params.delta * params.k if searched else 0.0
+    failed = searched and pool_index is None
 
-    d = a @ (x_star - x_prime)
-    d_prime = d - theta_prime
-
-    z = filter_reduced_costs(instance, lp_solution, params.delta, params.t)
-    diagnostics["z_size"] = float(z.size)
-
-    a_mult = math.ceil(2.0 * math.sqrt(m))
-    pool_size = a_mult * params.k
-    need = pool_size * params.t
-    diagnostics["pool_size"] = float(pool_size)
-    diagnostics["pools"] = float(params.t)
-    if z.size < need:
-        raise PoolTooSmallError(
-            f"filtered set has {z.size} columns; {need} required "
-            f"({params.t} pools of {pool_size})"
-        )
-
-    # cheapest flips first: pools in order of reduced-cost magnitude, so
-    # the first success pays the smallest objective price
-    z = z[np.argsort(np.abs(lp_solution.reduced_costs[z]), kind="stable")]
-
-    rot = _rotation(u_star)
-    rotated_target = rot @ d_prime
-    use_exact = exact_enum_size(pool_size, params.k) <= EXACT_ENUM_BUDGET
-    best_dev = math.inf
-    evaluations = 0
-    for l in range(params.t):
-        pool = z[l * pool_size : (l + 1) * pool_size]
-        fc = prepare_columns(instance, lp_solution, pool, params.t, params)
-        target = rotated_target.copy()
-        target[m - 1] -= params.k * fc.mu_t
-        target[m - 1] /= fc.sigma_t
-        if l == 0:
-            diagnostics["mu_t"] = fc.mu_t
-            diagnostics["sigma_t"] = fc.sigma_t
-            diagnostics["target_norm"] = float(np.linalg.norm(target))
-        inst = DiscInstance(
-            columns=fc.normalized, target=target, theta=theta, k=params.k
-        )
-        if use_exact:
-            out = disc_exact(inst)
-        else:
-            out = disc_search(inst, rng.derive(2, l), restarts=params.max_restarts)
-        evaluations += out.evaluations
-        best_dev = min(best_dev, out.deviation)
-        if not out.found:
-            continue
-
-        flips = tuple(int(i) for i in fc.indices[list(out.subset)])
-        x2 = x_prime.copy()
-        x2[list(flips)] = 1.0
-        feasible = bool(np.all(a @ x2 <= b + FEAS_CHECK_TOL))
-        slack_inf = float(np.abs(a @ (x2 - x_star)).max())
-        certified = lp_solution.value - float(c @ x2)
-        diagnostics["disc_best_dev"] = best_dev
-        diagnostics["disc_evaluations"] = float(evaluations)
-        diagnostics["t_delta_k"] = params.t * params.delta * params.k
-        diagnostics["gap_formula_total"] = gap_formula(x2, u_star, instance).total
-        return RoundingCertificate(
-            x_prime=x_prime,
-            flip_set=flips,
-            x_double_prime=x2,
-            feasible=feasible,
-            slack_inf_norm=slack_inf,
-            certified_gap=certified,
-            pool_index_used=l,
-            diagnostics=diagnostics,
-        )
-
-    diagnostics["disc_best_dev"] = best_dev
-    diagnostics["disc_evaluations"] = float(evaluations)
-    diagnostics["t_delta_k"] = params.t * params.delta * params.k
-    slack_inf = float(np.abs(a @ (x_prime - x_star)).max())
+    x2 = x_prime.copy()
+    x2[list(flips)] = 1.0
+    if not failed:
+        gap = gap_formula(x2, lp_solution.u_star, instance)
+        diagnostics["gap_formula_total"] = gap.total
     return RoundingCertificate(
         x_prime=x_prime,
-        flip_set=(),
-        x_double_prime=x_prime,
-        feasible=False,
-        slack_inf_norm=slack_inf,
-        certified_gap=lp_solution.value - float(c @ x_prime),
-        pool_index_used=None,
+        flip_set=flips,
+        x_double_prime=x2,
+        feasible=not failed and bool(np.all(a @ x2 <= b + FEAS_CHECK_TOL)),
+        slack_inf_norm=float(np.abs(a @ (x2 - x_star)).max()),
+        certified_gap=lp_solution.value - float(c @ x2),
+        pool_index_used=pool_index,
         diagnostics=diagnostics,
     )
 

@@ -11,7 +11,6 @@ from giplab.discrepancy import (
     disc_search,
     disc_success_mc,
     draw_columns,
-    exact_enum_size,
 )
 from giplab.numerics import calibrate_theta
 from giplab.rng import RngHandle

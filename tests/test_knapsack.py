@@ -208,7 +208,7 @@ class TestReducedCostKnapsack:
         sol = solve_lp(inst)
         weights = np.abs(inst.A.T @ sol.u_star - inst.c)
         zero_weights = int(np.sum(weights <= 1e-12 * inst.n))
-        assert reduced_cost_knapsack(inst, sol, 0.0).count == 2**zero_weights
+        assert reduced_cost_knapsack(sol, 0.0).count == 2**zero_weights
         generic = sol.u_star + np.array([0.1, 0.2])
         generic_weights = np.abs(inst.A.T @ generic - inst.c)
         assert knapsack_count(generic_weights, 0.0).count == 1
@@ -217,7 +217,7 @@ class TestReducedCostKnapsack:
         inst = generate(2, 15, BSpec.zeros(), RngHandle(46))
         sol = solve_lp(inst)
         total = float(np.abs(inst.A.T @ sol.u_star - inst.c).sum())
-        assert reduced_cost_knapsack(inst, sol, total + 1.0).count == 2**15
+        assert reduced_cost_knapsack(sol, total + 1.0).count == 2**15
 
     def test_tree_size_against_proxy(self):
         # measured best-bound tree sizes next to the knapsack proxy count;
@@ -229,7 +229,7 @@ class TestReducedCostKnapsack:
             inst = generate(2, 18, BSpec.zeros(), RngHandle(47, s))
             sol = solve_lp(inst)
             gap = ipgap(inst)
-            count = reduced_cost_knapsack(inst, sol, gap).count
+            count = reduced_cost_knapsack(sol, gap).count
             tree = solve_ip(inst).nodes_created
             assert count >= 1
             ratios.append(tree / count)

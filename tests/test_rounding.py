@@ -6,17 +6,15 @@ from scipy.stats import kstest
 
 from giplab.instance import BSpec, generate
 from giplab.lp import solve_lp
-from giplab.numerics import calibrate_theta
+from giplab.numerics import calibrate_theta, householder_to_axis
 from giplab.rng import RngHandle, conditioned_column
 from giplab.rounding import (
-    FilteredColumns,
     PoolTooSmallError,
     RoundingBoundNotMetError,
     RoundingParams,
     exact_pool_k_cap,
     filter_reduced_costs,
     gap_chain_check,
-    prepare_columns,
     randomized_round,
     round_pipeline,
     sigma_last,
@@ -112,10 +110,6 @@ class TestRandomizedRound:
     def test_bound_not_met_raises(self):
         a = np.array([[1.0, 1.0]])
         x = np.array([0.5, 0.5])
-
-        class NeverAccept:
-            pass
-
         with pytest.raises(RoundingBoundNotMetError):
             # max_tries=0 forces the failure branch regardless of draws
             randomized_round(x, a, RngHandle(3), max_tries=0)
@@ -125,18 +119,18 @@ class TestFilterReducedCosts:
     def test_wide_filter_keeps_all_of_n0(self):
         inst, sol = solved(31, n=100)
         width = float(np.abs(sol.reduced_costs[sol.n0]).max()) + 1.0
-        z = filter_reduced_costs(inst, sol, width, 1)
+        z = filter_reduced_costs(sol, width, 1)
         assert set(z.tolist()) == set(sol.n0.tolist())
 
     def test_zero_width_typically_empty(self):
         inst, sol = solved(32, n=100)
-        z = filter_reduced_costs(inst, sol, 1e-300, 1)
+        z = filter_reduced_costs(sol, 1e-300, 1)
         assert z.size == 0
 
     def test_membership_is_exact(self):
         inst, sol = solved(33, n=200)
         delta, t = 0.05, 3
-        z = set(filter_reduced_costs(inst, sol, delta, t).tolist())
+        z = set(filter_reduced_costs(sol, delta, t).tolist())
         for i in sol.n0:
             expected = abs(sol.reduced_costs[i]) <= t * delta
             assert (int(i) in z) == expected
@@ -146,7 +140,7 @@ class TestFilterReducedCosts:
         # estimate from the conditional column law
         inst, sol = solved(34, m=2, n=500)
         t_delta = 0.1
-        z = filter_reduced_costs(inst, sol, t_delta, 1)
+        z = filter_reduced_costs(sol, t_delta, 1)
         frac = z.size / sol.n0.size
         h = RngHandle(35)
         hits = 0
@@ -165,23 +159,31 @@ class TestPrepareColumns:
         assert sigma_last(3.0, 1e-12, 1) ** 2 == pytest.approx(0.1, rel=1e-6)
         assert sigma_last(0.0, 0.5, 2) ** 2 == pytest.approx(1.0, rel=1e-9)
 
-    def test_rotation_fixes_axis_when_u_on_axis(self):
-        inst, sol = solved(36, n=120)
-        pool = sol.n0[:10]
-        params = RoundingParams.defaults(inst.m, inst.n)
-        fc = prepare_columns(inst, sol, pool, params.t, params)
-        assert fc.indices.shape == (10,)
-        assert fc.rotated.shape == (inst.m, 10)
-        # un-normalizing returns the rotated columns
-        rebuilt = fc.normalized.copy()
-        rebuilt[inst.m - 1] = rebuilt[inst.m - 1] * fc.sigma_t + fc.mu_t
-        assert np.allclose(rebuilt, fc.rotated, atol=1e-12)
-
-    def test_empty_pool_rejected(self):
-        inst, sol = solved(37, n=60)
-        params = RoundingParams.defaults(inst.m, inst.n)
-        with pytest.raises(ValueError):
-            prepare_columns(inst, sol, np.array([], dtype=int), params.t, params)
+    @pytest.mark.parametrize("seed, theta, pool", [(42, None, 0), (402, 0.002, 1)])
+    def test_found_flip_set_meets_theta_standardized(self, seed, theta, pool):
+        # rebuild the search's view of a found flip set from first principles:
+        # rotate u* onto the last axis, center the last coordinate of the k
+        # flipped columns and of the slack target d' = A(x* - x') - theta'
+        # at k * mu with mu = delta * t / 2, and scale it by sigma
+        inst, sol = solved(seed)
+        params = RoundingParams.defaults(2, 400, theta=theta)
+        cert = round_pipeline(inst, sol, params, RngHandle(seed))
+        assert cert.flip_set and cert.pool_index_used == pool
+        m, k = inst.m, params.k
+        rot = householder_to_axis(sol.u_star, axis=-1)
+        mu = params.delta * params.t / 2.0
+        sigma = sigma_last(float(np.linalg.norm(sol.u_star)), params.delta, params.t)
+        flips = list(cert.flip_set)
+        total = rot @ inst.A[:, flips].sum(axis=1)
+        target = rot @ (inst.A @ (sol.x_star - cert.x_prime) - params.theta_prime(m))
+        total[m - 1] = (total[m - 1] - k * mu) / sigma
+        target[m - 1] = (target[m - 1] - k * mu) / sigma
+        deviation = float(np.abs(total - target).max())
+        # the search sums the same terms in another order: allow 1e-12 of rounding
+        assert deviation <= params.theta + 1e-12
+        assert cert.diagnostics["disc_best_dev"] == pytest.approx(deviation, abs=1e-12)
+        assert cert.diagnostics["mu_t"] == mu
+        assert cert.diagnostics["sigma_t"] == sigma
 
     def test_rotated_head_coordinates_standard_normal(self):
         # draw fresh conditional columns, filter, rotate: the first m-1
@@ -195,8 +197,6 @@ class TestPrepareColumns:
             c, a = conditioned_column(u, h)
             if abs(c - u @ a) <= t_delta:
                 cols.append(a)
-        from giplab.numerics import householder_to_axis
-
         rot = householder_to_axis(u)
         rotated = rot @ np.array(cols).T
         for j in range(m - 1):
@@ -279,6 +279,58 @@ class TestRoundPipeline:
         assert not cert.feasible
         assert cert.flip_set == ()
         assert cert.diagnostics["disc_best_dev"] > 0.0
+
+
+EVENT_KEYS = {
+    "u_norm", "event_u_norm_ok", "event_n0_ok", "event_cols_ok",
+    "theta", "theta_prime", "round_l2", "t_delta_k",
+}
+SEARCH_KEYS = EVENT_KEYS | {
+    "z_size", "pool_size", "pools", "mu_t", "sigma_t", "target_norm",
+    "disc_best_dev", "disc_evaluations",
+}
+
+
+class TestOutcomeDiagnostics:
+    """The diagnostics keys and `feasible` of each pipeline outcome."""
+
+    def test_short_circuit(self):
+        inst = make_instance([[1.0, 1.0]], [3.0], [1.0, 1.0])
+        sol = solve_lp(inst)
+        params = RoundingParams.defaults(1, 2, k=1, t=1)
+        cert = round_pipeline(inst, sol, params, RngHandle(4))
+        assert set(cert.diagnostics) == EVENT_KEYS | {"gap_formula_total"}
+        assert cert.feasible and cert.pool_index_used is None
+        assert cert.diagnostics["t_delta_k"] == 0.0
+
+    def test_flipped(self):
+        inst, sol = solved(42)
+        params = RoundingParams.defaults(2, 400)
+        cert = round_pipeline(inst, sol, params, RngHandle(6))
+        assert set(cert.diagnostics) == SEARCH_KEYS | {"gap_formula_total"}
+        assert cert.feasible and len(cert.flip_set) == params.k
+        assert cert.diagnostics["t_delta_k"] == params.t * params.delta * params.k
+
+    def test_search_failed_is_infeasible_even_when_x_prime_fits(self):
+        inst, sol = solved(44)
+        params = RoundingParams.defaults(2, 400, theta=1e-14)
+        cert = round_pipeline(inst, sol, params, RngHandle(11))
+        assert set(cert.diagnostics) == SEARCH_KEYS
+        assert np.all(inst.A @ cert.x_prime <= inst.b + 1e-9)
+        assert not cert.feasible
+        assert cert.flip_set == () and cert.pool_index_used is None
+        assert np.array_equal(cert.x_double_prime, cert.x_prime)
+        assert cert.diagnostics["disc_evaluations"] == params.t * math.comb(24, 8)
+
+    def test_local_search(self):
+        # k = 10 is above the exact cap of 8 at m = 2: the local search runs
+        inst, sol = solved(403)
+        params = RoundingParams.defaults(2, 400, k=10, theta=0.05)
+        assert params.k > exact_pool_k_cap(2)
+        cert = round_pipeline(inst, sol, params, RngHandle(403))
+        assert set(cert.diagnostics) == SEARCH_KEYS | {"gap_formula_total"}
+        assert cert.feasible and len(cert.flip_set) == 10
+        assert cert.diagnostics["disc_evaluations"] < math.comb(30, 10)
 
 
 class TestGapChain:
