@@ -46,7 +46,6 @@ class BnbResult:
     x_opt: np.ndarray | None
     nodes_created: int
     nodes_expanded: int
-    incumbent_updates: int
     status: str  # "Optimal" | "NodeLimit" | "Infeasible"
     best_bound: float | None
 
@@ -80,6 +79,10 @@ def solve_ip(
     variable, creating two children with that variable fixed.  Children whose
     LP is infeasible are pruned silently.  With `prune` disabled every node
     is expanded regardless of the incumbent (for ablation only).
+
+    The search ends when the open list empties (an infeasible root LP
+    leaves it empty), when its best bound cannot beat the incumbent, or
+    before a child past node_limit; the status is set after the loop.
     """
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
@@ -87,31 +90,27 @@ def solve_ip(
     n = instance.n
     nodes_created = 1
     nodes_expanded = 0
-    incumbent_updates = 0
     inc_value: float | None = None
     inc_x: np.ndarray | None = None
+    hit_limit = False
 
     try:
         root = solve_lp(instance)
     except InfeasibleError:
-        return BnbResult(None, None, 1, 0, 0, "Infeasible", None)
-
+        heap = []
+    else:
+        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star)]
     counter = 0
-    heap = [(-root.value, counter, np.zeros(n), np.ones(n), root.x_star)]
     last_bound = np.inf
 
-    while heap:
+    while heap and not hit_limit:
         neg_bound, _, lower, upper, x = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
         last_bound = bound
         if prune and inc_value is not None and bound <= inc_value + PRUNE_TOL:
-            # the queue is sorted, every remaining node is dominated
-            return BnbResult(
-                inc_value, inc_x, nodes_created, nodes_expanded,
-                incumbent_updates, "Optimal", inc_value,
-            )
+            break  # the queue is sorted, every remaining node is dominated
         nodes_expanded += 1
         if support_partition(x)[2].size == 0:
             xi = np.round(x)
@@ -120,16 +119,13 @@ def solve_ip(
                 raise ArithmeticError("integral node LP point is infeasible")
             if inc_value is None or val > inc_value + PRUNE_TOL:
                 inc_value, inc_x = val, xi
-                incumbent_updates += 1
             continue
 
         j = branch_variable(x, branch_rule)
         for side in (0, 1):
-            if nodes_created >= node_limit:
-                return BnbResult(
-                    inc_value, inc_x, nodes_created, nodes_expanded,
-                    incumbent_updates, "NodeLimit", bound,
-                )
+            hit_limit = nodes_created >= node_limit
+            if hit_limit:
+                break
             nodes_created += 1
             lo = lower.copy()
             up = upper.copy()
@@ -147,14 +143,14 @@ def solve_ip(
             counter += 1
             heapq.heappush(heap, (-child_bound, counter, lo, up, child.x))
 
-    if inc_value is None:
-        return BnbResult(
-            None, None, nodes_created, nodes_expanded, incumbent_updates,
-            "Infeasible", None,
-        )
+    if hit_limit:
+        status, best_bound = "NodeLimit", bound
+    elif inc_value is None:
+        status, best_bound = "Infeasible", None
+    else:
+        status, best_bound = "Optimal", inc_value
     return BnbResult(
-        inc_value, inc_x, nodes_created, nodes_expanded, incumbent_updates,
-        "Optimal", inc_value,
+        inc_value, inc_x, nodes_created, nodes_expanded, status, best_bound
     )
 
 

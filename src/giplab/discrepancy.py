@@ -65,8 +65,10 @@ class DiscInstance:
             raise ValueError("columns must be an (m, count) matrix")
         if self.target.shape != (self.columns.shape[0],):
             raise ValueError("target dimension does not match the columns")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0.0):
+            raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
+        if not np.all(np.isfinite(self.target)):
+            raise ValueError("target contains non-finite entries")
         if not 1 <= self.k <= self.columns.shape[1]:
             raise ValueError("k must lie in [1, number of columns]")
 

@@ -130,7 +130,8 @@ def knapsack_count(
 
     `method` forces an algorithm; by default the pruned DFS counts at any n
     and raises CountBudgetError when its visit budget runs out.
-    Meet-in-the-middle refuses n > MAX_COUNT_N.  Negative inputs are refused.
+    Meet-in-the-middle refuses n > MAX_COUNT_N.  Negative inputs and a NaN
+    capacity are refused.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
@@ -138,8 +139,8 @@ def knapsack_count(
     n = w.size
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
-    if capacity < 0.0:
-        raise ValueError("capacity must be nonnegative")
+    if not capacity >= 0.0:  # also refuses NaN
+        raise ValueError(f"capacity must be nonnegative, got {capacity!r}")
     cap_eff = float(capacity) + CAP_SLACK_PER_ITEM * n
     if method == "dfs_pruned":
         count = _count_dfs(w, cap_eff)

@@ -4,8 +4,8 @@ The solver works on the equality system A x + s = b with structural
 variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  The
 basis is an m x m submatrix, refactorized every pivot; with m <= ~10 and n
 up to a few thousand this is cheap and numerically clean.  Pricing uses the
-largest-reduced-cost rule and falls back to Bland's rule permanently after a
-run of degenerate pivots, which guarantees termination.
+largest-reduced-cost rule and falls back to Bland's rule for the rest of a
+phase after a run of degenerate pivots, which guarantees termination.
 
 Every solve starts from a crash point (Bixby 1992): each free structural
 with c_j > 0 at its upper bound, every other structural at its lower bound,
@@ -13,6 +13,10 @@ and the slacks basic, with a phase one for the rows that point violates.
 A structural fixed by its box is never started at its upper bound.
 Branch-and-bound children are solves of the same kind under tightened
 bounds; there is one start rule.
+
+Each solve builds one system [A | I | artificials] and one simplex on it;
+phase one and phase two are two runs of that simplex and share its basis,
+its nonbasic status and one pivot budget.
 
 Returned solutions carry the optimal basic primal point, the dual vector,
 reduced costs, and the support partition (variables at 0, at 1, fractional)
@@ -97,44 +101,45 @@ class LpSolution:
 
 
 class _Simplex:
-    """One bounded-variable run on max gamma @ x, mat x = rhs, low <= x <= upp."""
+    """The system mat x = rhs, low <= x <= upp, its basis and one pivot budget.
 
-    def __init__(self, mat, rhs, gamma, lower, upper, basis, status, max_pivots):
+    Each run(gamma) maximizes gamma @ x from the current basis and status.
+    """
+
+    def __init__(self, mat, rhs, lower, upper, basis, status, max_pivots):
         self.mat = mat
         self.rhs = rhs
-        self.gamma = gamma
         self.lower = lower
         self.upper = upper
         self.basis = list(basis)
         self.status = status
         self.max_pivots = max(int(max_pivots), 1)
-        self.free = (upper - lower) > PIV_TOL
         self.pivots = 0
-        self.bland = False
-        self.stall = 0
 
     def _nonbasic_point(self):
         x_n = np.where(self.status == _AT_UPPER, self.upper, self.lower)
         x_n[self.basis] = 0.0
         return x_n
 
-    def run(self):
+    def run(self, gamma):
+        free = (self.upper - self.lower) > PIV_TOL
+        self.bland = False
+        self.stall = 0
         while True:
             bmat = self.mat[:, self.basis]
             x_n = self._nonbasic_point()
             try:
                 xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
-                y = np.linalg.solve(bmat.T, self.gamma[self.basis])
+                y = np.linalg.solve(bmat.T, gamma[self.basis])
             except np.linalg.LinAlgError:
                 raise ArithmeticError("simplex basis became singular") from None
-            d = self.gamma - self.mat.T @ y
-            up = (self.status == _AT_LOWER) & self.free & (d > RC_TOL)
-            dn = (self.status == _AT_UPPER) & self.free & (d < -RC_TOL)
+            d = gamma - self.mat.T @ y
+            up = (self.status == _AT_LOWER) & free & (d > RC_TOL)
+            dn = (self.status == _AT_UPPER) & free & (d < -RC_TOL)
             eligible = np.flatnonzero(up | dn)
             if eligible.size == 0:
-                x_full = x_n
-                x_full[self.basis] = xb
-                return x_full, y
+                x_n[self.basis] = xb
+                return x_n, y
             if self.bland:
                 e = int(eligible[0])
             else:
@@ -192,10 +197,6 @@ class _BoxResult:
     pivots: int
 
 
-def _box_min(weights: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
-    return float(np.sum(np.minimum(weights * lower, weights * upper)))
-
-
 def solve_box_lp(
     a: np.ndarray,
     b: np.ndarray,
@@ -209,10 +210,11 @@ def solve_box_lp(
 
     The start point x0 puts each free structural (upper - lower above the
     pivot tolerance) with c_j > 0 at its upper bound and every other one at
-    its lower bound, with the slacks basic.  Phase one runs on the rows
-    with b - A x0 < -FEAS_TOL.  When no row needs it, the reduced costs
-    at the start are c itself, so x0 is optimal and the solve takes no
-    pivot.
+    its lower bound, with the slacks basic.  Each row j with b - A x0 <
+    -FEAS_TOL gets an artificial column -e_j, basic in place of its slack;
+    phase one drives their sum to zero, then phase two maximizes c.  When no
+    row needs it, the reduced costs at the start are c itself, so x0 is
+    optimal and the solve takes no pivot.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -225,82 +227,53 @@ def solve_box_lp(
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
-    total = n + m
-    mat = np.hstack([a, np.eye(m)])
-    low = np.concatenate([lower, np.zeros(m)])
-    upp = np.concatenate([upper, np.full(m, np.inf)])
-    gamma = np.concatenate([c, np.zeros(m)])
-
     start_up = (c > 0.0) & (upper - lower > PIV_TOL)
-    status = np.full(total, _AT_LOWER, dtype=np.int8)
-    status[:n][start_up] = _AT_UPPER
-    basis = list(range(n, total))
-    status[n:] = _BASIC
-    pivots_used = 0
     bad = np.flatnonzero(b - a @ np.where(start_up, upper, lower) < -FEAS_TOL)
-    if bad.size:
-        mat, low, upp, gamma, basis, status, pivots_used = _phase_one(
-            mat, b, low, upp, gamma, basis, status, bad, max_pivots, lower, upper
-        )
-
-    core = _Simplex(mat, b, gamma, low, upp, basis, status,
-                    max_pivots - pivots_used)
-    x_full, y = core.run()
-    pivots_used += core.pivots
-
-    x = np.clip(x_full[:n], lower, upper)
-    return _BoxResult(x=x, value=float(c @ x), y=y, pivots=pivots_used)
-
-
-def _phase_one(mat, rhs, low, upp, gamma, basis, status, bad_rows, max_pivots,
-               lower, upper):
-    """Drive artificials for the infeasible rows to zero or certify
-    infeasibility; returns the extended system ready for phase 2."""
-    m, total = mat.shape
-    n_art = bad_rows.size
+    n_art = bad.size
     art_cols = np.zeros((m, n_art))
-    for idx, j in enumerate(bad_rows):
-        art_cols[j, idx] = -1.0
-    mat1 = np.hstack([mat, art_cols])
-    low1 = np.concatenate([low, np.zeros(n_art)])
-    upp1 = np.concatenate([upp, np.full(n_art, np.inf)])
-    gamma1 = np.concatenate([np.zeros(total), -np.ones(n_art)])
-    status1 = np.concatenate([status, np.full(n_art, _AT_LOWER, dtype=np.int8)])
-    basis1 = list(basis)
-    for idx, j in enumerate(bad_rows):
-        pos = basis1.index(total - m + j)  # slack of row j starts basic
-        basis1[pos] = total + idx
-        status1[total - m + j] = _AT_LOWER
-        status1[total + idx] = _BASIC
+    art_cols[bad, np.arange(n_art)] = -1.0
+    mat = np.hstack([a, np.eye(m), art_cols])
+    low = np.concatenate([lower, np.zeros(m + n_art)])
+    upp = np.concatenate([upper, np.full(m + n_art, np.inf)])
+    status = np.full(n + m + n_art, _AT_LOWER, dtype=np.int8)
+    status[:n][start_up] = _AT_UPPER
+    basis = np.arange(n, n + m)
+    basis[bad] = np.arange(n + m, n + m + n_art)
+    status[basis] = _BASIC
+    core = _Simplex(mat, b, low, upp, basis.tolist(), status, max_pivots)
 
-    core = _Simplex(mat1, rhs, gamma1, low1, upp1, basis1, status1, max_pivots)
-    x_full, y = core.run()
-    residual = float(np.sum(x_full[total:]))
-    if residual > 1e-7:
-        u = np.maximum(y, 0.0)
-        margin = _box_min(mat[:, : total - m].T @ u, lower, upper) - float(rhs @ u)
-        raise InfeasibleError(
-            f"LP infeasible: aggregated row violates the box by {margin:.3e}",
-            farkas_u=u,
-        )
+    if n_art:
+        phase_one = np.zeros(n + m + n_art)
+        phase_one[n + m:] = -1.0
+        x_full, y = core.run(phase_one)
+        if float(np.sum(x_full[n + m:])) > 1e-7:
+            u = np.maximum(y, 0.0)
+            w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
+            margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
+            raise InfeasibleError(
+                f"LP infeasible: aggregated row violates the box by {margin:.3e}",
+                farkas_u=u,
+            )
+        # pin the artificials at zero; a degenerate basic artificial stays
+        # harmlessly fixed and never re-enters
+        upp[n + m:] = 0.0
 
-    # pin the artificials at zero; a degenerate basic artificial stays
-    # harmlessly fixed and never re-enters
-    upp1[total:] = 0.0
-    gamma2 = np.concatenate([gamma, np.zeros(n_art)])
-    return mat1, low1, upp1, gamma2, list(core.basis), core.status, core.pivots
+    x_full, y = core.run(np.concatenate([c, np.zeros(m + n_art)]))
+    x = np.clip(x_full[:n], lower, upper)
+    return _BoxResult(x=x, value=float(c @ x), y=y, pivots=core.pivots)
 
 
-def _check_optimum(instance, x, u, value):
-    a, b, c = instance.A, instance.b, instance.c
+def _check_optimum(instance, x, u, value, r):
+    """Primal feasibility, strong duality and complementary slackness of
+    (x, u), whose reduced costs are r = c - A' u."""
+    a, b = instance.A, instance.b
     if np.any(a @ x > b + 1e-7):
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
-    dv = dual_value(u, instance)
+    dv = float(b @ u + np.sum(np.maximum(r, 0.0)))  # dual_value(u, instance)
     if abs(value - dv) > 1e-7 * (1.0 + abs(value)):
         raise ArithmeticError(
             f"strong duality violated: primal {value!r} vs dual {dv!r}"
         )
-    r = c - a.T @ u
     if np.any(x * np.maximum(-r, 0.0) > 1e-7) or np.any(
         (1.0 - x) * np.maximum(r, 0.0) > 1e-7
     ):
@@ -334,16 +307,16 @@ def solve_lp(
         raise ArithmeticError("negative dual beyond roundoff tolerance")
     u = np.where(y > 0.0, y, 0.0)
     x = res.x
-    value = float(instance.c @ x)
-    _check_optimum(instance, x, u, value)
+    reduced_costs = instance.c - instance.A.T @ u
+    _check_optimum(instance, x, u, res.value, reduced_costs)
     n0, n1, frac = support_partition(x)
     if frac.size > instance.m:
         raise ArithmeticError("more fractional coordinates than constraints")
     return LpSolution(
         x_star=x,
-        value=value,
+        value=res.value,
         u_star=u,
-        reduced_costs=instance.c - instance.A.T @ u,
+        reduced_costs=reduced_costs,
         n0=n0,
         n1=n1,
         s=frac,

@@ -88,12 +88,12 @@ class RoundingParams:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta!r}")
         if self.t < 1:
             raise ValueError("t must be >= 1")
-        if self.theta <= 0.0:
-            raise ValueError("theta must be positive")
+        if not (math.isfinite(self.theta) and self.theta > 0.0):
+            raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
 
     def theta_prime(self, m: int) -> float:
         """Slack tolerance 2*sqrt(m)*theta of the flip-set search target."""
@@ -353,15 +353,13 @@ def gap_chain_check(
 
     At a feasible certificate, val(x*) - val(x'') can exceed neither the
     dual-weighted slack term sqrt(m) * ||u*||_2 * ||A (x''-x*)||_inf plus the
-    flipped reduced-cost budget t * delta * k (zero when nothing was
-    flipped), up to 1e-7.
+    flipped reduced-cost budget t * delta * k, the certificate's `t_delta_k`
+    diagnostic (0.0 at a short circuit, where nothing is flipped), up to 1e-7.
     """
     if not certificate.feasible:
         raise ValueError("gap_chain_check requires a feasible certificate")
     u_norm = float(np.linalg.norm(lp_solution.u_star))
-    budget = certificate.diagnostics.get("t_delta_k", 0.0)
-    if not certificate.flip_set:
-        budget = 0.0
+    budget = certificate.diagnostics["t_delta_k"]
     bound = (
         math.sqrt(instance.m) * u_norm * certificate.slack_inf_norm + budget + 1e-7
     )

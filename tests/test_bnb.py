@@ -3,7 +3,7 @@ import pytest
 
 from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
 from giplab.instance import BSpec, generate
-from giplab.lp import InfeasibleError
+from giplab.lp import InfeasibleError, solve_lp
 from giplab.rng import RngHandle
 
 from oracles import milp_oracle
@@ -40,6 +40,45 @@ class TestHandCases:
         res = solve_ip(inst)
         assert res.status == "Infeasible"
         assert res.x_opt is None
+
+
+class TestResultAtEachExit:
+    """The full result for each way the search can end."""
+
+    @pytest.mark.parametrize("a, b, c, node_limit, expected", [
+        # root LP infeasible: x >= 0.9 and x <= 0.5
+        ([[-1.0], [1.0]], [-0.9, 0.5], [1.0], 10,
+         ("Infeasible", None, None, 1, 0, None)),
+        # LP feasible, but both children of the root are infeasible
+        ([[-1.0], [1.0]], [-0.5, 0.75], [1.0], 10,
+         ("Infeasible", None, None, 3, 1, None)),
+        # node limit at the fractional root: best_bound is its LP value
+        ([[1.0]], [0.5], [1.0], 1,
+         ("NodeLimit", None, None, 1, 1, 0.5)),
+        # the last open node is dominated by the incumbent
+        ([[1.0, 1.0]], [1.5], [1.0, 1.0], 10,
+         ("Optimal", 1.0, [0.0, 1.0], 5, 3, 1.0)),
+        # the open list empties
+        ([[1.0]], [0.5], [1.0], 10,
+         ("Optimal", 0.0, [0.0], 3, 2, 0.0)),
+    ])
+    def test_result(self, a, b, c, node_limit, expected):
+        res = solve_ip(make_instance(a, b, c), node_limit=node_limit)
+        x = None if res.x_opt is None else res.x_opt.tolist()
+        got = (res.status, res.opt_value, x, res.nodes_created,
+               res.nodes_expanded, res.best_bound)
+        assert got == expected
+
+    def test_dominance_stop_leaves_a_node_unexpanded(self):
+        inst = make_instance([[1.0, 1.0]], [1.5], [1.0, 1.0])
+        assert solve_ip(inst, prune=False).nodes_expanded == 4
+
+    def test_node_limit_one_bounds_by_the_root_lp(self):
+        inst = generate(2, 16, BSpec.zeros(), RngHandle(31))
+        res = solve_ip(inst, node_limit=1)
+        assert (res.status, res.nodes_created, res.nodes_expanded) == (
+            "NodeLimit", 1, 1)
+        assert res.best_bound == solve_lp(inst).value
 
 
 class TestBruteForce:

@@ -91,7 +91,12 @@ class TestGenLpIp:
     "round {path} --k 0",
     "round {path} --t 0",
     "round {path} --delta -1",
+    "round {path} --delta nan",
+    "round {path} --theta inf",
+    "round {path} --theta nan",
     "disc-mc --m 0 --k 2",
+    "disc-mc --m 1 --k 2 --trials 100 --target-norm nan",
+    "knap-mc --n 10 --g nan --trials 5",
     "stats --m 2 --n 60 --epsilon 0.5",
     "stats --m 2 --n 60 --seeds 0",
 ])

@@ -49,6 +49,15 @@ class TestSolveLpHandCases:
         with pytest.raises(IterationLimitError):
             solve_lp(inst, max_pivots=2)
 
+    def test_pivot_budget_covers_both_phases(self):
+        inst = generate(3, 400, BSpec.zeros(), RngHandle(1))
+        # the crash start breaks a row, so phase one runs before phase two
+        assert np.any(inst.A @ (inst.c > 0) > inst.b)
+        pivots = solve_lp(inst).pivots
+        assert solve_lp(inst, max_pivots=pivots + 1).pivots == pivots
+        with pytest.raises(IterationLimitError, match=f"budget of {pivots} exhausted"):
+            solve_lp(inst, max_pivots=pivots)
+
 
 class TestStartRule:
     """Every solve starts its free structurals with c_j > 0 at the upper
