@@ -3,11 +3,15 @@
 The open list is a max-priority queue on the node LP value (ties broken by
 insertion order), so the sequence of processed bounds is non-increasing;
 this is asserted on every solve.  Child LPs are solved at creation time
-under the parent's bounds with the branched variable fixed, from the same
-crash start as every LP (no parent basis is carried); infeasible children
-are counted as created but never enter the queue.  An open node is just
-its bound, its variable bounds and its LP point.  Tree size is the number
-of nodes created, the root included.
+under the parent's bounds with the branched variable fixed.  An open node
+is its bound, its variable bounds, its LP point and the final (basis,
+status) of its LP; each child re-solves from that state by dual simplex,
+since fixing the branched basic variable leaves the basis dual feasible.
+`solve_box_lp` falls back to the crash start when the basis holds an
+artificial column or the child is infeasible, so infeasibility is always
+proved by the crash start's Farkas vector.  Infeasible children are counted
+as created but never enter the queue.  Tree size is the number of nodes
+created, the root included.
 """
 
 from __future__ import annotations
@@ -99,12 +103,13 @@ def solve_ip(
     except InfeasibleError:
         heap = []
     else:
-        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star)]
+        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star,
+                 (root.basis, root.status))]
     counter = 0
     last_bound = np.inf
 
     while heap and not hit_limit:
-        neg_bound, _, lower, upper, x = heapq.heappop(heap)
+        neg_bound, _, lower, upper, x, start = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
@@ -134,14 +139,17 @@ def solve_ip(
             else:
                 lo[j] = 1.0
             try:
-                child = solve_box_lp(a, b, c, lo, up)
+                child = solve_box_lp(a, b, c, lo, up, warm_start=start)
             except InfeasibleError:
                 continue
             child_bound = min(child.value, bound)  # parent bound is valid too
             if prune and inc_value is not None and child_bound <= inc_value + PRUNE_TOL:
                 continue
             counter += 1
-            heapq.heappush(heap, (-child_bound, counter, lo, up, child.x))
+            heapq.heappush(
+                heap,
+                (-child_bound, counter, lo, up, child.x, (child.basis, child.status)),
+            )
 
     if hit_limit:
         status, best_bound = "NodeLimit", bound

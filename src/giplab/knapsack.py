@@ -130,15 +130,15 @@ def knapsack_count(
 
     `method` forces an algorithm; by default the pruned DFS counts at any n
     and raises CountBudgetError when its visit budget runs out.
-    Meet-in-the-middle refuses n > MAX_COUNT_N.  Negative inputs and a NaN
-    capacity are refused.
+    Meet-in-the-middle refuses n > MAX_COUNT_N.  Negative or non-finite
+    weights and a negative or NaN capacity are refused.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1:
         raise ValueError("weights must be a vector")
     n = w.size
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
     if not capacity >= 0.0:  # also refuses NaN
         raise ValueError(f"capacity must be nonnegative, got {capacity!r}")
     cap_eff = float(capacity) + CAP_SLACK_PER_ITEM * n

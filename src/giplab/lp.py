@@ -7,16 +7,21 @@ up to a few thousand this is cheap and numerically clean.  Pricing uses the
 largest-reduced-cost rule and falls back to Bland's rule for the rest of a
 phase after a run of degenerate pivots, which guarantees termination.
 
-Every solve starts from a crash point (Bixby 1992): each free structural
+A cold solve starts from a crash point (Bixby 1992): each free structural
 with c_j > 0 at its upper bound, every other structural at its lower bound,
 and the slacks basic, with a phase one for the rows that point violates.
-A structural fixed by its box is never started at its upper bound.
-Branch-and-bound children are solves of the same kind under tightened
-bounds; there is one start rule.
-
-Each solve builds one system [A | I | artificials] and one simplex on it;
+A structural fixed by its box is never started at its upper bound.  The
+cold solve builds one system [A | I | artificials] and one simplex on it;
 phase one and phase two are two runs of that simplex and share its basis,
 its nonbasic status and one pivot budget.
+
+Every solve returns its final basis and nonbasic status.  A solve of the
+same A, b, c under other bounds (a branch-and-bound child) can start from
+them: it runs bounded dual simplex pivots on [A | I] until the basic values
+are back inside their bounds, then the primal simplex certifies the
+optimum, all under one pivot budget.  It falls back to the cold solve when
+the basis holds an artificial column or the bounds are infeasible, so
+every infeasibility verdict carries the cold solve's Farkas vector.
 
 Returned solutions carry the optimal basic primal point, the dual vector,
 reduced costs, and the support partition (variables at 0, at 1, fractional)
@@ -87,7 +92,10 @@ class GapBreakdown:
 class LpSolution:
     """Optimal basic solution with duals and support partition.
 
-    The partition n0/n1/s is `support_partition(x_star)`.
+    The partition n0/n1/s is `support_partition(x_star)`.  `basis` (m
+    column indices) and `status` (at lower, at upper or basic for each of
+    the n structurals and m slacks) are the final simplex state, the
+    `warm_start` a branch-and-bound child re-solves from.
     """
 
     x_star: np.ndarray
@@ -98,12 +106,16 @@ class LpSolution:
     n1: np.ndarray
     s: np.ndarray
     pivots: int
+    basis: np.ndarray
+    status: np.ndarray
 
 
 class _Simplex:
     """The system mat x = rhs, low <= x <= upp, its basis and one pivot budget.
 
-    Each run(gamma) maximizes gamma @ x from the current basis and status.
+    Each run(gamma) maximizes gamma @ x from the current basis and status;
+    dual_run(gamma) first restores primal feasibility from a dual feasible
+    basis.  Both count against the same budget.
     """
 
     def __init__(self, mat, rhs, lower, upper, basis, status, max_pivots):
@@ -145,11 +157,59 @@ class _Simplex:
             else:
                 e = int(eligible[np.argmax(np.abs(d[eligible]))])
             self._pivot(bmat, xb, e, 1.0 if up[e] else -1.0)
-            self.pivots += 1
-            if self.pivots >= self.max_pivots:
-                raise IterationLimitError(
-                    f"pivot budget of {self.max_pivots} exhausted"
-                )
+            self._count_pivot()
+
+    def dual_run(self, gamma):
+        """Bounded dual simplex pivots (Koberstein 2005) until every basic
+        value lies within its bounds; the reduced costs of gamma at the
+        current basis must have the optimal signs.
+
+        Each pivot takes the basic variable furthest outside its box out
+        at the bound it violates, and enters the nonbasic variable that
+        keeps the reduced costs dual feasible (the smallest |d_k| /
+        |alpha_k|, the largest |alpha_k| among ties).  Returns False when
+        the violated row has no entering candidate: no nonbasic variable
+        can move that basic value toward its box, so the bounds admit no
+        feasible point.
+        """
+        free = (self.upper - self.lower) > PIV_TOL
+        while True:
+            bmat = self.mat[:, self.basis]
+            try:
+                xb = np.linalg.solve(bmat, self.rhs - self.mat @ self._nonbasic_point())
+                below = self.lower[self.basis] - xb
+                above = xb - self.upper[self.basis]
+                r = int(np.argmax(np.maximum(below, above)))
+                if max(below[r], above[r]) <= FEAS_TOL:
+                    return True
+                y = np.linalg.solve(bmat.T, gamma[self.basis])
+                rho = np.linalg.solve(bmat.T, np.eye(len(self.basis))[r])
+            except np.linalg.LinAlgError:
+                raise ArithmeticError("simplex basis became singular") from None
+            d = gamma - self.mat.T @ y
+            # sign = +1: x_basis[r] must rise to its lower bound.  x_k
+            # entering from lower with alpha_k < 0, or from upper with
+            # alpha_k > 0, moves x_basis[r] toward the bound it violates.
+            sign = 1.0 if below[r] > 0.0 else -1.0
+            alpha = sign * (self.mat.T @ rho)
+            eligible = np.flatnonzero(free & (
+                ((self.status == _AT_LOWER) & (alpha < -PIV_TOL))
+                | ((self.status == _AT_UPPER) & (alpha > PIV_TOL))
+            ))
+            if eligible.size == 0:
+                return False
+            ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
+            ties = eligible[ratios <= ratios.min() + RC_TOL]
+            e = int(ties[np.argmax(np.abs(alpha[ties]))])
+            self.status[self.basis[r]] = _AT_LOWER if sign > 0 else _AT_UPPER
+            self.basis[r] = e
+            self.status[e] = _BASIC
+            self._count_pivot()
+
+    def _count_pivot(self):
+        self.pivots += 1
+        if self.pivots >= self.max_pivots:
+            raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
 
     def _pivot(self, bmat, xb, e, direction):
         w = np.linalg.solve(bmat, self.mat[:, e])
@@ -195,6 +255,9 @@ class _BoxResult:
     value: float
     y: np.ndarray
     pivots: int
+    basis: np.ndarray  # final basis and status, the warm_start of a child
+    status: np.ndarray
+    warm: bool  # the solve ran from warm_start, not from the crash start
 
 
 def solve_box_lp(
@@ -205,10 +268,21 @@ def solve_box_lp(
     upper: np.ndarray | None = None,
     *,
     max_pivots: int | None = None,
+    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _BoxResult:
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
-    The start point x0 puts each free structural (upper - lower above the
+    With `warm_start`, the (basis, status) of an optimal solve of the same
+    A, b, c under other bounds, the solve first runs dual simplex pivots
+    from that basis until every basic value is inside its bounds, and then
+    the primal simplex, which certifies optimality.  One budget bounds
+    both.  Fixing a basic variable, as a branch-and-bound child does,
+    keeps that basis dual feasible.  The solve falls back to the crash
+    start below when the basis holds an artificial column, or when a
+    violated row has no entering candidate (the bounds are then
+    infeasible, and the crash start proves it).
+
+    The crash start x0 puts each free structural (upper - lower above the
     pivot tolerance) with c_j > 0 at its upper bound and every other one at
     its lower bound, with the slacks basic.  Each row j with b - A x0 <
     -FEAS_TOL gets an artificial column -e_j, basic in place of its slack;
@@ -226,6 +300,18 @@ def solve_box_lp(
         raise ValueError("lower bound exceeds upper bound")
     if max_pivots is None:
         max_pivots = 50 * (n + m)
+
+    if warm_start is not None and max(warm_start[0]) < n + m:
+        basis, status = warm_start
+        core = _Simplex(
+            np.hstack([a, np.eye(m)]), b,
+            np.concatenate([lower, np.zeros(m)]),
+            np.concatenate([upper, np.full(m, np.inf)]),
+            basis, status.copy(), max_pivots,
+        )
+        gamma = np.concatenate([c, np.zeros(m)])
+        if core.dual_run(gamma):
+            return _box_optimum(core, gamma, c, lower, upper, warm=True)
 
     start_up = (c > 0.0) & (upper - lower > PIV_TOL)
     bad = np.flatnonzero(b - a @ np.where(start_up, upper, lower) < -FEAS_TOL)
@@ -258,16 +344,27 @@ def solve_box_lp(
         # harmlessly fixed and never re-enters
         upp[n + m:] = 0.0
 
-    x_full, y = core.run(np.concatenate([c, np.zeros(m + n_art)]))
+    gamma = np.concatenate([c, np.zeros(m + n_art)])
+    return _box_optimum(core, gamma, c, lower, upper, warm=False)
+
+
+def _box_optimum(core, gamma, c, lower, upper, *, warm):
+    """Run the primal simplex on gamma to optimality and package the result."""
+    x_full, y = core.run(gamma)
+    n, m = c.size, y.size
     x = np.clip(x_full[:n], lower, upper)
-    return _BoxResult(x=x, value=float(c @ x), y=y, pivots=core.pivots)
+    return _BoxResult(
+        x=x, value=float(c @ x), y=y, pivots=core.pivots,
+        basis=np.asarray(core.basis), status=core.status[:n + m], warm=warm,
+    )
 
 
 def _check_optimum(instance, x, u, value, r):
     """Primal feasibility, strong duality and complementary slackness of
     (x, u), whose reduced costs are r = c - A' u."""
     a, b = instance.A, instance.b
-    if np.any(a @ x > b + 1e-7):
+    ax = a @ x
+    if np.any(ax > b + 1e-7):
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
     dv = float(b @ u + np.sum(np.maximum(r, 0.0)))  # dual_value(u, instance)
     if abs(value - dv) > 1e-7 * (1.0 + abs(value)):
@@ -278,7 +375,7 @@ def _check_optimum(instance, x, u, value, r):
         (1.0 - x) * np.maximum(r, 0.0) > 1e-7
     ):
         raise ArithmeticError("complementary slackness violated on variables")
-    if np.any(u * (b - a @ x) > 1e-7):
+    if np.any(u * (b - ax) > 1e-7):
         raise ArithmeticError("complementary slackness violated on rows")
 
 
@@ -321,6 +418,8 @@ def solve_lp(
         n1=n1,
         s=frac,
         pivots=res.pivots,
+        basis=res.basis,
+        status=res.status,
     )
 
 

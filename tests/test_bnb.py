@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from giplab import bnb
 from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
+from giplab.experiments import SweepConfig, run_trial
 from giplab.instance import BSpec, generate
-from giplab.lp import InfeasibleError, solve_lp
+from giplab.lp import InfeasibleError, solve_box_lp, solve_lp
 from giplab.rng import RngHandle
 
 from oracles import milp_oracle
@@ -186,6 +188,64 @@ class TestHighsDifferential:
                 assert cut.opt_value <= truth + tol, i
             assert truth <= cut.best_bound + tol, i
         assert brackets > 0
+
+
+class TestFrozenTrees:
+    """Tree shape and optimum, recorded before child LPs were warm-started;
+    a change to how nodes are solved must leave them exactly as they are."""
+
+    # (m, n, seed, bspec, nodes_created, nodes_expanded, opt_value); the
+    # instance is generate(m, n, bspec, RngHandle(5100 + seed, 100 * m + n))
+    TABLE = [
+        (2, 24, 0, 'zeros', 33, 17, 11.280946132148296),
+        (2, 24, 1, 'zeros', 7, 4, 8.258468375633335),
+        (2, 24, 0, 'gaussian', 49, 25, 11.706383416105359),
+        (2, 24, 1, 'gaussian', 1, 1, 8.405038770970405),
+        (2, 40, 0, 'zeros', 177, 89, 12.056023273431096),
+        (2, 40, 1, 'zeros', 93, 47, 8.902196628291643),
+        (2, 40, 0, 'gaussian', 53, 27, 11.805365284540839),
+        (2, 40, 1, 'gaussian', 121, 61, 8.929210363976951),
+        (2, 60, 0, 'zeros', 27, 14, 21.99218962556663),
+        (2, 60, 1, 'zeros', 51, 26, 26.278335201668444),
+        (2, 60, 0, 'gaussian', 1, 1, 22.01383666200618),
+        (2, 60, 1, 'gaussian', 59, 30, 26.170377641953685),
+        (3, 24, 0, 'zeros', 43, 22, 5.4427497957791875),
+        (3, 24, 1, 'zeros', 11, 6, 6.33771039053828),
+        (3, 24, 0, 'gaussian', 25, 13, 5.423544942773253),
+        (3, 24, 1, 'gaussian', 15, 8, 6.689753322797402),
+        (3, 40, 0, 'zeros', 7, 4, 13.848345525269902),
+        (3, 40, 1, 'zeros', 73, 37, 14.91321875498495),
+        (3, 40, 0, 'gaussian', 5, 3, 13.877892571206049),
+        (3, 40, 1, 'gaussian', 9, 5, 15.826337772287172),
+        (3, 60, 0, 'zeros', 27, 14, 19.61200315423658),
+        (3, 60, 1, 'zeros', 255, 128, 17.226817005082477),
+        (3, 60, 0, 'gaussian', 51, 26, 19.881884770871743),
+        (3, 60, 1, 'gaussian', 369, 185, 16.87040900145519),
+    ]
+
+    @pytest.mark.parametrize("m, n, seed, bspec, created, expanded, opt", TABLE)
+    def test_tree_matches_record(self, m, n, seed, bspec, created, expanded, opt):
+        inst = generate(m, n, BSpec.parse(bspec), RngHandle(5100 + seed, 100 * m + n))
+        res = solve_ip(inst)
+        assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (
+            created, expanded, opt)
+
+
+class TestWarmStartedChildren:
+    def test_every_feasible_child_is_warm_started(self, monkeypatch):
+        cfg = SweepConfig(m_list=(2, 3), n_list=(24, 32, 40), seeds_per_cell=3,
+                          exact_ip_max_n=40, rounding="never")
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(solve_box_lp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(bnb, "solve_box_lp", recorded)
+        for stream, m, n, _ in cfg.trials():
+            assert run_trial(cfg, stream, m, n, with_knapsack=True).status == "ok"
+        assert len(results) >= 300
+        assert all(res.warm for res in results)
 
 
 class TestIpGap:

@@ -41,6 +41,14 @@ class TestKnapsackCount:
         with pytest.raises(ValueError):
             knapsack_count([0.1], 1.0, method="greedy")
 
+    @pytest.mark.parametrize("method", ["dfs_pruned", "meet_in_middle"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
+    def test_non_finite_or_negative_weight_refused(self, method, bad):
+        # a NaN weight once passed the sign check and the methods then
+        # counted [nan, 0.5, 0.5] at capacity 1.0 as 4 and 8
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            knapsack_count([bad, 0.5, 0.5], 1.0, method=method)
+
     def test_dfs_counts_beyond_mim_limit(self):
         # the empty set and the 49 singletons fit
         kc = knapsack_count(np.ones(49), 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from giplab import lp
 from giplab.instance import BSpec, generate
 from giplab.lp import (
     InfeasibleError,
@@ -10,6 +11,7 @@ from giplab.lp import (
     resample_zero_column,
     solve_box_lp,
     solve_lp,
+    support_partition,
 )
 from giplab.numerics import theory_params
 from giplab.rng import RngHandle
@@ -166,6 +168,148 @@ class TestHighsLpDifferential:
                 inst, lower, upper,
                 lambda: solve_box_lp(inst.A, inst.b, inst.c, lower, upper).value,
             )
+
+
+class TestWarmStart:
+    """Child boxes re-solved by dual simplex from the parent's optimal
+    (basis, status), against the crash-start solve of the same box."""
+
+    @staticmethod
+    def _instance(i):
+        m = 1 + i % 4
+        n = (24, 60, 120, 200)[(i // 4) % 4]
+        b_spec = BSpec.zeros() if i % 2 else BSpec.gaussian()
+        return generate(m, n, b_spec, RngHandle(4300, i))
+
+    @staticmethod
+    def _fixed(lower, upper, j, side):
+        lower, upper = lower.copy(), upper.copy()
+        lower[j] = upper[j] = side
+        return lower, upper
+
+    @staticmethod
+    def _warm_and_cold(inst, lower, upper, warm_start):
+        """Both results, checked against each other; None when both find
+        the box infeasible."""
+        args = (inst.A, inst.b, inst.c, lower, upper)
+        try:
+            cold = solve_box_lp(*args)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                solve_box_lp(*args, warm_start=warm_start)
+            return None
+        warm = solve_box_lp(*args, warm_start=warm_start)
+        assert warm.warm and not cold.warm
+        assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
+        for res in (warm, cold):
+            assert np.all(inst.A @ res.x <= inst.b + 1e-7)
+            assert np.all((lower <= res.x) & (res.x <= upper))
+        return warm, cold
+
+    def test_fixings_from_the_root_and_down_one_path(self):
+        pivots = {"warm": 0, "cold": 0}
+        solves = 0
+        for i in range(32):
+            inst = self._instance(i)
+            root = solve_lp(inst)
+            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            pairs = []
+            for j in root.s:
+                for side in (0.0, 1.0):
+                    lower, upper = self._fixed(zeros, ones, j, side)
+                    pairs.append(self._warm_and_cold(
+                        inst, lower, upper, (root.basis, root.status)))
+            # three fixings down one path, each re-solved from its parent
+            lower, upper = zeros, ones
+            x, start = root.x_star, (root.basis, root.status)
+            for depth in range(3):
+                frac = support_partition(x)[2]
+                if frac.size == 0:
+                    break
+                lower, upper = self._fixed(lower, upper, frac[0], float(depth % 2))
+                pair = self._warm_and_cold(inst, lower, upper, start)
+                pairs.append(pair)
+                if pair is None:
+                    break
+                x, start = pair[0].x, (pair[0].basis, pair[0].status)
+            for warm, cold in filter(None, pairs):
+                # a crash start that breaks no row is optimal at 0 pivots,
+                # while the dual simplex needs at least one
+                if cold.pivots:
+                    assert warm.pivots <= cold.pivots
+                pivots["warm"] += warm.pivots
+                pivots["cold"] += cold.pivots
+                solves += 1
+        assert solves >= 100
+        assert pivots["warm"] <= pivots["cold"]
+
+    def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
+        # row 0 at -0.3 n: with x_21 at 1 no point of the box fits it
+        inst = generate(1, 24, BSpec.scaled_ones([-0.3]), RngHandle(4400, 12))
+        root = solve_lp(inst)
+        lower, upper = self._fixed(np.zeros(24), np.ones(24), 21, 1.0)
+        outcomes = []
+        dual_run = lp._Simplex.dual_run
+
+        def recorded(core, gamma):
+            outcomes.append(dual_run(core, gamma))
+            return outcomes[-1]
+
+        monkeypatch.setattr(lp._Simplex, "dual_run", recorded)
+        with pytest.raises(InfeasibleError) as exc_info:
+            solve_box_lp(inst.A, inst.b, inst.c, lower, upper,
+                         warm_start=(root.basis, root.status))
+        assert outcomes == [False]  # a violated row with no entering candidate
+        u = exc_info.value.farkas_u
+        w = inst.A.T @ u
+        assert np.all(u >= 0.0)
+        assert np.minimum(w * lower, w * upper).sum() - inst.b @ u > 1e-3
+
+    def test_basis_with_an_artificial_falls_back_to_the_crash_start(self):
+        # a degenerate phase one leaves an artificial basic at zero
+        inst = make_instance(
+            [[2.0, 2.0, -1.0], [-2.0, 0.0, -1.0], [2.0, 0.0, 0.0]],
+            [-0.5, -1.0, 0.0], [2.0, 2.0, -1.0],
+        )
+        root = solve_lp(inst)
+        assert max(root.basis) >= inst.n + inst.m
+        assert root.x_star[1] == pytest.approx(0.25)
+        start = (root.basis, root.status)
+        lower, upper = self._fixed(np.zeros(3), np.ones(3), 1, 0.0)
+        res = solve_box_lp(inst.A, inst.b, inst.c, lower, upper, warm_start=start)
+        assert not res.warm
+        assert res.value == solve_box_lp(inst.A, inst.b, inst.c, lower, upper).value
+        lower, upper = self._fixed(np.zeros(3), np.ones(3), 1, 1.0)
+        with pytest.raises(InfeasibleError):
+            solve_box_lp(inst.A, inst.b, inst.c, lower, upper, warm_start=start)
+
+    def test_pivot_budget_covers_dual_and_primal_pivots(self, monkeypatch):
+        # every structural at its upper bound with the slacks basic: rows
+        # break (dual pivots) and costs c_j < 0 are at the wrong bound
+        # (primal pivots)
+        m, n = 3, 60
+        inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
+        start = (np.arange(n, n + m),
+                 np.array([1] * n + [2] * m, dtype=np.int8))
+        dual_pivots = []
+        dual_run = lp._Simplex.dual_run
+
+        def counted(core, gamma):
+            feasible = dual_run(core, gamma)
+            dual_pivots.append(core.pivots)
+            return feasible
+
+        monkeypatch.setattr(lp._Simplex, "dual_run", counted)
+        res = solve_box_lp(inst.A, inst.b, inst.c, warm_start=start)
+        assert res.warm and res.value == pytest.approx(solve_lp(inst).value, rel=1e-9)
+        dual, primal = dual_pivots[0], res.pivots - dual_pivots[0]
+        assert dual >= 1 and primal >= 1
+        assert solve_box_lp(inst.A, inst.b, inst.c, warm_start=start,
+                            max_pivots=res.pivots + 1).pivots == res.pivots
+        # a budget each phase would fit into on its own
+        with pytest.raises(IterationLimitError):
+            solve_box_lp(inst.A, inst.b, inst.c, warm_start=start,
+                         max_pivots=max(dual, primal) + 1)
 
 
 class TestSolveLpAgainstOracle:
