@@ -108,9 +108,7 @@ def _cmd_round(args) -> int:
         return RUN_ERROR
     params = rounding.RoundingParams.defaults(
         inst.m, inst.n,
-        k=args.k, delta=args.delta,
-        t=args.t,
-        theta=args.theta, max_restarts=args.restarts,
+        k=args.k, delta=args.delta, t=args.t, theta=args.theta,
     )
     cert = rounding.round_pipeline(inst, sol, params, RngHandle(args.seed))
     print(f"feasible: {int(cert.feasible)}")
@@ -224,7 +222,6 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--restarts", type=int, default=50)
     p.add_argument("--full-x", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_round)

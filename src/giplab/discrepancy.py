@@ -5,11 +5,11 @@ K with || sum_{j in K} Y_j - D ||_inf <= theta.  Small universes are solved
 exactly by split-half enumeration (Horowitz-Sahni): subset sums of the two
 halves of the pool meet in outer sums, so every k-subset is scored once
 without building it, and the minimum-deviation subset is returned with
-ties going to the lexicographically first one.  Larger universes use a
-randomized swap local search whose quality is bounded by the exact oracle
-on small instances.  A Monte Carlo driver estimates the success
-probability of the whole selection problem under Gaussian or
-uniform+Gaussian-mixture column laws.
+ties going to the lexicographically first one; the rounding pipeline
+uses only this search.  A randomized swap local search, bounded by the
+exact oracle on small instances, serves the Monte Carlo driver above the
+exact budget; that driver estimates the success probability of the whole
+selection problem under Gaussian or uniform+Gaussian-mixture column laws.
 
 EXACT_ENUM_BUDGET caps the exact search at C(count, k) subsets.  It is
 independent of the enumeration's speed on purpose: it sets

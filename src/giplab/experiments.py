@@ -49,7 +49,8 @@ class SweepConfig:
 
     `rounding` is "auto" (run the pipeline only when the exact IP budget is
     exceeded), "always", or "never".  k/delta/t/theta default to the
-    per-cell calibrated values when left as None.
+    per-cell calibrated values when left as None; every cell's values are
+    checked here, before any trial runs.
     """
 
     m_list: tuple[int, ...]
@@ -61,7 +62,6 @@ class SweepConfig:
     delta: float | None = None
     t: int | None = None
     theta: float | None = None
-    max_restarts: int = 50
     node_limit: int = 1_000_000
     exact_ip_max_n: int = 30
     rounding: str = "auto"
@@ -76,6 +76,11 @@ class SweepConfig:
             raise ValueError("seeds_per_cell must be >= 1")
         if self.rounding not in ("auto", "always", "never"):
             raise ValueError("rounding must be auto, always, or never")
+        if self.node_limit < 1:
+            raise ValueError("node_limit must be >= 1")
+        for m in self.m_list:
+            for n in self.n_list:
+                _cell_params(self, m, n)
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
@@ -151,12 +156,7 @@ class ExperimentRecord:
 
 def _cell_params(cfg: SweepConfig, m: int, n: int) -> rounding.RoundingParams:
     return rounding.RoundingParams.defaults(
-        m, n,
-        k=cfg.k,
-        delta=cfg.delta,
-        t=cfg.t,
-        theta=cfg.theta,
-        max_restarts=cfg.max_restarts,
+        m, n, k=cfg.k, delta=cfg.delta, t=cfg.t, theta=cfg.theta
     )
 
 

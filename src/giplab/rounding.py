@@ -17,8 +17,8 @@ Stages:
 3. Rotate u* onto the last axis, once, for the first t pools' worth of Z
    and for the slack target; center the last coordinate at mu = delta * t / 2
    and rescale it by sigma so all coordinates are standardized.
-4. Split those columns into t disjoint pools of ceil(2*sqrt(m)) * k; for
-   each pool search for a k-subset whose standardized column sum
+4. Split those columns into t disjoint pools of ceil(2*sqrt(m)) * k; search
+   each pool exactly for a k-subset whose standardized column sum
    approximates the standardized target within theta.  First success wins.
 5. Verify A x'' <= b, record the slack infinity norm, and certify the gap
    through the primal-dual gap formula.
@@ -34,7 +34,8 @@ import numpy as np
 from .instance import Instance
 from .lp import LpSolution, gap_formula, support_partition
 from .numerics import calibrate_theta, householder_to_axis
-from .discrepancy import DiscInstance, disc_exact, disc_search, fits_exact_budget
+from .discrepancy import DiscInstance, disc_exact, fits_exact_budget
+from .discrepancy import disc_search  # noqa: F401  kept: perfbench/spans.py traces this name
 from .rng import RngHandle
 
 __all__ = [
@@ -59,6 +60,8 @@ class PoolTooSmallError(RuntimeError):
 def exact_pool_k_cap(m: int) -> int:
     """Largest k whose pool of ceil(2*sqrt(m))*k columns can be searched
     exactly within the subset solver's enumeration budget."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     a = math.ceil(2.0 * math.sqrt(m))
     k = 1
     while fits_exact_budget(a * (k + 1), k + 1):
@@ -83,7 +86,6 @@ class RoundingParams:
     delta: float
     t: int
     theta: float
-    max_restarts: int = 50
 
     def __post_init__(self):
         if self.k < 1:
@@ -109,32 +111,28 @@ class RoundingParams:
         delta: float | None = None,
         t: int | None = None,
         theta: float | None = None,
-        max_restarts: int = 50,
     ) -> "RoundingParams":
         """Desk-scale defaults.
 
-        k follows the 2*m*(ln n + m) growth rule but is capped so each pool
-        of ceil(2*sqrt(m))*k columns stays inside the exact-enumeration
-        budget of the subset solver; delta = 8*sqrt(m)*k/n keeps the
-        filtered set comfortably larger than the t pools on centered
-        instances.  Both constants were frozen by one calibration run at
-        m = 2, n = 400, b = 0.  t defaults to 5 pools.
+        k follows the 2*m*(ln n + m) growth rule but is capped at
+        exact_pool_k_cap(m), as is a given k (ValueError), so each pool of
+        ceil(2*sqrt(m))*k columns fits the exact subset search's budget;
+        delta = 8*sqrt(m)*k/n keeps the filtered set comfortably larger than
+        the t pools on centered instances.  Both constants were frozen by
+        one calibration run at m = 2, n = 400, b = 0.  t defaults to 5 pools.
         """
+        cap = exact_pool_k_cap(m)
         if k is None:
-            k = min(math.ceil(2.0 * m * (math.log(n) + m)), exact_pool_k_cap(m))
+            k = min(math.ceil(2.0 * m * (math.log(n) + m)), cap)
+        elif k > cap:
+            raise ValueError(f"k = {k} exceeds exact_pool_k_cap({m}) = {cap}")
         if delta is None:
             delta = 8.0 * math.sqrt(m) * k / n
         if t is None:
             t = 5
         if theta is None:
             theta = calibrate_theta(m, k).theta
-        return cls(
-            k=k,
-            delta=delta,
-            t=t,
-            theta=theta,
-            max_restarts=max_restarts,
-        )
+        return cls(k=k, delta=delta, t=t, theta=theta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +225,6 @@ def _flip_search(
     lp_solution: LpSolution,
     params: RoundingParams,
     d_prime: np.ndarray,
-    rng: RngHandle,
     diagnostics: dict[str, float],
 ) -> tuple[tuple[int, ...], int | None]:
     """Search the t pools of Z for a k-subset that meets the slack target.
@@ -235,8 +232,9 @@ def _flip_search(
     The rotation sends u* to the last axis, making the first m-1 coordinates
     of the rotated columns standard normal; the last coordinate is centered
     at mu = delta*t/2 and rescaled by sigma, and the target d' gets the same
-    treatment for a sum of k columns.  Returns (flip set, pool index) of the
-    first pool with a subset within theta, or ((), None).
+    treatment for a sum of k columns.  disc_exact searches each pool (and
+    raises ExactBudgetError above exact_pool_k_cap(m)).  Returns (flip set,
+    pool index) of the first pool with a subset within theta, or ((), None).
     """
     m, k, t = instance.m, params.k, params.t
     z = filter_reduced_costs(lp_solution, params.delta, t)
@@ -270,7 +268,6 @@ def _flip_search(
     diagnostics["sigma_t"] = sigma_t
     diagnostics["target_norm"] = float(np.linalg.norm(target))
 
-    use_exact = fits_exact_budget(pool_size, k)
     best_dev = math.inf
     evaluations = 0
     found = ((), None)
@@ -279,10 +276,7 @@ def _flip_search(
         inst = DiscInstance(
             columns=columns[:, pool], target=target, theta=params.theta, k=k
         )
-        if use_exact:
-            out = disc_exact(inst)
-        else:
-            out = disc_search(inst, rng.derive(2, l), restarts=params.max_restarts)
+        out = disc_exact(inst)
         evaluations += out.evaluations
         best_dev = min(best_dev, out.deviation)
         if out.found:
@@ -322,7 +316,7 @@ def round_pipeline(
     if searched:
         d_prime = a @ (x_star - x_prime) - theta_prime
         flips, pool_index = _flip_search(
-            instance, lp_solution, params, d_prime, rng, diagnostics
+            instance, lp_solution, params, d_prime, diagnostics
         )
     diagnostics["t_delta_k"] = params.t * params.delta * params.k if searched else 0.0
     failed = searched and pool_index is None

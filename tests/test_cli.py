@@ -89,6 +89,7 @@ class TestGenLpIp:
 @pytest.mark.parametrize("command", [
     "ip {path} --node-limit 0",
     "round {path} --k 0",
+    "round {path} --k 9",
     "round {path} --t 0",
     "round {path} --delta -1",
     "round {path} --delta nan",
@@ -152,6 +153,17 @@ class TestSweepCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"m_list": [2]}')
         assert cli("gap-sweep", "--config", str(cfg_path)) == 1
+        # bad rounding or solver values are refused before any trial runs
+        out = tmp_path / "s.csv"
+        for bad in ({"k": 9}, {"k": 0, "rounding": "always"}, {"node_limit": 0}):
+            cfg_path.write_text(json.dumps(dict(
+                m_list=[2], n_list=[30], seeds_per_cell=1, parallelism=1,
+                out=str(out), **bad,
+            )))
+            capsys.readouterr()
+            assert cli("gap-sweep", "--config", str(cfg_path)) == 1
+            assert capsys.readouterr().err.startswith("error: bad config:")
+            assert not out.exists()
 
     def test_missing_config_exits_one(self, capsys):
         assert cli("gap-sweep", "--config", "nope.json") == 1

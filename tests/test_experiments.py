@@ -45,12 +45,22 @@ class TestSweepConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig.from_json('{"m_list": [1], "n_list": [5], "bogus": 3}')
+        with pytest.raises(ValueError, match="max_restarts"):
+            SweepConfig.from_json(
+                '{"m_list": [1], "n_list": [5], "max_restarts": 50}'
+            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(m_list=())
         with pytest.raises(ValueError):
             small_config(rounding="sometimes")
+        with pytest.raises(ValueError, match="exact_pool_k_cap"):
+            small_config(m_list=(2,), k=9)
+        with pytest.raises(ValueError):
+            small_config(k=0)
+        with pytest.raises(ValueError, match="node_limit"):
+            small_config(node_limit=0)
 
     def test_trial_enumeration_sorted(self):
         cfg = small_config(m_list=(3, 2), n_list=(16, 12), seeds_per_cell=2)

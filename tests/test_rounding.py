@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from giplab.discrepancy import ExactBudgetError
 from giplab.instance import BSpec, generate
 from giplab.lp import solve_lp
 from giplab.numerics import calibrate_theta, householder_to_axis
@@ -36,6 +37,10 @@ class TestRoundingParams:
             RoundingParams(k=1, delta=0.0, t=1, theta=0.1)
         with pytest.raises(ValueError):
             RoundingParams(k=1, delta=0.1, t=1, theta=0.0)
+        for m in range(1, 4):
+            cap = exact_pool_k_cap(m)
+            with pytest.raises(ValueError, match=f"exact_pool_k_cap\\({m}\\) = {cap}"):
+                RoundingParams.defaults(m, 400, k=cap + 1)
 
     def test_defaults_consistent(self):
         p = RoundingParams.defaults(2, 400)
@@ -64,6 +69,8 @@ class TestRoundingParams:
         assert exact_pool_k_cap(1) == 11
         assert exact_pool_k_cap(2) == 8
         assert exact_pool_k_cap(3) == 7
+        with pytest.raises(ValueError):
+            exact_pool_k_cap(0)
 
 
 class TestRandomizedRound:
@@ -322,15 +329,17 @@ class TestOutcomeDiagnostics:
         assert np.array_equal(cert.x_double_prime, cert.x_prime)
         assert cert.diagnostics["disc_evaluations"] == params.t * math.comb(24, 8)
 
-    def test_local_search(self):
-        # k = 10 is above the exact cap of 8 at m = 2: the local search runs
+    def test_k_above_cap_has_no_fallback_search(self):
+        # k = 9 is above the exact cap of 8 at m = 2: the pipeline refuses
+        # the pool instead of searching it some other way
         inst, sol = solved(403)
-        params = RoundingParams.defaults(2, 400, k=10, theta=0.05)
+        params = RoundingParams(
+            k=9, delta=8.0 * math.sqrt(2) * 9 / 400, t=1,
+            theta=calibrate_theta(2, 9).theta,
+        )
         assert params.k > exact_pool_k_cap(2)
-        cert = round_pipeline(inst, sol, params, RngHandle(403))
-        assert set(cert.diagnostics) == SEARCH_KEYS | {"gap_formula_total"}
-        assert cert.feasible and len(cert.flip_set) == 10
-        assert cert.diagnostics["disc_evaluations"] < math.comb(30, 10)
+        with pytest.raises(ExactBudgetError):
+            round_pipeline(inst, sol, params, RngHandle(403))
 
 
 class TestGapChain:
