@@ -7,11 +7,11 @@ under the parent's bounds with the branched variable fixed.  An open node
 is its bound, its variable bounds, its LP point and the final (basis,
 status) of its LP; each child re-solves from that state by dual simplex,
 since fixing the branched basic variable leaves the basis dual feasible.
-`solve_box_lp` falls back to the crash start when the basis holds an
-artificial column or the child is infeasible, so infeasibility is always
-proved by the crash start's Farkas vector.  Infeasible children are counted
-as created but never enter the queue.  Tree size is the number of nodes
-created, the root included.
+An infeasible child is proved so by the Farkas vector of the row where
+the dual simplex stops; it is counted as created but never enters the
+queue.  The branching variable is the most fractional coordinate; the
+paper's tree bound holds for best-bound search under any choice of it.
+Tree size is the number of nodes created, the root included.
 """
 
 from __future__ import annotations
@@ -54,35 +54,24 @@ class BnbResult:
     best_bound: float | None
 
 
-def branch_variable(x: np.ndarray, rule: str = "most-frac") -> int:
+def branch_variable(x: np.ndarray) -> int:
     """Index of the node LP point x to branch on: the most fractional
-    coordinate (closest to 1/2), ties and the "first-frac" rule both resolved
-    by lowest index."""
+    coordinate (closest to 1/2), ties resolved by lowest index."""
     frac = support_partition(x)[2]
     if frac.size == 0:
         raise ValueError("node LP is integral; nothing to branch on")
-    if rule == "first-frac":
-        return int(frac[0])
-    if rule != "most-frac":
-        raise ValueError(f"unknown branching rule: {rule!r}")
     scores = np.abs(x[frac] - 0.5)
     return int(frac[np.argmin(scores)])
 
 
-def solve_ip(
-    instance: Instance,
-    node_limit: int = 1_000_000,
-    *,
-    branch_rule: str = "most-frac",
-    prune: bool = True,
-) -> BnbResult:
+def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
     """Solve max c @ x, A x <= b, x in {0,1}^n exactly (or up to node_limit).
 
     Nodes are expanded in best-bound-first order; each expansion either
     updates the incumbent (integral node LP) or branches on a fractional
     variable, creating two children with that variable fixed.  Children whose
-    LP is infeasible are pruned silently.  With `prune` disabled every node
-    is expanded regardless of the incumbent (for ablation only).
+    LP is infeasible, or whose bound cannot beat the incumbent, are pruned
+    silently.
 
     The search ends when the open list empties (an infeasible root LP
     leaves it empty), when its best bound cannot beat the incumbent, or
@@ -114,7 +103,7 @@ def solve_ip(
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
         last_bound = bound
-        if prune and inc_value is not None and bound <= inc_value + PRUNE_TOL:
+        if inc_value is not None and bound <= inc_value + PRUNE_TOL:
             break  # the queue is sorted, every remaining node is dominated
         nodes_expanded += 1
         if support_partition(x)[2].size == 0:
@@ -126,7 +115,7 @@ def solve_ip(
                 inc_value, inc_x = val, xi
             continue
 
-        j = branch_variable(x, branch_rule)
+        j = branch_variable(x)
         for side in (0, 1):
             hit_limit = nodes_created >= node_limit
             if hit_limit:
@@ -143,7 +132,7 @@ def solve_ip(
             except InfeasibleError:
                 continue
             child_bound = min(child.value, bound)  # parent bound is valid too
-            if prune and inc_value is not None and child_bound <= inc_value + PRUNE_TOL:
+            if inc_value is not None and child_bound <= inc_value + PRUNE_TOL:
                 continue
             counter += 1
             heapq.heappush(

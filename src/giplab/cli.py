@@ -81,12 +81,7 @@ def _cmd_lp(args) -> int:
 
 def _cmd_ip(args) -> int:
     inst = _load(args.instance)
-    res = bnb.solve_ip(
-        inst,
-        node_limit=args.node_limit,
-        branch_rule=args.branch,
-        prune=not args.no_prune,
-    )
+    res = bnb.solve_ip(inst, node_limit=args.node_limit)
     print(f"status: {res.status}")
     if res.opt_value is not None:
         ones = np.flatnonzero(res.x_opt > 0.5)
@@ -153,7 +148,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_stats(args) -> int:
     summary = experiments.stats_check(
         m=args.m, n=args.n, seeds=args.seeds,
-        master_seed=args.seed, b_spec=args.b, epsilon=args.epsilon,
+        master_seed=args.seed, b_spec=_parse_b_token(args.b, args.m).descriptor(),
+        epsilon=args.epsilon,
     )
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
@@ -211,9 +207,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("ip", help="solve the binary IP exactly")
     p.add_argument("instance")
     p.add_argument("--node-limit", type=int, default=1_000_000)
-    p.add_argument("--branch", choices=("most-frac", "first-frac"),
-                   default="most-frac")
-    p.add_argument("--no-prune", action="store_true")
     p.set_defaults(func=_cmd_ip)
 
     p = sub.add_parser("round", help="run the rounding pipeline")

@@ -50,7 +50,8 @@ class SweepConfig:
     `rounding` is "auto" (run the pipeline only when the exact IP budget is
     exceeded), "always", or "never".  k/delta/t/theta default to the
     per-cell calibrated values when left as None; every cell's values are
-    checked here, before any trial runs.
+    checked here, before any trial runs, as are the integer fields, the
+    seed range and the b recipe against every m.
     """
 
     m_list: tuple[int, ...]
@@ -72,6 +73,25 @@ class SweepConfig:
     def __post_init__(self):
         if not self.m_list or not self.n_list:
             raise ValueError("m_list and n_list must be nonempty")
+        ints = [(key, getattr(self, key)) for key in (
+            "seeds_per_cell", "seed", "node_limit", "exact_ip_max_n")]
+        ints += [(key, getattr(self, key)) for key in ("k", "t", "parallelism")
+                 if getattr(self, key) is not None]
+        ints += [("m_list", v) for v in self.m_list]
+        ints += [("n_list", v) for v in self.n_list]
+        for key, value in ints:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must hold integers, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2**64)")
+        if not isinstance(self.b_spec, str):
+            raise ValueError(f"b_spec must be a recipe string, got {self.b_spec!r}")
+        spec = BSpec.parse(self.b_spec)
+        for m in self.m_list:
+            if spec.values is not None and len(spec.values) != m:
+                raise ValueError(
+                    f"b_spec {self.b_spec!r} has {len(spec.values)} values, m = {m}"
+                )
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         if self.rounding not in ("auto", "always", "never"):
@@ -87,7 +107,7 @@ class SweepConfig:
         data = json.loads(text)
         for key in ("m_list", "n_list"):
             if key in data:
-                data[key] = tuple(int(v) for v in data[key])
+                data[key] = tuple(data[key])
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -1,27 +1,25 @@
-"""Bounded-variable primal simplex for max c @ x, A @ x <= b, x in [0,1]^n.
+"""Bounded-variable simplex for max c @ x, A @ x <= b, x in [0,1]^n.
 
 The solver works on the equality system A x + s = b with structural
 variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  The
 basis is an m x m submatrix, refactorized every pivot; with m <= ~10 and n
-up to a few thousand this is cheap and numerically clean.  Pricing uses the
-largest-reduced-cost rule and falls back to Bland's rule for the rest of a
-phase after a run of degenerate pivots, which guarantees termination.
+up to a few thousand this is cheap and numerically clean.  Primal pricing
+uses the largest-reduced-cost rule and falls back to Bland's rule for the
+rest of the primal run after STALL_LIMIT degenerate pivots, which
+guarantees termination.
 
-A cold solve starts from a crash point (Bixby 1992): each free structural
-with c_j > 0 at its upper bound, every other structural at its lower bound,
-and the slacks basic, with a phase one for the rows that point violates.
-A structural fixed by its box is never started at its upper bound.  The
-cold solve builds one system [A | I | artificials] and one simplex on it;
-phase one and phase two are two runs of that simplex and share its basis,
-its nonbasic status and one pivot budget.
-
-Every solve returns its final basis and nonbasic status.  A solve of the
-same A, b, c under other bounds (a branch-and-bound child) can start from
-them: it runs bounded dual simplex pivots on [A | I] until the basic values
-are back inside their bounds, then the primal simplex certifies the
-optimum, all under one pivot budget.  It falls back to the cold solve when
-the basis holds an artificial column or the bounds are infeasible, so
-every infeasibility verdict carries the cold solve's Farkas vector.
+Every solve runs on the one system [A | I] from a dual feasible start:
+bounded dual simplex pivots until the basic values lie inside their
+bounds, then the primal simplex, which certifies the optimum, under one
+pivot budget.  A cold solve starts from a crash point (Bixby 1992): each
+free structural with c_j > 0 at its upper bound, every other structural
+at its lower bound, and the slacks basic, so the reduced costs are c
+itself and have the optimal signs.  A structural fixed by its box is
+never started at its upper bound.  Every solve returns its final basis
+and nonbasic status, and a solve of the same A, b, c under other bounds
+(a branch-and-bound child) starts from them instead.  When a violated
+row has no entering candidate, the bounds are infeasible, and that row
+of the basis inverse is the Farkas vector of the verdict.
 
 Returned solutions carry the optimal basic primal point, the dual vector,
 reduced costs, and the support partition (variables at 0, at 1, fractional)
@@ -113,9 +111,9 @@ class LpSolution:
 class _Simplex:
     """The system mat x = rhs, low <= x <= upp, its basis and one pivot budget.
 
-    Each run(gamma) maximizes gamma @ x from the current basis and status;
-    dual_run(gamma) first restores primal feasibility from a dual feasible
-    basis.  Both count against the same budget.
+    dual_run(gamma) restores primal feasibility from a dual feasible basis,
+    then run(gamma) maximizes gamma @ x from the basis and status it leaves.
+    Both count against the same budget.
     """
 
     def __init__(self, mat, rhs, lower, upper, basis, status, max_pivots):
@@ -167,10 +165,14 @@ class _Simplex:
         Each pivot takes the basic variable furthest outside its box out
         at the bound it violates, and enters the nonbasic variable that
         keeps the reduced costs dual feasible (the smallest |d_k| /
-        |alpha_k|, the largest |alpha_k| among ties).  Returns False when
-        the violated row has no entering candidate: no nonbasic variable
-        can move that basic value toward its box, so the bounds admit no
-        feasible point.
+        |alpha_k|, the largest |alpha_k| among ties).  Returns None once
+        the basis is primal feasible.  When the violated row r has no
+        entering candidate, no point of the box can move that basic value
+        toward its bound, and the row rho = B^-T e_r proves it: every
+        solution has alpha @ z = rho @ b, which no point of the box
+        reaches.  The slack entries of alpha are rho itself, so sign * rho
+        is nonnegative up to PIV_TOL, and the Farkas vector returned is
+        max(sign * rho, 0).
         """
         free = (self.upper - self.lower) > PIV_TOL
         while True:
@@ -181,7 +183,7 @@ class _Simplex:
                 above = xb - self.upper[self.basis]
                 r = int(np.argmax(np.maximum(below, above)))
                 if max(below[r], above[r]) <= FEAS_TOL:
-                    return True
+                    return None
                 y = np.linalg.solve(bmat.T, gamma[self.basis])
                 rho = np.linalg.solve(bmat.T, np.eye(len(self.basis))[r])
             except np.linalg.LinAlgError:
@@ -197,7 +199,7 @@ class _Simplex:
                 | ((self.status == _AT_UPPER) & (alpha > PIV_TOL))
             ))
             if eligible.size == 0:
-                return False
+                return np.maximum(sign * rho, 0.0)
             ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
             ties = eligible[ratios <= ratios.min() + RC_TOL]
             e = int(ties[np.argmax(np.abs(alpha[ties]))])
@@ -257,7 +259,6 @@ class _BoxResult:
     pivots: int
     basis: np.ndarray  # final basis and status, the warm_start of a child
     status: np.ndarray
-    warm: bool  # the solve ran from warm_start, not from the crash start
 
 
 def solve_box_lp(
@@ -272,23 +273,17 @@ def solve_box_lp(
 ) -> _BoxResult:
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
-    With `warm_start`, the (basis, status) of an optimal solve of the same
-    A, b, c under other bounds, the solve first runs dual simplex pivots
-    from that basis until every basic value is inside its bounds, and then
-    the primal simplex, which certifies optimality.  One budget bounds
-    both.  Fixing a basic variable, as a branch-and-bound child does,
-    keeps that basis dual feasible.  The solve falls back to the crash
-    start below when the basis holds an artificial column, or when a
-    violated row has no entering candidate (the bounds are then
-    infeasible, and the crash start proves it).
-
-    The crash start x0 puts each free structural (upper - lower above the
-    pivot tolerance) with c_j > 0 at its upper bound and every other one at
-    its lower bound, with the slacks basic.  Each row j with b - A x0 <
-    -FEAS_TOL gets an artificial column -e_j, basic in place of its slack;
-    phase one drives their sum to zero, then phase two maximizes c.  When no
-    row needs it, the reduced costs at the start are c itself, so x0 is
-    optimal and the solve takes no pivot.
+    The solve starts from `warm_start`, the (basis, status) of an optimal
+    solve of the same A, b, c under other bounds, or else from the crash
+    start: each free structural (upper - lower above the pivot tolerance)
+    with c_j > 0 at its upper bound, every other one at its lower bound,
+    and the slacks basic.  Both starts are dual feasible; fixing a basic
+    variable, as a branch-and-bound child does, keeps a basis so.  Dual
+    simplex pivots then bring every basic value inside its bounds, or find
+    a row that proves the bounds infeasible (InfeasibleError with its
+    Farkas vector), and the primal simplex certifies optimality.  One
+    budget bounds both.  When the crash point breaks no row it is optimal
+    and the solve takes no pivot.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -301,61 +296,33 @@ def solve_box_lp(
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
-    if warm_start is not None and max(warm_start[0]) < n + m:
-        basis, status = warm_start
-        core = _Simplex(
-            np.hstack([a, np.eye(m)]), b,
-            np.concatenate([lower, np.zeros(m)]),
-            np.concatenate([upper, np.full(m, np.inf)]),
-            basis, status.copy(), max_pivots,
+    if warm_start is None:
+        basis = np.arange(n, n + m)
+        status = np.full(n + m, _AT_LOWER, dtype=np.int8)
+        status[:n][(c > 0.0) & (upper - lower > PIV_TOL)] = _AT_UPPER
+        status[n:] = _BASIC
+    else:
+        basis, status = warm_start[0], warm_start[1].copy()
+    core = _Simplex(
+        np.hstack([a, np.eye(m)]), b,
+        np.concatenate([lower, np.zeros(m)]),
+        np.concatenate([upper, np.full(m, np.inf)]),
+        basis, status, max_pivots,
+    )
+    gamma = np.concatenate([c, np.zeros(m)])
+    u = core.dual_run(gamma)
+    if u is not None:
+        w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
+        margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
+        raise InfeasibleError(
+            f"LP infeasible: aggregated row violates the box by {margin:.3e}",
+            farkas_u=u,
         )
-        gamma = np.concatenate([c, np.zeros(m)])
-        if core.dual_run(gamma):
-            return _box_optimum(core, gamma, c, lower, upper, warm=True)
-
-    start_up = (c > 0.0) & (upper - lower > PIV_TOL)
-    bad = np.flatnonzero(b - a @ np.where(start_up, upper, lower) < -FEAS_TOL)
-    n_art = bad.size
-    art_cols = np.zeros((m, n_art))
-    art_cols[bad, np.arange(n_art)] = -1.0
-    mat = np.hstack([a, np.eye(m), art_cols])
-    low = np.concatenate([lower, np.zeros(m + n_art)])
-    upp = np.concatenate([upper, np.full(m + n_art, np.inf)])
-    status = np.full(n + m + n_art, _AT_LOWER, dtype=np.int8)
-    status[:n][start_up] = _AT_UPPER
-    basis = np.arange(n, n + m)
-    basis[bad] = np.arange(n + m, n + m + n_art)
-    status[basis] = _BASIC
-    core = _Simplex(mat, b, low, upp, basis.tolist(), status, max_pivots)
-
-    if n_art:
-        phase_one = np.zeros(n + m + n_art)
-        phase_one[n + m:] = -1.0
-        x_full, y = core.run(phase_one)
-        if float(np.sum(x_full[n + m:])) > 1e-7:
-            u = np.maximum(y, 0.0)
-            w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
-            margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
-            raise InfeasibleError(
-                f"LP infeasible: aggregated row violates the box by {margin:.3e}",
-                farkas_u=u,
-            )
-        # pin the artificials at zero; a degenerate basic artificial stays
-        # harmlessly fixed and never re-enters
-        upp[n + m:] = 0.0
-
-    gamma = np.concatenate([c, np.zeros(m + n_art)])
-    return _box_optimum(core, gamma, c, lower, upper, warm=False)
-
-
-def _box_optimum(core, gamma, c, lower, upper, *, warm):
-    """Run the primal simplex on gamma to optimality and package the result."""
     x_full, y = core.run(gamma)
-    n, m = c.size, y.size
     x = np.clip(x_full[:n], lower, upper)
     return _BoxResult(
         x=x, value=float(c @ x), y=y, pivots=core.pivots,
-        basis=np.asarray(core.basis), status=core.status[:n + m], warm=warm,
+        basis=np.asarray(core.basis), status=core.status,
     )
 
 

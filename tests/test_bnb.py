@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from giplab import bnb
 from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
-from giplab.experiments import SweepConfig, run_trial
 from giplab.instance import BSpec, generate
-from giplab.lp import InfeasibleError, solve_box_lp, solve_lp
+from giplab.lp import InfeasibleError, solve_lp
 from giplab.rng import RngHandle
 
 from oracles import milp_oracle
@@ -71,10 +69,6 @@ class TestResultAtEachExit:
                res.nodes_expanded, res.best_bound)
         assert got == expected
 
-    def test_dominance_stop_leaves_a_node_unexpanded(self):
-        inst = make_instance([[1.0, 1.0]], [1.5], [1.0, 1.0])
-        assert solve_ip(inst, prune=False).nodes_expanded == 4
-
     def test_node_limit_one_bounds_by_the_root_lp(self):
         inst = generate(2, 16, BSpec.zeros(), RngHandle(31))
         res = solve_ip(inst, node_limit=1)
@@ -118,22 +112,6 @@ class TestExactness:
             assert bf_val is None
         else:
             assert res.opt_value == pytest.approx(bf_val, abs=1e-9)
-
-
-class TestAblation:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_pruning_never_grows_tree(self, seed):
-        inst = generate(2, 13, BSpec.zeros(), RngHandle(700 + seed))
-        pruned = solve_ip(inst, prune=True)
-        unpruned = solve_ip(inst, prune=False)
-        assert pruned.nodes_created <= unpruned.nodes_created
-        assert pruned.opt_value == pytest.approx(unpruned.opt_value, abs=1e-9)
-
-    def test_first_frac_rule(self):
-        inst = generate(2, 14, BSpec.zeros(), RngHandle(801))
-        a = solve_ip(inst, branch_rule="most-frac")
-        b = solve_ip(inst, branch_rule="first-frac")
-        assert a.opt_value == pytest.approx(b.opt_value, abs=1e-9)
 
 
 class TestBranchVariable:
@@ -229,23 +207,6 @@ class TestFrozenTrees:
         res = solve_ip(inst)
         assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (
             created, expanded, opt)
-
-
-class TestWarmStartedChildren:
-    def test_every_feasible_child_is_warm_started(self, monkeypatch):
-        cfg = SweepConfig(m_list=(2, 3), n_list=(24, 32, 40), seeds_per_cell=3,
-                          exact_ip_max_n=40, rounding="never")
-        results = []
-
-        def recorded(*args, **kwargs):
-            results.append(solve_box_lp(*args, **kwargs))
-            return results[-1]
-
-        monkeypatch.setattr(bnb, "solve_box_lp", recorded)
-        for stream, m, n, _ in cfg.trials():
-            assert run_trial(cfg, stream, m, n, with_knapsack=True).status == "ok"
-        assert len(results) >= 300
-        assert all(res.warm for res in results)
 
 
 class TestIpGap:

@@ -100,6 +100,8 @@ class TestGenLpIp:
     "knap-mc --n 10 --g nan --trials 5",
     "stats --m 2 --n 60 --epsilon 0.5",
     "stats --m 2 --n 60 --seeds 0",
+    "stats --m 2 --n 60 --b bogus",
+    "stats --m 2 --n 60 --b scaled_ones:0.3,0.1,0.2",
 ])
 def test_rejected_flag_value_exits_one(tmp_path, capsys, command):
     path = str(tmp_path / "a.gip")
@@ -155,11 +157,14 @@ class TestSweepCli:
         assert cli("gap-sweep", "--config", str(cfg_path)) == 1
         # bad rounding or solver values are refused before any trial runs
         out = tmp_path / "s.csv"
-        for bad in ({"k": 9}, {"k": 0, "rounding": "always"}, {"node_limit": 0}):
-            cfg_path.write_text(json.dumps(dict(
-                m_list=[2], n_list=[30], seeds_per_cell=1, parallelism=1,
-                out=str(out), **bad,
-            )))
+        for bad in ({"k": 9}, {"k": 0, "rounding": "always"}, {"node_limit": 0},
+                    {"m_list": [2.7]}, {"n_list": [12.9]}, {"seeds_per_cell": 1.5},
+                    {"seed": -1}, {"b_spec": "bogus"}, {"b_spec": 5},
+                    {"m_list": [2, 3], "b_spec": "scaled_ones 0.1 0.2"}):
+            cfg_path.write_text(json.dumps({
+                "m_list": [2], "n_list": [30], "seeds_per_cell": 1,
+                "parallelism": 1, "out": str(out), **bad,
+            }))
             capsys.readouterr()
             assert cli("gap-sweep", "--config", str(cfg_path)) == 1
             assert capsys.readouterr().err.startswith("error: bad config:")
@@ -217,6 +222,13 @@ class TestMonteCarloCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["m"] == 2
         assert "frequencies" in payload
+
+    def test_stats_reads_the_gen_b_recipe(self, capsys):
+        assert cli("stats", "--m", "2", "--n", "50", "--seeds", "3",
+                   "--b", "scaled_ones:0.3") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["b_spec"] == "scaled_ones 0.3 0.3"
+        assert payload["lp_failures"] == 0
 
 
 class TestSubprocessEntry:

@@ -61,6 +61,12 @@ class TestSweepConfig:
             small_config(k=0)
         with pytest.raises(ValueError, match="node_limit"):
             small_config(node_limit=0)
+        for bad in (dict(m_list=(2.7,)), dict(n_list=(12.9,)),
+                    dict(seeds_per_cell=1.5), dict(seeds_per_cell=True),
+                    dict(seed=-1), dict(seed=2**64), dict(b_spec="bogus"),
+                    dict(m_list=(2, 3), b_spec="scaled_ones 0.1 0.2")):
+            with pytest.raises(ValueError):
+                small_config(**bad)
 
     def test_trial_enumeration_sorted(self):
         cfg = small_config(m_list=(3, 2), n_list=(16, 12), seeds_per_cell=2)
