@@ -4,9 +4,11 @@ The open list is a max-priority queue on the node LP value (ties broken by
 insertion order), so the sequence of processed bounds is non-increasing;
 this is asserted on every solve.  Child LPs are solved at creation time
 under the parent's bounds with the branched variable fixed.  An open node
-is its bound, its variable bounds, its LP point and the final (basis,
-status) of its LP; each child re-solves from that state by dual simplex,
-since fixing the branched basic variable leaves the basis dual feasible.
+is its bound, its variable bounds, its LP point and the result of its LP,
+which holds the final basis, status and basis inverse; each child
+re-solves from that state by dual simplex, since fixing the branched
+basic variable leaves the basis dual feasible.  Every LP of one tree runs
+on the [A | I] system of the root solve.
 An infeasible child is proved so by the Farkas vector of the row where
 the dual simplex stops; it is counted as created but never enters the
 queue.  The branching variable is the most fractional coordinate; the
@@ -22,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import InfeasibleError, solve_box_lp, solve_lp, support_partition
+from .lp import (
+    InfeasibleError,
+    LpSolution,
+    solve_box_lp,
+    solve_lp,
+    support_partition,
+)
 
 __all__ = [
     "BnbResult",
@@ -64,7 +72,11 @@ def branch_variable(x: np.ndarray) -> int:
     return int(frac[np.argmin(scores)])
 
 
-def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
+def solve_ip(
+    instance: Instance,
+    node_limit: int = 1_000_000,
+    root: LpSolution | None = None,
+) -> BnbResult:
     """Solve max c @ x, A x <= b, x in {0,1}^n exactly (or up to node_limit).
 
     Nodes are expanded in best-bound-first order; each expansion either
@@ -72,6 +84,10 @@ def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
     variable, creating two children with that variable fixed.  Children whose
     LP is infeasible, or whose bound cannot beat the incumbent, are pruned
     silently.
+
+    `root` is the caller's `solve_lp(instance)`, when it has one, so the
+    root LP is not solved a second time; without it the root is solved
+    here.
 
     The search ends when the open list empties (an infeasible root LP
     leaves it empty), when its best bound cannot beat the incumbent, or
@@ -88,17 +104,16 @@ def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
     hit_limit = False
 
     try:
-        root = solve_lp(instance)
+        root = solve_lp(instance) if root is None else root
     except InfeasibleError:
         heap = []
     else:
-        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star,
-                 (root.basis, root.status))]
+        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star, root)]
     counter = 0
     last_bound = np.inf
 
     while heap and not hit_limit:
-        neg_bound, _, lower, upper, x, start = heapq.heappop(heap)
+        neg_bound, _, lower, upper, x, parent = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
@@ -128,7 +143,7 @@ def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
             else:
                 lo[j] = 1.0
             try:
-                child = solve_box_lp(a, b, c, lo, up, warm_start=start)
+                child = solve_box_lp(a, b, c, lo, up, warm_start=parent)
             except InfeasibleError:
                 continue
             child_bound = min(child.value, bound)  # parent bound is valid too
@@ -137,7 +152,7 @@ def solve_ip(instance: Instance, node_limit: int = 1_000_000) -> BnbResult:
             counter += 1
             heapq.heappush(
                 heap,
-                (-child_bound, counter, lo, up, child.x, (child.basis, child.status)),
+                (-child_bound, counter, lo, up, child.x, child),
             )
 
     if hit_limit:
@@ -184,7 +199,7 @@ def ipgap(instance: Instance, node_limit: int = 1_000_000) -> float:
     branch and bound hits its node limit (the gap would not be exact).
     """
     lp_sol = solve_lp(instance)
-    res = solve_ip(instance, node_limit=node_limit)
+    res = solve_ip(instance, node_limit=node_limit, root=lp_sol)
     if res.status == "NodeLimit":
         raise RuntimeError("node limit reached; exact gap unavailable")
     if res.status == "Infeasible":

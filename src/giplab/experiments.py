@@ -82,6 +82,10 @@ class SweepConfig:
         for key, value in ints:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must hold integers, got {value!r}")
+        for key in ("m_list", "n_list"):
+            for value in getattr(self, key):
+                if value < 1:
+                    raise ValueError(f"{key} entries must be >= 1, got {value!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2**64)")
         if not isinstance(self.b_spec, str):
@@ -215,7 +219,7 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
     exact_ip = n <= cfg.exact_ip_max_n
     if exact_ip:
         t0 = time.perf_counter()
-        res = bnb.solve_ip(inst, node_limit=cfg.node_limit)
+        res = bnb.solve_ip(inst, node_limit=cfg.node_limit, root=sol)
         rec["ip_ms"] = int(1000 * (time.perf_counter() - t0))
         rec["tree_size"] = res.nodes_created
         rec["nodes_expanded"] = res.nodes_expanded

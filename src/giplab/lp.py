@@ -1,12 +1,22 @@
 """Bounded-variable simplex for max c @ x, A @ x <= b, x in [0,1]^n.
 
 The solver works on the equality system A x + s = b with structural
-variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  The
-basis is an m x m submatrix, refactorized every pivot; with m <= ~10 and n
-up to a few thousand this is cheap and numerically clean.  Primal pricing
-uses the largest-reduced-cost rule and falls back to Bland's rule for the
-rest of the primal run after STALL_LIMIT degenerate pivots, which
-guarantees termination.
+variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  It
+carries the inverse of the m x m basis matrix (m <= ~10) and updates it by
+one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
+basis change; basic values, duals, the dual simplex pivot row and the
+primal pivot column are products with it.  Each solve ends by solving its
+final basis afresh, and the returned point and duals come from that
+solve.  The fresh solve also certifies the carried inverse: when its
+basic values break their box or its reduced costs leave an eligible
+column, the inverse is computed afresh and pivoting goes on, and when
+binv B - I exceeds INV_TOL the inverse is computed afresh for the next
+solve that starts from it.  The inverse is also computed afresh when a
+pivot element is too small to divide by, and before an infeasibility
+verdict.
+Primal pricing uses the largest-reduced-cost rule and falls back to
+Bland's rule for the rest of the primal run after STALL_LIMIT degenerate
+pivots, which guarantees termination.
 
 Every solve runs on the one system [A | I] from a dual feasible start:
 bounded dual simplex pivots until the basic values lie inside their
@@ -15,11 +25,12 @@ pivot budget.  A cold solve starts from a crash point (Bixby 1992): each
 free structural with c_j > 0 at its upper bound, every other structural
 at its lower bound, and the slacks basic, so the reduced costs are c
 itself and have the optimal signs.  A structural fixed by its box is
-never started at its upper bound.  Every solve returns its final basis
-and nonbasic status, and a solve of the same A, b, c under other bounds
-(a branch-and-bound child) starts from them instead.  When a violated
-row has no entering candidate, the bounds are infeasible, and that row
-of the basis inverse is the Farkas vector of the verdict.
+never started at its upper bound.  Every solve returns its final basis,
+nonbasic status, basis inverse and system, and a solve of the same A, b,
+c under other bounds (a branch-and-bound child) starts from them instead.
+When a violated row has no entering candidate, the bounds are
+infeasible, and that row of the basis inverse, solved afresh, is the
+Farkas vector of the verdict.
 
 Returned solutions carry the optimal basic primal point, the dual vector,
 reduced costs, and the support partition (variables at 0, at 1, fractional)
@@ -53,6 +64,7 @@ FEAS_TOL = 1e-9        # bound violation tolerance for basic values
 PIV_TOL = 1e-11        # entries below this never pivot
 CLASSIFY_TOL = 1e-9    # distance to {0,1} for the support partition
 STALL_LIMIT = 100      # degenerate pivots before switching to Bland's rule
+INV_TOL = 1e-10        # max row sum of binv B - I a carried inverse may reach
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
@@ -91,9 +103,12 @@ class LpSolution:
     """Optimal basic solution with duals and support partition.
 
     The partition n0/n1/s is `support_partition(x_star)`.  `basis` (m
-    column indices) and `status` (at lower, at upper or basic for each of
-    the n structurals and m slacks) are the final simplex state, the
-    `warm_start` a branch-and-bound child re-solves from.
+    column indices), `status` (at lower, at upper or basic for each of
+    the n structurals and m slacks), `binv` (the carried inverse of the
+    basis matrix, consistent with it to roundoff) and `system` (the
+    [A | I] matrix the solve ran on) are the final simplex state; passed
+    as `warm_start` to `solve_box_lp`, the solution is where a
+    branch-and-bound child re-solves from.
     """
 
     x_star: np.ndarray
@@ -106,23 +121,31 @@ class LpSolution:
     pivots: int
     basis: np.ndarray
     status: np.ndarray
+    binv: np.ndarray
+    system: np.ndarray
 
 
 class _Simplex:
-    """The system mat x = rhs, low <= x <= upp, its basis and one pivot budget.
+    """The system mat x = rhs, low <= x <= upp, its basis, the basis
+    inverse binv and one pivot budget.
 
     dual_run(gamma) restores primal feasibility from a dual feasible basis,
     then run(gamma) maximizes gamma @ x from the basis and status it leaves.
-    Both count against the same budget.
+    Both count against the same budget.  Basic values, duals, pivot rows
+    and pivot columns are products with binv, which one product-form step
+    updates per basis change; the final basis is solved afresh.
     """
 
-    def __init__(self, mat, rhs, lower, upper, basis, status, max_pivots):
+    def __init__(self, mat, rhs, lower, upper, basis, status, binv, max_pivots):
         self.mat = mat
         self.rhs = rhs
         self.lower = lower
         self.upper = upper
-        self.basis = list(basis)
+        self.basis = np.array(basis)
         self.status = status
+        self.binv = binv
+        self.fresh = False  # binv was just inverted from the current basis
+        self.free = (upper - lower) > PIV_TOL
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
 
@@ -131,30 +154,82 @@ class _Simplex:
         x_n[self.basis] = 0.0
         return x_n
 
+    def _refactor(self):
+        try:
+            self.binv = np.linalg.inv(self.mat[:, self.basis])
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("simplex basis became singular") from None
+        self.fresh = True
+
+    def _exchange(self, pos, e, w):
+        """Column e takes basis position pos, where w = B^-1 a_e under the
+        old basis: a product-form step on binv, or a fresh inverse when the
+        pivot element w[pos] is too small to divide by."""
+        self.basis[pos] = e
+        self.status[e] = _BASIC
+        if abs(w[pos]) <= PIV_TOL:
+            self._refactor()
+            return
+        row = self.binv[pos] / w[pos]
+        self.binv -= np.outer(w, row)
+        self.binv[pos] = row
+        self.fresh = False
+
     def run(self, gamma):
-        free = (self.upper - self.lower) > PIV_TOL
+        """Primal simplex pivots until no reduced cost of gamma is eligible.
+
+        The exit solves the final basis afresh and returns (x, y) from that
+        solve.  The first pricing pass is such a solve too, since the dual
+        simplex mostly leaves an optimal basis.  The solve also certifies
+        binv.  When its reduced costs leave an eligible column, binv is
+        refactorized and the pivot takes that column.  When its basic
+        values break their box beyond FEAS_TOL, binv is refactorized and
+        None is returned, so the dual simplex runs again.  When binv B - I
+        exceeds INV_TOL, binv is refactorized and the exit stands.  A binv
+        inverted afresh since the last basis change is not refactorized
+        again, and its exit stands.
+        """
+        free = self.free
         self.bland = False
         self.stall = 0
+        exact = True
         while True:
-            bmat = self.mat[:, self.basis]
             x_n = self._nonbasic_point()
-            try:
-                xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
-                y = np.linalg.solve(bmat.T, gamma[self.basis])
-            except np.linalg.LinAlgError:
-                raise ArithmeticError("simplex basis became singular") from None
+            if exact:
+                bmat = self.mat[:, self.basis]
+                try:
+                    xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
+                    y = np.linalg.solve(bmat.T, gamma[self.basis])
+                except np.linalg.LinAlgError:
+                    raise ArithmeticError("simplex basis became singular") from None
+            else:
+                xb = self.binv @ (self.rhs - self.mat @ x_n)
+                y = gamma[self.basis] @ self.binv
             d = gamma - self.mat.T @ y
             up = (self.status == _AT_LOWER) & free & (d > RC_TOL)
             dn = (self.status == _AT_UPPER) & free & (d < -RC_TOL)
             eligible = np.flatnonzero(up | dn)
             if eligible.size == 0:
+                if not exact:
+                    exact = True
+                    continue
+                outside = np.maximum(self.lower[self.basis] - xb,
+                                     xb - self.upper[self.basis]).max() > FEAS_TOL
+                if not self.fresh and (outside or np.abs(
+                        self.binv @ bmat - np.eye(len(xb))).sum(axis=1).max() > INV_TOL):
+                    self._refactor()
+                    if outside:
+                        return None
                 x_n[self.basis] = xb
                 return x_n, y
+            if exact and not self.fresh:
+                self._refactor()
+            exact = False
             if self.bland:
                 e = int(eligible[0])
             else:
                 e = int(eligible[np.argmax(np.abs(d[eligible]))])
-            self._pivot(bmat, xb, e, 1.0 if up[e] else -1.0)
+            self._pivot(xb, e, 1.0 if up[e] else -1.0)
             self._count_pivot()
 
     def dual_run(self, gamma):
@@ -172,40 +247,43 @@ class _Simplex:
         solution has alpha @ z = rho @ b, which no point of the box
         reaches.  The slack entries of alpha are rho itself, so sign * rho
         is nonnegative up to PIV_TOL, and the Farkas vector returned is
-        max(sign * rho, 0).
+        max(sign * rho, 0).  The verdict stands only on a binv inverted
+        afresh at the current basis, so a carried binv is refactorized and
+        the row taken again first; the returned rho is then solved afresh.
         """
-        free = (self.upper - self.lower) > PIV_TOL
+        free = self.free
         while True:
-            bmat = self.mat[:, self.basis]
-            try:
-                xb = np.linalg.solve(bmat, self.rhs - self.mat @ self._nonbasic_point())
-                below = self.lower[self.basis] - xb
-                above = xb - self.upper[self.basis]
-                r = int(np.argmax(np.maximum(below, above)))
-                if max(below[r], above[r]) <= FEAS_TOL:
-                    return None
-                y = np.linalg.solve(bmat.T, gamma[self.basis])
-                rho = np.linalg.solve(bmat.T, np.eye(len(self.basis))[r])
-            except np.linalg.LinAlgError:
-                raise ArithmeticError("simplex basis became singular") from None
-            d = gamma - self.mat.T @ y
+            xb = self.binv @ (self.rhs - self.mat @ self._nonbasic_point())
+            below = self.lower[self.basis] - xb
+            above = xb - self.upper[self.basis]
+            r = int(np.argmax(np.maximum(below, above)))
+            if max(below[r], above[r]) <= FEAS_TOL:
+                return None
+            d = gamma - self.mat.T @ (gamma[self.basis] @ self.binv)
             # sign = +1: x_basis[r] must rise to its lower bound.  x_k
             # entering from lower with alpha_k < 0, or from upper with
             # alpha_k > 0, moves x_basis[r] toward the bound it violates.
             sign = 1.0 if below[r] > 0.0 else -1.0
-            alpha = sign * (self.mat.T @ rho)
+            alpha = sign * (self.mat.T @ self.binv[r])
             eligible = np.flatnonzero(free & (
                 ((self.status == _AT_LOWER) & (alpha < -PIV_TOL))
                 | ((self.status == _AT_UPPER) & (alpha > PIV_TOL))
             ))
             if eligible.size == 0:
+                if not self.fresh:
+                    self._refactor()
+                    continue
+                try:
+                    rho = np.linalg.solve(self.mat[:, self.basis].T,
+                                          np.eye(len(self.basis))[r])
+                except np.linalg.LinAlgError:
+                    raise ArithmeticError("simplex basis became singular") from None
                 return np.maximum(sign * rho, 0.0)
             ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
             ties = eligible[ratios <= ratios.min() + RC_TOL]
             e = int(ties[np.argmax(np.abs(alpha[ties]))])
             self.status[self.basis[r]] = _AT_LOWER if sign > 0 else _AT_UPPER
-            self.basis[r] = e
-            self.status[e] = _BASIC
+            self._exchange(r, e, self.binv @ self.mat[:, e])
             self._count_pivot()
 
     def _count_pivot(self):
@@ -213,8 +291,8 @@ class _Simplex:
         if self.pivots >= self.max_pivots:
             raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
 
-    def _pivot(self, bmat, xb, e, direction):
-        w = np.linalg.solve(bmat, self.mat[:, e])
+    def _pivot(self, xb, e, direction):
+        w = self.binv @ self.mat[:, e]
         delta = direction * w  # basic values move by -t * delta for step t
         lo_b = self.lower[self.basis]
         up_b = self.upper[self.basis]
@@ -235,13 +313,12 @@ class _Simplex:
         else:
             ties = np.flatnonzero(t_cand <= t_min + FEAS_TOL)
             if self.bland:
-                pos = int(ties[np.argmin(np.asarray(self.basis)[ties])])
+                pos = int(ties[np.argmin(self.basis[ties])])
             else:
                 pos = int(ties[np.argmax(np.abs(delta[ties]))])
             leave = self.basis[pos]
             self.status[leave] = _AT_LOWER if delta[pos] > 0 else _AT_UPPER
-            self.basis[pos] = e
-            self.status[e] = _BASIC
+            self._exchange(pos, e, w)
             step = t_min
         if step <= 1e-12:
             self.stall += 1
@@ -253,12 +330,17 @@ class _Simplex:
 
 @dataclass(frozen=True, eq=False)
 class _BoxResult:
+    """One optimal solve; its final basis, status, basis inverse and
+    [A | I] system are the warm_start of a child."""
+
     x: np.ndarray
     value: float
     y: np.ndarray
     pivots: int
-    basis: np.ndarray  # final basis and status, the warm_start of a child
+    basis: np.ndarray
     status: np.ndarray
+    binv: np.ndarray
+    system: np.ndarray
 
 
 def solve_box_lp(
@@ -269,21 +351,24 @@ def solve_box_lp(
     upper: np.ndarray | None = None,
     *,
     max_pivots: int | None = None,
-    warm_start: tuple[np.ndarray, np.ndarray] | None = None,
+    warm_start: LpSolution | _BoxResult | None = None,
 ) -> _BoxResult:
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
-    The solve starts from `warm_start`, the (basis, status) of an optimal
-    solve of the same A, b, c under other bounds, or else from the crash
-    start: each free structural (upper - lower above the pivot tolerance)
+    The solve starts from `warm_start`, the result of an optimal solve of
+    the same A, b, c under other bounds: its basis, status and basis
+    inverse, on its [A | I] system, which is shared and not rebuilt.  The
+    result is read and never changed, so two children can start from one
+    parent.  Without it the solve builds [A | I] and starts from the crash
+    point: each free structural (upper - lower above the pivot tolerance)
     with c_j > 0 at its upper bound, every other one at its lower bound,
-    and the slacks basic.  Both starts are dual feasible; fixing a basic
-    variable, as a branch-and-bound child does, keeps a basis so.  Dual
-    simplex pivots then bring every basic value inside its bounds, or find
-    a row that proves the bounds infeasible (InfeasibleError with its
-    Farkas vector), and the primal simplex certifies optimality.  One
-    budget bounds both.  When the crash point breaks no row it is optimal
-    and the solve takes no pivot.
+    and the slacks basic, whose inverse is the identity.  Both starts are
+    dual feasible; fixing a basic variable, as a branch-and-bound child
+    does, keeps a basis so.  Dual simplex pivots then bring every basic
+    value inside its bounds, or find a row that proves the bounds
+    infeasible (InfeasibleError with its Farkas vector), and the primal
+    simplex certifies optimality.  One budget bounds both.  When the crash
+    point breaks no row it is optimal and the solve takes no pivot.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -297,32 +382,39 @@ def solve_box_lp(
         max_pivots = 50 * (n + m)
 
     if warm_start is None:
+        system = np.hstack([a, np.eye(m)])
         basis = np.arange(n, n + m)
         status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         status[:n][(c > 0.0) & (upper - lower > PIV_TOL)] = _AT_UPPER
         status[n:] = _BASIC
+        binv = np.eye(m)
     else:
-        basis, status = warm_start[0], warm_start[1].copy()
+        system, basis = warm_start.system, warm_start.basis
+        status, binv = warm_start.status.copy(), warm_start.binv.copy()
     core = _Simplex(
-        np.hstack([a, np.eye(m)]), b,
+        system, b,
         np.concatenate([lower, np.zeros(m)]),
         np.concatenate([upper, np.full(m, np.inf)]),
-        basis, status, max_pivots,
+        basis, status, binv, max_pivots,
     )
     gamma = np.concatenate([c, np.zeros(m)])
-    u = core.dual_run(gamma)
-    if u is not None:
-        w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
-        margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
-        raise InfeasibleError(
-            f"LP infeasible: aggregated row violates the box by {margin:.3e}",
-            farkas_u=u,
-        )
-    x_full, y = core.run(gamma)
+    point = None
+    while point is None:
+        u = core.dual_run(gamma)
+        if u is not None:
+            w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
+            margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
+            raise InfeasibleError(
+                f"LP infeasible: aggregated row violates the box by {margin:.3e}",
+                farkas_u=u,
+            )
+        point = core.run(gamma)
+    x_full, y = point
     x = np.clip(x_full[:n], lower, upper)
     return _BoxResult(
         x=x, value=float(c @ x), y=y, pivots=core.pivots,
-        basis=np.asarray(core.basis), status=core.status,
+        basis=core.basis, status=core.status,
+        binv=core.binv, system=system,
     )
 
 
@@ -387,6 +479,8 @@ def solve_lp(
         pivots=res.pivots,
         basis=res.basis,
         status=res.status,
+        binv=res.binv,
+        system=res.system,
     )
 
 

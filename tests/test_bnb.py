@@ -207,6 +207,10 @@ class TestFrozenTrees:
         res = solve_ip(inst)
         assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (
             created, expanded, opt)
+        # the caller's root solve gives the same tree
+        res = solve_ip(inst, root=solve_lp(inst))
+        assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (
+            created, expanded, opt)
 
 
 class TestIpGap:
@@ -215,6 +219,13 @@ class TestIpGap:
 
     def test_hand_gap(self):
         assert ipgap(make_instance([[1.0]], [0.5], [1.0])) == pytest.approx(0.5)
+
+    def test_root_lp_solved_once(self, solve_lp_calls):
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(905))
+        assert ipgap(inst) > 0.0
+        assert solve_lp_calls == [inst]
+        solve_ip(inst)  # without a root, solve_ip solves its own
+        assert len(solve_lp_calls) == 2
 
     def test_gap_nonnegative(self):
         for s in range(20):

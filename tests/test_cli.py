@@ -159,6 +159,7 @@ class TestSweepCli:
         out = tmp_path / "s.csv"
         for bad in ({"k": 9}, {"k": 0, "rounding": "always"}, {"node_limit": 0},
                     {"m_list": [2.7]}, {"n_list": [12.9]}, {"seeds_per_cell": 1.5},
+                    {"n_list": [0]}, {"n_list": [-5]},
                     {"seed": -1}, {"b_spec": "bogus"}, {"b_spec": 5},
                     {"m_list": [2, 3], "b_spec": "scaled_ones 0.1 0.2"}):
             cfg_path.write_text(json.dumps({

@@ -61,6 +61,9 @@ class TestSweepConfig:
             small_config(k=0)
         with pytest.raises(ValueError, match="node_limit"):
             small_config(node_limit=0)
+        for key, value in (("n_list", 0), ("n_list", -5), ("m_list", 0)):
+            with pytest.raises(ValueError, match=rf"{key} .*>= 1, got {value}$"):
+                small_config(**{key: (value,)})
         for bad in (dict(m_list=(2.7,)), dict(n_list=(12.9,)),
                     dict(seeds_per_cell=1.5), dict(seeds_per_cell=True),
                     dict(seed=-1), dict(seed=2**64), dict(b_spec="bogus"),
@@ -92,6 +95,13 @@ class TestRunTrial:
         assert rec.ipgap == pytest.approx(ipgap(inst), abs=1e-12)
         assert rec.ipgap >= -1e-7
         assert rec.n0 + rec.s <= 12
+
+    def test_exact_ip_trial_solves_its_root_lp_once(self, solve_lp_calls):
+        cfg = small_config()
+        for stream in range(4):
+            rec = run_trial(cfg, stream, 2, 16)
+            assert rec.status == "ok" and rec.tree_size >= 1
+            assert len(solve_lp_calls) == stream + 1
 
     def test_certified_bound_mode_beyond_ip_budget(self):
         cfg = small_config(

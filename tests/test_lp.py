@@ -1,5 +1,10 @@
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giplab import lp
 from giplab.instance import BSpec, generate
@@ -218,7 +223,15 @@ class TestWarmStart:
             assert np.all(inst.A @ res.x <= inst.b + 1e-7)
             assert np.all((lower <= res.x) & (res.x <= upper))
             cls._check_certificate(inst, lower, upper, res)
+            cls._check_inverse(res)
         return warm, cold
+
+    @staticmethod
+    def _check_inverse(res):
+        """The carried basis inverse inverts the final basis."""
+        bmat = res.system[:, res.basis]
+        residual = res.binv @ bmat - np.eye(len(res.basis))
+        assert np.linalg.norm(residual, np.inf) <= 1e-10
 
     def test_fixings_from_the_root_and_down_one_path(self):
         pivots = {"warm": 0, "cold": 0}
@@ -231,11 +244,10 @@ class TestWarmStart:
             for j in root.s:
                 for side in (0.0, 1.0):
                     lower, upper = self._fixed(zeros, ones, j, side)
-                    pairs.append(self._warm_and_cold(
-                        inst, lower, upper, (root.basis, root.status)))
+                    pairs.append(self._warm_and_cold(inst, lower, upper, root))
             # three fixings down one path, each re-solved from its parent
             lower, upper = zeros, ones
-            x, start = root.x_star, (root.basis, root.status)
+            x, start = root.x_star, root
             for depth in range(3):
                 frac = support_partition(x)[2]
                 if frac.size == 0:
@@ -245,13 +257,99 @@ class TestWarmStart:
                 pairs.append(pair)
                 if pair is None:
                     break
-                x, start = pair[0].x, (pair[0].basis, pair[0].status)
+                x, start = pair[0].x, pair[0]
             for warm, cold in filter(None, pairs):
                 pivots["warm"] += warm.pivots
                 pivots["cold"] += cold.pivots
                 solves += 1
         assert solves >= 100
         assert pivots["warm"] <= pivots["cold"]
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_warm_and_cold_agree_on_random_boxes(self, data):
+        # entries on a quarter grid, so zeros, ties and degenerate vertices
+        # come up; fixings of any variables keep the root basis dual feasible
+        m = data.draw(st.integers(1, 4), label="m")
+        n = data.draw(st.integers(3, 12), label="n")
+        grid = st.integers(-8, 8).map(lambda v: v / 4.0)
+        a = np.array(data.draw(st.lists(grid, min_size=m * n, max_size=m * n),
+                               label="A")).reshape(m, n)
+        b = np.array(data.draw(st.lists(grid, min_size=m, max_size=m), label="b"))
+        c = np.array(data.draw(st.lists(grid, min_size=n, max_size=n), label="c"))
+        inst = make_instance(a, b + 1.0, c)
+        fixings = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.sampled_from((0.0, 1.0))),
+            min_size=1, max_size=3), label="fixings")
+        lower, upper = np.zeros(n), np.ones(n)
+        try:
+            root = solve_box_lp(inst.A, inst.b, inst.c)
+        except InfeasibleError:
+            return
+        self._check_inverse(root)
+        for j, side in fixings:
+            lower, upper = self._fixed(lower, upper, j, side)
+        self._warm_and_cold(inst, lower, upper, root)
+
+    def test_drifted_inverse_is_refactorized(self, monkeypatch):
+        # every entry of the parent's inverse off by 1e-3: the exit checks
+        # must catch it, refactorize, and still reach the cold optimum
+        refactors = []
+        refactor = lp._Simplex._refactor
+
+        def counted(core):
+            refactors.append(core.pivots)
+            refactor(core)
+
+        monkeypatch.setattr(lp._Simplex, "_refactor", counted)
+        solves = 0
+        for i in range(16):
+            inst = self._instance(i)
+            root = solve_lp(inst)
+            drifted = dataclasses.replace(root, binv=root.binv + 1e-3)
+            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            for j in root.s:
+                for side in (0.0, 1.0):
+                    lower, upper = self._fixed(zeros, ones, j, side)
+                    solves += self._warm_and_cold(inst, lower, upper, drifted) is not None
+        assert solves >= 30 and refactors
+
+    def test_siblings_start_from_one_unchanged_parent(self):
+        # side 0 then side 1 from one parent result, as in the tree: side 1
+        # matches side 1 solved from an untouched copy, bit for bit
+        def state(res):
+            return (res.x, res.y, res.value, res.pivots, res.basis,
+                    res.status, res.binv)
+
+        moved = 0
+        for i in range(16):
+            inst = self._instance(i)
+            parent, alone = solve_lp(inst), solve_lp(inst)
+            binv, status = parent.binv.copy(), parent.status.copy()
+            for j in parent.s:
+                boxes = [self._fixed(np.zeros(inst.n), np.ones(inst.n), j, side)
+                         for side in (0.0, 1.0)]
+                try:
+                    first = solve_box_lp(inst.A, inst.b, inst.c, *boxes[0],
+                                         warm_start=parent)
+                    moved += first.pivots > 0
+                except InfeasibleError:
+                    pass
+                try:
+                    expected = state(solve_box_lp(inst.A, inst.b, inst.c,
+                                                  *boxes[1], warm_start=alone))
+                except InfeasibleError:
+                    with pytest.raises(InfeasibleError):
+                        solve_box_lp(inst.A, inst.b, inst.c, *boxes[1],
+                                     warm_start=parent)
+                    continue
+                got = state(solve_box_lp(inst.A, inst.b, inst.c, *boxes[1],
+                                         warm_start=parent))
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g, e)
+            assert np.array_equal(parent.binv, binv)
+            assert np.array_equal(parent.status, status)
+        assert moved >= 10
 
     def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
         # row 0 at -0.3 n: with x_21 at 1 no point of the box fits it
@@ -268,7 +366,7 @@ class TestWarmStart:
         monkeypatch.setattr(lp._Simplex, "dual_run", recorded)
         with pytest.raises(InfeasibleError) as exc_info:
             solve_box_lp(inst.A, inst.b, inst.c, lower, upper,
-                         warm_start=(root.basis, root.status))
+                         warm_start=root)
         # a violated row with no entering candidate: dual_run returns the
         # Farkas vector that is raised
         u = exc_info.value.farkas_u
@@ -283,8 +381,10 @@ class TestWarmStart:
         # (primal pivots)
         m, n = 3, 60
         inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
-        start = (np.arange(n, n + m),
-                 np.array([1] * n + [2] * m, dtype=np.int8))
+        start = SimpleNamespace(
+            basis=np.arange(n, n + m),
+            status=np.array([1] * n + [2] * m, dtype=np.int8),
+            binv=np.eye(m), system=np.hstack([inst.A, np.eye(m)]))
         dual_pivots = []
         dual_run = lp._Simplex.dual_run
 
