@@ -68,8 +68,13 @@ def branch_variable(x: np.ndarray) -> int:
     frac = support_partition(x)[2]
     if frac.size == 0:
         raise ValueError("node LP is integral; nothing to branch on")
-    scores = np.abs(x[frac] - 0.5)
-    return int(frac[np.argmin(scores)])
+    return _most_fractional(x, frac)
+
+
+def _most_fractional(x: np.ndarray, frac: np.ndarray) -> int:
+    """The entry of the fractional indices `frac` of x closest to 1/2,
+    ties resolved by lowest index."""
+    return int(frac[np.argmin(np.abs(x[frac] - 0.5))])
 
 
 def solve_ip(
@@ -121,7 +126,8 @@ def solve_ip(
         if inc_value is not None and bound <= inc_value + PRUNE_TOL:
             break  # the queue is sorted, every remaining node is dominated
         nodes_expanded += 1
-        if support_partition(x)[2].size == 0:
+        frac = support_partition(x)[2]
+        if frac.size == 0:
             xi = np.round(x)
             val = float(c @ xi)
             if np.any(a @ xi > b + 1e-7):
@@ -130,7 +136,7 @@ def solve_ip(
                 inc_value, inc_x = val, xi
             continue
 
-        j = branch_variable(x)
+        j = _most_fractional(x, frac)
         for side in (0, 1):
             hit_limit = nodes_created >= node_limit
             if hit_limit:

@@ -2,17 +2,18 @@
 
 Given ak columns in R^m, a target D, and a tolerance theta, find a k-subset
 K with || sum_{j in K} Y_j - D ||_inf <= theta.  Small universes are solved
-exactly by split-half enumeration (Horowitz-Sahni): subset sums of the two
-halves of the pool meet in outer sums, so every k-subset is scored once
-without building it, and the minimum-deviation subset is returned with
-ties going to the lexicographically first one; the rounding pipeline
-uses only this search.  A randomized swap local search, bounded by the
-exact oracle on small instances, serves the Monte Carlo driver above the
-exact budget; that driver estimates the success probability of the whole
-selection problem under Gaussian or uniform+Gaussian-mixture column laws.
+exactly, and the minimum-deviation subset is returned with ties going to
+the lexicographically first one; the rounding pipeline uses only this
+search.  It splits the pool in half (Horowitz-Sahni) and joins the subset
+sums of the halves in a band: sorted on one coordinate, only the pairs
+whose sum on it is within a bound on the minimum score are scored.  A
+randomized swap local search, bounded by the exact oracle on small
+instances, serves the Monte Carlo driver above the exact budget; that
+driver estimates the success probability of the whole selection problem
+under Gaussian or uniform+Gaussian-mixture column laws.
 
 EXACT_ENUM_BUDGET caps the exact search at C(count, k) subsets.  It is
-independent of the enumeration's speed on purpose: it sets
+independent of the search's speed on purpose: it sets
 rounding.exact_pool_k_cap and with it the default k of the rounding
 pipeline, which the frozen calibrations assume.  Raising it belongs in a
 change that recalibrates those openly.
@@ -45,6 +46,8 @@ __all__ = [
 EXACT_ENUM_BUDGET = 2_000_000
 SIDEWAYS_PROB = 0.1   # chance of taking the best swap when it does not improve
 _ENUM_CHUNK = 32768
+_DIRECT_MAX = 1024  # pools up to this many subsets skip the band join
+_EPS64 = np.finfo(np.float64).eps
 
 
 class ExactBudgetError(ValueError):
@@ -69,6 +72,8 @@ class DiscInstance:
             raise ValueError(f"theta must be finite and positive, got {self.theta!r}")
         if not np.all(np.isfinite(self.target)):
             raise ValueError("target contains non-finite entries")
+        if not np.all(np.isfinite(self.columns)):
+            raise ValueError("columns contain non-finite entries")
         if not 1 <= self.k <= self.columns.shape[1]:
             raise ValueError("k must lie in [1, number of columns]")
 
@@ -79,12 +84,17 @@ class DiscInstance:
 
 @dataclass(frozen=True)
 class DiscOutcome:
-    """Best subset examined; `found` means its deviation is within theta."""
+    """Best subset examined; `found` means its deviation is within theta.
+
+    `scored` is the number of split-half pairs disc_exact scored (0 for the
+    local search); `evaluations` the subsets the search decided between.
+    """
 
     found: bool
     subset: tuple[int, ...]
     deviation: float
     evaluations: int
+    scored: int = 0
 
 
 def fits_exact_budget(count: int, k: int) -> bool:
@@ -95,65 +105,57 @@ def fits_exact_budget(count: int, k: int) -> bool:
 
 @lru_cache(maxsize=8)
 def _split_plan(count: int, k: int):
-    """Subset table and slabs of the split-half enumeration of C(count, k).
+    """Subset table and size-pair blocks of the split-half enumeration of
+    C(count, k).
 
-    Row r of `table` holds one subset of a half as k + 1 column indices
-    into [columns | 0 | -target].  A left size-j subset fills slots
-    0..j-1; a right subset of size k-j fills slots j..k-1 and points slot k
-    at -target; every other slot points at the zero column, index count.
-    So a row sum is the subset sum (minus the target on the right), and
-    the elementwise minimum of a left and a right row's first k slots is
-    their union in lexicographic order.  Rows run lexicographically within
-    each (half, size) block.  Slab (r0, r1, c0, c1) pairs left rows
-    r0..r1-1 with right rows c0..c1-1 of one size pair j, k-j: at most
-    _ENUM_CHUNK * k pairs, with rows and pairs in lexicographic order.
+    Column r of `table` holds one subset of a half as k + 1 indices into
+    [columns | 0 | -target], one per slot (row).  A left size-j subset
+    fills slots 0..j-1; a right subset of size k-j fills slots j..k-1 and
+    points slot k at -target; every other slot points at the zero column,
+    index count.  So a column's sum is the subset sum (minus the target on
+    the right), and the elementwise minimum of a left and a right column's
+    first k slots is their union in lexicographic order.  Columns run
+    lexicographically within each (half, size) block.  Block
+    (l0, l1, r0, r1) pairs the left columns l0..l1-1 of size j with the
+    right columns r0..r1-1 of size k-j: the k-subsets with j members in
+    the left half.  Blocks run from the most pairs to the fewest.
     """
     h = count // 2
     sizes = range(max(0, k - (count - h)), min(k, h) + 1)
-    blocks = [(range(h), j, 0) for j in sizes]
-    blocks += [(range(h, count), k - j, j) for j in sizes]
-    starts = np.cumsum([0] + [math.comb(len(items), size) for items, size, _ in blocks])
-    table = np.full((starts[-1], k + 1), count, dtype=np.intp)
-    table[starts[len(sizes)] :, k] = count + 1
-    for (items, size, slot), lo, hi in zip(blocks, starts[:-1], starts[1:]):
-        table[lo:hi, slot : slot + size] = np.fromiter(
+    halves = [(range(h), j, 0) for j in sizes]
+    halves += [(range(h, count), k - j, j) for j in sizes]
+    starts = np.cumsum([0] + [math.comb(len(items), size) for items, size, _ in halves])
+    table = np.full((k + 1, starts[-1]), count, dtype=np.intp)
+    table[k, starts[len(sizes)] :] = count + 1
+    for (items, size, slot), lo, hi in zip(halves, starts[:-1], starts[1:]):
+        table[slot : slot + size, lo:hi] = np.fromiter(
             chain.from_iterable(combinations(items, size)),
             dtype=np.intp,
             count=(hi - lo) * size,
-        ).reshape(hi - lo, size)
+        ).reshape(hi - lo, size).T
     table.flags.writeable = False
-    starts = starts.tolist()
-    cap = _ENUM_CHUNK * k
-    slabs = []
-    for b in range(len(sizes)):
-        l0, l1 = starts[b], starts[b + 1]
-        r0, r1 = starts[len(sizes) + b], starts[len(sizes) + b + 1]
-        cstep = min(r1 - r0, cap)
-        rstep = max(1, cap // cstep)
-        slabs.extend(
-            (a, min(a + rstep, l1), c, min(c + cstep, r1))
-            for a in range(l0, l1, rstep)
-            for c in range(r0, r1, cstep)
-        )
-    return table, tuple(slabs)
+    s, b = starts.tolist(), len(sizes)
+    blocks = [(s[i], s[i + 1], s[b + i], s[b + i + 1]) for i in range(b)]
+    blocks.sort(key=lambda lr: (lr[1] - lr[0]) * (lr[3] - lr[2]), reverse=True)
+    return table, tuple(blocks)
+
+
+@lru_cache(maxsize=8)
+def _all_subsets(count: int, k: int) -> np.ndarray:
+    """Every k-subset of range(count), one per row, in lexicographic order."""
+    subsets = np.array(list(combinations(range(count), k)), dtype=np.intp)
+    subsets.flags.writeable = False
+    return subsets
 
 
 def disc_exact(instance: DiscInstance) -> DiscOutcome:
-    """Score every k-subset and return the minimum-deviation one.
+    """Minimum-deviation k-subset, ties going to the lexicographically
+    first: what scoring every combinations() tuple in order returns.
 
-    Split-half enumeration (Horowitz-Sahni): the pool splits into columns
-    [0, h) and [h, count).  For each left size j, the sums of the size-j
-    left subsets meet the sums of the size-(k-j) right subsets minus the
-    target in an outer sum, one coordinate at a time, keeping the running
-    maximum of absolute values; slabs hold at most _ENUM_CHUNK * k pairs.
-    Every k-subset is scored exactly once, so `evaluations` is C(count, k).
-
-    A split-half score differs from the direct score
-    |cols[:, subset].sum() - target|_inf by rounding only.  The subsets
-    within a rounding bound of the smallest split-half score are scored
-    again directly, and the minimum direct score wins, ties going to the
-    lexicographically first subset.  Subset, deviation and verdict are
-    therefore those of scoring every combinations() tuple in order.
+    Pools of at most _DIRECT_MAX subsets, too small to repay the band
+    join's fixed cost, are scored that way.  Larger ones go through
+    _band_join, and `scored` counts the pairs of half sums it scored.
+    `evaluations` is C(count, k), the subsets the search decides between.
 
     Refuses instances with more than EXACT_ENUM_BUDGET subsets; the
     module docstring says why that budget stays fixed.
@@ -164,74 +166,157 @@ def disc_exact(instance: DiscInstance) -> DiscOutcome:
         raise ExactBudgetError(
             f"{total} subsets exceed the exact budget of {EXACT_ENUM_BUDGET}"
         )
+    if total <= _DIRECT_MAX:
+        (best_dev, best_subset), scored = _fold(instance, _all_subsets(count, k)), 0
+    else:
+        (best_dev, best_subset), scored = _band_join(instance)
+    return DiscOutcome(
+        found=best_dev <= instance.theta,
+        subset=best_subset,
+        deviation=best_dev,
+        evaluations=total,
+        scored=scored,
+    )
+
+
+def _band_join(instance: DiscInstance):
+    """((deviation, subset), pairs scored) of the split-half band join.
+
+    The pool splits into columns [0, h) and [h, count), and a k-subset
+    with j members on the left is a pair of a size-j left sum l and a
+    size-(k-j) right sum r minus the target, with split-half score
+    max_i |l_i + r_i|.  The right sums of each size pair are sorted on
+    coordinate 0.  In the largest size pair each left sum is scored with
+    its two nearest right sums on that coordinate (the probes), which
+    bounds the minimum score.  A pair within tol of the minimum has
+    |l_0 + r_0| <= near + tol, near being the smallest score so far, and
+    for each left sum those pairs are one run of the sorted right sums,
+    its band, found by searchsorted.  The largest size pair's bands, which
+    hold its probes, are scored first, and the scores found there narrow
+    the bands of the other size pairs.  Only bands are scored, at most
+    _ENUM_CHUNK * k pairs at a time.
+
+    A split-half score differs from the direct score
+    |cols[:, subset].sum() - target|_inf by rounding only.  The subsets
+    within a rounding bound of the smallest split-half score are scored
+    again directly, and the minimum direct score wins, so the result is
+    that of direct scoring.
+    """
+    count, k = instance.count, instance.k
     m = instance.columns.shape[0]
-    table, slabs = _split_plan(count, k)
+    table, blocks = _split_plan(count, k)
     ext = np.zeros((m, count + 2))
     ext[:, :count] = instance.columns
     np.negative(instance.target, out=ext[:, -1])
-    sums = np.empty((m, table.shape[0]))
-    for r0 in range(0, table.shape[0], _ENUM_CHUNK):
-        part = table[r0 : r0 + _ENUM_CHUNK]
-        np.add.reduce(ext[:, part], axis=2, out=sums[:, r0 : r0 + part.shape[0]])
+    sums = np.take(ext, table[0], axis=1)
+    for slot in table[1:]:
+        sums += np.take(ext, slot, axis=1)
     # the two scores of a subset add at most k + 1 terms bounded by max|ext|
     # in different orders, rounding at most to the columns' precision, so
     # they differ by less than tol / 4; the window needs tol / 2 to hold
     # the direct minimum and all its ties
     eps = np.finfo(np.result_type(instance.columns, 1.0)).eps
     tol = 4.0 * (k + 1) ** 2 * eps * np.abs(ext).max()
-    near = np.inf  # smallest split-half score so far
-    kept = []  # (lowest score, scores, slab) of slabs that may hold the minimum
-    kept_size = 0
+
+    order = np.concatenate([r0 + np.argsort(sums[0, r0:r1]) for _, _, r0, r1 in blocks])
+    right = np.take(sums, order, axis=1)
+    # size pair b owns positions starts[b]..starts[b + 1] - 1 of `right`
+    starts = np.cumsum([0] + [r1 - r0 for _, _, r0, r1 in blocks]).tolist()
+    probe = np.arange(blocks[0][0], blocks[0][1])  # left sums of the largest size pair
+    pos = np.searchsorted(right[0, : starts[1]], -sums[0, probe])
+    below, above = np.maximum(pos - 1, 0), np.minimum(pos, starts[1] - 1)
+    near = min(_scores(sums, right, probe, p).min() for p in (below, above))
+
+    slack = 4.0 * _EPS64 * np.abs(sums[0]).max()
+    cap = _ENUM_CHUNK * k
+    kept = []  # (scores, left, right) table columns of pairs that may hold the minimum
+    kept_size = scored = 0
     best = (np.inf, ())
-    for slab in slabs:
-        a, b, c, d = slab
-        dev = np.add.outer(sums[0, a:b], sums[0, c:d])
-        np.abs(dev, out=dev)
-        if m > 1:
-            row = np.empty_like(dev)
-            for i in range(1, m):
-                np.add.outer(sums[i, a:b], sums[i, c:d], out=row)
-                np.abs(row, out=row)
-                np.maximum(dev, row, out=dev)
-        low = dev.min()
-        if low > near + tol:
-            continue
-        near = min(near, low)
-        kept.append((low, dev, slab))
-        kept_size += dev.size
-        if kept_size > _ENUM_CHUNK * k:
-            best = _rescore(instance, table, kept, near + tol, best)
-            kept, kept_size = [], 0
-    best_dev, best_subset = _rescore(instance, table, kept, near + tol, best)
-    return DiscOutcome(
-        found=best_dev <= instance.theta,
-        subset=best_subset,
-        deviation=best_dev,
-        evaluations=total,
-    )
+    # the scores found in the largest size pair's bands narrow the others'
+    for group in (range(1), range(1, len(blocks))):
+        if not group:
+            break
+        # |fl(l_0 + r_0)| <= s gives |l_0 + r_0| <= s (1 + eps64), and the
+        # keys -l_0 -/+ w, slack included, round to outside that interval
+        s = near + tol
+        w = s + slack + 4.0 * _EPS64 * s
+        rows, lo, hi = _band_edges(sums, right, blocks, starts, group, w)
+        if group.start == 0:  # lo <= pos <= hi: widen each band over its probes
+            lo, hi = np.minimum(lo, below), np.maximum(hi, above + 1)
+        ends = np.cumsum(hi - lo)  # left sum r owns the band slots up to ends[r]
+        band = int(ends[-1])
+        scored += band
+        shift = hi - ends  # right position of a slot minus the slot
+        for t0 in range(0, band, cap):
+            t = np.arange(t0, min(t0 + cap, band))
+            r = np.searchsorted(ends, t, side="right")
+            cols = t + shift[r]
+            dev = _scores(sums, right, rows[r], cols)
+            near = min(near, dev.min())
+            hit = np.flatnonzero(dev <= near + tol)
+            kept.append((dev[hit], rows[r[hit]], order[cols[hit]]))
+            kept_size += hit.size
+            if kept_size > cap:
+                best = _rescore(instance, table, kept, near + tol, best)
+                kept, kept_size = [], 0
+    return _rescore(instance, table, kept, near + tol, best), scored
+
+
+def _band_edges(sums, right, blocks, starts, group, w):
+    """Left table columns of the size pairs in `group`, and for each its
+    band lo..hi-1: the positions of `right` in its size pair whose
+    coordinate 0 lies within w of -l_0."""
+    rows, lo, hi = [], [], []
+    for b in group:
+        l0, l1, _, _ = blocks[b]
+        seg, key = right[0, starts[b] : starts[b + 1]], -sums[0, l0:l1]
+        rows.append(np.arange(l0, l1))
+        lo.append(starts[b] + np.searchsorted(seg, key - w, side="left"))
+        hi.append(starts[b] + np.searchsorted(seg, key + w, side="right"))
+    return np.concatenate(rows), np.concatenate(lo), np.concatenate(hi)
+
+
+def _scores(left, right, rows, cols):
+    """Split-half scores max_i |left[i, rows] + right[i, cols]|, one
+    coordinate at a time, so memory stays at a few floats per pair."""
+    dev = np.abs(left[0][rows] + right[0][cols])
+    for i in range(1, left.shape[0]):
+        np.maximum(dev, np.abs(left[i][rows] + right[i][cols]), out=dev)
+    return dev
 
 
 def _rescore(instance, table, kept, cutoff, best):
-    """Fold the kept slabs' subsets with split-half score <= cutoff into
-    `best`, a (deviation, subset) pair, by their direct score."""
+    """Fold the kept pairs with split-half score <= cutoff into `best` by
+    their direct score."""
+    k = instance.k
+    for dev, left, right in kept:
+        hit = dev <= cutoff
+        subsets = np.minimum(table[:k, left[hit]], table[:k, right[hit]]).T
+        best = _fold(instance, subsets, best)
+    return best
+
+
+def _fold(instance, subsets, best=(np.inf, ())):
+    """Fold the k-subsets in the rows of `subsets` into `best`, a
+    (deviation, subset) pair, by their direct score, ties going to the
+    lexicographically first subset."""
     cols = instance.columns
     target = instance.target[:, None]
-    k = instance.k
     best_dev, best_subset = best
-    for low, dev, (a, _, c, _) in kept:
-        if low > cutoff:
+    for s0 in range(0, subsets.shape[0], _ENUM_CHUNK):
+        chunk = subsets[s0 : s0 + _ENUM_CHUNK]
+        exact = np.abs(cols[:, chunk].sum(axis=2) - target).max(axis=0)
+        low = exact.min()
+        if low > best_dev:
             continue
-        hit_l, hit_r = np.nonzero(dev <= cutoff)
-        subsets = np.minimum(table[a + hit_l, :k], table[c + hit_r, :k])
-        for s0 in range(0, subsets.shape[0], _ENUM_CHUNK):
-            chunk = subsets[s0 : s0 + _ENUM_CHUNK]
-            exact = np.abs(cols[:, chunk].sum(axis=2) - target).max(axis=0)
-            i = int(exact.argmin())  # chunks and hits run in lexicographic order
-            if exact[i] > best_dev:
-                continue
-            subset = tuple(chunk[i].tolist())
-            if exact[i] < best_dev or subset < best_subset:
-                best_dev, best_subset = float(exact[i]), subset
+        ties = chunk[exact == low]
+        for c in range(ties.shape[1]):  # lexicographic minimum, one column at a time
+            if len(ties) == 1:
+                break
+            ties = ties[ties[:, c] == ties[:, c].min()]
+        subset = tuple(ties[0].tolist())
+        if low < best_dev or subset < best_subset:
+            best_dev, best_subset = float(low), subset
     return best_dev, best_subset
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from giplab import bnb
 from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
 from giplab.instance import BSpec, generate
 from giplab.lp import InfeasibleError, solve_lp
@@ -124,6 +125,21 @@ class TestBranchVariable:
     def test_integral_errors(self):
         with pytest.raises(ValueError):
             branch_variable(np.array([0.0, 1.0]))
+
+    def test_each_expanded_node_classified_once(self, monkeypatch):
+        # the integrality test and the branching rule share one support
+        # partition; TestFrozenTrees checks that the branching is unchanged
+        calls = []
+        partition = bnb.support_partition
+
+        def counted(x):
+            calls.append(x)
+            return partition(x)
+
+        monkeypatch.setattr(bnb, "support_partition", counted)
+        res = solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
+        assert res.status == "Optimal" and res.nodes_expanded > 5
+        assert len(calls) == res.nodes_expanded
 
 
 class TestHighsDifferential:

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from giplab import discrepancy
 from giplab.discrepancy import (
     EXACT_ENUM_BUDGET,
     DiscInstance,
@@ -50,6 +53,13 @@ class TestDiscExact:
         out = disc_exact(inst)
         assert not out.found
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_columns_refused(self, bad):
+        cols = np.ones((2, 6))
+        cols[1, 4] = bad
+        with pytest.raises(ValueError, match="columns"):
+            DiscInstance(columns=cols, target=np.zeros(2), theta=0.5, k=3)
+
     def test_budget_refused(self):
         cols = np.zeros((1, 60))
         with pytest.raises(ExactBudgetError):
@@ -83,11 +93,12 @@ def assert_matches_oracle(inst):
     assert out.deviation == deviation  # bit for bit
     assert out.found == found
     assert out.evaluations == evaluations
+    return out
 
 
 class TestDiscExactOracle:
-    """The split-half enumeration returns exactly what scoring every
-    combinations() tuple in order returns."""
+    """The exact search returns exactly what scoring every combinations()
+    tuple in order returns."""
 
     @pytest.mark.parametrize("seed", range(38))
     def test_random_pools(self, seed):
@@ -130,21 +141,78 @@ class TestDiscExactOracle:
 
     @pytest.mark.parametrize("m,count,k", [(2, 24, 8), (8, 36, 6), (3, 800, 2)])
     def test_full_size_pools(self, m, count, k):
-        # C(36,6) splits its largest block into row slabs and C(800,2) its
-        # j=0 block into column slabs
+        # C(800,2) pairs its one empty left subset with 79,800 right sums
         gen = np.random.default_rng(m * 1000 + count)
         cols = gen.standard_normal((m, count))
         target = gen.standard_normal(m)
         assert_matches_oracle(DiscInstance(cols, target, 0.3, k))
 
-    def test_all_subsets_tied(self):
-        # every subset ties, so the near-minimum set outgrows one slab
+    @staticmethod
+    def _record_scored_pairs(monkeypatch):
+        """Sizes of the batches of pairs the band join scores."""
+        sizes = []
+        scores = discrepancy._scores
+
+        def recorded(left, right, rows, cols):
+            sizes.append(rows.size)
+            return scores(left, right, rows, cols)
+
+        monkeypatch.setattr(discrepancy, "_scores", recorded)
+        return sizes
+
+    def test_all_subsets_tied(self, monkeypatch):
+        # every subset ties, so the band holds every pair; they are scored,
+        # and the near-minimum ones re-scored, a bounded chunk at a time
+        sizes = self._record_scored_pairs(monkeypatch)
         target = np.array([0.25, -0.5])
         out = disc_exact(DiscInstance(np.zeros((2, 24)), target, 0.1, 8))
         assert out.subset == tuple(range(8))
         assert out.deviation == 0.5
         assert not out.found
         assert out.evaluations == math.comb(24, 8)
+        assert out.scored == out.evaluations
+        assert max(sizes) <= discrepancy._ENUM_CHUNK * 8
+
+    def test_far_target_at_the_budget(self, monkeypatch):
+        # the rounding bound on a target of 1e15 exceeds the spread of the
+        # subset sums, so all C(24, 10) pairs lie in the band, and the
+        # C(12, 5)^2 pairs of the largest size pair take two chunks
+        sizes = self._record_scored_pairs(monkeypatch)
+        assert math.comb(24, 10) <= EXACT_ENUM_BUDGET < math.comb(25, 10)
+        cols = np.random.default_rng(24).standard_normal((2, 24))
+        inst = DiscInstance(cols, np.array([1e15, 0.5]), 0.5, 10)
+        out = assert_matches_oracle(inst)
+        assert out.scored == out.evaluations
+        cap = discrepancy._ENUM_CHUNK * 10
+        assert max(sizes) == cap < math.comb(12, 5) ** 2
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_on_random_pools(self, data):
+        m = data.draw(st.integers(1, 4), label="m")
+        # pools past _DIRECT_MAX subsets, which take the band join, need
+        # count >= 13 and k near count / 2, so half the draws are such
+        count = data.draw(st.integers(1, 16) | st.integers(13, 16), label="count")
+        k = data.draw(st.integers(1, count) | st.just(count // 2 + 1), label="k")
+        law = data.draw(st.sampled_from(["gaussian", "integer", "float32", "tenths32"]),
+                        label="law")
+        far = data.draw(st.sampled_from([0.0, 1e2, 1e8, 1e15]), label="far")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if law == "integer":  # few distinct sums, so exact ties
+            cols = gen.integers(-2, 3, size=(m, count)).astype(float)
+        elif law == "tenths32":  # ties on paper that float32 sums round apart
+            cols = (gen.integers(-3, 4, size=(m, count)) * 0.1).astype(np.float32)
+        else:
+            cols = gen.standard_normal((m, count)).astype(
+                np.float32 if law == "float32" else np.float64
+            )
+        # near: one subset's own sum, nudged; far: shifted past every sum
+        members = gen.choice(count, size=k, replace=False)
+        target = cols[:, members].sum(axis=1, dtype=float)
+        target += 0.05 * gen.standard_normal(m) + far * gen.choice([-1.0, 1.0], size=m)
+        theta = float(gen.uniform(0.01, 1.0))
+        out = assert_matches_oracle(DiscInstance(cols, target, theta, k))
+        assert out.scored <= out.evaluations == math.comb(count, k)
 
 
 class TestDiscSearch:

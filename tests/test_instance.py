@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from giplab.instance import (
     BSpec,
@@ -163,6 +165,50 @@ class TestSerialization:
             assert got.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert serialize(back) == data
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.data())
+    def test_roundtrip_bit_exact_on_random_documents(self, data):
+        # any finite double, -0.0, subnormals and magnitudes near the
+        # largest double included, in A, b and c and in the b recipe
+        edge = st.sampled_from(
+            [-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308]
+        )
+        values = st.floats(allow_nan=False, allow_infinity=False) | edge
+
+        def vector(size, label, elements=values):
+            drawn = data.draw(st.lists(elements, min_size=size, max_size=size), label=label)
+            return np.array(drawn, dtype=float)
+
+        m = data.draw(st.integers(1, 5), label="m")
+        n = data.draw(st.integers(1, 8), label="n")
+        kind = data.draw(st.sampled_from(BSpec._KINDS), label="b recipe")
+        if kind == "zeros":
+            spec, b = BSpec.zeros(), np.zeros(m)
+        elif kind == "gaussian":
+            spec, b = BSpec.gaussian(), vector(m, "b")
+        else:
+            # scaled_ones multiplies by n <= 8, so its values stay below
+            # 1e300 for b to be finite
+            bounded = st.floats(-1e300, 1e300) | edge.filter(lambda v: abs(v) <= 1e300)
+            beta = vector(m, "recipe values", bounded if kind == "scaled_ones" else values)
+            spec = BSpec(kind, tuple(beta.tolist()))
+            b = spec.build_b(m, n, None)
+        seed = data.draw(
+            st.none() | st.builds(lambda s, t: RngHandle(s, t).key,
+                                  st.integers(0, 2**64 - 1), st.integers(0, 2**32)),
+            label="seed",
+        )
+        inst = Instance(m=m, n=n, A=vector(m * n, "A").reshape(m, n), b=b,
+                        c=vector(n, "c"), meta=InstanceMeta(seed, spec.descriptor()))
+        doc = serialize(inst)
+        back = deserialize(doc)
+        assert (back.m, back.n, back.meta) == (m, n, inst.meta)
+        for name in ("A", "b", "c"):
+            got, want = getattr(back, name), getattr(inst, name)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        assert serialize(back) == doc
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_bytes_match_per_element_writer(self, dtype):
