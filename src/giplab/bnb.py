@@ -37,6 +37,7 @@ __all__ = [
     "solve_ip",
     "brute_force_ip",
     "ipgap",
+    "integrality_gap",
     "branch_variable",
 ]
 
@@ -210,7 +211,13 @@ def ipgap(instance: Instance, node_limit: int = 1_000_000) -> float:
         raise RuntimeError("node limit reached; exact gap unavailable")
     if res.status == "Infeasible":
         raise InfeasibleError("IP infeasible: no binary point satisfies A x <= b")
-    gap = lp_sol.value - res.opt_value
+    return integrality_gap(lp_sol.value, res.opt_value)
+
+
+def integrality_gap(lp_value: float, ip_value: float) -> float:
+    """lp_value - ip_value, clipped at zero against roundoff; a gap below
+    -1e-7 is more than roundoff and raises ArithmeticError."""
+    gap = lp_value - ip_value
     if gap < -1e-7:
         raise ArithmeticError(f"negative integrality gap {gap!r}")
     return max(gap, 0.0)

@@ -139,7 +139,7 @@ def _cmd_sweep(args) -> int:
     cfg = _read_config(args)
     records = args.sweep(cfg)
     if not cfg.out:
-        sys.stdout.write(experiments.records_to_csv(records, cfg.record_timings))
+        sys.stdout.write(experiments.records_to_csv(records))
     else:
         print(f"wrote {cfg.out}: {len(records)} rows")
     return 0

@@ -232,10 +232,9 @@ def _band_join(instance: DiscInstance):
     kept = []  # (scores, left, right) table columns of pairs that may hold the minimum
     kept_size = scored = 0
     best = (np.inf, ())
-    # the scores found in the largest size pair's bands narrow the others'
+    # the scores found in the largest size pair's bands narrow the others';
+    # a pool this large has k < count, which gives at least two size pairs
     for group in (range(1), range(1, len(blocks))):
-        if not group:
-            break
         # |fl(l_0 + r_0)| <= s gives |l_0 + r_0| <= s (1 + eps64), and the
         # keys -l_0 -/+ w, slack included, round to outside that interval
         s = near + tol

@@ -6,8 +6,9 @@ recomputed in isolation from the config alone.  Workers may run in parallel
 (GIPLAB_THREADS overrides the config), but rows are buffered and emitted in
 deterministic order, so parallel and serial runs produce identical files.
 
-Timing columns are written as zero unless the config opts in; real wall
-times would break byte-level reproducibility of re-runs.
+Rows are laid out by the frozen CSV_HEADER.  Its three timing columns are
+always written as zero; real wall times would break byte-level
+reproducibility of re-runs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -68,7 +68,6 @@ class SweepConfig:
     rounding: str = "auto"
     out: str | None = None
     parallelism: int | None = None
-    record_timings: bool = False
 
     def __post_init__(self):
         if not self.m_list or not self.n_list:
@@ -132,6 +131,16 @@ class SweepConfig:
         return out
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentRecord:
     """One CSV row; None fields render as empty cells."""
@@ -150,32 +159,13 @@ class ExperimentRecord:
     s: int | None = None
     round_ok: bool | None = None
     cert_gap: float | None = None
-    lp_ms: int = 0
-    ip_ms: int = 0
-    round_ms: int = 0
     status: str = "ok"
     knap_count: int | None = None   # tree sweeps only; side file
-    knap_bound: float | None = None
 
-    def to_csv_row(self, record_timings: bool = False) -> str:
-        def cell(v):
-            if v is None:
-                return ""
-            if isinstance(v, bool):
-                return "1" if v else "0"
-            if isinstance(v, float):
-                return repr(v)
-            return str(v)
-
-        ms = (self.lp_ms, self.ip_ms, self.round_ms) if record_timings else (0, 0, 0)
-        cells = [
-            cell(self.seed), cell(self.m), cell(self.n), self.bspec,
-            cell(self.lp_value), cell(self.ip_value), cell(self.ipgap),
-            cell(self.tree_size), cell(self.nodes_expanded), cell(self.u_norm),
-            cell(self.n0), cell(self.s), cell(self.round_ok), cell(self.cert_gap),
-            cell(ms[0]), cell(ms[1]), cell(ms[2]), self.status,
-        ]
-        return ",".join(cells)
+    def to_csv_row(self) -> str:
+        """The cells under CSV_HEADER; the timing columns, which are no
+        fields, read 0."""
+        return ",".join(_cell(getattr(self, key, 0)) for key in CSV_HEADER.split(","))
 
 
 def _cell_params(cfg: SweepConfig, m: int, n: int) -> rounding.RoundingParams:
@@ -187,29 +177,26 @@ def _cell_params(cfg: SweepConfig, m: int, n: int) -> rounding.RoundingParams:
 def run_trial(cfg: SweepConfig, stream: int, m: int, n: int,
               with_knapsack: bool = False) -> ExperimentRecord:
     """Solve one seeded trial; failures land in the status column."""
-    rec = dict(seed=stream, m=m, n=n, bspec=cfg.b_spec)
+    fields = {}
     try:
-        return _run_trial_body(cfg, stream, m, n, with_knapsack, rec)
+        status = _solve_trial(cfg, stream, m, n, with_knapsack, fields)
     except Exception as exc:  # never abort a sweep on one bad cell
-        return ExperimentRecord(
-            seed=stream, m=m, n=n, bspec=cfg.b_spec,
-            status=f"error:{type(exc).__name__}",
-        )
+        fields, status = {}, f"error:{type(exc).__name__}"
+    return ExperimentRecord(
+        seed=stream, m=m, n=n, bspec=cfg.b_spec, status=status, **fields
+    )
 
 
-def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
+def _solve_trial(cfg, stream, m, n, with_knapsack, rec) -> str:
+    """Fill `rec` with the trial's record fields and return its status."""
     handle = RngHandle(cfg.seed, stream)
-    b_spec = BSpec.parse(cfg.b_spec)
-    inst = generate(m, n, b_spec, handle)
-
-    t0 = time.perf_counter()
+    inst = generate(m, n, BSpec.parse(cfg.b_spec), handle)
     try:
         sol = lp.solve_lp(inst)
     except lp.InfeasibleError:
-        return ExperimentRecord(**rec, status="lp_infeasible")
+        return "lp_infeasible"
     except lp.IterationLimitError:
-        return ExperimentRecord(**rec, status="lp_iteration_limit")
-    rec["lp_ms"] = int(1000 * (time.perf_counter() - t0))
+        return "lp_iteration_limit"
     rec["lp_value"] = sol.value
     rec["u_norm"] = float(np.linalg.norm(sol.u_star))
     rec["n0"] = int(sol.n0.size)
@@ -218,14 +205,12 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
     status = "ok"
     exact_ip = n <= cfg.exact_ip_max_n
     if exact_ip:
-        t0 = time.perf_counter()
         res = bnb.solve_ip(inst, node_limit=cfg.node_limit, root=sol)
-        rec["ip_ms"] = int(1000 * (time.perf_counter() - t0))
         rec["tree_size"] = res.nodes_created
         rec["nodes_expanded"] = res.nodes_expanded
         if res.status == "Optimal":
             rec["ip_value"] = res.opt_value
-            rec["ipgap"] = max(sol.value - res.opt_value, 0.0)
+            rec["ipgap"] = bnb.integrality_gap(sol.value, res.opt_value)
         else:
             status = "NodeLimit" if res.status == "NodeLimit" else "ip_infeasible"
     else:
@@ -234,7 +219,6 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
     do_round = cfg.rounding == "always" or (cfg.rounding == "auto" and not exact_ip)
     if do_round:
         params = _cell_params(cfg, m, n)
-        t0 = time.perf_counter()
         try:
             cert = rounding.round_pipeline(inst, sol, params, handle.derive(9))
             rec["round_ok"] = cert.feasible
@@ -246,22 +230,15 @@ def _run_trial_body(cfg, stream, m, n, with_knapsack, rec) -> ExperimentRecord:
         except rounding.RoundingBoundNotMetError:
             rec["round_ok"] = False
             status = status if status != "ok" else "round_bound_not_met"
-        rec["round_ms"] = int(1000 * (time.perf_counter() - t0))
 
-    if with_knapsack and exact_ip and rec.get("ipgap") is not None:
+    if with_knapsack and rec.get("ipgap") is not None:
         try:
             kc = knapsack.reduced_cost_knapsack(sol, rec["ipgap"])
         except knapsack.CountBudgetError:
             pass  # the trial keeps its LP and IP fields, without a proxy row
         else:
             rec["knap_count"] = kc.count
-            rec["knap_bound"] = knapsack.expectation_bound(n, rec["ipgap"])
-
-    return ExperimentRecord(**rec, status=status)
-
-
-def _run_trial_star(args):
-    return run_trial(*args)
+    return status
 
 
 def _parallelism(cfg: SweepConfig) -> int:
@@ -279,25 +256,24 @@ def _parallelism(cfg: SweepConfig) -> int:
 
 
 def _run_sweep(cfg: SweepConfig, with_knapsack: bool) -> list[ExperimentRecord]:
-    trials = cfg.trials()
-    jobs = [(cfg, stream, m, n, with_knapsack) for (stream, m, n, _) in trials]
+    """Every trial's record in the deterministic trial order (map keeps
+    submission order); the CSV goes to cfg.out when it is set."""
+    jobs = [(cfg, stream, m, n, with_knapsack) for (stream, m, n, _) in cfg.trials()]
     workers = _parallelism(cfg)
     if workers <= 1 or len(jobs) <= 1:
-        records = [_run_trial_star(job) for job in jobs]
+        records = [run_trial(*job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_trial_star, jobs, chunksize=4))
-    # map preserves submission order, which is the deterministic trial order
+            records = list(pool.map(run_trial, *zip(*jobs), chunksize=4))
+    if cfg.out:
+        write_csv(records, cfg.out)
     return records
 
 
 def gap_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     """One record per (m, n, seed): LP value, exact gap where the IP budget
     allows, and the rounding certificate as a flagged upper bound beyond it."""
-    records = _run_sweep(cfg, with_knapsack=False)
-    if cfg.out:
-        write_csv(records, cfg.out, record_timings=cfg.record_timings)
-    return records
+    return _run_sweep(cfg, with_knapsack=False)
 
 
 def tree_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
@@ -306,16 +282,15 @@ def tree_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     `<out>.knap.csv` since the main header is fixed."""
     records = _run_sweep(cfg, with_knapsack=True)
     if cfg.out:
-        write_csv(records, cfg.out, record_timings=cfg.record_timings)
-        side = cfg.out + ".knap.csv"
-        with open(side, "w", encoding="utf-8") as fh:
+        with open(cfg.out + ".knap.csv", "w", encoding="utf-8") as fh:
             fh.write("seed,m,n,ipgap,tree_size,knap_count,envelope\n")
             for r in records:
                 if r.knap_count is None:
                     continue
+                envelope = knapsack.expectation_bound(r.n, r.ipgap)
                 fh.write(
                     f"{r.seed},{r.m},{r.n},{repr(r.ipgap)},{r.tree_size},"
-                    f"{r.knap_count},{repr(r.knap_bound)}\n"
+                    f"{r.knap_count},{repr(envelope)}\n"
                 )
     return records
 
@@ -367,10 +342,9 @@ def stats_check(
             counts["u_norm_le_bound"] += 1
         if sol.n0.size >= (1.0 - params.beta) * n - m:
             counts["n0_ge_beta_bound"] += 1
-        if u_norm <= 3.0:
-            counts["u_norm_le_3"] += 1
-        if sol.n0.size >= n / 500.0:
-            counts["n0_ge_n_over_500"] += 1
+        u_norm_ok, n0_ok = rounding.fixed_events(u_norm, sol.n0.size, n)
+        counts["u_norm_le_3"] += u_norm_ok
+        counts["n0_ge_n_over_500"] += n0_ok
     freq = {key: val / seeds for key, val in counts.items()}
     return {
         "m": m,
@@ -385,12 +359,12 @@ def stats_check(
     }
 
 
-def records_to_csv(records, record_timings: bool = False) -> str:
+def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
-    lines.extend(r.to_csv_row(record_timings) for r in records)
+    lines.extend(r.to_csv_row() for r in records)
     return "\n".join(lines) + "\n"
 
 
-def write_csv(records, path, record_timings: bool = False) -> None:
+def write_csv(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_csv(records, record_timings))
+        fh.write(records_to_csv(records))

@@ -44,6 +44,7 @@ __all__ = [
     "PoolTooSmallError",
     "RoundingBoundNotMetError",
     "exact_pool_k_cap",
+    "fixed_events",
     "randomized_round",
     "filter_reduced_costs",
     "round_pipeline",
@@ -202,9 +203,16 @@ def sigma_last(u_norm: float, delta: float, t: int) -> float:
     return math.sqrt(var)
 
 
+def fixed_events(u_norm: float, n0_size: int, n: int) -> tuple[bool, bool]:
+    """The fixed-constant events the pipeline conditions on:
+    ||u*|| <= 3 and |N0| >= n/500."""
+    return u_norm <= 3.0, n0_size >= n / 500.0
+
+
 def _event_flags(instance: Instance, lp_solution: LpSolution) -> dict[str, float]:
     n = instance.n
     u_norm = float(np.linalg.norm(lp_solution.u_star))
+    u_norm_ok, n0_ok = fixed_events(u_norm, lp_solution.n0.size, n)
     col_limit = 4.0 * math.sqrt(math.log(n)) + math.sqrt(instance.m)
     s_cols = lp_solution.s
     cols_ok = True
@@ -214,8 +222,8 @@ def _event_flags(instance: Instance, lp_solution: LpSolution) -> dict[str, float
         )
     return {
         "u_norm": u_norm,
-        "event_u_norm_ok": float(u_norm <= 3.0),
-        "event_n0_ok": float(lp_solution.n0.size >= n / 500.0),
+        "event_u_norm_ok": float(u_norm_ok),
+        "event_n0_ok": float(n0_ok),
         "event_cols_ok": float(cols_ok),
     }
 

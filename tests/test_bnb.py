@@ -243,6 +243,12 @@ class TestIpGap:
         solve_ip(inst)  # without a root, solve_ip solves its own
         assert len(solve_lp_calls) == 2
 
+    def test_integrality_gap_clips_roundoff_only(self):
+        assert bnb.integrality_gap(2.5, 2.0) == 0.5
+        assert bnb.integrality_gap(2.0, 2.0 + 1e-9) == 0.0
+        with pytest.raises(ArithmeticError, match="negative integrality gap"):
+            bnb.integrality_gap(2.0, 2.0 + 1e-6)
+
     def test_gap_nonnegative(self):
         for s in range(20):
             inst = generate(2, 12, BSpec.zeros(), RngHandle(900 + s))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from giplab.cli import run_cli
@@ -59,6 +60,36 @@ class TestGenLpIp:
         out = capsys.readouterr().out
         assert "status: Optimal" in out
         assert "nodes_created:" in out
+
+    def test_lp_infeasible_prints_farkas_vector(self, tmp_path, capsys):
+        from giplab.instance import read_instance
+        from giplab.lp import InfeasibleError, solve_lp
+
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", "2", "--n", "5", "--b", "explicit:-100,-100",
+            "--seed", "3", "--out", path)
+        capsys.readouterr()
+        assert cli("lp", path) == 0
+        out = capsys.readouterr().out.splitlines()
+        with pytest.raises(InfeasibleError) as info:
+            solve_lp(read_instance(path))
+        farkas = " ".join(repr(float(v)) for v in info.value.farkas_u)
+        assert out == ["status: infeasible", f"farkas_u: {farkas}"]
+
+    def test_ip_node_limit_prints_bracket(self, tmp_path, capsys):
+        from giplab.bnb import solve_ip
+        from giplab.instance import read_instance
+
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", "2", "--n", "30", "--b", "zeros",
+            "--seed", "1", "--out", path)
+        capsys.readouterr()
+        assert cli("ip", path, "--node-limit", "1") == 0
+        out = capsys.readouterr().out.splitlines()
+        res = solve_ip(read_instance(path), node_limit=1)
+        assert res.status == "NodeLimit" and res.best_bound is not None
+        assert out[0] == "status: NodeLimit"
+        assert f"best_bound: {res.best_bound!r}" in out
 
     def test_missing_file_exits_one(self, capsys):
         assert cli("ip", "missing.gip") == 1
@@ -125,6 +156,26 @@ class TestRound:
         assert "feasible:" in out and "certified_gap:" in out
         assert "pool_index_used:" in out
 
+    def test_round_full_x_prints_the_rounded_point(self, tmp_path, capsys):
+        from giplab.instance import read_instance
+        from giplab.lp import solve_lp
+        from giplab.rng import RngHandle
+        from giplab.rounding import RoundingParams, round_pipeline
+
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", "2", "--n", "400", "--b", "zeros",
+            "--seed", "42", "--out", path)
+        capsys.readouterr()
+        assert cli("round", path, "--seed", "7") == 0
+        short = capsys.readouterr().out
+        assert cli("round", path, "--seed", "7", "--full-x") == 0
+        out = capsys.readouterr().out
+        inst = read_instance(path)
+        cert = round_pipeline(inst, solve_lp(inst),
+                              RoundingParams.defaults(inst.m, inst.n), RngHandle(7))
+        ones = " ".join(str(i) for i in np.flatnonzero(cert.x_double_prime > 0.5))
+        assert out == short + f"x_ones: {ones}\n"
+
     def test_round_pool_too_small_exits_two(self, tmp_path, capsys):
         path = str(tmp_path / "a.gip")
         cli("gen", "--m", "2", "--n", "40", "--b", "zeros",
@@ -150,6 +201,20 @@ class TestSweepCli:
         text = (tmp_path / "s.csv").read_text()
         assert text.splitlines()[0].startswith("seed,m,n,bspec")
         assert len(text.splitlines()) == 4
+
+    def test_gap_sweep_without_out_writes_csv_to_stdout(self, tmp_path, capsys):
+        cfg = dict(
+            m_list=[2], n_list=[12, 24], seeds_per_cell=2, seed=5,
+            b_spec="gaussian", rounding="always", parallelism=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert cli("gap-sweep", "--config", str(cfg_path)) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / "s.csv"
+        assert cli("gap-sweep", "--config", str(cfg_path), "--out", str(path)) == 0
+        assert out == path.read_text()
+        assert len(out.splitlines()) == 5
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -208,6 +273,15 @@ class TestMonteCarloCommands:
         cells = out[1].split(",")
         assert cells[0] == "1" and cells[1] == "2" and cells[2] == "2"
         assert cells[8] == "exact"
+
+    def test_disc_mc_reports_search_mode_above_the_budget(self, capsys, monkeypatch):
+        from giplab import discrepancy
+
+        monkeypatch.setattr(discrepancy, "EXACT_ENUM_BUDGET", 5)  # C(4, 2) = 6
+        assert cli("disc-mc", "--m", "1", "--k", "2", "--trials", "100",
+                   "--seed", "3") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split(",")[8] == "search"
 
     def test_knap_mc_row(self, capsys):
         assert cli("knap-mc", "--n", "10", "--g", "0.5", "--trials", "100",

@@ -215,6 +215,17 @@ class TestDiscExactOracle:
         assert out.scored <= out.evaluations == math.comb(count, k)
 
 
+def test_split_plan_pairs_every_proper_subset_size():
+    # _band_join scores the largest size pair, then all the others: every
+    # pool it sees (k < count) must give at least two size pairs
+    for count in range(2, 25):
+        for k in range(1, count):
+            table, blocks = discrepancy._split_plan(count, k)
+            assert len(blocks) >= 2
+            assert sum((l1 - l0) * (r1 - r0) for l0, l1, r0, r1 in blocks) == math.comb(count, k)
+    assert len(discrepancy._split_plan(6, 6)[1]) == 1
+
+
 class TestDiscSearch:
     @pytest.mark.parametrize("seed", range(15))
     def test_never_beats_exact(self, seed):
@@ -299,6 +310,24 @@ class TestSuccessMc:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             disc_success_mc(1, 2, "gaussian", np.zeros(1), 50, RngHandle(1))
+
+    def test_local_search_above_the_budget(self, monkeypatch):
+        # m=1, k=2 draws C(4, 2) = 6 subsets; a budget of 5 sends every trial
+        # to the local search, which scores the same columns as the exact
+        # search, so it can succeed only where the exact search does
+        exact_rate, _ = disc_success_mc(1, 2, "gaussian", np.zeros(1), 100, RngHandle(81))
+        calls = []
+        search = discrepancy.disc_search
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(discrepancy, "EXACT_ENUM_BUDGET", 5)
+        monkeypatch.setattr(discrepancy, "disc_search", counted)
+        search_rate, _ = disc_success_mc(1, 2, "gaussian", np.zeros(1), 100, RngHandle(81))
+        assert len(calls) == 100
+        assert 0.0 < search_rate <= exact_rate
 
 
 class TestExpectedSuccessCalibration:

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from giplab import bnb, rounding
 from giplab.experiments import (
     CSV_HEADER,
     ExperimentRecord,
@@ -45,10 +49,18 @@ class TestSweepConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig.from_json('{"m_list": [1], "n_list": [5], "bogus": 3}')
-        with pytest.raises(ValueError, match="max_restarts"):
-            SweepConfig.from_json(
-                '{"m_list": [1], "n_list": [5], "max_restarts": 50}'
-            )
+        for key, value in (("max_restarts", "50"), ("record_timings", "false")):
+            with pytest.raises(ValueError, match=key):
+                SweepConfig.from_json(
+                    f'{{"m_list": [1], "n_list": [5], "{key}": {value}}}'
+                )
+
+    def test_readme_config_loads(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        cfg = SweepConfig.from_json(blocks[0])
+        assert cfg.m_list == (2,) and cfg.out == "sweep.csv"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -112,6 +124,29 @@ class TestRunTrial:
         assert rec.ip_value is None
         if rec.round_ok:
             assert rec.cert_gap is not None and rec.cert_gap >= -1e-7
+
+    @pytest.mark.parametrize("excess, status", [(1e-9, "ok"), (1e-6, "error:ArithmeticError")])
+    def test_negative_gap_rule(self, monkeypatch, excess, status):
+        # an IP value above the LP value by roundoff clips to a zero gap; by
+        # more than 1e-7 it is an error, as in bnb.ipgap
+        solve_ip = bnb.solve_ip
+
+        def inflated(instance, **kwargs):
+            res = solve_ip(instance, **kwargs)
+            root = kwargs["root"]
+            return dataclasses.replace(res, opt_value=root.value + excess)
+
+        monkeypatch.setattr(bnb, "solve_ip", inflated)
+        rec = run_trial(small_config(), 1, 2, 12)
+        assert rec.status == status
+        if status == "ok":
+            assert rec.ipgap == 0.0
+        else:
+            # a failed trial keeps no field but its identity and status
+            cells = ["1", "2", "12", "zeros"] + [""] * 10 + ["0"] * 3 + [status]
+            assert rec.to_csv_row() == ",".join(cells)
+            with pytest.raises(ArithmeticError, match="negative integrality gap"):
+                ipgap(generate(2, 12, BSpec.zeros(), RngHandle(11, 1)))
 
 
 class TestSweeps:
@@ -213,7 +248,7 @@ class TestSweeps:
         capped = tree_sweep(cfg)
         starved = capped[2]
         assert starved.status == "ok"
-        assert starved.knap_count is None and starved.knap_bound is None
+        assert starved.knap_count is None
         assert starved.ip_value == full[2].ip_value
         assert starved.tree_size == full[2].tree_size
         assert starved.to_csv_row() == full[2].to_csv_row()
@@ -244,6 +279,11 @@ class TestSweeps:
 
 
 class TestStatsCheck:
+    def test_fixed_events_come_from_rounding(self, monkeypatch):
+        monkeypatch.setattr(rounding, "fixed_events", lambda *args: (False, True))
+        freqs = stats_check(m=2, n=60, seeds=4, master_seed=4)["frequencies"]
+        assert freqs["u_norm_le_3"] == 0.0 and freqs["n0_ge_n_over_500"] == 1.0
+
     def test_zero_b_alpha(self):
         summary = stats_check(m=2, n=80, seeds=30, master_seed=3)
         assert summary["alpha_mean"] == pytest.approx(
@@ -272,6 +312,12 @@ class TestRecordCsv:
         row = rec.to_csv_row()
         assert row.startswith("1,2,10,zeros,")
         assert ",," in row
+
+    def test_header_columns_are_fields_or_timings(self):
+        fields = {f.name for f in dataclasses.fields(ExperimentRecord)}
+        columns = CSV_HEADER.split(",")
+        assert [c for c in columns if c not in fields] == ["lp_ms", "ip_ms", "round_ms"]
+        assert fields - set(columns) == {"knap_count"}
 
     def test_header_is_frozen(self):
         assert CSV_HEADER == (
