@@ -4,11 +4,12 @@ The open list is a max-priority queue on the node LP value (ties broken by
 insertion order), so the sequence of processed bounds is non-increasing;
 this is asserted on every solve.  Child LPs are solved at creation time
 under the parent's bounds with the branched variable fixed.  An open node
-is its bound, its variable bounds, its LP point and the result of its LP,
-which holds the final basis, status and basis inverse; each child
+is its bound, its variable bounds and the `LpSolution` of its LP, which
+holds its point and the final basis, status and basis inverse; each child
 re-solves from that state by dual simplex, since fixing the branched
-basic variable leaves the basis dual feasible.  Every LP of one tree runs
-on the [A | I] system of the root solve.
+basic variable leaves the basis dual feasible.  A node's support
+partition is computed when it is expanded, once.  Every LP of one tree
+runs on the [A | I] system of the root solve.
 An infeasible child is proved so by the Farkas vector of the row where
 the dual simplex stops; it is counted as created but never enters the
 queue.  The branching variable is the most fractional coordinate; the
@@ -24,26 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import (
-    InfeasibleError,
-    LpSolution,
-    solve_box_lp,
-    solve_lp,
-    support_partition,
-)
+from .lp import InfeasibleError, LpSolution, solve_box_lp, solve_lp
 
 __all__ = [
     "BnbResult",
     "solve_ip",
-    "brute_force_ip",
     "ipgap",
     "integrality_gap",
-    "branch_variable",
 ]
 
 PRUNE_TOL = 1e-9
-BRUTE_FORCE_MAX_N = 25
-_CHUNK_BITS = 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,15 +52,6 @@ class BnbResult:
     nodes_expanded: int
     status: str  # "Optimal" | "NodeLimit" | "Infeasible"
     best_bound: float | None
-
-
-def branch_variable(x: np.ndarray) -> int:
-    """Index of the node LP point x to branch on: the most fractional
-    coordinate (closest to 1/2), ties resolved by lowest index."""
-    frac = support_partition(x)[2]
-    if frac.size == 0:
-        raise ValueError("node LP is integral; nothing to branch on")
-    return _most_fractional(x, frac)
 
 
 def _most_fractional(x: np.ndarray, frac: np.ndarray) -> int:
@@ -93,7 +75,9 @@ def solve_ip(
 
     `root` is the caller's `solve_lp(instance)`, when it has one, so the
     root LP is not solved a second time; without it the root is solved
-    here.
+    here.  The root and every child are `LpSolution`s; the heap holds each
+    open one with its bound and variable bounds, and reads its point and
+    fractional support only when it is expanded.
 
     The search ends when the open list empties (an infeasible root LP
     leaves it empty), when its best bound cannot beat the incumbent, or
@@ -114,12 +98,12 @@ def solve_ip(
     except InfeasibleError:
         heap = []
     else:
-        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root.x_star, root)]
+        heap = [(-root.value, 0, np.zeros(n), np.ones(n), root)]
     counter = 0
     last_bound = np.inf
 
     while heap and not hit_limit:
-        neg_bound, _, lower, upper, x, parent = heapq.heappop(heap)
+        neg_bound, _, lower, upper, node = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
@@ -127,7 +111,7 @@ def solve_ip(
         if inc_value is not None and bound <= inc_value + PRUNE_TOL:
             break  # the queue is sorted, every remaining node is dominated
         nodes_expanded += 1
-        frac = support_partition(x)[2]
+        x, frac = node.x_star, node.s
         if frac.size == 0:
             xi = np.round(x)
             val = float(c @ xi)
@@ -150,17 +134,14 @@ def solve_ip(
             else:
                 lo[j] = 1.0
             try:
-                child = solve_box_lp(a, b, c, lo, up, warm_start=parent)
+                child = solve_box_lp(a, b, c, lo, up, warm_start=node)
             except InfeasibleError:
                 continue
             child_bound = min(child.value, bound)  # parent bound is valid too
             if inc_value is not None and child_bound <= inc_value + PRUNE_TOL:
                 continue
             counter += 1
-            heapq.heappush(
-                heap,
-                (-child_bound, counter, lo, up, child.x, child),
-            )
+            heapq.heappush(heap, (-child_bound, counter, lo, up, child))
 
     if hit_limit:
         status, best_bound = "NodeLimit", bound
@@ -171,32 +152,6 @@ def solve_ip(
     return BnbResult(
         inc_value, inc_x, nodes_created, nodes_expanded, status, best_bound
     )
-
-
-def brute_force_ip(instance: Instance) -> tuple[float | None, np.ndarray | None]:
-    """Exhaustive maximum of c @ x over feasible binary x; (None, None) when
-    no binary point is feasible.  Refuses n > 25."""
-    n = instance.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
-    a, b, c = instance.A, instance.b, instance.c
-    best_val = None
-    best_x = None
-    bits = np.arange(n)
-    total = 1 << n
-    chunk = 1 << min(_CHUNK_BITS, n)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x = ((codes[:, None] >> bits) & 1).astype(float)
-        feasible = np.all(x @ a.T <= b + PRUNE_TOL, axis=1)
-        if not np.any(feasible):
-            continue
-        vals = x[feasible] @ c
-        k = int(np.argmax(vals))
-        if best_val is None or vals[k] > best_val:
-            best_val = float(vals[k])
-            best_x = x[feasible][k]
-    return best_val, best_x
 
 
 def ipgap(instance: Instance, node_limit: int = 1_000_000) -> float:

@@ -32,14 +32,18 @@ When a violated row has no entering candidate, the bounds are
 infeasible, and that row of the basis inverse, solved afresh, is the
 Farkas vector of the verdict.
 
-Returned solutions carry the optimal basic primal point, the dual vector,
-reduced costs, and the support partition (variables at 0, at 1, fractional)
-computed by `support_partition`, the one place that classifies it.
+Every solve, root or child, returns one `LpSolution`: the optimal basic
+point, its value and basic duals, and the final simplex state.  The dual
+vector, the reduced costs and the support partition (variables at 0, at
+1, fractional; `support_partition` is the one place that classifies it)
+are computed on first read and kept, so a child that is never expanded
+never computes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,29 +104,49 @@ class GapBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimal basic solution with duals and support partition.
+    """Optimal basic solution of one box LP, its duals and its final
+    simplex state.
 
-    The partition n0/n1/s is `support_partition(x_star)`.  `basis` (m
-    column indices), `status` (at lower, at upper or basic for each of
-    the n structurals and m slacks), `binv` (the carried inverse of the
-    basis matrix, consistent with it to roundoff) and `system` (the
+    `duals` are the basic duals of the final basis, which roundoff can
+    leave slightly below zero; `a` and `c` are the problem's A and c.
+    `basis` (m column indices), `status` (at lower, at upper or basic for
+    each of the n structurals and m slacks), `binv` (the carried inverse
+    of the basis matrix, consistent with it to roundoff) and `system` (the
     [A | I] matrix the solve ran on) are the final simplex state; passed
     as `warm_start` to `solve_box_lp`, the solution is where a
     branch-and-bound child re-solves from.
+
+    `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star)
+    and the partition n0/n1/s (`support_partition(x_star)`) are computed
+    on first read and kept.
     """
 
     x_star: np.ndarray
     value: float
-    u_star: np.ndarray
-    reduced_costs: np.ndarray
-    n0: np.ndarray
-    n1: np.ndarray
-    s: np.ndarray
+    duals: np.ndarray
     pivots: int
     basis: np.ndarray
     status: np.ndarray
     binv: np.ndarray
     system: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+
+    @cached_property
+    def u_star(self) -> np.ndarray:
+        return np.where(self.duals > 0.0, self.duals, 0.0)
+
+    @cached_property
+    def reduced_costs(self) -> np.ndarray:
+        return self.c - self.a.T @ self.u_star
+
+    @cached_property
+    def _partition(self):
+        return support_partition(self.x_star)
+
+    n0 = property(lambda self: self._partition[0])
+    n1 = property(lambda self: self._partition[1])
+    s = property(lambda self: self._partition[2])
 
 
 class _Simplex:
@@ -328,21 +352,6 @@ class _Simplex:
             self.stall = 0
 
 
-@dataclass(frozen=True, eq=False)
-class _BoxResult:
-    """One optimal solve; its final basis, status, basis inverse and
-    [A | I] system are the warm_start of a child."""
-
-    x: np.ndarray
-    value: float
-    y: np.ndarray
-    pivots: int
-    basis: np.ndarray
-    status: np.ndarray
-    binv: np.ndarray
-    system: np.ndarray
-
-
 def solve_box_lp(
     a: np.ndarray,
     b: np.ndarray,
@@ -351,8 +360,8 @@ def solve_box_lp(
     upper: np.ndarray | None = None,
     *,
     max_pivots: int | None = None,
-    warm_start: LpSolution | _BoxResult | None = None,
-) -> _BoxResult:
+    warm_start: LpSolution | None = None,
+) -> LpSolution:
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
     The solve starts from `warm_start`, the result of an optimal solve of
@@ -369,6 +378,7 @@ def solve_box_lp(
     infeasible (InfeasibleError with its Farkas vector), and the primal
     simplex certifies optimality.  One budget bounds both.  When the crash
     point breaks no row it is optimal and the solve takes no pivot.
+    Bounds that are not finite or not of shape (n,) raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -376,7 +386,11 @@ def solve_box_lp(
     m, n = a.shape
     lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
     upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
-    if np.any(lower > upper + 1e-15):
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError(f"bounds must be of shape ({n},)")
+    if not (np.isfinite(lower) & np.isfinite(upper)).all():
+        raise ValueError("bounds must be finite")
+    if (lower > upper + 1e-15).any():
         raise ValueError("lower bound exceeds upper bound")
     if max_pivots is None:
         max_pivots = 50 * (n + m)
@@ -411,17 +425,18 @@ def solve_box_lp(
         point = core.run(gamma)
     x_full, y = point
     x = np.clip(x_full[:n], lower, upper)
-    return _BoxResult(
-        x=x, value=float(c @ x), y=y, pivots=core.pivots,
+    return LpSolution(
+        x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
         basis=core.basis, status=core.status,
-        binv=core.binv, system=system,
+        binv=core.binv, system=system, a=a, c=c,
     )
 
 
-def _check_optimum(instance, x, u, value, r):
+def _check_optimum(instance, sol):
     """Primal feasibility, strong duality and complementary slackness of
-    (x, u), whose reduced costs are r = c - A' u."""
+    (x_star, u_star) in `sol`."""
     a, b = instance.A, instance.b
+    x, u, value, r = sol.x_star, sol.u_star, sol.value, sol.reduced_costs
     ax = a @ x
     if np.any(ax > b + 1e-7):
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
@@ -454,34 +469,22 @@ def solve_lp(
 ) -> LpSolution:
     """Optimal basic solution of the box relaxation of `instance`.
 
+    This is `solve_box_lp` on [0,1]^n, checked: no dual below zero beyond
+    roundoff, primal feasibility, strong duality, complementary slackness
+    and at most m fractional coordinates.  The checks read `u_star`,
+    `reduced_costs` and the support partition, so a root solution returns
+    with them computed.
+
     Raises InfeasibleError (with a Farkas certificate) when no x in [0,1]^n
     satisfies A x <= b, and IterationLimitError past the pivot budget.
     """
-    res = solve_box_lp(instance.A, instance.b, instance.c, max_pivots=max_pivots)
-    y = res.y
-    if np.any(y < -1e-7):
+    sol = solve_box_lp(instance.A, instance.b, instance.c, max_pivots=max_pivots)
+    if np.any(sol.duals < -1e-7):
         raise ArithmeticError("negative dual beyond roundoff tolerance")
-    u = np.where(y > 0.0, y, 0.0)
-    x = res.x
-    reduced_costs = instance.c - instance.A.T @ u
-    _check_optimum(instance, x, u, res.value, reduced_costs)
-    n0, n1, frac = support_partition(x)
-    if frac.size > instance.m:
+    _check_optimum(instance, sol)
+    if sol.s.size > instance.m:
         raise ArithmeticError("more fractional coordinates than constraints")
-    return LpSolution(
-        x_star=x,
-        value=res.value,
-        u_star=u,
-        reduced_costs=reduced_costs,
-        n0=n0,
-        n1=n1,
-        s=frac,
-        pivots=res.pivots,
-        basis=res.basis,
-        status=res.status,
-        binv=res.binv,
-        system=res.system,
-    )
+    return sol
 
 
 def dual_value(u, instance: Instance) -> float:

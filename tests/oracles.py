@@ -202,6 +202,36 @@ ALPHA_EPS_19_DELTA = 0.2820011622124830   # eps = 1/9, delta = sqrt(2*pi)/10
 BETA_FOR_ALPHA_EPS_19 = 0.9970930563138169
 
 
+BRUTE_FORCE_MAX_N = 25
+_CHUNK_BITS = 18
+
+
+def brute_force_ip(instance):
+    """Exhaustive maximum of c @ x over binary x with A x <= b + 1e-9;
+    (None, None) when no binary point is feasible.  Refuses n > 25."""
+    n = instance.n
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(f"brute force limited to n <= {BRUTE_FORCE_MAX_N}")
+    a, b, c = instance.A, instance.b, instance.c
+    best_val = None
+    best_x = None
+    bits = np.arange(n)
+    total = 1 << n
+    chunk = 1 << min(_CHUNK_BITS, n)
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        x = ((codes[:, None] >> bits) & 1).astype(float)
+        feasible = np.all(x @ a.T <= b + 1e-9, axis=1)
+        if not np.any(feasible):
+            continue
+        vals = x[feasible] @ c
+        k = int(np.argmax(vals))
+        if best_val is None or vals[k] > best_val:
+            best_val = float(vals[k])
+            best_x = x[feasible][k]
+    return best_val, best_x
+
+
 def milp_oracle(a, b, c):
     """Optimum of max c @ x, A x <= b, x in {0,1}^n by scipy's HiGHS
     branch and cut, or None when HiGHS proves no binary point feasible."""

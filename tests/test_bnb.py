@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from giplab import bnb
-from giplab.bnb import branch_variable, brute_force_ip, ipgap, solve_ip
+from giplab import bnb, lp
+from giplab.bnb import ipgap, solve_ip
 from giplab.instance import BSpec, generate
 from giplab.lp import InfeasibleError, solve_lp
 from giplab.rng import RngHandle
 
-from oracles import milp_oracle
+from oracles import brute_force_ip, milp_oracle
 from test_instance import make_instance
 
 
@@ -116,29 +116,45 @@ class TestExactness:
 
 
 class TestBranchVariable:
-    def test_most_fractional(self):
-        assert branch_variable(np.array([1.0, 0.5, 0.0])) == 1
+    """The variable the root's children fix: the most fractional one."""
 
-    def test_tie_breaks_low_index(self):
-        assert branch_variable(np.array([0.4, 0.6])) == 0
+    @staticmethod
+    def _first_branch(monkeypatch, caps):
+        # one row x_j <= caps[j] per variable, so the root LP point is caps
+        n = len(caps)
+        boxes = []
+        solve_box_lp = bnb.solve_box_lp
 
-    def test_integral_errors(self):
-        with pytest.raises(ValueError):
-            branch_variable(np.array([0.0, 1.0]))
+        def recorded(a, b, c, lower, upper, **kwargs):
+            boxes.append((lower, upper))
+            return solve_box_lp(a, b, c, lower, upper, **kwargs)
+
+        monkeypatch.setattr(bnb, "solve_box_lp", recorded)
+        solve_ip(make_instance(np.eye(n), caps, np.ones(n)))
+        lower, upper = boxes[0]
+        return int(np.flatnonzero((lower != 0.0) | (upper != 1.0))[0])
+
+    def test_most_fractional(self, monkeypatch):
+        assert self._first_branch(monkeypatch, [0.2, 0.5, 0.9]) == 1
+
+    def test_tie_breaks_low_index(self, monkeypatch):
+        assert self._first_branch(monkeypatch, [1.0, 0.75, 0.25]) == 1
 
     def test_each_expanded_node_classified_once(self, monkeypatch):
         # the integrality test and the branching rule share one support
-        # partition; TestFrozenTrees checks that the branching is unchanged
+        # partition, computed when a node is read and never for a child
+        # that is not expanded; TestFrozenTrees checks the branching
         calls = []
-        partition = bnb.support_partition
+        partition = lp.support_partition
 
         def counted(x):
             calls.append(x)
             return partition(x)
 
-        monkeypatch.setattr(bnb, "support_partition", counted)
+        monkeypatch.setattr(lp, "support_partition", counted)
         res = solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
         assert res.status == "Optimal" and res.nodes_expanded > 5
+        assert res.nodes_created > res.nodes_expanded
         assert len(calls) == res.nodes_expanded
 
 

@@ -101,7 +101,30 @@ class TestStartRule:
         upper[up[4:]] = 0.5 + 5e-12
         res = solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
         assert res.pivots == 0
-        assert np.array_equal(res.x[up], [0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+        assert np.array_equal(res.x_star[up], [0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+
+
+class TestBoxBounds:
+    """solve_box_lp refuses bounds that are not finite, not of shape (n,)
+    or crossed."""
+
+    @pytest.mark.parametrize("lower, upper, reason", [
+        (np.full(10, np.nan), None, "must be finite"),
+        (None, np.full(10, np.inf), "must be finite"),
+        (None, np.where(np.arange(10) == 3, np.nan, 1.0), "must be finite"),
+        (np.full(10, -np.inf), None, "must be finite"),
+        (np.full(10, np.inf), np.full(10, np.inf), "must be finite"),
+        (np.zeros(9), None, "must be of shape"),
+        (None, np.ones((10, 1)), "must be of shape"),
+        (None, 1.0, "must be of shape"),
+        (np.ones(10), np.zeros(10), "exceeds"),
+    ], ids=["nan-lower", "inf-upper", "one-nan-upper", "inf-lower",
+            "inf-both", "short-lower", "column-upper", "scalar-upper",
+            "crossed"])
+    def test_refused(self, lower, upper, reason):
+        inst = generate(2, 10, BSpec.zeros(), RngHandle(1))
+        with pytest.raises(ValueError, match=reason):
+            solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
 
 
 class TestHighsLpDifferential:
@@ -161,6 +184,22 @@ class TestHighsLpDifferential:
         assert abs(value - ref) <= 1e-7 * max(1.0, abs(ref))
         return True
 
+    BETAS = [-0.09, -0.03, 0.03, 0.3]
+
+    @pytest.mark.parametrize("beta", BETAS)
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_scaled_ones_roots(self, m, beta):
+        # row budgets beta * n, from tight to slack: the value agrees with
+        # HiGHS and no row is broken by more than the feasibility tolerance
+        n = 1000
+        inst = generate(m, n, BSpec.scaled_ones([beta] * m),
+                        RngHandle(8, 10 * m + self.BETAS.index(beta)))
+        sol = solve_lp(inst)
+        ref = linprog_oracle(inst.A, inst.b, inst.c)
+        assert ref is not None
+        assert abs(sol.value - ref) <= 1e-7 * max(1.0, abs(ref))
+        assert np.max(inst.A @ sol.x_star - inst.b) <= lp.FEAS_TOL
+
     @pytest.mark.parametrize("recipe", RECIPES)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_root_and_child_boxes(self, m, n, recipe):
@@ -195,9 +234,9 @@ class TestWarmStart:
 
     @staticmethod
     def _check_certificate(inst, lower, upper, res):
-        """Strong duality and complementary slackness of (res.x, res.y),
-        computed from y itself."""
-        a, b, c, y, x = inst.A, inst.b, inst.c, res.y, res.x
+        """Strong duality and complementary slackness of (res.x_star,
+        res.duals), computed from the basic duals themselves."""
+        a, b, c, y, x = inst.A, inst.b, inst.c, res.duals, res.x_star
         tol = 1e-9 * max(1.0, abs(res.value))
         r = c - a.T @ y
         assert np.all(y >= -1e-9)
@@ -220,8 +259,8 @@ class TestWarmStart:
         warm = solve_box_lp(*args, warm_start=warm_start)
         assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
         for res in (warm, cold):
-            assert np.all(inst.A @ res.x <= inst.b + 1e-7)
-            assert np.all((lower <= res.x) & (res.x <= upper))
+            assert np.all(inst.A @ res.x_star <= inst.b + 1e-7)
+            assert np.all((lower <= res.x_star) & (res.x_star <= upper))
             cls._check_certificate(inst, lower, upper, res)
             cls._check_inverse(res)
         return warm, cold
@@ -257,7 +296,7 @@ class TestWarmStart:
                 pairs.append(pair)
                 if pair is None:
                     break
-                x, start = pair[0].x, pair[0]
+                x, start = pair[0].x_star, pair[0]
             for warm, cold in filter(None, pairs):
                 pivots["warm"] += warm.pivots
                 pivots["cold"] += cold.pivots
@@ -318,7 +357,7 @@ class TestWarmStart:
         # side 0 then side 1 from one parent result, as in the tree: side 1
         # matches side 1 solved from an untouched copy, bit for bit
         def state(res):
-            return (res.x, res.y, res.value, res.pivots, res.basis,
+            return (res.x_star, res.duals, res.value, res.pivots, res.basis,
                     res.status, res.binv)
 
         moved = 0
@@ -404,6 +443,32 @@ class TestWarmStart:
         with pytest.raises(IterationLimitError):
             solve_box_lp(inst.A, inst.b, inst.c, warm_start=start,
                          max_pivots=max(dual, primal) + 1)
+
+
+class TestOneResultType:
+    def test_root_solve_is_the_box_solve(self):
+        # solve_lp is solve_box_lp on [0, 1]^n plus its checks: one type,
+        # and every field and derived quantity bit for bit
+        fields = ("x_star", "value", "u_star", "reduced_costs", "n0", "n1",
+                  "s", "pivots")
+        solved = 0
+        for i in range(50):
+            m = 1 + i % 4
+            n = (20, 60, 150, 400)[(i // 4) % 4]
+            b_spec = BSpec.zeros() if i % 2 else BSpec.gaussian()
+            inst = generate(m, n, b_spec, RngHandle(4700, i))
+            try:
+                sol = solve_lp(inst)
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    solve_box_lp(inst.A, inst.b, inst.c)
+                continue
+            box = solve_box_lp(inst.A, inst.b, inst.c)
+            assert type(sol) is type(box) is lp.LpSolution
+            for name in fields:
+                assert np.array_equal(getattr(sol, name), getattr(box, name)), name
+            solved += 1
+        assert solved >= 40
 
 
 class TestSolveLpAgainstOracle:
