@@ -1,36 +1,36 @@
-"""Bounded-variable simplex for max c @ x, A @ x <= b, x in [0,1]^n.
+"""Bounded dual simplex for max c @ x, A @ x <= b, x in [0,1]^n.
 
 The solver works on the equality system A x + s = b with structural
 variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  It
 carries the inverse of the m x m basis matrix (m <= ~10) and updates it by
 one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
-basis change; basic values, duals, the dual simplex pivot row and the
-primal pivot column are products with it.  Each solve ends by solving its
-final basis afresh, and the returned point and duals come from that
-solve.  The fresh solve also certifies the carried inverse: when its
-basic values break their box or its reduced costs leave an eligible
-column, the inverse is computed afresh and pivoting goes on, and when
-binv B - I exceeds INV_TOL the inverse is computed afresh for the next
-solve that starts from it.  The inverse is also computed afresh when a
-pivot element is too small to divide by, and before an infeasibility
-verdict.
-Primal pricing uses the largest-reduced-cost rule and falls back to
-Bland's rule for the rest of the primal run after STALL_LIMIT degenerate
-pivots, which guarantees termination.
+basis change; basic values, duals and the pivot row are products with it.
+The inverse is computed afresh when a pivot element is too small to
+divide by, and before an infeasibility verdict.
 
-Every solve runs on the one system [A | I] from a dual feasible start:
-bounded dual simplex pivots until the basic values lie inside their
-bounds, then the primal simplex, which certifies the optimum, under one
-pivot budget.  A cold solve starts from a crash point (Bixby 1992): each
-free structural with c_j > 0 at its upper bound, every other structural
-at its lower bound, and the slacks basic, so the reduced costs are c
-itself and have the optimal signs.  A structural fixed by its box is
-never started at its upper bound.  Every solve returns its final basis,
+Every solve runs bounded dual simplex pivots on the one system [A | I]
+from a dual feasible start until the basic values lie inside their
+bounds, under one pivot budget.  The basis it ends at is then optimal.
+A cold solve starts from a crash point (Bixby 1992): each free
+structural with c_j > 0 at its upper bound, every other structural at
+its lower bound, and the slacks basic, so the reduced costs are c itself
+and have the optimal signs.  A structural fixed by its box is never
+started at its upper bound.  Every solve returns its final basis,
 nonbasic status, basis inverse and system, and a solve of the same A, b,
-c under other bounds (a branch-and-bound child) starts from them instead.
-When a violated row has no entering candidate, the bounds are
-infeasible, and that row of the basis inverse, solved afresh, is the
+c under bounds inside the old ones (a branch-and-bound child) starts from
+them instead.  Reduced costs depend on the basis alone, and a column
+fixed by the old box stays fixed in the new one, so that start is dual
+feasible too.  When a violated row has no entering candidate, the bounds
+are infeasible, and that row of the basis inverse, solved afresh, is the
 Farkas vector of the verdict.
+
+Each solve ends by solving its final basis afresh, and the returned
+point and duals come from that solve.  The fresh solve also certifies
+the exit: basic values outside their box send the solve back to the
+dual simplex on a fresh inverse, binv B - I beyond INV_TOL refactorizes
+the inverse for the next solve that starts from it, and a reduced cost
+of the wrong sign (a start that was not dual feasible) raises
+ArithmeticError.
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
 point, its value and basic duals, and the final simplex state.  The dual
@@ -67,7 +67,6 @@ RC_TOL = 1e-9          # reduced-cost optimality tolerance
 FEAS_TOL = 1e-9        # bound violation tolerance for basic values
 PIV_TOL = 1e-11        # entries below this never pivot
 CLASSIFY_TOL = 1e-9    # distance to {0,1} for the support partition
-STALL_LIMIT = 100      # degenerate pivots before switching to Bland's rule
 INV_TOL = 1e-10        # max row sum of binv B - I a carried inverse may reach
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
@@ -153,11 +152,11 @@ class _Simplex:
     """The system mat x = rhs, low <= x <= upp, its basis, the basis
     inverse binv and one pivot budget.
 
-    dual_run(gamma) restores primal feasibility from a dual feasible basis,
-    then run(gamma) maximizes gamma @ x from the basis and status it leaves.
-    Both count against the same budget.  Basic values, duals, pivot rows
-    and pivot columns are products with binv, which one product-form step
-    updates per basis change; the final basis is solved afresh.
+    dual_run(gamma) pivots from a dual feasible basis until it is primal
+    feasible too, within the budget, and certify(gamma) solves the basis
+    it leaves afresh and returns the optimum.  Basic values, duals and
+    pivot rows are products with binv, which one product-form step
+    updates per basis change.
     """
 
     def __init__(self, mat, rhs, lower, upper, basis, status, binv, max_pivots):
@@ -198,63 +197,6 @@ class _Simplex:
         self.binv -= np.outer(w, row)
         self.binv[pos] = row
         self.fresh = False
-
-    def run(self, gamma):
-        """Primal simplex pivots until no reduced cost of gamma is eligible.
-
-        The exit solves the final basis afresh and returns (x, y) from that
-        solve.  The first pricing pass is such a solve too, since the dual
-        simplex mostly leaves an optimal basis.  The solve also certifies
-        binv.  When its reduced costs leave an eligible column, binv is
-        refactorized and the pivot takes that column.  When its basic
-        values break their box beyond FEAS_TOL, binv is refactorized and
-        None is returned, so the dual simplex runs again.  When binv B - I
-        exceeds INV_TOL, binv is refactorized and the exit stands.  A binv
-        inverted afresh since the last basis change is not refactorized
-        again, and its exit stands.
-        """
-        free = self.free
-        self.bland = False
-        self.stall = 0
-        exact = True
-        while True:
-            x_n = self._nonbasic_point()
-            if exact:
-                bmat = self.mat[:, self.basis]
-                try:
-                    xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
-                    y = np.linalg.solve(bmat.T, gamma[self.basis])
-                except np.linalg.LinAlgError:
-                    raise ArithmeticError("simplex basis became singular") from None
-            else:
-                xb = self.binv @ (self.rhs - self.mat @ x_n)
-                y = gamma[self.basis] @ self.binv
-            d = gamma - self.mat.T @ y
-            up = (self.status == _AT_LOWER) & free & (d > RC_TOL)
-            dn = (self.status == _AT_UPPER) & free & (d < -RC_TOL)
-            eligible = np.flatnonzero(up | dn)
-            if eligible.size == 0:
-                if not exact:
-                    exact = True
-                    continue
-                outside = np.maximum(self.lower[self.basis] - xb,
-                                     xb - self.upper[self.basis]).max() > FEAS_TOL
-                if not self.fresh and (outside or np.abs(
-                        self.binv @ bmat - np.eye(len(xb))).sum(axis=1).max() > INV_TOL):
-                    self._refactor()
-                    if outside:
-                        return None
-                x_n[self.basis] = xb
-                return x_n, y
-            if exact and not self.fresh:
-                self._refactor()
-            exact = False
-            if self.bland:
-                e = int(eligible[0])
-            else:
-                e = int(eligible[np.argmax(np.abs(d[eligible]))])
-            self._pivot(xb, e, 1.0 if up[e] else -1.0)
-            self._count_pivot()
 
     def dual_run(self, gamma):
         """Bounded dual simplex pivots (Koberstein 2005) until every basic
@@ -308,48 +250,49 @@ class _Simplex:
             e = int(ties[np.argmax(np.abs(alpha[ties]))])
             self.status[self.basis[r]] = _AT_LOWER if sign > 0 else _AT_UPPER
             self._exchange(r, e, self.binv @ self.mat[:, e])
-            self._count_pivot()
+            self.pivots += 1
+            if self.pivots >= self.max_pivots:
+                raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
 
-    def _count_pivot(self):
-        self.pivots += 1
-        if self.pivots >= self.max_pivots:
-            raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
+    def certify(self, gamma):
+        """Solve the final basis afresh and return (x, y) from that solve.
 
-    def _pivot(self, xb, e, direction):
-        w = self.binv @ self.mat[:, e]
-        delta = direction * w  # basic values move by -t * delta for step t
-        lo_b = self.lower[self.basis]
-        up_b = self.upper[self.basis]
-        t_cand = np.full(delta.shape, np.inf)
-        shrink = delta > PIV_TOL
-        grow = delta < -PIV_TOL
-        t_cand[shrink] = (xb[shrink] - lo_b[shrink]) / delta[shrink]
-        t_cand[grow] = (up_b[grow] - xb[grow]) / (-delta[grow])
-        t_cand = np.maximum(t_cand, 0.0)
-        t_min = float(t_cand.min())
-        t_bound = self.upper[e] - self.lower[e]
-        if not np.isfinite(min(t_bound, t_min)):
-            raise ArithmeticError("unbounded improving direction in a box LP")
-        if t_bound <= t_min:
-            # bound flip: the entering variable crosses its box, basis unchanged
-            self.status[e] = _AT_UPPER if direction > 0 else _AT_LOWER
-            step = t_bound
-        else:
-            ties = np.flatnonzero(t_cand <= t_min + FEAS_TOL)
-            if self.bland:
-                pos = int(ties[np.argmin(self.basis[ties])])
-            else:
-                pos = int(ties[np.argmax(np.abs(delta[ties]))])
-            leave = self.basis[pos]
-            self.status[leave] = _AT_LOWER if delta[pos] > 0 else _AT_UPPER
-            self._exchange(pos, e, w)
-            step = t_min
-        if step <= 1e-12:
-            self.stall += 1
-            if self.stall >= STALL_LIMIT:
-                self.bland = True
-        else:
-            self.stall = 0
+        The solve also certifies the exit.  A free nonbasic reduced cost of
+        gamma with the wrong sign beyond RC_TOL means the start was not
+        dual feasible, and raises ArithmeticError naming the column.  When
+        the basic values break their box beyond FEAS_TOL, binv is
+        refactorized and None is returned, so the dual simplex runs again.
+        When binv B - I exceeds INV_TOL, binv is refactorized and the exit
+        stands.  A binv inverted afresh since the last basis change is not
+        refactorized again, and its exit stands.
+        """
+        x_n = self._nonbasic_point()
+        bmat = self.mat[:, self.basis]
+        try:
+            xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
+            y = np.linalg.solve(bmat.T, gamma[self.basis])
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("simplex basis became singular") from None
+        d = gamma - self.mat.T @ y
+        wrong = np.flatnonzero(self.free & (
+            ((self.status == _AT_LOWER) & (d > RC_TOL))
+            | ((self.status == _AT_UPPER) & (d < -RC_TOL))
+        ))
+        if wrong.size:
+            e = int(wrong[np.argmax(np.abs(d[wrong]))])
+            raise ArithmeticError(
+                f"dual simplex ended dual infeasible: column {e} "
+                f"has reduced cost {float(d[e])!r}"
+            )
+        outside = np.maximum(self.lower[self.basis] - xb,
+                             xb - self.upper[self.basis]).max() > FEAS_TOL
+        if not self.fresh and (outside or np.abs(
+                self.binv @ bmat - np.eye(len(xb))).sum(axis=1).max() > INV_TOL):
+            self._refactor()
+            if outside:
+                return None
+        x_n[self.basis] = xb
+        return x_n, y
 
 
 def solve_box_lp(
@@ -365,20 +308,22 @@ def solve_box_lp(
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
     The solve starts from `warm_start`, the result of an optimal solve of
-    the same A, b, c under other bounds: its basis, status and basis
+    the same A, b, c under bounds that contain these, as a branch-and-bound
+    child's parent was solved: its basis, status and basis
     inverse, on its [A | I] system, which is shared and not rebuilt.  The
     result is read and never changed, so two children can start from one
     parent.  Without it the solve builds [A | I] and starts from the crash
     point: each free structural (upper - lower above the pivot tolerance)
     with c_j > 0 at its upper bound, every other one at its lower bound,
     and the slacks basic, whose inverse is the identity.  Both starts are
-    dual feasible; fixing a basic variable, as a branch-and-bound child
-    does, keeps a basis so.  Dual simplex pivots then bring every basic
-    value inside its bounds, or find a row that proves the bounds
-    infeasible (InfeasibleError with its Farkas vector), and the primal
-    simplex certifies optimality.  One budget bounds both.  When the crash
-    point breaks no row it is optimal and the solve takes no pivot.
-    Bounds that are not finite or not of shape (n,) raise ValueError.
+    dual feasible.  Dual simplex pivots then bring every basic value
+    inside its bounds, which makes the basis optimal, or find a row that
+    proves the bounds infeasible (InfeasibleError with its Farkas vector).
+    When the crash point breaks no row it is optimal and the solve takes
+    no pivot.  Reaching `max_pivots` pivots raises IterationLimitError.  A
+    start that was not dual feasible raises ArithmeticError naming a
+    column whose reduced cost has the wrong sign at the exit.  Bounds
+    that are not finite or not of shape (n,) raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -422,7 +367,7 @@ def solve_box_lp(
                 f"LP infeasible: aggregated row violates the box by {margin:.3e}",
                 farkas_u=u,
             )
-        point = core.run(gamma)
+        point = core.certify(gamma)
     x_full, y = point
     x = np.clip(x_full[:n], lower, upper)
     return LpSolution(

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import LpSolution, gap_formula, support_partition
+from .lp import LpSolution, gap_formula
 from .numerics import calibrate_theta, householder_to_axis
 from .discrepancy import DiscInstance, disc_exact, fits_exact_budget
 from .discrepancy import disc_search  # noqa: F401  kept: perfbench/spans.py traces this name
@@ -156,9 +156,10 @@ class RoundingCertificate:
 
 
 def randomized_round(
-    x_star, a: np.ndarray, rng: RngHandle, max_tries: int = 1000
+    x_star, frac, a: np.ndarray, rng: RngHandle, max_tries: int = 1000
 ) -> tuple[np.ndarray, float]:
-    """Round the fractional coordinates of x_star to binary, independently
+    """Round the fractional coordinates of x_star, whose indices `frac`
+    the caller gives (an LP solution's `s`), to binary, independently
     with P(1) = x_i, resampling until ||A (x* - x')||_2 <= Cmax*sqrt(|S|)/2
     where Cmax is the largest fractional-column norm.
 
@@ -169,7 +170,7 @@ def randomized_round(
     x_star = np.asarray(x_star, dtype=float)
     if np.any(x_star < -1e-12) or np.any(x_star > 1.0 + 1e-12):
         raise ValueError("x_star must lie in [0, 1]^n")
-    frac = support_partition(x_star)[2]
+    frac = np.asarray(frac, dtype=np.intp)
     base = np.round(x_star)
     if frac.size == 0:
         return base, 0.0
@@ -316,7 +317,7 @@ def round_pipeline(
     theta_prime = params.theta_prime(instance.m)
     diagnostics["theta_prime"] = theta_prime
 
-    x_prime, round_l2 = randomized_round(x_star, a, rng.derive(0))
+    x_prime, round_l2 = randomized_round(x_star, lp_solution.s, a, rng.derive(0))
     diagnostics["round_l2"] = round_l2
 
     searched = lp_solution.s.size > 0

@@ -1,12 +1,15 @@
+import argparse
 import dataclasses
 import json
 import re
+import shlex
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from giplab import bnb, rounding
+from giplab import bnb, cli, lp, rounding
 from giplab.experiments import (
     CSV_HEADER,
     ExperimentRecord,
@@ -61,6 +64,22 @@ class TestSweepConfig:
         assert len(blocks) == 1
         cfg = SweepConfig.from_json(blocks[0])
         assert cfg.m_list == (2,) and cfg.out == "sweep.csv"
+
+    def test_readme_command_lines_parse(self):
+        # every flag README shows must still exist, and every subcommand
+        # must be shown
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Command line", 1)[1]
+        block = re.search(r"```\n(.*?)```", section, flags=re.S)[1]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()]
+        commands = [shlex.split(line) for line in lines if line.strip()]
+        parser = cli.build_parser()
+        for argv in commands:
+            assert argv[0] == "giplab"
+            parser.parse_args(argv[1:])
+        subparsers = next(action for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert sorted(argv[1] for argv in commands) == sorted(subparsers.choices)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -147,6 +166,77 @@ class TestRunTrial:
             assert rec.to_csv_row() == ",".join(cells)
             with pytest.raises(ArithmeticError, match="negative integrality gap"):
                 ipgap(generate(2, 12, BSpec.zeros(), RngHandle(11, 1)))
+
+
+LP_CELLS = {"lp_value", "u_norm", "n0", "s"}
+TREE_CELLS = {"tree_size", "nodes_expanded"}
+IP_CELLS = {"ip_value", "ipgap"}
+ROUND_CELLS = {"round_ok", "cert_gap"}
+
+
+class TestTrialStatusRows:
+    """Each failure status `run_trial` writes on a one-cell config, and the
+    CSV cells that row leaves empty."""
+
+    @staticmethod
+    def _empty_cells(rec):
+        cells = dict(zip(CSV_HEADER.split(","), rec.to_csv_row().split(",")))
+        return {key for key, value in cells.items() if value == ""}
+
+    def test_lp_infeasible(self):
+        # b = -n: the row sum of A's negative entries stays well above it
+        cfg = small_config(m_list=(1,), n_list=(12,), seeds_per_cell=1,
+                           b_spec="scaled_ones -1")
+        rec = run_trial(cfg, 0, 1, 12)
+        assert rec.status == "lp_infeasible"
+        assert self._empty_cells(rec) == LP_CELLS | TREE_CELLS | IP_CELLS | ROUND_CELLS
+
+    def test_lp_iteration_limit(self, monkeypatch):
+        solve_lp = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp",
+                            lambda instance: solve_lp(instance, max_pivots=1))
+        rec = run_trial(small_config(n_list=(12,), seeds_per_cell=1), 0, 2, 12)
+        assert rec.status == "lp_iteration_limit"
+        assert self._empty_cells(rec) == LP_CELLS | TREE_CELLS | IP_CELLS | ROUND_CELLS
+
+    def test_node_limit(self):
+        cfg = small_config(n_list=(12,), seeds_per_cell=1, node_limit=1)
+        rec = run_trial(cfg, 0, 2, 12)
+        assert rec.status == "NodeLimit"
+        assert rec.s > 0 and rec.tree_size >= 1
+        assert self._empty_cells(rec) == IP_CELLS | ROUND_CELLS
+
+    def test_round_bound_not_met(self, monkeypatch):
+        randomized_round = rounding.randomized_round
+        monkeypatch.setattr(
+            rounding, "randomized_round",
+            lambda x_star, frac, a, rng: randomized_round(x_star, frac, a, rng,
+                                                          max_tries=0))
+        cfg = small_config(n_list=(12,), seeds_per_cell=1, rounding="always")
+        rec = run_trial(cfg, 0, 2, 12)
+        assert rec.status == "round_bound_not_met"
+        assert rec.s > 0 and rec.round_ok is False and rec.ip_value is not None
+        assert self._empty_cells(rec) == {"cert_gap"}
+
+    def test_dual_infeasible_lp_is_an_arithmetic_error(self, monkeypatch):
+        # a start with every structural at its upper bound is not dual
+        # feasible, and the solve ends with a reduced cost of the wrong sign
+        solve_box_lp = lp.solve_box_lp
+
+        def all_at_upper(a, b, c, **kwargs):
+            m, n = a.shape
+            start = SimpleNamespace(
+                basis=np.arange(n, n + m),
+                status=np.array([1] * n + [2] * m, dtype=np.int8),
+                binv=np.eye(m), system=np.hstack([a, np.eye(m)]))
+            return solve_box_lp(a, b, c, warm_start=start, **kwargs)
+
+        monkeypatch.setattr(lp, "solve_box_lp", all_at_upper)
+        cfg = small_config(m_list=(3,), n_list=(60,), seeds_per_cell=1,
+                           b_spec="scaled_ones -0.1 -0.1 -0.1")
+        rec = run_trial(cfg, 0, 3, 60)
+        assert rec.status == "error:ArithmeticError"
+        assert self._empty_cells(rec) == LP_CELLS | TREE_CELLS | IP_CELLS | ROUND_CELLS
 
 
 class TestSweeps:

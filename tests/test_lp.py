@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -414,35 +415,41 @@ class TestWarmStart:
         assert np.all(u >= 0.0)
         assert np.minimum(w * lower, w * upper).sum() - inst.b @ u > 1e-3
 
-    def test_pivot_budget_covers_dual_and_primal_pivots(self, monkeypatch):
+    def test_dual_infeasible_start_raises_with_the_column(self, monkeypatch):
         # every structural at its upper bound with the slacks basic: rows
-        # break (dual pivots) and costs c_j < 0 are at the wrong bound
-        # (primal pivots)
+        # break, and costs c_j < 0 sit at the wrong bound, so the dual
+        # simplex ends at a basis whose reduced costs certify no optimum
         m, n = 3, 60
         inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
         start = SimpleNamespace(
             basis=np.arange(n, n + m),
             status=np.array([1] * n + [2] * m, dtype=np.int8),
             binv=np.eye(m), system=np.hstack([inst.A, np.eye(m)]))
-        dual_pivots = []
-        dual_run = lp._Simplex.dual_run
+        cores = []
+        certify = lp._Simplex.certify
 
-        def counted(core, gamma):
-            farkas_u = dual_run(core, gamma)
-            dual_pivots.append(core.pivots)
-            return farkas_u
+        def recorded(core, gamma):
+            cores.append(core)
+            return certify(core, gamma)
 
-        monkeypatch.setattr(lp._Simplex, "dual_run", counted)
-        res = solve_box_lp(inst.A, inst.b, inst.c, warm_start=start)
-        assert res.value == pytest.approx(solve_lp(inst).value, rel=1e-9)
-        dual, primal = dual_pivots[0], res.pivots - dual_pivots[0]
-        assert dual >= 1 and primal >= 1
-        assert solve_box_lp(inst.A, inst.b, inst.c, warm_start=start,
-                            max_pivots=res.pivots + 1).pivots == res.pivots
-        # a budget each phase would fit into on its own
-        with pytest.raises(IterationLimitError):
-            solve_box_lp(inst.A, inst.b, inst.c, warm_start=start,
-                         max_pivots=max(dual, primal) + 1)
+        monkeypatch.setattr(lp._Simplex, "certify", recorded)
+        with pytest.raises(ArithmeticError) as exc_info:
+            solve_box_lp(inst.A, inst.b, inst.c, warm_start=start)
+        message = str(exc_info.value)
+        assert "np.float64(" not in message
+        found = re.fullmatch(
+            r"dual simplex ended dual infeasible: column (\d+) has reduced cost (\S+)",
+            message)
+        assert found is not None
+        e, d = int(found[1]), float(found[2])
+        core = cores[-1]
+        assert core.pivots >= 1 and core.status[e] != lp._BASIC
+        # a column at its lower bound would gain from rising, one at its
+        # upper bound from falling
+        assert (d > lp.RC_TOL) if core.status[e] == lp._AT_LOWER else (d < -lp.RC_TOL)
+        gamma = np.concatenate([inst.c, np.zeros(m)])
+        y = np.linalg.solve(core.mat[:, core.basis].T, gamma[core.basis])
+        assert d == pytest.approx((gamma - core.mat.T @ y)[e], rel=1e-9)
 
 
 class TestOneResultType:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from giplab import lp, rounding
 from giplab.discrepancy import ExactBudgetError
 from giplab.instance import BSpec, generate
 from giplab.lp import solve_lp
@@ -77,7 +78,7 @@ class TestRandomizedRound:
     def test_integral_input_is_fixed_point(self):
         x = np.array([0.0, 1.0, 1.0, 0.0])
         a = np.ones((2, 4))
-        out, norm = randomized_round(x, a, RngHandle(1))
+        out, norm = randomized_round(x, [], a, RngHandle(1))
         assert np.array_equal(out, x)
         assert norm == 0.0
 
@@ -85,7 +86,7 @@ class TestRandomizedRound:
         # both roundings attain the bound exactly, so the first try succeeds
         a = np.array([[3.0], [4.0]])
         x = np.array([0.5])
-        out, norm = randomized_round(x, a, RngHandle(2), max_tries=2)
+        out, norm = randomized_round(x, [0], a, RngHandle(2), max_tries=2)
         assert out[0] in (0.0, 1.0)
         assert norm == pytest.approx(0.5 * 5.0)
 
@@ -94,7 +95,7 @@ class TestRandomizedRound:
             inst, sol = solved(3000 + seed, m=3, n=60)
             if sol.s.size == 0:
                 continue
-            out, norm = randomized_round(sol.x_star, inst.A, RngHandle(seed))
+            out, norm = randomized_round(sol.x_star, sol.s, inst.A, RngHandle(seed))
             cmax = np.linalg.norm(inst.A[:, sol.s], axis=0).max()
             assert norm <= cmax * math.sqrt(sol.s.size) / 2.0 + 1e-9
             off = [i for i in range(inst.n) if i not in set(sol.s.tolist())]
@@ -109,7 +110,8 @@ class TestRandomizedRound:
         h = RngHandle(78)
         norms = []
         for _ in range(1000):
-            _, norm = randomized_round(sol.x_star, gen_inst.A, h, max_tries=10**6)
+            _, norm = randomized_round(sol.x_star, sol.s, gen_inst.A, h,
+                                       max_tries=10**6)
             norms.append(norm)
         cmax = np.linalg.norm(gen_inst.A[:, sol.s], axis=0).max()
         assert np.mean(norms) <= cmax * math.sqrt(sol.s.size) / 2.0 + 1e-9
@@ -119,7 +121,7 @@ class TestRandomizedRound:
         x = np.array([0.5, 0.5])
         with pytest.raises(RoundingBoundNotMetError):
             # max_tries=0 forces the failure branch regardless of draws
-            randomized_round(x, a, RngHandle(3), max_tries=0)
+            randomized_round(x, [0, 1], a, RngHandle(3), max_tries=0)
 
 
 class TestFilterReducedCosts:
@@ -252,6 +254,24 @@ class TestRoundPipeline:
         )
         assert cert.certified_gap >= -1e-7
         assert gap_chain_check(cert, inst, sol)
+
+    def test_pipeline_reads_the_partition_of_its_lp_solution(self, monkeypatch):
+        # solve_lp classifies x* once; the pipeline reads that partition
+        # and never classifies x* again
+        calls = []
+        partition = lp.support_partition
+
+        def counted(x):
+            calls.append(x)
+            return partition(x)
+
+        monkeypatch.setattr(lp, "support_partition", counted)
+        inst, sol = solved(42)
+        assert len(calls) == 1 and sol.s.size > 0
+        cert = round_pipeline(inst, sol, RoundingParams.defaults(2, 400), RngHandle(6))
+        assert cert.feasible and cert.flip_set
+        assert len(calls) == 1
+        assert not hasattr(rounding, "support_partition")
 
     def test_flip_count_and_pools_disjoint(self):
         inst, sol = solved(43)
