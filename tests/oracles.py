@@ -6,6 +6,7 @@ library paths it checks.
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations, islice
 
@@ -274,6 +275,68 @@ def linprog_oracle(a, b, c, lower=None, upper=None):
     if res.status != 0:
         raise RuntimeError(f"HiGHS linprog did not finish: {res.message}")
     return -float(res.fun)
+
+
+def bnb_tree_oracle(a, b, c, node_limit=1_000_000, tol=1e-9):
+    """Best-bound-first branch and bound for max c @ x, A x <= b, x in
+    {0,1}^n, with every node LP solved by HiGHS dual simplex when the node
+    is created.
+
+    It branches on the coordinate closest to 1/2 among those more than tol
+    from {0, 1} (the lowest index on ties), keys each child by min(child
+    LP value, parent bound) with ties by creation order, and counts an
+    infeasible child as created without queueing it.  It stops when the
+    queue empties, when the best key is within tol of the incumbent, or
+    before a child past node_limit.  Returns (status, incumbent value,
+    nodes created, nodes expanded, best bound): the bound of the node
+    being expanded at "NodeLimit", the incumbent at "Optimal", None at
+    "Infeasible".
+    """
+    from scipy.optimize import linprog
+
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = a.shape[1]
+
+    def node_lp(box):
+        res = linprog(-c, A_ub=a, b_ub=b, bounds=box, method="highs-ds")
+        if res.status == 2:
+            return None
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS linprog did not finish: {res.message}")
+        return -float(res.fun), res.x
+
+    root = node_lp(np.array([[0.0, 1.0]] * n))
+    queue = [] if root is None else [(-root[0], 0, np.array([[0.0, 1.0]] * n), root[1])]
+    created, expanded, inc, last = 1, 0, None, np.inf
+    while queue:
+        neg_key, _, box, x = heapq.heappop(queue)
+        bound = -neg_key
+        assert bound <= last + tol, "best-bound order violated"
+        last = bound
+        if inc is not None and bound <= inc + tol:
+            break
+        expanded += 1
+        dist = np.abs(x - 0.5)
+        frac = np.flatnonzero(dist < 0.5 - tol)
+        if frac.size == 0:
+            value = float(c @ np.round(x))
+            if inc is None or value > inc + tol:
+                inc = value
+            continue
+        j = int(frac[np.argmin(dist[frac])])
+        for fixed in (0.0, 1.0):
+            if created >= node_limit:
+                return "NodeLimit", inc, created, expanded, bound
+            created += 1
+            child_box = box.copy()
+            child_box[j] = fixed
+            child = node_lp(child_box)
+            if child is not None:
+                heapq.heappush(
+                    queue, (-min(child[0], bound), created, child_box, child[1]))
+    status = "Infeasible" if inc is None else "Optimal"
+    return status, inc, created, expanded, inc
 
 
 def serialize_oracle(instance) -> bytes:

@@ -7,7 +7,7 @@ from giplab.instance import BSpec, generate
 from giplab.lp import InfeasibleError, solve_lp
 from giplab.rng import RngHandle
 
-from oracles import brute_force_ip, milp_oracle
+from oracles import bnb_tree_oracle, brute_force_ip, linprog_oracle, milp_oracle
 from test_instance import make_instance
 
 
@@ -69,6 +69,16 @@ class TestResultAtEachExit:
         got = (res.status, res.opt_value, x, res.nodes_created,
                res.nodes_expanded, res.best_bound)
         assert got == expected
+
+    def test_child_counters(self):
+        # both children of the root are solved and proved infeasible
+        res = solve_ip(make_instance([[-1.0], [1.0]], [-0.5, 0.75], [1.0]))
+        assert (res.children_solved, res.children_infeasible) == (2, 2)
+        # of the four children, two are expanded, one is solved and then
+        # dominated by the incumbent, and one is never solved
+        res = solve_ip(make_instance([[1.0, 1.0]], [1.5], [1.0, 1.0]))
+        assert (res.nodes_created, res.nodes_expanded) == (5, 3)
+        assert (res.children_solved, res.children_infeasible) == (3, 0)
 
     def test_node_limit_one_bounds_by_the_root_lp(self):
         inst = generate(2, 16, BSpec.zeros(), RngHandle(31))
@@ -200,6 +210,80 @@ class TestHighsDifferential:
         assert brackets > 0
 
 
+class TestTreeOracle:
+    """Tree size, optimum and NodeLimit bracket against a best-bound search
+    whose node LPs HiGHS solves when each node is created."""
+
+    @pytest.mark.parametrize("m, n, bspec", [
+        (m, n, bspec) for m in (2, 3) for n in (24, 32, 40)
+        for bspec in ("zeros", "gaussian")
+    ] + [(2, 40, "scaled_ones 0.05 0.05")])
+    def test_tree_matches_oracle(self, m, n, bspec):
+        for seed in range(2):
+            inst = generate(m, n, BSpec.parse(bspec), RngHandle(5300 + seed, 100 * m + n))
+            full = solve_ip(inst)
+            cut = max(1, full.nodes_created // 3)
+            for limit, res in ((1_000_000, full), (cut, solve_ip(inst, node_limit=cut))):
+                status, inc, created, expanded, best = bnb_tree_oracle(
+                    inst.A, inst.b, inst.c, node_limit=limit)
+                key = (seed, limit)
+                assert (res.status, res.nodes_created, res.nodes_expanded) == (
+                    status, created, expanded), key
+                for got, want in ((res.opt_value, inc), (res.best_bound, best)):
+                    if want is None:
+                        assert got is None, key
+                    else:
+                        assert got == pytest.approx(want, rel=1e-7, abs=1e-7), key
+
+
+class TestOnePivotBound:
+    """The key a child is pushed with bounds its LP value from above."""
+
+    def test_bound_holds_on_tree_nodes(self, monkeypatch):
+        seen = []
+        bounds = bnb._one_pivot_bounds
+
+        def recorded(node, j, lower, upper):
+            keys = bounds(node, j, lower, upper)
+            seen.append((inst, j, lower.copy(), upper.copy(), keys))
+            return keys
+
+        monkeypatch.setattr(bnb, "_one_pivot_bounds", recorded)
+        # the last instance's up child has no entering column: x >= 0.5,
+        # x <= 0.75, and raising x only shrinks the slack that is nonbasic
+        for inst in [
+            generate(m, 32, bspec, RngHandle(5400 + seed, 100 * m))
+            for m in (2, 3)
+            for bspec in (BSpec.zeros(), BSpec.gaussian(), BSpec.scaled_ones([0.05] * m))
+            for seed in range(2)
+        ] + [make_instance([[-1.0], [1.0]], [-0.5, 0.75], [1.0])]:
+            solve_ip(inst)
+        assert len(seen) > 50
+        unbounded = 0
+        for inst, j, lower, upper, keys in seen:
+            for side, key in enumerate(keys):
+                lo, up = lower.copy(), upper.copy()
+                (up if side == 0 else lo)[j] = float(side)
+                value = linprog_oracle(inst.A, inst.b, inst.c, lo, up)
+                if key == -np.inf:
+                    unbounded += 1
+                    assert value is None
+                elif value is not None:
+                    assert key >= value
+        assert unbounded > 0
+
+    @pytest.mark.parametrize("lowered", [
+        lambda keys: (keys[0] - 1.0, keys[1] - 1.0),
+        lambda keys: (-np.inf, -np.inf),
+    ])
+    def test_key_below_the_child_value_raises(self, monkeypatch, lowered):
+        bounds = bnb._one_pivot_bounds
+        monkeypatch.setattr(bnb, "_one_pivot_bounds",
+                            lambda *args: lowered(bounds(*args)))
+        with pytest.raises(ArithmeticError, match="above its pushed key"):
+            solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
+
+
 class TestFrozenTrees:
     """Tree shape and optimum, recorded before child LPs were warm-started;
     a change to how nodes are solved must leave them exactly as they are."""
@@ -239,6 +323,9 @@ class TestFrozenTrees:
         res = solve_ip(inst)
         assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (
             created, expanded, opt)
+        # every expanded child was solved; no child is solved twice
+        assert expanded - 1 <= res.children_solved <= created - 1
+        assert 0 <= res.children_infeasible <= res.children_solved - (expanded - 1)
         # the caller's root solve gives the same tree
         res = solve_ip(inst, root=solve_lp(inst))
         assert (res.nodes_created, res.nodes_expanded, res.opt_value) == (

@@ -187,6 +187,40 @@ class TestRound:
         assert "columns" in err
 
 
+class TestParserKept:
+    """run_cli builds its parser once per process; no flag value of one
+    call reaches the next."""
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        from giplab import cli as cli_module
+
+        builds = []
+        build = cli_module.build_parser
+        monkeypatch.setattr(cli_module, "build_parser",
+                            lambda: builds.append(1) or build())
+        cli_module._parser.cache_clear()
+        assert cli("bogus") == 1
+        assert cli("bogus") == 1
+        assert len(builds) == 1
+
+    def test_round_full_x_does_not_leak(self, tmp_path, capsys):
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", "2", "--n", "400", "--b", "zeros",
+            "--seed", "42", "--out", path)
+        assert cli("round", path, "--seed", "7", "--full-x") == 0
+        assert "x_ones:" in capsys.readouterr().out
+        assert cli("round", path, "--seed", "7") == 0
+        assert "x_ones:" not in capsys.readouterr().out
+
+    def test_gen_seed_does_not_leak(self, tmp_path):
+        paths = [tmp_path / f"{name}.gip" for name in ("five", "default", "zero")]
+        for path, seed in zip(paths, (["--seed", "5"], [], ["--seed", "0"])):
+            assert cli("gen", "--m", "2", "--n", "20", *seed,
+                       "--out", str(path)) == 0
+        five, default, zero = (path.read_bytes() for path in paths)
+        assert default == zero != five
+
+
 class TestSweepCli:
     def test_gap_sweep_writes_configured_csv(self, tmp_path, capsys):
         cfg = dict(
