@@ -2,15 +2,17 @@
 
 The open list is a max-priority queue on node keys, ties broken by
 creation order, and the sequence of popped keys is non-increasing; this
-is asserted on every pop.  A child is created unsolved, with the
-parent's variable bounds and the branched variable fixed, and keyed by
-min(U, parent bound): U bounds its LP value by one dual simplex pivot on
-the parent's optimal basis (Driebeek 1966; Tomlin 1971).  When it
-reaches the top of the queue it is solved by dual simplex from the
-parent's `LpSolution` (final basis, status and basis inverse), since
-fixing the branched basic variable leaves that basis dual feasible, and
-pushed again with its exact key min(LP value, parent bound) and the
-same counter.  Keys only fall, to the exact key, so nodes are expanded
+is asserted on every pop.  A child is created unsolved, as its parent's
+`LpSolution` and the fixing (j, side) of the branched variable, and
+keyed by min(U, parent bound), where U is the parent's
+`LpSolution.child_bounds(j)`: one dual simplex pivot on the parent's
+optimal basis bounds the child's LP value (Driebeek 1966; Tomlin 1971).
+When it reaches the top of the queue its box, the parent's with x_j
+fixed, is built, and it is solved by dual simplex from the parent's
+`LpSolution` (final basis, status and basis inverse), since fixing the
+branched basic variable leaves that basis dual feasible, and pushed
+again with its exact key min(LP value, parent bound) and the same
+counter.  Keys only fall, to the exact key, so nodes are expanded
 in the order that solving every child at creation gives, and a child
 the search ends before reaching is never solved.  An exact key above
 the pushed one raises ArithmeticError.  A node's support partition is
@@ -31,9 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .lp import (
-    _AT_UPPER, PIV_TOL, InfeasibleError, LpSolution, solve_box_lp, solve_lp,
-)
+from .lp import InfeasibleError, LpSolution, solve_box_lp, solve_lp
 
 __all__ = [
     "BnbResult",
@@ -54,7 +54,8 @@ class BnbResult:
     pair (opt_value, best_bound) brackets the true optimum.
     `children_solved` counts the child LPs solved, each once, when the
     child reached the top of the queue; `children_infeasible` those of
-    them that proved infeasible.
+    them that proved infeasible.  `peak_open` is the largest number of
+    open-list entries, solved or unsolved, at any point of the run.
     """
 
     opt_value: float | None
@@ -65,53 +66,13 @@ class BnbResult:
     best_bound: float | None
     children_solved: int
     children_infeasible: int
+    peak_open: int
 
 
 def _most_fractional(x: np.ndarray, frac: np.ndarray) -> int:
     """The entry of the fractional indices `frac` of x closest to 1/2,
     ties resolved by lowest index."""
     return int(frac[np.argmin(np.abs(x[frac] - 0.5))])
-
-
-def _one_pivot_bounds(
-    node: LpSolution, j: int, lower: np.ndarray, upper: np.ndarray
-) -> tuple[float, float]:
-    """Upper bounds on the LP values of the down (x_j = 0) and up (x_j = 1)
-    children of `node`, from one dual simplex pivot (Driebeek 1966; Tomlin
-    1971).
-
-    j is basic at row r of the node's optimal basis; fixing it puts x_j
-    outside its new box by delta, x_j for the down child and 1 - x_j for
-    the up child.  Each unit a free nonbasic column k moves off its bound
-    moves x_j by |alpha_k| (alpha is row r of B^-1 [A | I]) and lowers the
-    objective by |d_k| (d = [c - A'y, -y], the node's reduced costs).  So
-    the child's value is at most value - delta * t, with t = min |d_k| /
-    |alpha_k| over the columns that move x_j toward its new box: the ratio
-    test of `dual_run`.  The children share alpha and d up to the sign of
-    the row, so the candidates are classified once for both.  A structural
-    is free when its box in `lower`, `upper` (the node's, which the
-    children share off j) is wider than PIV_TOL.  Each bound U is widened
-    by 1e-9 (1 + |U|); with no candidate it is -inf, as the child LP is
-    then infeasible.
-    """
-    n = node.x_star.size
-    r = node.basis.tolist().index(j)
-    alpha, y_cols = np.array([node.binv[r], node.duals]) @ node.system
-    d = -y_cols
-    d[:n] += node.c
-    ok = np.abs(alpha) > PIV_TOL
-    ok[node.basis] = False
-    ok[:n] &= upper - lower > PIV_TOL
-    ratio = np.divide(np.abs(d), np.abs(alpha), out=np.full(d.size, np.inf), where=ok)
-    # x_j rises (up child) when a column enters from its lower bound with
-    # alpha < 0 or from its upper bound with alpha > 0; it falls otherwise
-    rises = (alpha > 0.0) == (node.status == _AT_UPPER)
-    bounds = []
-    for delta, moves in ((node.x_star[j], ~rises), (1.0 - node.x_star[j], rises)):
-        t = float(ratio.min(where=moves, initial=np.inf))
-        u = node.value - delta * t
-        bounds.append(u + 1e-9 * (1.0 + abs(u)) if t < np.inf else -np.inf)
-    return bounds[0], bounds[1]
 
 
 def solve_ip(
@@ -140,7 +101,6 @@ def solve_ip(
     if node_limit < 1:
         raise ValueError("node_limit must be >= 1")
     a, b, c = instance.A, instance.b, instance.c
-    n = instance.n
     nodes_created = 1
     nodes_expanded = 0
     children_solved = 0
@@ -149,27 +109,31 @@ def solve_ip(
     inc_x: np.ndarray | None = None
     hit_limit = False
 
-    # entry: (-key, creation counter, parent bound, lower, upper, LP, solved);
-    # an unsolved entry's LP is its parent's, the warm start of its solve
+    # entry: (-key, creation count, parent bound, LP, fixing); an unsolved
+    # entry's LP is its parent's, the warm start of its solve, and fixing is
+    # (j, side) for x_j fixed at side; a solved entry's fixing is None
     try:
         root = solve_lp(instance) if root is None else root
     except InfeasibleError:
         heap = []
     else:
-        heap = [(-root.value, 0, root.value, np.zeros(n), np.ones(n), root, True)]
-    counter = 0
+        heap = [(-root.value, 0, root.value, root, None)]
+    peak_open = len(heap)
     last_bound = np.inf
 
     while heap and not hit_limit:
-        neg_bound, order, cap, lower, upper, node, solved = heapq.heappop(heap)
+        neg_bound, order, cap, node, fixing = heapq.heappop(heap)
         bound = -neg_bound
         if bound > last_bound + PRUNE_TOL:
             raise ArithmeticError("best-bound order violated")
         last_bound = bound
         if inc_value is not None and bound <= inc_value + PRUNE_TOL:
             break  # the queue is sorted, every remaining node is dominated
-        if not solved:
+        if fixing is not None:
             children_solved += 1
+            j, side = fixing
+            lower, upper = node.lower.copy(), node.upper.copy()
+            (upper if side == 0 else lower)[j] = float(side)
             try:
                 child = solve_box_lp(a, b, c, lower, upper, warm_start=node)
             except InfeasibleError:
@@ -180,7 +144,7 @@ def solve_ip(
                 raise ArithmeticError(
                     f"child LP value {child.value!r} is above its pushed key {bound!r}"
                 )
-            heapq.heappush(heap, (-exact, order, cap, lower, upper, child, True))
+            heapq.heappush(heap, (-exact, order, cap, child, None))
             continue
         nodes_expanded += 1
         x, frac = node.x_star, node.s
@@ -194,22 +158,15 @@ def solve_ip(
             continue
 
         j = _most_fractional(x, frac)
-        keys = _one_pivot_bounds(node, j, lower, upper)
+        keys = node.child_bounds(j)
         for side in (0, 1):
             hit_limit = nodes_created >= node_limit
             if hit_limit:
                 break
             nodes_created += 1
-            lo = lower.copy()
-            up = upper.copy()
-            if side == 0:
-                up[j] = 0.0
-            else:
-                lo[j] = 1.0
-            counter += 1
             heapq.heappush(
-                heap, (-min(keys[side], bound), counter, bound, lo, up, node, False)
-            )
+                heap, (-min(keys[side], bound), nodes_created, bound, node, (j, side)))
+        peak_open = max(peak_open, len(heap))
 
     if hit_limit:
         status, best_bound = "NodeLimit", bound
@@ -219,7 +176,7 @@ def solve_ip(
         status, best_bound = "Optimal", inc_value
     return BnbResult(
         inc_value, inc_x, nodes_created, nodes_expanded, status, best_bound,
-        children_solved, children_infeasible,
+        children_solved, children_infeasible, peak_open,
     )
 
 

@@ -20,8 +20,9 @@ nonbasic status, basis inverse and system, and a solve of the same A, b,
 c under bounds inside the old ones (a branch-and-bound child) starts from
 them instead.  Reduced costs depend on the basis alone, and a column
 fixed by the old box stays fixed in the new one, so that start is dual
-feasible too.  When a violated row has no entering candidate, the bounds
-are infeasible, and that row of the basis inverse, solved afresh, is the
+feasible too.  One rule, `_entering`, says which columns can enter a dual
+pivot.  When a violated row has no entering candidate, the bounds are
+infeasible, and that row of the basis inverse, solved afresh, is the
 Farkas vector of the verdict.
 
 Each solve ends by solving its final basis afresh, and the returned
@@ -33,11 +34,12 @@ of the wrong sign (a start that was not dual feasible) raises
 ArithmeticError.
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals, and the final simplex state.  The dual
-vector, the reduced costs and the support partition (variables at 0, at
-1, fractional; `support_partition` is the one place that classifies it)
-are computed on first read and kept, so a child that is never expanded
-never computes them.
+point, its value and basic duals, the box it was solved under and the
+final simplex state.  The dual vector, the reduced costs and the support
+partition (variables at 0, at 1, fractional; `support_partition` is the
+one place that classifies it) are computed on first read and kept, so a
+child that is never expanded never computes them.  `child_bounds(j)`
+bounds the values of the two children that fix a basic x_j by one pivot.
 """
 
 from __future__ import annotations
@@ -103,17 +105,20 @@ class GapBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimal basic solution of one box LP, its duals and its final
-    simplex state.
+    """Optimal basic solution of one box LP, its duals, the box it was
+    solved under and its final simplex state.
 
     `duals` are the basic duals of the final basis, which roundoff can
     leave slightly below zero; `a` and `c` are the problem's A and c.
+    `lower` and `upper` are the structural box, and `free` marks the
+    columns of [A | I] whose box is wider than PIV_TOL (every slack).
     `basis` (m column indices), `status` (at lower, at upper or basic for
     each of the n structurals and m slacks), `binv` (the carried inverse
     of the basis matrix, consistent with it to roundoff) and `system` (the
     [A | I] matrix the solve ran on) are the final simplex state; passed
     as `warm_start` to `solve_box_lp`, the solution is where a
-    branch-and-bound child re-solves from.
+    branch-and-bound child re-solves from, and `child_bounds` bounds the
+    children's values from it without solving them.
 
     `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star)
     and the partition n0/n1/s (`support_partition(x_star)`) are computed
@@ -130,6 +135,9 @@ class LpSolution:
     system: np.ndarray
     a: np.ndarray
     c: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    free: np.ndarray
 
     @cached_property
     def u_star(self) -> np.ndarray:
@@ -146,6 +154,43 @@ class LpSolution:
     n0 = property(lambda self: self._partition[0])
     n1 = property(lambda self: self._partition[1])
     s = property(lambda self: self._partition[2])
+
+    def child_bounds(self, j: int) -> tuple[float, float]:
+        """Upper bounds (U_down, U_up) on the LP values of the children
+        that fix the basic x_j at 0 and at 1, from the ratio test of one
+        dual simplex pivot (Driebeek 1966; Tomlin 1971).
+
+        Fixing x_j puts it outside its box by delta (x_j down, 1 - x_j up).
+        A column that `_entering` finds moving x_j toward its new box on
+        alpha, the row of B^-1 [A | I] where j is basic, moves x_j by
+        |alpha_k| per unit and costs |d_k| (d = [c - A'y, -y]).  So U = value
+        - delta * min |d_k| / |alpha_k|, widened by 1e-9 (1 + |U|), and -inf
+        when no column can enter, as the child LP is then infeasible.
+        """
+        n = self.x_star.size
+        r = self.basis.tolist().index(j)
+        alpha, y_cols = np.array([self.binv[r], self.duals]) @ self.system
+        d = -y_cols
+        d[:n] += self.c
+        rise, fall = _entering(alpha, self.status, self.free)
+        ratio = np.abs(d) / np.maximum(np.abs(alpha), PIV_TOL)
+        bounds = []
+        for delta, moves in ((self.x_star[j], fall), (1.0 - self.x_star[j], rise)):
+            t = float(ratio.min(where=moves, initial=np.inf))
+            u = self.value - delta * t
+            bounds.append(u + 1e-9 * (1.0 + abs(u)) if t < np.inf else -np.inf)
+        return bounds[0], bounds[1]
+
+
+def _entering(alpha, status, free):
+    """Masks (rise, fall) of the columns that can enter a dual pivot on the
+    row alpha of B^-1 [A | I]: nonbasic, free and |alpha_k| > PIV_TOL, split
+    by the way they move the row's basic value.  As x_B = B^-1 (b - N x_N),
+    entering from lower with alpha_k < 0, or from upper with alpha_k > 0,
+    raises it."""
+    cand = free & (np.abs(alpha) > PIV_TOL) & (status != _BASIC)
+    rises = (alpha > 0.0) == (status == _AT_UPPER)
+    return cand & rises, cand & ~rises
 
 
 class _Simplex:
@@ -204,8 +249,9 @@ class _Simplex:
         current basis must have the optimal signs.
 
         Each pivot takes the basic variable furthest outside its box out
-        at the bound it violates, and enters the nonbasic variable that
-        keeps the reduced costs dual feasible (the smallest |d_k| /
+        at the bound it violates.  Of the columns `_entering` finds moving
+        it toward that bound on its row alpha of B^-1 [A | I], it enters the
+        one that keeps the reduced costs dual feasible (the smallest |d_k| /
         |alpha_k|, the largest |alpha_k| among ties).  Returns None once
         the basis is primal feasible.  When the violated row r has no
         entering candidate, no point of the box can move that basic value
@@ -217,7 +263,6 @@ class _Simplex:
         afresh at the current basis, so a carried binv is refactorized and
         the row taken again first; the returned rho is then solved afresh.
         """
-        free = self.free
         while True:
             xb = self.binv @ (self.rhs - self.mat @ self._nonbasic_point())
             below = self.lower[self.basis] - xb
@@ -226,15 +271,11 @@ class _Simplex:
             if max(below[r], above[r]) <= FEAS_TOL:
                 return None
             d = gamma - self.mat.T @ (gamma[self.basis] @ self.binv)
-            # sign = +1: x_basis[r] must rise to its lower bound.  x_k
-            # entering from lower with alpha_k < 0, or from upper with
-            # alpha_k > 0, moves x_basis[r] toward the bound it violates.
+            # +1: x_basis[r] must rise to its lower bound; -1: fall to its upper
             sign = 1.0 if below[r] > 0.0 else -1.0
-            alpha = sign * (self.mat.T @ self.binv[r])
-            eligible = np.flatnonzero(free & (
-                ((self.status == _AT_LOWER) & (alpha < -PIV_TOL))
-                | ((self.status == _AT_UPPER) & (alpha > PIV_TOL))
-            ))
+            alpha = self.mat.T @ self.binv[r]
+            rise, fall = _entering(alpha, self.status, self.free)
+            eligible = np.flatnonzero(rise if sign > 0 else fall)
             if eligible.size == 0:
                 if not self.fresh:
                     self._refactor()
@@ -374,6 +415,7 @@ def solve_box_lp(
         x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
         basis=core.basis, status=core.status,
         binv=core.binv, system=system, a=a, c=c,
+        lower=lower, upper=upper, free=core.free,
     )
 
 
@@ -385,7 +427,7 @@ def _check_optimum(instance, sol):
     ax = a @ x
     if np.any(ax > b + 1e-7):
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
-    dv = float(b @ u + np.sum(np.maximum(r, 0.0)))  # dual_value(u, instance)
+    dv = dual_value(u, instance)
     if abs(value - dv) > 1e-7 * (1.0 + abs(value)):
         raise ArithmeticError(
             f"strong duality violated: primal {value!r} vs dual {dv!r}"

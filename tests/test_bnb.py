@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,6 +82,23 @@ class TestResultAtEachExit:
         res = solve_ip(make_instance([[1.0, 1.0]], [1.5], [1.0, 1.0]))
         assert (res.nodes_created, res.nodes_expanded) == (5, 3)
         assert (res.children_solved, res.children_infeasible) == (3, 0)
+
+    @pytest.mark.parametrize("a, b, c, node_limit, peak", [
+        # root LP infeasible: the open list never holds an entry
+        ([[-1.0], [1.0]], [-0.9, 0.5], [1.0], 10, 0),
+        # integral root: the root alone
+        ([[1.0, 1.0]], [3.0], [1.0, 1.0], 10, 1),
+        # the root's two children, both infeasible
+        ([[-1.0], [1.0]], [-0.5, 0.75], [1.0], 10, 2),
+        # the root's down child stays open while its up child is solved
+        # and expanded into two more
+        ([[1.0, 1.0]], [1.5], [1.0, 1.0], 10, 3),
+        # the node limit stops the second expansion before it pushes
+        ([[1.0, 1.0]], [1.5], [1.0, 1.0], 3, 2),
+    ])
+    def test_peak_open(self, a, b, c, node_limit, peak):
+        res = solve_ip(make_instance(a, b, c), node_limit=node_limit)
+        assert res.peak_open == peak
 
     def test_node_limit_one_bounds_by_the_root_lp(self):
         inst = generate(2, 16, BSpec.zeros(), RngHandle(31))
@@ -241,14 +261,14 @@ class TestOnePivotBound:
 
     def test_bound_holds_on_tree_nodes(self, monkeypatch):
         seen = []
-        bounds = bnb._one_pivot_bounds
+        bounds = lp.LpSolution.child_bounds
 
-        def recorded(node, j, lower, upper):
-            keys = bounds(node, j, lower, upper)
-            seen.append((inst, j, lower.copy(), upper.copy(), keys))
+        def recorded(node, j):
+            keys = bounds(node, j)
+            seen.append((inst, j, node.lower.copy(), node.upper.copy(), keys))
             return keys
 
-        monkeypatch.setattr(bnb, "_one_pivot_bounds", recorded)
+        monkeypatch.setattr(lp.LpSolution, "child_bounds", recorded)
         # the last instance's up child has no entering column: x >= 0.5,
         # x <= 0.75, and raising x only shrinks the slack that is nonbasic
         for inst in [
@@ -277,11 +297,25 @@ class TestOnePivotBound:
         lambda keys: (-np.inf, -np.inf),
     ])
     def test_key_below_the_child_value_raises(self, monkeypatch, lowered):
-        bounds = bnb._one_pivot_bounds
-        monkeypatch.setattr(bnb, "_one_pivot_bounds",
+        bounds = lp.LpSolution.child_bounds
+        monkeypatch.setattr(lp.LpSolution, "child_bounds",
                             lambda *args: lowered(bounds(*args)))
         with pytest.raises(ArithmeticError, match="above its pushed key"):
             solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
+
+
+class TestModuleBoundary:
+    def test_bnb_imports_no_private_lp_name(self):
+        tree = ast.parse(Path(bnb.__file__).read_text())
+        private = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module == "giplab.lp" or (node.level == 1 and node.module == "lp"))
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+        assert private == []
 
 
 class TestFrozenTrees:

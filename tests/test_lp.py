@@ -478,6 +478,47 @@ class TestOneResultType:
         assert solved >= 40
 
 
+class TestEnteringRule:
+    """`lp._entering`, the one rule for the columns that can enter a dual
+    pivot, shared by the dual simplex and `LpSolution.child_bounds`."""
+
+    def test_hand_row(self):
+        lo, up, basic = lp._AT_LOWER, lp._AT_UPPER, lp._BASIC
+        tol = lp.PIV_TOL
+        # (status, alpha_k, free) per column
+        cols = [
+            (basic, -1.0, True),   # basic: excluded
+            (lo, -1.0, True),      # from lower, alpha < 0: rises
+            (lo, 1.0, True),       # from lower, alpha > 0: falls
+            (up, 1.0, True),       # from upper, alpha > 0: rises
+            (up, -1.0, True),      # from upper, alpha < 0: falls
+            (lo, -1.0, False),     # fixed by its box: excluded
+            (up, 1.0, False),      # fixed by its box: excluded
+            (lo, -tol, True),      # |alpha_k| == PIV_TOL: excluded
+            (up, tol, True),       # |alpha_k| == PIV_TOL: excluded
+            (lo, 0.0, True),       # zero entry: excluded
+            (lo, -2.0 * tol, True),  # just above PIV_TOL: rises
+            (basic, 1.0, True),    # basic: excluded
+        ]
+        status = np.array([k[0] for k in cols], dtype=np.int8)
+        alpha = np.array([k[1] for k in cols])
+        free = np.array([k[2] for k in cols])
+        rise, fall = lp._entering(alpha, status, free)
+        assert np.flatnonzero(rise).tolist() == [1, 3, 10]
+        assert np.flatnonzero(fall).tolist() == [2, 4]
+
+    def test_pivots_and_child_bounds_use_it(self, monkeypatch):
+        calls = []
+        entering = lp._entering
+        monkeypatch.setattr(
+            lp, "_entering", lambda *args: calls.append(1) or entering(*args))
+        sol = solve_lp(generate(2, 24, BSpec.zeros(), RngHandle(5)))
+        assert len(calls) >= sol.pivots > 0
+        solves = len(calls)
+        sol.child_bounds(int(sol.s[0]))
+        assert len(calls) == solves + 1
+
+
 class TestSolveLpAgainstOracle:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_vertex_enumeration(self, seed):
