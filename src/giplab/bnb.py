@@ -72,7 +72,7 @@ class BnbResult:
 def _most_fractional(x: np.ndarray, frac: np.ndarray) -> int:
     """The entry of the fractional indices `frac` of x closest to 1/2,
     ties resolved by lowest index."""
-    return int(frac[np.argmin(np.abs(x[frac] - 0.5))])
+    return int(frac[abs(x[frac] - 0.5).argmin()])
 
 
 def solve_ip(
@@ -132,8 +132,14 @@ def solve_ip(
         if fixing is not None:
             children_solved += 1
             j, side = fixing
-            lower, upper = node.lower.copy(), node.upper.copy()
-            (upper if side == 0 else lower)[j] = float(side)
+            # the bound that moves is copied; the solve never writes either
+            lower, upper = node.lower, node.upper
+            if side == 0:
+                upper = upper.copy()
+                upper[j] = 0.0
+            else:
+                lower = lower.copy()
+                lower[j] = 1.0
             try:
                 child = solve_box_lp(a, b, c, lower, upper, warm_start=node)
             except InfeasibleError:

@@ -6,7 +6,12 @@ carries the inverse of the m x m basis matrix (m <= ~10) and updates it by
 one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
 basis change; basic values, duals and the pivot row are products with it.
 The inverse is computed afresh when a pivot element is too small to
-divide by, and before an infeasibility verdict.
+divide by, and before an infeasibility verdict.  What each pass reads
+besides is built once per solve and carried across pivots, where a basis
+change moves two columns: which nonbasic columns sit at their upper bound
+and which can enter, the nonbasic point and the bounds of the basic
+variables.  Carrying it changes no product, so every pivot and every
+returned bit is what rebuilding it on each pass gives.
 
 Every solve runs bounded dual simplex pivots on the one system [A | I]
 from a dual feasible start until the basic values lie inside their
@@ -34,11 +39,13 @@ of the wrong sign (a start that was not dual feasible) raises
 ArithmeticError.
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals, the box it was solved under and the
-final simplex state.  The dual vector, the reduced costs and the support
-partition (variables at 0, at 1, fractional; `support_partition` is the
-one place that classifies it) are computed on first read and kept, so a
-child that is never expanded never computes them.  `child_bounds(j)`
+point, its value and basic duals, the box it was solved under, the final
+simplex state and `refactors`, how many fresh inverses the solve took by
+cause (a tiny pivot, an infeasibility verdict, the exit check).  The dual
+vector, the reduced costs and the support partition (variables at 0, at
+1, fractional; `support_partition` is the one place that classifies it)
+are computed on first read and kept, so a child that is never expanded
+never computes them.  `child_bounds(j)`
 bounds the values of the two children that fix a basic x_j by one pivot.
 """
 
@@ -114,11 +121,16 @@ class LpSolution:
     columns of [A | I] whose box is wider than PIV_TOL (every slack).
     `basis` (m column indices), `status` (at lower, at upper or basic for
     each of the n structurals and m slacks), `binv` (the carried inverse
-    of the basis matrix, consistent with it to roundoff) and `system` (the
-    [A | I] matrix the solve ran on) are the final simplex state; passed
+    of the basis matrix, consistent with it to roundoff), `system` (the
+    [A | I] matrix the solve ran on), `gamma` (its cost vector [c, 0]) and
+    the masks `at_upper` (status at upper) and `nb_free` (free and
+    nonbasic) are the final simplex state; passed
     as `warm_start` to `solve_box_lp`, the solution is where a
     branch-and-bound child re-solves from, and `child_bounds` bounds the
     children's values from it without solving them.
+
+    `refactors` maps each cause of a fresh basis inverse during the solve
+    ("tiny_pivot", "verdict", "exit_check") to how many it took.
 
     `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star)
     and the partition n0/n1/s (`support_partition(x_star)`) are computed
@@ -135,9 +147,13 @@ class LpSolution:
     system: np.ndarray
     a: np.ndarray
     c: np.ndarray
+    gamma: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     free: np.ndarray
+    at_upper: np.ndarray
+    nb_free: np.ndarray
+    refactors: dict
 
     @cached_property
     def u_star(self) -> np.ndarray:
@@ -167,30 +183,37 @@ class LpSolution:
         - delta * min |d_k| / |alpha_k|, widened by 1e-9 (1 + |U|), and -inf
         when no column can enter, as the child LP is then infeasible.
         """
-        n = self.x_star.size
         r = self.basis.tolist().index(j)
-        alpha, y_cols = np.array([self.binv[r], self.duals]) @ self.system
-        d = -y_cols
-        d[:n] += self.c
-        rise, fall = _entering(alpha, self.status, self.free)
-        ratio = np.abs(d) / np.maximum(np.abs(alpha), PIV_TOL)
+        alpha, y_cols = np.array((self.binv[r], self.duals)) @ self.system
+        mag = abs(alpha)
+        rise, fall = _entering(alpha, mag, self.at_upper, self.nb_free)
+        ratio = abs(self.gamma - y_cols) / np.maximum(mag, PIV_TOL)
         bounds = []
         for delta, moves in ((self.x_star[j], fall), (1.0 - self.x_star[j], rise)):
-            t = float(ratio.min(where=moves, initial=np.inf))
-            u = self.value - delta * t
-            bounds.append(u + 1e-9 * (1.0 + abs(u)) if t < np.inf else -np.inf)
+            ratios = ratio[moves]
+            if ratios.size == 0:
+                bounds.append(-np.inf)
+                continue
+            u = self.value - delta * float(ratios[ratios.argmin()])
+            bounds.append(u + 1e-9 * (1.0 + abs(u)))
         return bounds[0], bounds[1]
 
 
-def _entering(alpha, status, free):
+def _top(v):
+    """The largest entry of v, read at v.argmax(): the same value as
+    v.max() (NaN included) at a fraction of its dispatch cost."""
+    return v[v.argmax()]
+
+
+def _entering(alpha, mag, at_upper, nb_free):
     """Masks (rise, fall) of the columns that can enter a dual pivot on the
-    row alpha of B^-1 [A | I]: nonbasic, free and |alpha_k| > PIV_TOL, split
-    by the way they move the row's basic value.  As x_B = B^-1 (b - N x_N),
-    entering from lower with alpha_k < 0, or from upper with alpha_k > 0,
-    raises it."""
-    cand = free & (np.abs(alpha) > PIV_TOL) & (status != _BASIC)
-    rises = (alpha > 0.0) == (status == _AT_UPPER)
-    return cand & rises, cand & ~rises
+    row alpha of B^-1 [A | I], whose magnitudes are mag: nonbasic and free
+    (`nb_free`) with |alpha_k| > PIV_TOL, split by the way they move the
+    row's basic value.  As x_B = B^-1 (b - N x_N), entering from lower with
+    alpha_k < 0, or from upper (`at_upper`) with alpha_k > 0, raises it."""
+    cand = nb_free & (mag > PIV_TOL)
+    rise = cand & ((alpha > 0.0) == at_upper)
+    return rise, cand ^ rise
 
 
 class _Simplex:
@@ -202,9 +225,20 @@ class _Simplex:
     it leaves afresh and returns the optimum.  Basic values, duals and
     pivot rows are products with binv, which one product-form step
     updates per basis change.
+
+    State read on every pass is built once per solve and carried across
+    pivots, where a basis change moves two columns: the masks `at_upper`
+    (nonbasic at its upper bound) and `nb_free` (nonbasic and free, so it
+    can enter), the nonbasic point `x_n` (each nonbasic column at its
+    bound, basic ones at 0) and the bounds `low_b`, `upp_b` of the basic
+    variables.  `rhs_n` is b - N x_N of dual_run's last pass, which
+    certify solves against, and `eye` the identity, the slack block of
+    [A | I].  `refactors` counts fresh inverses by cause: a pivot element
+    too small to divide by, an infeasibility verdict and the exit check.
     """
 
     def __init__(self, mat, rhs, lower, upper, basis, status, binv, max_pivots):
+        m = len(basis)
         self.mat = mat
         self.rhs = rhs
         self.lower = lower
@@ -212,34 +246,47 @@ class _Simplex:
         self.basis = np.array(basis)
         self.status = status
         self.binv = binv
+        self.eye = mat[:, mat.shape[1] - m:]
         self.fresh = False  # binv was just inverted from the current basis
         self.free = (upper - lower) > PIV_TOL
+        self.at_upper = status == _AT_UPPER
+        self.nb_free = self.free & (status != _BASIC)
+        self.x_n = np.where(self.at_upper, upper, lower)
+        self.x_n[self.basis] = 0.0
+        self.low_b, self.upp_b = lower[self.basis], upper[self.basis]
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
+        self.refactors = dict.fromkeys(("tiny_pivot", "verdict", "exit_check"), 0)
 
-    def _nonbasic_point(self):
-        x_n = np.where(self.status == _AT_UPPER, self.upper, self.lower)
-        x_n[self.basis] = 0.0
-        return x_n
-
-    def _refactor(self):
+    def _refactor(self, cause):
         try:
             self.binv = np.linalg.inv(self.mat[:, self.basis])
         except np.linalg.LinAlgError:
             raise ArithmeticError("simplex basis became singular") from None
         self.fresh = True
+        self.refactors[cause] += 1
 
-    def _exchange(self, pos, e, w):
+    def _exchange(self, pos, e, w, to_upper):
         """Column e takes basis position pos, where w = B^-1 a_e under the
-        old basis: a product-form step on binv, or a fresh inverse when the
-        pivot element w[pos] is too small to divide by."""
+        old basis, and the column leaving it goes to its upper bound when
+        `to_upper`, else to its lower bound: the carried state moves with
+        both columns, and binv takes a product-form step, or a fresh
+        inverse when the pivot element w[pos] is too small to divide by."""
+        leave = self.basis[pos]
+        self.status[leave] = _AT_UPPER if to_upper else _AT_LOWER
+        self.at_upper[leave] = to_upper
+        self.nb_free[leave] = self.free[leave]
+        self.x_n[leave] = (self.upper if to_upper else self.lower)[leave]
         self.basis[pos] = e
         self.status[e] = _BASIC
+        self.at_upper[e] = self.nb_free[e] = False
+        self.x_n[e] = 0.0
+        self.low_b[pos], self.upp_b[pos] = self.lower[e], self.upper[e]
         if abs(w[pos]) <= PIV_TOL:
-            self._refactor()
+            self._refactor("tiny_pivot")
             return
         row = self.binv[pos] / w[pos]
-        self.binv -= np.outer(w, row)
+        self.binv -= w[:, None] * row
         self.binv[pos] = row
         self.fresh = False
 
@@ -252,9 +299,10 @@ class _Simplex:
         at the bound it violates.  Of the columns `_entering` finds moving
         it toward that bound on its row alpha of B^-1 [A | I], it enters the
         one that keeps the reduced costs dual feasible (the smallest |d_k| /
-        |alpha_k|, the largest |alpha_k| among ties).  Returns None once
-        the basis is primal feasible.  When the violated row r has no
-        entering candidate, no point of the box can move that basic value
+        |alpha_k|, the largest |alpha_k| among ties); d is computed only
+        once there is a candidate.  Returns None once the basis is primal
+        feasible.  When the violated row r has no entering candidate, no
+        point of the box can move that basic value
         toward its bound, and the row rho = B^-T e_r proves it: every
         solution has alpha @ z = rho @ b, which no point of the box
         reaches.  The slack entries of alpha are rho itself, so sign * rho
@@ -264,33 +312,33 @@ class _Simplex:
         the row taken again first; the returned rho is then solved afresh.
         """
         while True:
-            xb = self.binv @ (self.rhs - self.mat @ self._nonbasic_point())
-            below = self.lower[self.basis] - xb
-            above = xb - self.upper[self.basis]
-            r = int(np.argmax(np.maximum(below, above)))
+            self.rhs_n = self.rhs - self.mat @ self.x_n
+            xb = self.binv @ self.rhs_n
+            below = self.low_b - xb
+            above = xb - self.upp_b
+            r = np.maximum(below, above).argmax()
             if max(below[r], above[r]) <= FEAS_TOL:
                 return None
-            d = gamma - self.mat.T @ (gamma[self.basis] @ self.binv)
-            # +1: x_basis[r] must rise to its lower bound; -1: fall to its upper
-            sign = 1.0 if below[r] > 0.0 else -1.0
+            # x_basis[r] must rise to its lower bound, or fall to its upper
+            rise_to_lower = below[r] > 0.0
             alpha = self.mat.T @ self.binv[r]
-            rise, fall = _entering(alpha, self.status, self.free)
-            eligible = np.flatnonzero(rise if sign > 0 else fall)
+            mag = abs(alpha)
+            rise, fall = _entering(alpha, mag, self.at_upper, self.nb_free)
+            eligible = (rise if rise_to_lower else fall).nonzero()[0]
             if eligible.size == 0:
                 if not self.fresh:
-                    self._refactor()
+                    self._refactor("verdict")
                     continue
                 try:
-                    rho = np.linalg.solve(self.mat[:, self.basis].T,
-                                          np.eye(len(self.basis))[r])
+                    rho = np.linalg.solve(self.mat[:, self.basis].T, self.eye[r])
                 except np.linalg.LinAlgError:
                     raise ArithmeticError("simplex basis became singular") from None
-                return np.maximum(sign * rho, 0.0)
-            ratios = np.abs(d[eligible]) / np.abs(alpha[eligible])
-            ties = eligible[ratios <= ratios.min() + RC_TOL]
-            e = int(ties[np.argmax(np.abs(alpha[ties]))])
-            self.status[self.basis[r]] = _AT_LOWER if sign > 0 else _AT_UPPER
-            self._exchange(r, e, self.binv @ self.mat[:, e])
+                return np.maximum(rho if rise_to_lower else -rho, 0.0)
+            d = gamma - self.mat.T @ (gamma[self.basis] @ self.binv)
+            ratios = abs(d[eligible]) / mag[eligible]
+            ties = eligible[ratios <= ratios[ratios.argmin()] + RC_TOL]
+            e = int(ties[mag[ties].argmax()])
+            self._exchange(r, e, self.binv @ self.mat[:, e], not rise_to_lower)
             self.pivots += 1
             if self.pivots >= self.max_pivots:
                 raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
@@ -307,33 +355,30 @@ class _Simplex:
         stands.  A binv inverted afresh since the last basis change is not
         refactorized again, and its exit stands.
         """
-        x_n = self._nonbasic_point()
         bmat = self.mat[:, self.basis]
         try:
-            xb = np.linalg.solve(bmat, self.rhs - self.mat @ x_n)
+            xb = np.linalg.solve(bmat, self.rhs_n)
             y = np.linalg.solve(bmat.T, gamma[self.basis])
         except np.linalg.LinAlgError:
             raise ArithmeticError("simplex basis became singular") from None
         d = gamma - self.mat.T @ y
-        wrong = np.flatnonzero(self.free & (
-            ((self.status == _AT_LOWER) & (d > RC_TOL))
-            | ((self.status == _AT_UPPER) & (d < -RC_TOL))
-        ))
+        # at lower, a column gains from rising (d > 0); at upper, from falling
+        wrong = (self.nb_free & (np.where(self.at_upper, -d, d) > RC_TOL)).nonzero()[0]
         if wrong.size:
-            e = int(wrong[np.argmax(np.abs(d[wrong]))])
+            e = int(wrong[abs(d[wrong]).argmax()])
             raise ArithmeticError(
                 f"dual simplex ended dual infeasible: column {e} "
                 f"has reduced cost {float(d[e])!r}"
             )
-        outside = np.maximum(self.lower[self.basis] - xb,
-                             xb - self.upper[self.basis]).max() > FEAS_TOL
-        if not self.fresh and (outside or np.abs(
-                self.binv @ bmat - np.eye(len(xb))).sum(axis=1).max() > INV_TOL):
-            self._refactor()
+        outside = _top(np.maximum(self.low_b - xb, xb - self.upp_b)) > FEAS_TOL
+        if not self.fresh and (outside or _top(abs(
+                self.binv @ bmat - self.eye).sum(axis=1)) > INV_TOL):
+            self._refactor("exit_check")
             if outside:
                 return None
-        x_n[self.basis] = xb
-        return x_n, y
+        x = self.x_n.copy()
+        x[self.basis] = xb
+        return x, y
 
 
 def solve_box_lp(
@@ -383,21 +428,21 @@ def solve_box_lp(
 
     if warm_start is None:
         system = np.hstack([a, np.eye(m)])
+        gamma = np.concatenate([c, np.zeros(m)])
         basis = np.arange(n, n + m)
         status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         status[:n][(c > 0.0) & (upper - lower > PIV_TOL)] = _AT_UPPER
         status[n:] = _BASIC
         binv = np.eye(m)
     else:
-        system, basis = warm_start.system, warm_start.basis
+        system, gamma, basis = warm_start.system, warm_start.gamma, warm_start.basis
         status, binv = warm_start.status.copy(), warm_start.binv.copy()
     core = _Simplex(
         system, b,
-        np.concatenate([lower, np.zeros(m)]),
-        np.concatenate([upper, np.full(m, np.inf)]),
+        np.concatenate((lower, np.zeros(m))),
+        np.concatenate((upper, np.full(m, np.inf))),
         basis, status, binv, max_pivots,
     )
-    gamma = np.concatenate([c, np.zeros(m)])
     point = None
     while point is None:
         u = core.dual_run(gamma)
@@ -410,24 +455,26 @@ def solve_box_lp(
             )
         point = core.certify(gamma)
     x_full, y = point
-    x = np.clip(x_full[:n], lower, upper)
+    x = np.minimum(np.maximum(x_full[:n], lower), upper)
     return LpSolution(
         x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
         basis=core.basis, status=core.status,
-        binv=core.binv, system=system, a=a, c=c,
+        binv=core.binv, system=system, a=a, c=c, gamma=gamma,
         lower=lower, upper=upper, free=core.free,
+        at_upper=core.at_upper, nb_free=core.nb_free, refactors=core.refactors,
     )
 
 
 def _check_optimum(instance, sol):
     """Primal feasibility, strong duality and complementary slackness of
-    (x_star, u_star) in `sol`."""
+    (x_star, u_star) in `sol`; the dual objective is `dual_value`'s, taken
+    from the kept reduced costs."""
     a, b = instance.A, instance.b
     x, u, value, r = sol.x_star, sol.u_star, sol.value, sol.reduced_costs
     ax = a @ x
     if np.any(ax > b + 1e-7):
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
-    dv = dual_value(u, instance)
+    dv = float(b @ u + np.sum(np.maximum(r, 0.0)))  # dual_value(u) from r
     if abs(value - dv) > 1e-7 * (1.0 + abs(value)):
         raise ArithmeticError(
             f"strong duality violated: primal {value!r} vs dual {dv!r}"
@@ -443,9 +490,9 @@ def _check_optimum(instance, sol):
 def support_partition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of x at 0, at 1 and strictly between, within CLASSIFY_TOL."""
     x = np.asarray(x, dtype=float)
-    n0 = np.flatnonzero(x <= CLASSIFY_TOL)
-    n1 = np.flatnonzero(x >= 1.0 - CLASSIFY_TOL)
-    s = np.flatnonzero((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL))
+    n0 = (x <= CLASSIFY_TOL).nonzero()[0]
+    n1 = (x >= 1.0 - CLASSIFY_TOL).nonzero()[0]
+    s = ((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL)).nonzero()[0]
     return n0, n1, s
 
 

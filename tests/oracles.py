@@ -24,9 +24,11 @@ def lp_vertex_oracle(a, b, c, tol: float = 1e-9):
     """LP over A x <= b, x in [0,1]^n by enumerating every vertex.
 
     A vertex makes n constraints tight: k rows of A (k <= min(m, n)) plus
-    n - k variable bounds.  Candidates for each (rows, free) choice are
-    evaluated in one batch.  Returns ("optimal", value, x) or
-    ("infeasible", None, None).
+    n - k variable bounds.  For each choice of k rows, the k x k systems
+    of every choice of k free columns are solved in one batched call, and
+    the solution is then applied to every 0/1 pattern of the other n - k
+    columns.  Returns
+    ("optimal", value, x) or ("infeasible", None, None).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -36,12 +38,9 @@ def lp_vertex_oracle(a, b, c, tol: float = 1e-9):
     best_x = None
 
     def consider_batch(xs):
+        # every coordinate is in [-tol, 1 + tol] already
         nonlocal best_val, best_x
-        ok = (
-            np.all(xs >= -tol, axis=1)
-            & np.all(xs <= 1.0 + tol, axis=1)
-            & np.all(xs @ a.T <= b + tol, axis=1)
-        )
+        ok = np.all(xs @ a.T <= b + tol, axis=1)
         if not np.any(ok):
             return
         vals = xs[ok] @ c
@@ -50,24 +49,33 @@ def lp_vertex_oracle(a, b, c, tol: float = 1e-9):
             best_val = float(vals[i])
             best_x = np.clip(xs[ok][i], 0.0, 1.0)
 
-    patterns_cache = {size: _bound_patterns(size) for size in range(n + 1)}
-    for k in range(0, min(m, n) + 1):
-        patterns = patterns_cache[n - k]
+    consider_batch(_bound_patterns(n))  # k = 0: every coordinate at a bound
+    for k in range(1, min(m, n) + 1):
+        patterns = _bound_patterns(n - k)  # (P, n - k)
+        free = np.array(list(combinations(range(n), k)))  # (F, k)
+        fixed = np.array([[j for j in range(n) if j not in f] for f in free.tolist()],
+                         dtype=np.intp).reshape(len(free), n - k)
         for rows in combinations(range(m), k):
-            for free in combinations(range(n), k):
-                fixed = [j for j in range(n) if j not in free]
-                if k == 0:
-                    consider_batch(patterns.copy())
-                    continue
-                sub = a[np.ix_(rows, free)]
-                if abs(np.linalg.det(sub)) < 1e-12:
-                    continue
-                rhs = b[list(rows)][:, None] - a[np.ix_(rows, fixed)] @ patterns.T
-                sols = np.linalg.solve(sub, rhs)  # (k, 2^(n-k))
-                xs = np.empty((patterns.shape[0], n))
-                xs[:, fixed] = patterns
-                xs[:, list(free)] = sols.T
-                consider_batch(xs)
+            a_rows = a[list(rows)]  # (k, n)
+            subs = a_rows[:, free].transpose(1, 0, 2)  # (F, k, k)
+            solvable = np.flatnonzero(np.abs(np.linalg.det(subs)) >= 1e-12)
+            if solvable.size == 0:
+                continue
+            # x_free = S^-1 b_rows - S^-1 A_fixed x_fixed: solve for the
+            # k + (n - k) right-hand sides once, then apply every pattern
+            fixed_part = a_rows[:, fixed[solvable]].transpose(1, 0, 2)  # (F', k, n-k)
+            rhs = np.concatenate(
+                [np.broadcast_to(b[list(rows)][:, None], (solvable.size, k, 1)),
+                 fixed_part], axis=2)
+            y = np.linalg.solve(subs[solvable], rhs)  # (F', k, 1 + n - k)
+            sols = y[:, :, :1] - y[:, :, 1:] @ patterns.T  # (F', k, P)
+            f_i, p_i = np.nonzero(np.all((sols >= -tol) & (sols <= 1.0 + tol), axis=1))
+            if f_i.size == 0:
+                continue
+            xs = np.empty((f_i.size, n))
+            np.put_along_axis(xs, fixed[solvable][f_i], patterns[p_i], axis=1)
+            np.put_along_axis(xs, free[solvable][f_i], sols[f_i, :, p_i], axis=1)
+            consider_batch(xs)
     if best_val is None:
         return "infeasible", None, None
     return "optimal", best_val, best_x

@@ -228,7 +228,8 @@ class TestTrialStatusRows:
             start = SimpleNamespace(
                 basis=np.arange(n, n + m),
                 status=np.array([1] * n + [2] * m, dtype=np.int8),
-                binv=np.eye(m), system=np.hstack([a, np.eye(m)]))
+                binv=np.eye(m), system=np.hstack([a, np.eye(m)]),
+                gamma=np.concatenate([c, np.zeros(m)]))
             return solve_box_lp(a, b, c, warm_start=start, **kwargs)
 
         monkeypatch.setattr(lp, "solve_box_lp", all_at_upper)

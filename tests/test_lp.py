@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import re
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giplab import lp
+from giplab import bnb, lp
 from giplab.instance import BSpec, generate
 from giplab.lp import (
     InfeasibleError,
@@ -331,17 +333,33 @@ class TestWarmStart:
             lower, upper = self._fixed(lower, upper, j, side)
         self._warm_and_cold(inst, lower, upper, root)
 
+    @staticmethod
+    def _count_refactors(monkeypatch):
+        """Every fresh inverse, by cause, and a check that each returned
+        solution's `refactors` counts those made during its solve."""
+        causes = []
+        refactor = lp._Simplex._refactor
+        solve = lp.solve_box_lp
+
+        def counted(core, cause):
+            causes.append(cause)
+            refactor(core, cause)
+
+        def checked(*args, **kwargs):
+            start = len(causes)
+            res = solve(*args, **kwargs)
+            seen = collections.Counter(causes[start:])
+            assert res.refactors == {k: seen[k] for k in res.refactors}
+            return res
+
+        monkeypatch.setattr(lp._Simplex, "_refactor", counted)
+        monkeypatch.setattr(sys.modules[__name__], "solve_box_lp", checked)
+        return causes
+
     def test_drifted_inverse_is_refactorized(self, monkeypatch):
         # every entry of the parent's inverse off by 1e-3: the exit checks
         # must catch it, refactorize, and still reach the cold optimum
-        refactors = []
-        refactor = lp._Simplex._refactor
-
-        def counted(core):
-            refactors.append(core.pivots)
-            refactor(core)
-
-        monkeypatch.setattr(lp._Simplex, "_refactor", counted)
+        causes = self._count_refactors(monkeypatch)
         solves = 0
         for i in range(16):
             inst = self._instance(i)
@@ -352,7 +370,47 @@ class TestWarmStart:
                 for side in (0.0, 1.0):
                     lower, upper = self._fixed(zeros, ones, j, side)
                     solves += self._warm_and_cold(inst, lower, upper, drifted) is not None
-        assert solves >= 30 and refactors
+        assert solves >= 30 and causes.count("exit_check") > 0
+
+    def test_tiny_pivot_is_refactorized(self, monkeypatch):
+        # every pivot element read as zero: each basis change inverts the
+        # new basis afresh instead of a product-form step, and is counted
+        causes = self._count_refactors(monkeypatch)
+        monkeypatch.setattr(lp._Simplex, "_exchange", _tiny_pivots(lambda: True))
+        pivots = 0
+        for i in range(8):
+            inst = self._instance(i)
+            root = solve_lp(inst)
+            assert root.refactors["tiny_pivot"] == root.pivots
+            pivots += root.pivots
+            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            for j in root.s:
+                for side in (0.0, 1.0):
+                    lower, upper = self._fixed(zeros, ones, j, side)
+                    pair = self._warm_and_cold(inst, lower, upper, root)
+                    if pair is not None:
+                        assert pair[0].refactors["tiny_pivot"] == pair[0].pivots
+                        pivots += pair[0].pivots
+        assert pivots > 0 and causes.count("tiny_pivot") >= pivots
+
+    def test_unproved_verdict_is_refactorized(self, monkeypatch):
+        # the parent's inverse shrunk by 1e-14: the branched row breaks its
+        # new bound, but no entry of its carried row clears PIV_TOL, so the
+        # verdict is taken again on a fresh inverse, which finds the pivots
+        causes = self._count_refactors(monkeypatch)
+        verdicts = 0
+        for i in range(16):
+            inst = self._instance(i)
+            root = solve_lp(inst)
+            shrunk = dataclasses.replace(root, binv=root.binv * 1e-14)
+            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            for j in root.s:
+                lower, upper = self._fixed(zeros, ones, j, 1.0)
+                pair = self._warm_and_cold(inst, lower, upper, shrunk)
+                if pair is not None:
+                    assert pair[0].refactors["verdict"] == 1
+                    verdicts += 1
+        assert verdicts >= 10 and causes.count("verdict") >= verdicts
 
     def test_siblings_start_from_one_unchanged_parent(self):
         # side 0 then side 1 from one parent result, as in the tree: side 1
@@ -424,7 +482,8 @@ class TestWarmStart:
         start = SimpleNamespace(
             basis=np.arange(n, n + m),
             status=np.array([1] * n + [2] * m, dtype=np.int8),
-            binv=np.eye(m), system=np.hstack([inst.A, np.eye(m)]))
+            binv=np.eye(m), system=np.hstack([inst.A, np.eye(m)]),
+            gamma=np.concatenate([inst.c, np.zeros(m)]))
         cores = []
         certify = lp._Simplex.certify
 
@@ -450,6 +509,98 @@ class TestWarmStart:
         gamma = np.concatenate([inst.c, np.zeros(m)])
         y = np.linalg.solve(core.mat[:, core.basis].T, gamma[core.basis])
         assert d == pytest.approx((gamma - core.mat.T @ y)[e], rel=1e-9)
+
+
+def _tiny_pivots(when):
+    """`_Simplex._exchange` reading the pivot element as zero whenever
+    when() is true, which forces the tiny-pivot refactorization."""
+    exchange = lp._Simplex._exchange
+
+    def tiny(core, pos, e, w, to_upper):
+        if when():
+            w = w.copy()
+            w[pos] = 0.0
+        exchange(core, pos, e, w, to_upper)
+
+    return tiny
+
+
+class TestCarriedState:
+    """The masks, nonbasic point and basic bounds `_Simplex` carries across
+    pivots equal the ones recomputed from status, lower and upper, at the
+    start and after every pivot of every solve of a small tree grid."""
+
+    @staticmethod
+    def _check(core):
+        at_upper = core.status == lp._AT_UPPER
+        x_n = np.where(at_upper, core.upper, core.lower)
+        x_n[core.basis] = 0.0
+        assert np.array_equal(np.flatnonzero(core.status == lp._BASIC),
+                              np.sort(core.basis))
+        assert np.array_equal(core.free, core.upper - core.lower > lp.PIV_TOL)
+        assert np.array_equal(core.at_upper, at_upper)
+        assert np.array_equal(core.nb_free, core.free & (core.status != lp._BASIC))
+        assert np.array_equal(core.x_n, x_n)
+        assert np.array_equal(core.low_b, core.lower[core.basis])
+        assert np.array_equal(core.upp_b, core.upper[core.basis])
+
+    def test_after_every_pivot(self, monkeypatch):
+        seen = collections.Counter()
+        init = lp._Simplex.__init__
+        solve = bnb.solve_box_lp
+
+        def started(core, *args):
+            init(core, *args)
+            self._check(core)
+            seen["solves"] += 1
+
+        # every seventh basis change takes the tiny-pivot path
+        tiny = _tiny_pivots(lambda: seen["pivots"] % 7 == 3)
+
+        def pivoted(core, *args):
+            tiny(core, *args)
+            self._check(core)
+            seen["pivots"] += 1
+
+        def solved(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            assert np.array_equal(res.at_upper, res.status == lp._AT_UPPER)
+            assert np.array_equal(res.nb_free, res.free & (res.status != lp._BASIC))
+            seen["tiny"] += res.refactors["tiny_pivot"]
+            return res
+
+        monkeypatch.setattr(lp._Simplex, "__init__", started)
+        monkeypatch.setattr(lp._Simplex, "_exchange", pivoted)
+        monkeypatch.setattr(bnb, "solve_box_lp", solved)
+        for m in (2, 3):
+            for n in (24, 32):
+                specs = (BSpec.zeros(), BSpec.gaussian(), BSpec.scaled_ones([-0.1] * m))
+                for k, b_spec in enumerate(specs):
+                    for seed in range(6):
+                        inst = generate(m, n, b_spec, RngHandle(4900 + seed, 10 * m + k))
+                        try:
+                            res = bnb.solve_ip(inst)
+                        except InfeasibleError:
+                            continue
+                        seen["infeasible"] += res.children_infeasible
+        assert seen["solves"] >= 1000 and seen["pivots"] >= 1500
+        assert seen["infeasible"] >= 5 and seen["tiny"] >= 100
+
+
+class TestCheckOptimum:
+    def test_shifted_value_breaks_strong_duality(self):
+        # the dual side is b u + sum (c - A'u)^+, as dual_value computes it
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(19))
+        sol = solve_lp(inst)
+        lp._check_optimum(inst, sol)
+        shifted = dataclasses.replace(sol, value=sol.value + 1e-3)
+        with pytest.raises(ArithmeticError) as exc_info:
+            lp._check_optimum(inst, shifted)
+        found = re.fullmatch(r"strong duality violated: primal (\S+) vs dual (\S+)",
+                             str(exc_info.value))
+        assert found is not None
+        assert float(found[1]) == shifted.value
+        assert float(found[2]) == dual_value(sol.u_star, inst)
 
 
 class TestOneResultType:
@@ -503,7 +654,8 @@ class TestEnteringRule:
         status = np.array([k[0] for k in cols], dtype=np.int8)
         alpha = np.array([k[1] for k in cols])
         free = np.array([k[2] for k in cols])
-        rise, fall = lp._entering(alpha, status, free)
+        rise, fall = lp._entering(
+            alpha, np.abs(alpha), status == up, free & (status != basic))
         assert np.flatnonzero(rise).tolist() == [1, 3, 10]
         assert np.flatnonzero(fall).tolist() == [2, 4]
 
