@@ -7,17 +7,18 @@ is asserted on every pop.  A child is created unsolved, as its parent's
 keyed by min(U, parent bound), where U is the parent's
 `LpSolution.child_bounds(j)`: one dual simplex pivot on the parent's
 optimal basis bounds the child's LP value (Driebeek 1966; Tomlin 1971).
-When it reaches the top of the queue its box, the parent's with x_j
-fixed, is built, and it is solved by dual simplex from the parent's
-`LpSolution` (final basis, status and basis inverse), since fixing the
-branched basic variable leaves that basis dual feasible, and pushed
-again with its exact key min(LP value, parent bound) and the same
-counter.  Keys only fall, to the exact key, so nodes are expanded
-in the order that solving every child at creation gives, and a child
-the search ends before reaching is never solved.  An exact key above
-the pushed one raises ArithmeticError.  A node's support partition is
-computed when it is expanded, once.  Every LP of one tree runs on the
-[A | I] system of the root solve.
+When it reaches the top of the queue it is solved by dual simplex from
+the parent's `LpSolution` and the fixing (`solve_box_lp`'s
+`warm_start`): the parent's final simplex state with x_j fixed, which
+stays dual feasible, and whose first pass reads the row and reduced
+costs the bound computed.  It is then pushed again with its exact key
+min(LP value, parent bound) and the same counter.  Keys only fall, to
+the exact key, so nodes are expanded in the order that solving every
+child at creation gives, and a child the search ends before reaching is
+never solved.  An exact key above the pushed one raises ArithmeticError.
+A node's fractional support is computed when it is expanded, once, and
+its entries at 0 and 1 are never classified.  Every LP of one tree runs
+on the [A | I] system of the root solve.
 An infeasible child is proved so by the Farkas vector of the row where
 the dual simplex stops; it is counted as created and dropped when it is
 popped.  The branching variable is the most fractional coordinate; the
@@ -110,8 +111,9 @@ def solve_ip(
     hit_limit = False
 
     # entry: (-key, creation count, parent bound, LP, fixing); an unsolved
-    # entry's LP is its parent's, the warm start of its solve, and fixing is
-    # (j, side) for x_j fixed at side; a solved entry's fixing is None
+    # entry's LP is its parent's and fixing is (j, side) for x_j fixed at
+    # side, together the warm start of its solve; a solved entry's fixing
+    # is None
     try:
         root = solve_lp(instance) if root is None else root
     except InfeasibleError:
@@ -131,17 +133,8 @@ def solve_ip(
             break  # the queue is sorted, every remaining node is dominated
         if fixing is not None:
             children_solved += 1
-            j, side = fixing
-            # the bound that moves is copied; the solve never writes either
-            lower, upper = node.lower, node.upper
-            if side == 0:
-                upper = upper.copy()
-                upper[j] = 0.0
-            else:
-                lower = lower.copy()
-                lower[j] = 1.0
             try:
-                child = solve_box_lp(a, b, c, lower, upper, warm_start=node)
+                child = solve_box_lp(a, b, c, warm_start=(node, *fixing))
             except InfeasibleError:
                 children_infeasible += 1
                 continue

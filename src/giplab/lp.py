@@ -7,11 +7,12 @@ one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
 basis change; basic values, duals and the pivot row are products with it.
 The inverse is computed afresh when a pivot element is too small to
 divide by, and before an infeasibility verdict.  What each pass reads
-besides is built once per solve and carried across pivots, where a basis
-change moves two columns: which nonbasic columns sit at their upper bound
-and which can enter, the nonbasic point and the bounds of the basic
-variables.  Carrying it changes no product, so every pivot and every
-returned bit is what rebuilding it on each pass gives.
+besides is carried across pivots, where a basis change moves two columns:
+the signed entering mask `sgn` (+1 for a free nonbasic column at its
+lower bound, -1 at its upper bound, 0 for a basic or fixed one), the
+nonbasic point and the bounds of the basic variables.  Carrying it
+changes no product, so every pivot and every returned bit is what
+rebuilding it on each pass gives.
 
 Every solve runs bounded dual simplex pivots on the one system [A | I]
 from a dual feasible start until the basic values lie inside their
@@ -20,33 +21,36 @@ A cold solve starts from a crash point (Bixby 1992): each free
 structural with c_j > 0 at its upper bound, every other structural at
 its lower bound, and the slacks basic, so the reduced costs are c itself
 and have the optimal signs.  A structural fixed by its box is never
-started at its upper bound.  Every solve returns its final basis,
-nonbasic status, basis inverse and system, and a solve of the same A, b,
-c under bounds inside the old ones (a branch-and-bound child) starts from
-them instead.  Reduced costs depend on the basis alone, and a column
-fixed by the old box stays fixed in the new one, so that start is dual
-feasible too.  One rule, `_entering`, says which columns can enter a dual
-pivot.  When a violated row has no entering candidate, the bounds are
-infeasible, and that row of the basis inverse, solved afresh, is the
+started at its upper bound.  A branch-and-bound child starts from its
+parent's `LpSolution` and one fixing (j, side): the parent's final
+state, each array copied once, with the entries x_j touches set.
+Reduced costs depend on the basis alone and a fixed column never enters,
+so that start is dual feasible too.  When x_j is basic, the child's
+first pass reads the parent's last-pass basic values and the branched
+row and reduced costs that `child_bounds(j)` keeps, the same products on
+the same inverse.  One rule, `_entering`, says which columns can enter a
+dual pivot.  When a violated row has no entering candidate, the bounds
+are infeasible, and that row of the basis inverse, solved afresh, is the
 Farkas vector of the verdict.
 
-Each solve ends by solving its final basis afresh, and the returned
-point and duals come from that solve.  The fresh solve also certifies
-the exit: basic values outside their box send the solve back to the
-dual simplex on a fresh inverse, binv B - I beyond INV_TOL refactorizes
-the inverse for the next solve that starts from it, and a reduced cost
-of the wrong sign (a start that was not dual feasible) raises
-ArithmeticError.
+Each solve ends by solving its final basis afresh with LAPACK gesv, the
+routine np.linalg.solve calls, and the returned point and duals come
+from that solve.  The fresh solve also certifies the exit: basic values
+outside their box send the solve back to the dual simplex on a fresh
+inverse, binv B - I beyond INV_TOL refactorizes the inverse for the next
+solve that starts from it, and a reduced cost of the wrong sign (a start
+that was not dual feasible) raises ArithmeticError.
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals, the box it was solved under, the final
-simplex state and `refactors`, how many fresh inverses the solve took by
-cause (a tiny pivot, an infeasibility verdict, the exit check).  The dual
-vector, the reduced costs and the support partition (variables at 0, at
-1, fractional; `support_partition` is the one place that classifies it)
-are computed on first read and kept, so a child that is never expanded
-never computes them.  `child_bounds(j)`
-bounds the values of the two children that fix a basic x_j by one pivot.
+point, its value and basic duals, the final simplex state and
+`refactors`, how many fresh inverses the solve took by cause (a tiny
+pivot, an infeasibility verdict, the exit check).  The dual vector, the
+reduced costs and the support (variables at 0, at 1, fractional;
+`support_partition` composes the one fractional test with the two bound
+tests) are computed on first read and kept, so a child that is never
+expanded never computes them, and expanding a node reads only its
+fractional support.  `child_bounds(j)` bounds the values of the two
+children that fix a basic x_j by one pivot.
 """
 
 from __future__ import annotations
@@ -55,6 +59,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# The gufunc np.linalg.solve wraps (LAPACK gesv on one right-hand side),
+# called directly: the wrapper's argument and type checks cost about 4 us
+# of a 5 us solve of a 3 x 3 basis, and the result is the same bits.
+from numpy.linalg._umath_linalg import solve1 as _gesv
 
 from .instance import Instance
 from .rng import RngHandle, conditioned_column
@@ -112,29 +120,32 @@ class GapBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimal basic solution of one box LP, its duals, the box it was
-    solved under and its final simplex state.
+    """Optimal basic solution of one box LP, its duals and its final
+    simplex state.
 
     `duals` are the basic duals of the final basis, which roundoff can
-    leave slightly below zero; `a` and `c` are the problem's A and c.
-    `lower` and `upper` are the structural box, and `free` marks the
-    columns of [A | I] whose box is wider than PIV_TOL (every slack).
-    `basis` (m column indices), `status` (at lower, at upper or basic for
-    each of the n structurals and m slacks), `binv` (the carried inverse
-    of the basis matrix, consistent with it to roundoff), `system` (the
-    [A | I] matrix the solve ran on), `gamma` (its cost vector [c, 0]) and
-    the masks `at_upper` (status at upper) and `nb_free` (free and
-    nonbasic) are the final simplex state; passed
-    as `warm_start` to `solve_box_lp`, the solution is where a
-    branch-and-bound child re-solves from, and `child_bounds` bounds the
-    children's values from it without solving them.
+    leave slightly below zero.  The final simplex state is what a
+    branch-and-bound child re-solves from (`solve_box_lp`'s `warm_start`)
+    and what `child_bounds` bounds the children's values from: `system`
+    (the [A | I] matrix the solve ran on), `gamma` (its cost vector
+    [c, 0]), `lower` and `upper` (the box of all n + m columns: the
+    structural box, then [0, inf) for each slack), `basis` (m column
+    indices), `status` (at lower, at upper or basic for each column),
+    `binv` (the carried inverse of the basis matrix, consistent with it to
+    roundoff), `sgn` (the signed entering mask), `x_n` (each nonbasic
+    column at its bound, basic ones at 0), `low_b` and `upp_b` (the bounds
+    of the basic variables, lists of floats), and `rhs_n` and `xb`, the
+    b - N x_N and the basic values binv @ rhs_n of the last dual simplex
+    pass, on the final binv.  A child copies what it changes and never
+    writes the parent's state.
 
     `refactors` maps each cause of a fresh basis inverse during the solve
     ("tiny_pivot", "verdict", "exit_check") to how many it took.
 
-    `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star)
-    and the partition n0/n1/s (`support_partition(x_star)`) are computed
-    on first read and kept.
+    `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star),
+    the fractional support `s` and the indices `n0`, `n1` at 0 and at 1
+    (the parts of `support_partition(x_star)`) are computed on first read
+    and kept, each on its own.
     """
 
     x_star: np.ndarray
@@ -145,14 +156,15 @@ class LpSolution:
     status: np.ndarray
     binv: np.ndarray
     system: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
     gamma: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    free: np.ndarray
-    at_upper: np.ndarray
-    nb_free: np.ndarray
+    sgn: np.ndarray
+    x_n: np.ndarray
+    low_b: list
+    upp_b: list
+    rhs_n: np.ndarray
+    xb: tuple
     refactors: dict
 
     @cached_property
@@ -161,15 +173,34 @@ class LpSolution:
 
     @cached_property
     def reduced_costs(self) -> np.ndarray:
-        return self.c - self.a.T @ self.u_star
+        n = len(self.x_star)
+        return self.gamma[:n] - self.system[:, :n].T @ self.u_star
 
     @cached_property
-    def _partition(self):
-        return support_partition(self.x_star)
+    def s(self) -> np.ndarray:
+        return _fractional(self.x_star)
 
-    n0 = property(lambda self: self._partition[0])
-    n1 = property(lambda self: self._partition[1])
-    s = property(lambda self: self._partition[2])
+    @cached_property
+    def _n0_n1(self):
+        return _at_bounds(self.x_star)
+
+    n0 = property(lambda self: self._n0_n1[0])
+    n1 = property(lambda self: self._n0_n1[1])
+
+    def _branch_row(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """(r, s, d): the basis position r of x_j, alpha * sgn on its row
+        alpha of B^-1 [A | I], and the reduced costs d of gamma at the
+        final basis, as a dual simplex pass computes them from binv; kept
+        (read-only) for the last j asked, so a node's bound and both its
+        children read one product."""
+        kept = self.__dict__.get("_row")
+        if kept is None or kept[0] != j:
+            d = kept[3] if kept else _read_only(
+                _reduced(self.system, self.binv, self.basis, self.gamma))
+            r = self.basis.tolist().index(j)
+            kept = self.__dict__["_row"] = (
+                j, r, _read_only(_row(self.system, self.binv, r, self.sgn)), d)
+        return kept[1:]
 
     def child_bounds(self, j: int) -> tuple[float, float]:
         """Upper bounds (U_down, U_up) on the LP values of the children
@@ -179,18 +210,17 @@ class LpSolution:
         Fixing x_j puts it outside its box by delta (x_j down, 1 - x_j up).
         A column that `_entering` finds moving x_j toward its new box on
         alpha, the row of B^-1 [A | I] where j is basic, moves x_j by
-        |alpha_k| per unit and costs |d_k| (d = [c - A'y, -y]).  So U = value
-        - delta * min |d_k| / |alpha_k|, widened by 1e-9 (1 + |U|), and -inf
-        when no column can enter, as the child LP is then infeasible.
+        |alpha_k| per unit and costs |d_k| (d = gamma - [A | I]' (gamma_B
+        B^-1)).  So U = value - delta * min |d_k| / |alpha_k|, widened by
+        1e-9 (1 + |U|), and -inf when no column can enter, as the child LP
+        is then infeasible.  The row and d are kept for the children's
+        first pass.
         """
-        r = self.basis.tolist().index(j)
-        alpha, y_cols = np.array((self.binv[r], self.duals)) @ self.system
-        mag = abs(alpha)
-        rise, fall = _entering(alpha, mag, self.at_upper, self.nb_free)
-        ratio = abs(self.gamma - y_cols) / np.maximum(mag, PIV_TOL)
+        s, d = self._branch_row(j)[1:]
+        rise, fall = _entering(s)
         bounds = []
         for delta, moves in ((self.x_star[j], fall), (1.0 - self.x_star[j], rise)):
-            ratios = ratio[moves]
+            ratios = abs(d[moves]) / abs(s[moves])
             if ratios.size == 0:
                 bounds.append(-np.inf)
                 continue
@@ -205,15 +235,52 @@ def _top(v):
     return v[v.argmax()]
 
 
-def _entering(alpha, mag, at_upper, nb_free):
-    """Masks (rise, fall) of the columns that can enter a dual pivot on the
-    row alpha of B^-1 [A | I], whose magnitudes are mag: nonbasic and free
-    (`nb_free`) with |alpha_k| > PIV_TOL, split by the way they move the
-    row's basic value.  As x_B = B^-1 (b - N x_N), entering from lower with
-    alpha_k < 0, or from upper (`at_upper`) with alpha_k > 0, raises it."""
-    cand = nb_free & (mag > PIV_TOL)
-    rise = cand & ((alpha > 0.0) == at_upper)
-    return rise, cand ^ rise
+def _read_only(v):
+    v.flags.writeable = False
+    return v
+
+
+def _row(mat, binv, r, sgn):
+    """alpha * sgn for the row alpha = e_r' binv mat of B^-1 [A | I]."""
+    return (mat.T @ binv[r]) * sgn
+
+
+def _reduced(mat, binv, basis, gamma):
+    """d = gamma - mat' (gamma_B binv), the reduced costs at the basis."""
+    return gamma - mat.T @ (gamma[basis] @ binv)
+
+
+def _entering(s):
+    """Masks (rise, fall) of the columns that can enter a dual pivot on a
+    row alpha of B^-1 [A | I], from s = alpha * sgn: nonbasic and free with
+    |alpha_k| > PIV_TOL, split by the way they move the row's basic value.
+    As x_B = B^-1 (b - N x_N), entering from lower (sgn +1) with
+    alpha_k < 0, or from upper (sgn -1) with alpha_k > 0, raises it: s_k
+    below -PIV_TOL.  Multiplying by +-1 is exact, and a column with sgn 0
+    gives s_k = 0, so it never enters."""
+    return s < -PIV_TOL, s > PIV_TOL
+
+
+def _worst_row(xb, low_b, upp_b):
+    """The first position of the largest bound violation of the basic
+    values xb beyond FEAS_TOL, compared as floats, or -1 when none."""
+    r, worst = -1, FEAS_TOL
+    for i, (v, lo, up) in enumerate(zip(xb, low_b, upp_b)):
+        t = max(lo - v, v - up)
+        if t > worst:
+            r, worst = i, t
+    return r
+
+
+def _solve(*systems):
+    """The solution of each square system (mat, rhs) by gesv, as
+    np.linalg.solve gives it; a singular matrix raises ArithmeticError."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore",
+                         under="ignore"):
+            return [_gesv(mat, rhs, signature="dd->d") for mat, rhs in systems]
+    except FloatingPointError:
+        raise ArithmeticError("simplex basis became singular") from None
 
 
 class _Simplex:
@@ -226,19 +293,22 @@ class _Simplex:
     pivot rows are products with binv, which one product-form step
     updates per basis change.
 
-    State read on every pass is built once per solve and carried across
-    pivots, where a basis change moves two columns: the masks `at_upper`
-    (nonbasic at its upper bound) and `nb_free` (nonbasic and free, so it
-    can enter), the nonbasic point `x_n` (each nonbasic column at its
-    bound, basic ones at 0) and the bounds `low_b`, `upp_b` of the basic
-    variables.  `rhs_n` is b - N x_N of dual_run's last pass, which
-    certify solves against, and `eye` the identity, the slack block of
-    [A | I].  `refactors` counts fresh inverses by cause: a pivot element
-    too small to divide by, an infeasibility verdict and the exit check.
+    State read on every pass is carried across pivots, where a basis
+    change moves two columns: the signed entering mask `sgn`, the
+    nonbasic point `x_n` and the bounds `low_b`, `upp_b` of the basic
+    variables (lists of floats).  `rhs_n` and `xb` are b - N x_N and the
+    basic values (a list of floats) of dual_run's last pass, which
+    certify solves against and a child's first pass reads.  A cold solve
+    builds the state from a status (`__init__`); a child copies its
+    parent's (`branch`).  `first`, when set, is (r, s, d) for the first
+    pass: the row alpha * sgn at position r and the reduced costs, kept
+    by the parent, with `xb` and `rhs_n` its own.  `eye` is the slack
+    block of [A | I].  `refactors` counts fresh inverses by cause: a pivot
+    element too small to divide by, an infeasibility verdict and the exit
+    check.
     """
 
     def __init__(self, mat, rhs, lower, upper, basis, status, binv, max_pivots):
-        m = len(basis)
         self.mat = mat
         self.rhs = rhs
         self.lower = lower
@@ -246,14 +316,45 @@ class _Simplex:
         self.basis = np.array(basis)
         self.status = status
         self.binv = binv
-        self.eye = mat[:, mat.shape[1] - m:]
-        self.fresh = False  # binv was just inverted from the current basis
-        self.free = (upper - lower) > PIV_TOL
-        self.at_upper = status == _AT_UPPER
-        self.nb_free = self.free & (status != _BASIC)
-        self.x_n = np.where(self.at_upper, upper, lower)
+        at_upper = status == _AT_UPPER
+        self.sgn = np.where((upper - lower) > PIV_TOL, np.where(at_upper, -1.0, 1.0), 0.0)
+        self.sgn[self.basis] = 0.0
+        self.x_n = np.where(at_upper, upper, lower)
         self.x_n[self.basis] = 0.0
-        self.low_b, self.upp_b = lower[self.basis], upper[self.basis]
+        self.low_b, self.upp_b = lower[self.basis].tolist(), upper[self.basis].tolist()
+        self.first = None
+        self._start(max_pivots)
+
+    @classmethod
+    def branch(cls, parent, j, side, rhs, max_pivots):
+        """The child of `parent` (an LpSolution) that fixes x_j at side:
+        the parent's final state with each array copied once and the
+        entries j touches set.  x_j fixed never enters (sgn 0); basic, its
+        bounds change and the first pass reads the parent's last pass and
+        its kept row and reduced costs, nonbasic, it moves to side."""
+        core = cls.__new__(cls)
+        core.mat, core.rhs = parent.system, rhs
+        core.lower, core.upper = parent.lower.copy(), parent.upper.copy()
+        core.lower[j] = core.upper[j] = side
+        core.basis, core.status = parent.basis.copy(), parent.status.copy()
+        core.binv, core.x_n = parent.binv.copy(), parent.x_n.copy()
+        core.sgn = parent.sgn.copy()
+        core.sgn[j] = 0.0
+        core.low_b, core.upp_b = list(parent.low_b), list(parent.upp_b)
+        core.first = None
+        if core.status[j] == _BASIC:
+            core.first = parent._branch_row(j)
+            r = core.first[0]
+            core.low_b[r] = core.upp_b[r] = float(side)
+            core.rhs_n, core.xb = parent.rhs_n, parent.xb
+        else:
+            core.x_n[j] = side
+        core._start(max_pivots)
+        return core
+
+    def _start(self, max_pivots):
+        self.eye = self.mat[:, self.mat.shape[1] - len(self.basis):]
+        self.fresh = False  # binv was just inverted from the current basis
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
         self.refactors = dict.fromkeys(("tiny_pivot", "verdict", "exit_check"), 0)
@@ -273,15 +374,14 @@ class _Simplex:
         both columns, and binv takes a product-form step, or a fresh
         inverse when the pivot element w[pos] is too small to divide by."""
         leave = self.basis[pos]
+        lo, up = self.low_b[pos], self.upp_b[pos]
         self.status[leave] = _AT_UPPER if to_upper else _AT_LOWER
-        self.at_upper[leave] = to_upper
-        self.nb_free[leave] = self.free[leave]
-        self.x_n[leave] = (self.upper if to_upper else self.lower)[leave]
+        self.sgn[leave] = (-1.0 if to_upper else 1.0) if up - lo > PIV_TOL else 0.0
+        self.x_n[leave] = up if to_upper else lo
         self.basis[pos] = e
         self.status[e] = _BASIC
-        self.at_upper[e] = self.nb_free[e] = False
-        self.x_n[e] = 0.0
-        self.low_b[pos], self.upp_b[pos] = self.lower[e], self.upper[e]
+        self.sgn[e] = self.x_n[e] = 0.0
+        self.low_b[pos], self.upp_b[pos] = self.lower.item(e), self.upper.item(e)
         if abs(w[pos]) <= PIV_TOL:
             self._refactor("tiny_pivot")
             return
@@ -295,49 +395,51 @@ class _Simplex:
         value lies within its bounds; the reduced costs of gamma at the
         current basis must have the optimal signs.
 
-        Each pivot takes the basic variable furthest outside its box out
-        at the bound it violates.  Of the columns `_entering` finds moving
-        it toward that bound on its row alpha of B^-1 [A | I], it enters the
-        one that keeps the reduced costs dual feasible (the smallest |d_k| /
-        |alpha_k|, the largest |alpha_k| among ties); d is computed only
-        once there is a candidate.  Returns None once the basis is primal
-        feasible.  When the violated row r has no entering candidate, no
-        point of the box can move that basic value
-        toward its bound, and the row rho = B^-T e_r proves it: every
-        solution has alpha @ z = rho @ b, which no point of the box
-        reaches.  The slack entries of alpha are rho itself, so sign * rho
-        is nonnegative up to PIV_TOL, and the Farkas vector returned is
+        Each pivot takes the basic variable furthest outside its box
+        (`_worst_row`) out at the bound it violates.  Of the columns
+        `_entering` finds moving it toward that bound on its row alpha of
+        B^-1 [A | I], it enters the one that keeps the reduced costs dual
+        feasible (the smallest |d_k| / |alpha_k|, the largest |alpha_k|
+        among ties); d is computed only once there is a candidate.
+        Returns None once the basis is primal feasible.  When the violated
+        row r has no entering candidate, no point of the box can move that
+        basic value toward its bound, and the row rho = B^-T e_r proves
+        it: every solution has alpha @ z = rho @ b, which no point of the
+        box reaches.  The slack entries of alpha are rho itself, so sign *
+        rho is nonnegative up to PIV_TOL, and the Farkas vector returned is
         max(sign * rho, 0).  The verdict stands only on a binv inverted
         afresh at the current basis, so a carried binv is refactorized and
         the row taken again first; the returned rho is then solved afresh.
         """
         while True:
-            self.rhs_n = self.rhs - self.mat @ self.x_n
-            xb = self.binv @ self.rhs_n
-            below = self.low_b - xb
-            above = xb - self.upp_b
-            r = np.maximum(below, above).argmax()
-            if max(below[r], above[r]) <= FEAS_TOL:
+            first, self.first = self.first, None
+            if first is None:
+                self.rhs_n = self.rhs - self.mat @ self.x_n
+                self.xb = (self.binv @ self.rhs_n).tolist()
+                r_kept = s = d = None
+            else:
+                r_kept, s, d = first
+            r = _worst_row(self.xb, self.low_b, self.upp_b)
+            if r < 0:
                 return None
             # x_basis[r] must rise to its lower bound, or fall to its upper
-            rise_to_lower = below[r] > 0.0
-            alpha = self.mat.T @ self.binv[r]
-            mag = abs(alpha)
-            rise, fall = _entering(alpha, mag, self.at_upper, self.nb_free)
+            rise_to_lower = self.low_b[r] - self.xb[r] > 0.0
+            if r != r_kept:
+                s = _row(self.mat, self.binv, r, self.sgn)
+            rise, fall = _entering(s)
             eligible = (rise if rise_to_lower else fall).nonzero()[0]
             if eligible.size == 0:
                 if not self.fresh:
                     self._refactor("verdict")
                     continue
-                try:
-                    rho = np.linalg.solve(self.mat[:, self.basis].T, self.eye[r])
-                except np.linalg.LinAlgError:
-                    raise ArithmeticError("simplex basis became singular") from None
+                rho, = _solve((self.mat[:, self.basis].T, self.eye[r]))
                 return np.maximum(rho if rise_to_lower else -rho, 0.0)
-            d = gamma - self.mat.T @ (gamma[self.basis] @ self.binv)
-            ratios = abs(d[eligible]) / mag[eligible]
-            ties = eligible[ratios <= ratios[ratios.argmin()] + RC_TOL]
-            e = int(ties[mag[ties].argmax()])
+            if d is None:
+                d = _reduced(self.mat, self.binv, self.basis, gamma)
+            mag = abs(s[eligible])
+            ratios = abs(d[eligible]) / mag
+            ties = ratios <= ratios[ratios.argmin()] + RC_TOL
+            e = int(eligible[ties][mag[ties].argmax()])
             self._exchange(r, e, self.binv @ self.mat[:, e], not rise_to_lower)
             self.pivots += 1
             if self.pivots >= self.max_pivots:
@@ -347,35 +449,33 @@ class _Simplex:
         """Solve the final basis afresh and return (x, y) from that solve.
 
         The solve also certifies the exit.  A free nonbasic reduced cost of
-        gamma with the wrong sign beyond RC_TOL means the start was not
-        dual feasible, and raises ArithmeticError naming the column.  When
-        the basic values break their box beyond FEAS_TOL, binv is
-        refactorized and None is returned, so the dual simplex runs again.
-        When binv B - I exceeds INV_TOL, binv is refactorized and the exit
-        stands.  A binv inverted afresh since the last basis change is not
-        refactorized again, and its exit stands.
+        gamma with the wrong sign beyond RC_TOL (d * sgn > RC_TOL) means the
+        start was not dual feasible, and raises ArithmeticError naming the
+        column.  When the basic values break their box beyond FEAS_TOL,
+        binv is refactorized and None is returned, so the dual simplex
+        runs again.  When binv B - I exceeds INV_TOL, binv is refactorized
+        and the exit stands, with the last pass's basic values taken again
+        on the new binv.  A binv inverted afresh since the last basis
+        change is not refactorized again, and its exit stands.
         """
         bmat = self.mat[:, self.basis]
-        try:
-            xb = np.linalg.solve(bmat, self.rhs_n)
-            y = np.linalg.solve(bmat.T, gamma[self.basis])
-        except np.linalg.LinAlgError:
-            raise ArithmeticError("simplex basis became singular") from None
+        xb, y = _solve((bmat, self.rhs_n), (bmat.T, gamma[self.basis]))
         d = gamma - self.mat.T @ y
         # at lower, a column gains from rising (d > 0); at upper, from falling
-        wrong = (self.nb_free & (np.where(self.at_upper, -d, d) > RC_TOL)).nonzero()[0]
+        wrong = (d * self.sgn > RC_TOL).nonzero()[0]
         if wrong.size:
             e = int(wrong[abs(d[wrong]).argmax()])
             raise ArithmeticError(
                 f"dual simplex ended dual infeasible: column {e} "
                 f"has reduced cost {float(d[e])!r}"
             )
-        outside = _top(np.maximum(self.low_b - xb, xb - self.upp_b)) > FEAS_TOL
+        outside = _worst_row(xb.tolist(), self.low_b, self.upp_b) >= 0
         if not self.fresh and (outside or _top(abs(
                 self.binv @ bmat - self.eye).sum(axis=1)) > INV_TOL):
             self._refactor("exit_check")
             if outside:
                 return None
+            self.xb = (self.binv @ self.rhs_n).tolist()
         x = self.x_n.copy()
         x[self.basis] = xb
         return x, y
@@ -389,60 +489,66 @@ def solve_box_lp(
     upper: np.ndarray | None = None,
     *,
     max_pivots: int | None = None,
-    warm_start: LpSolution | None = None,
+    warm_start: tuple[LpSolution, int, float] | None = None,
 ) -> LpSolution:
     """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
 
-    The solve starts from `warm_start`, the result of an optimal solve of
-    the same A, b, c under bounds that contain these, as a branch-and-bound
-    child's parent was solved: its basis, status and basis
-    inverse, on its [A | I] system, which is shared and not rebuilt.  The
-    result is read and never changed, so two children can start from one
-    parent.  Without it the solve builds [A | I] and starts from the crash
-    point: each free structural (upper - lower above the pivot tolerance)
-    with c_j > 0 at its upper bound, every other one at its lower bound,
-    and the slacks basic, whose inverse is the identity.  Both starts are
-    dual feasible.  Dual simplex pivots then bring every basic value
-    inside its bounds, which makes the basis optimal, or find a row that
-    proves the bounds infeasible (InfeasibleError with its Farkas vector).
-    When the crash point breaks no row it is optimal and the solve takes
-    no pivot.  Reaching `max_pivots` pivots raises IterationLimitError.  A
-    start that was not dual feasible raises ArithmeticError naming a
-    column whose reduced cost has the wrong sign at the exit.  Bounds
-    that are not finite or not of shape (n,) raise ValueError.
+    `warm_start` is (parent, j, side): the result of an optimal solve of
+    the same A, b, c and the fixing x_j = side inside the parent's box, as
+    a branch-and-bound child's.  The box is then the parent's with x_j
+    fixed, and no bounds are passed.  The solve starts from the parent's
+    final simplex state (`_Simplex.branch`) on its [A | I] system, which
+    is shared and not rebuilt; the parent is read and never changed, so
+    two children can start from one parent.  Without it the solve builds
+    [A | I] and starts from the crash point: each free structural (upper
+    - lower above the pivot tolerance) with c_j > 0 at its upper bound,
+    every other one at its lower bound, and the slacks basic, whose
+    inverse is the identity.  Both starts are dual feasible.  Dual simplex
+    pivots then bring every basic value inside its bounds, which makes the
+    basis optimal, or find a row that proves the bounds infeasible
+    (InfeasibleError with its Farkas vector).  When the start breaks no
+    row it is optimal and the solve takes no pivot.  Reaching
+    `max_pivots` pivots raises IterationLimitError.  A start that was not
+    dual feasible raises ArithmeticError naming a column whose reduced
+    cost has the wrong sign at the exit.  Bounds that are not finite or
+    not of shape (n,), bounds next to a warm start, and a fixing outside
+    the structurals or the parent's box raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     m, n = a.shape
-    lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-    upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
-    if lower.shape != (n,) or upper.shape != (n,):
-        raise ValueError(f"bounds must be of shape ({n},)")
-    if not (np.isfinite(lower) & np.isfinite(upper)).all():
-        raise ValueError("bounds must be finite")
-    if (lower > upper + 1e-15).any():
-        raise ValueError("lower bound exceeds upper bound")
     if max_pivots is None:
         max_pivots = 50 * (n + m)
 
-    if warm_start is None:
-        system = np.hstack([a, np.eye(m)])
+    if warm_start is not None:
+        parent, j, side = warm_start
+        if lower is not None or upper is not None:
+            raise ValueError("a warm start takes its box from the parent; pass no bounds")
+        if not (0 <= j < n and parent.lower[j] <= side <= parent.upper[j]):
+            raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
+        gamma = parent.gamma
+        core = _Simplex.branch(parent, j, side, b, max_pivots)
+    else:
+        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
+        upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
+        if lower.shape != (n,) or upper.shape != (n,):
+            raise ValueError(f"bounds must be of shape ({n},)")
+        if not (np.isfinite(lower) & np.isfinite(upper)).all():
+            raise ValueError("bounds must be finite")
+        if (lower > upper + 1e-15).any():
+            raise ValueError("lower bound exceeds upper bound")
         gamma = np.concatenate([c, np.zeros(m)])
-        basis = np.arange(n, n + m)
         status = np.full(n + m, _AT_LOWER, dtype=np.int8)
         status[:n][(c > 0.0) & (upper - lower > PIV_TOL)] = _AT_UPPER
         status[n:] = _BASIC
-        binv = np.eye(m)
-    else:
-        system, gamma, basis = warm_start.system, warm_start.gamma, warm_start.basis
-        status, binv = warm_start.status.copy(), warm_start.binv.copy()
-    core = _Simplex(
-        system, b,
-        np.concatenate((lower, np.zeros(m))),
-        np.concatenate((upper, np.full(m, np.inf))),
-        basis, status, binv, max_pivots,
-    )
+        core = _Simplex(
+            np.hstack([a, np.eye(m)]), b,
+            np.concatenate((lower, np.zeros(m))),
+            np.concatenate((upper, np.full(m, np.inf))),
+            np.arange(n, n + m), status, np.eye(m), max_pivots,
+        )
+    lower, upper = core.lower[:n], core.upper[:n]
     point = None
     while point is None:
         u = core.dual_run(gamma)
@@ -458,11 +564,12 @@ def solve_box_lp(
     x = np.minimum(np.maximum(x_full[:n], lower), upper)
     return LpSolution(
         x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
-        basis=core.basis, status=core.status,
-        binv=core.binv, system=system, a=a, c=c, gamma=gamma,
-        lower=lower, upper=upper, free=core.free,
-        at_upper=core.at_upper, nb_free=core.nb_free, refactors=core.refactors,
+        basis=core.basis, status=core.status, binv=core.binv, system=core.mat,
+        gamma=gamma, lower=core.lower, upper=core.upper, sgn=core.sgn,
+        x_n=core.x_n, low_b=core.low_b, upp_b=core.upp_b, rhs_n=core.rhs_n,
+        xb=tuple(core.xb), refactors=core.refactors,
     )
+
 
 
 def _check_optimum(instance, sol):
@@ -487,13 +594,20 @@ def _check_optimum(instance, sol):
         raise ArithmeticError("complementary slackness violated on rows")
 
 
+def _fractional(x) -> np.ndarray:
+    """Indices of x strictly between 0 and 1, beyond CLASSIFY_TOL."""
+    return ((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL)).nonzero()[0]
+
+
+def _at_bounds(x) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of x at 0 and at 1, within CLASSIFY_TOL."""
+    return (x <= CLASSIFY_TOL).nonzero()[0], (x >= 1.0 - CLASSIFY_TOL).nonzero()[0]
+
+
 def support_partition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of x at 0, at 1 and strictly between, within CLASSIFY_TOL."""
     x = np.asarray(x, dtype=float)
-    n0 = (x <= CLASSIFY_TOL).nonzero()[0]
-    n1 = (x >= 1.0 - CLASSIFY_TOL).nonzero()[0]
-    s = ((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL)).nonzero()[0]
-    return n0, n1, s
+    return (*_at_bounds(x), _fractional(x))
 
 
 def solve_lp(

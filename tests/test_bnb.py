@@ -1,4 +1,5 @@
 import ast
+import collections
 from pathlib import Path
 
 import numpy as np
@@ -152,17 +153,16 @@ class TestBranchVariable:
     def _first_branch(monkeypatch, caps):
         # one row x_j <= caps[j] per variable, so the root LP point is caps
         n = len(caps)
-        boxes = []
+        fixed = []
         solve_box_lp = bnb.solve_box_lp
 
-        def recorded(a, b, c, lower, upper, **kwargs):
-            boxes.append((lower, upper))
-            return solve_box_lp(a, b, c, lower, upper, **kwargs)
+        def recorded(a, b, c, *, warm_start, **kwargs):
+            fixed.append(warm_start[1])
+            return solve_box_lp(a, b, c, warm_start=warm_start, **kwargs)
 
         monkeypatch.setattr(bnb, "solve_box_lp", recorded)
         solve_ip(make_instance(np.eye(n), caps, np.ones(n)))
-        lower, upper = boxes[0]
-        return int(np.flatnonzero((lower != 0.0) | (upper != 1.0))[0])
+        return int(fixed[0])
 
     def test_most_fractional(self, monkeypatch):
         assert self._first_branch(monkeypatch, [0.2, 0.5, 0.9]) == 1
@@ -171,21 +171,22 @@ class TestBranchVariable:
         assert self._first_branch(monkeypatch, [1.0, 0.75, 0.25]) == 1
 
     def test_each_expanded_node_classified_once(self, monkeypatch):
-        # the integrality test and the branching rule share one support
-        # partition, computed when a node is read and never for a child
-        # that is not expanded; TestFrozenTrees checks the branching
-        calls = []
-        partition = lp.support_partition
+        # the integrality test and the branching rule share one fractional
+        # support, computed when a node is read and never for a child that
+        # is not expanded, and no node classifies its entries at 0 and 1;
+        # TestFrozenTrees checks the branching
+        calls = collections.Counter()
 
-        def counted(x):
-            calls.append(x)
-            return partition(x)
+        def counted(name):
+            classify = getattr(lp, name)
+            return lambda x: calls.update([name]) or classify(x)
 
-        monkeypatch.setattr(lp, "support_partition", counted)
+        for name in ("_fractional", "_at_bounds"):
+            monkeypatch.setattr(lp, name, counted(name))
         res = solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
         assert res.status == "Optimal" and res.nodes_expanded > 5
         assert res.nodes_created > res.nodes_expanded
-        assert len(calls) == res.nodes_expanded
+        assert calls == {"_fractional": res.nodes_expanded}
 
 
 class TestHighsDifferential:
@@ -265,7 +266,8 @@ class TestOnePivotBound:
 
         def recorded(node, j):
             keys = bounds(node, j)
-            seen.append((inst, j, node.lower.copy(), node.upper.copy(), keys))
+            n = node.x_star.size
+            seen.append((inst, j, node.lower[:n].copy(), node.upper[:n].copy(), keys))
             return keys
 
         monkeypatch.setattr(lp.LpSolution, "child_bounds", recorded)

@@ -3,7 +3,6 @@ import dataclasses
 import json
 import re
 import shlex
-from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +26,7 @@ from giplab.lp import solve_lp
 from giplab.rng import RngHandle
 
 from oracles import count_small_weight_subsets
+from test_lp import all_at_upper
 
 
 def small_config(**over):
@@ -223,16 +223,10 @@ class TestTrialStatusRows:
         # feasible, and the solve ends with a reduced cost of the wrong sign
         solve_box_lp = lp.solve_box_lp
 
-        def all_at_upper(a, b, c, **kwargs):
-            m, n = a.shape
-            start = SimpleNamespace(
-                basis=np.arange(n, n + m),
-                status=np.array([1] * n + [2] * m, dtype=np.int8),
-                binv=np.eye(m), system=np.hstack([a, np.eye(m)]),
-                gamma=np.concatenate([c, np.zeros(m)]))
-            return solve_box_lp(a, b, c, warm_start=start, **kwargs)
+        def from_all_at_upper(a, b, c, **kwargs):
+            return solve_box_lp(a, b, c, warm_start=all_at_upper(a, c), **kwargs)
 
-        monkeypatch.setattr(lp, "solve_box_lp", all_at_upper)
+        monkeypatch.setattr(lp, "solve_box_lp", from_all_at_upper)
         cfg = small_config(m_list=(3,), n_list=(60,), seeds_per_cell=1,
                            b_spec="scaled_ones -0.1 -0.1 -0.1")
         rec = run_trial(cfg, 0, 3, 60)

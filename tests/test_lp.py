@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import re
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -218,9 +219,9 @@ class TestHighsLpDifferential:
 
 
 class TestWarmStart:
-    """Child boxes re-solved by dual simplex from the parent's optimal
-    (basis, status), against the solve of the same box from the crash
-    start."""
+    """Children, each its parent's box with one variable fixed, re-solved
+    by dual simplex from the parent's final simplex state, against the
+    solve of the same box from the crash start."""
 
     @staticmethod
     def _instance(i):
@@ -248,18 +249,29 @@ class TestWarmStart:
         assert np.all((x - lower) * np.maximum(-r, 0.0) <= 1e-9)
         assert np.all((upper - x) * np.maximum(r, 0.0) <= 1e-9)
 
+    @staticmethod
+    def _with_binv(sol, binv):
+        """sol with its carried inverse replaced, and the last pass's basic
+        values taken on it, as the solve would have left them."""
+        return dataclasses.replace(sol, binv=binv, xb=tuple((binv @ sol.rhs_n).tolist()))
+
     @classmethod
-    def _warm_and_cold(cls, inst, lower, upper, warm_start):
-        """Both results, checked against each other; None when both find
-        the box infeasible."""
-        args = (inst.A, inst.b, inst.c, lower, upper)
+    def _warm_and_cold(cls, inst, parent, j, side):
+        """The child of parent fixing x_j at side, warm and cold, checked
+        against each other, and its box; None when both find the box
+        infeasible."""
+        lower, upper = cls._fixed(parent.lower[:inst.n], parent.upper[:inst.n], j, side)
+        args = (inst.A, inst.b, inst.c)
         try:
-            cold = solve_box_lp(*args)
+            cold = solve_box_lp(*args, lower, upper)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                solve_box_lp(*args, warm_start=warm_start)
+                solve_box_lp(*args, warm_start=(parent, j, side))
             return None
-        warm = solve_box_lp(*args, warm_start=warm_start)
+        warm = solve_box_lp(*args, warm_start=(parent, j, side))
+        for res in (warm, cold):
+            assert np.array_equal(res.lower[:inst.n], lower)
+            assert np.array_equal(res.upper[:inst.n], upper)
         assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
         for res in (warm, cold):
             assert np.all(inst.A @ res.x_star <= inst.b + 1e-7)
@@ -281,21 +293,17 @@ class TestWarmStart:
         for i in range(32):
             inst = self._instance(i)
             root = solve_lp(inst)
-            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
             pairs = []
             for j in root.s:
                 for side in (0.0, 1.0):
-                    lower, upper = self._fixed(zeros, ones, j, side)
-                    pairs.append(self._warm_and_cold(inst, lower, upper, root))
+                    pairs.append(self._warm_and_cold(inst, root, j, side))
             # three fixings down one path, each re-solved from its parent
-            lower, upper = zeros, ones
             x, start = root.x_star, root
             for depth in range(3):
                 frac = support_partition(x)[2]
                 if frac.size == 0:
                     break
-                lower, upper = self._fixed(lower, upper, frac[0], float(depth % 2))
-                pair = self._warm_and_cold(inst, lower, upper, start)
+                pair = self._warm_and_cold(inst, start, frac[0], float(depth % 2))
                 pairs.append(pair)
                 if pair is None:
                     break
@@ -311,7 +319,8 @@ class TestWarmStart:
     @given(st.data())
     def test_warm_and_cold_agree_on_random_boxes(self, data):
         # entries on a quarter grid, so zeros, ties and degenerate vertices
-        # come up; fixings of any variables keep the root basis dual feasible
+        # come up; fixings of any variables, basic or not, keep the parent's
+        # basis dual feasible, and each is solved from the one before
         m = data.draw(st.integers(1, 4), label="m")
         n = data.draw(st.integers(3, 12), label="n")
         grid = st.integers(-8, 8).map(lambda v: v / 4.0)
@@ -322,21 +331,24 @@ class TestWarmStart:
         inst = make_instance(a, b + 1.0, c)
         fixings = data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.sampled_from((0.0, 1.0))),
-            min_size=1, max_size=3), label="fixings")
-        lower, upper = np.zeros(n), np.ones(n)
+            min_size=1, max_size=3, unique_by=lambda f: f[0]), label="fixings")
         try:
-            root = solve_box_lp(inst.A, inst.b, inst.c)
+            parent = solve_box_lp(inst.A, inst.b, inst.c)
         except InfeasibleError:
             return
-        self._check_inverse(root)
+        self._check_inverse(parent)
         for j, side in fixings:
-            lower, upper = self._fixed(lower, upper, j, side)
-        self._warm_and_cold(inst, lower, upper, root)
+            pair = self._warm_and_cold(inst, parent, j, side)
+            if pair is None:
+                return
+            parent = pair[0]
 
     @staticmethod
     def _count_refactors(monkeypatch):
         """Every fresh inverse, by cause, and a check that each returned
-        solution's `refactors` counts those made during its solve."""
+        solution's `refactors` counts those made during its solve and that
+        the basic values it keeps for its children are on its final
+        inverse."""
         causes = []
         refactor = lp._Simplex._refactor
         solve = lp.solve_box_lp
@@ -350,6 +362,7 @@ class TestWarmStart:
             res = solve(*args, **kwargs)
             seen = collections.Counter(causes[start:])
             assert res.refactors == {k: seen[k] for k in res.refactors}
+            assert list(res.xb) == (res.binv @ res.rhs_n).tolist()
             return res
 
         monkeypatch.setattr(lp._Simplex, "_refactor", counted)
@@ -364,12 +377,10 @@ class TestWarmStart:
         for i in range(16):
             inst = self._instance(i)
             root = solve_lp(inst)
-            drifted = dataclasses.replace(root, binv=root.binv + 1e-3)
-            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            drifted = self._with_binv(root, root.binv + 1e-3)
             for j in root.s:
                 for side in (0.0, 1.0):
-                    lower, upper = self._fixed(zeros, ones, j, side)
-                    solves += self._warm_and_cold(inst, lower, upper, drifted) is not None
+                    solves += self._warm_and_cold(inst, drifted, j, side) is not None
         assert solves >= 30 and causes.count("exit_check") > 0
 
     def test_tiny_pivot_is_refactorized(self, monkeypatch):
@@ -383,11 +394,9 @@ class TestWarmStart:
             root = solve_lp(inst)
             assert root.refactors["tiny_pivot"] == root.pivots
             pivots += root.pivots
-            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
             for j in root.s:
                 for side in (0.0, 1.0):
-                    lower, upper = self._fixed(zeros, ones, j, side)
-                    pair = self._warm_and_cold(inst, lower, upper, root)
+                    pair = self._warm_and_cold(inst, root, j, side)
                     if pair is not None:
                         assert pair[0].refactors["tiny_pivot"] == pair[0].pivots
                         pivots += pair[0].pivots
@@ -402,11 +411,9 @@ class TestWarmStart:
         for i in range(16):
             inst = self._instance(i)
             root = solve_lp(inst)
-            shrunk = dataclasses.replace(root, binv=root.binv * 1e-14)
-            zeros, ones = np.zeros(inst.n), np.ones(inst.n)
+            shrunk = self._with_binv(root, root.binv * 1e-14)
             for j in root.s:
-                lower, upper = self._fixed(zeros, ones, j, 1.0)
-                pair = self._warm_and_cold(inst, lower, upper, shrunk)
+                pair = self._warm_and_cold(inst, shrunk, j, 1.0)
                 if pair is not None:
                     assert pair[0].refactors["verdict"] == 1
                     verdicts += 1
@@ -414,10 +421,15 @@ class TestWarmStart:
 
     def test_siblings_start_from_one_unchanged_parent(self):
         # side 0 then side 1 from one parent result, as in the tree: side 1
-        # matches side 1 solved from an untouched copy, bit for bit
+        # matches side 1 solved from an untouched copy, bit for bit, and
+        # the row, reduced costs and basic values the parent keeps for its
+        # children are read-only and unchanged
         def state(res):
             return (res.x_star, res.duals, res.value, res.pivots, res.basis,
                     res.status, res.binv)
+
+        def solve(start, j, side):
+            return solve_box_lp(inst.A, inst.b, inst.c, warm_start=(start, j, side))
 
         moved = 0
         for i in range(16):
@@ -425,29 +437,47 @@ class TestWarmStart:
             parent, alone = solve_lp(inst), solve_lp(inst)
             binv, status = parent.binv.copy(), parent.status.copy()
             for j in parent.s:
-                boxes = [self._fixed(np.zeros(inst.n), np.ones(inst.n), j, side)
-                         for side in (0.0, 1.0)]
+                parent.child_bounds(j)
+                (_, row, d), xb = parent._branch_row(j), parent.xb
+                kept = (row.copy(), d.copy(), xb)
+                assert not (row.flags.writeable or d.flags.writeable)
                 try:
-                    first = solve_box_lp(inst.A, inst.b, inst.c, *boxes[0],
-                                         warm_start=parent)
-                    moved += first.pivots > 0
+                    moved += solve(parent, j, 0.0).pivots > 0
                 except InfeasibleError:
                     pass
                 try:
-                    expected = state(solve_box_lp(inst.A, inst.b, inst.c,
-                                                  *boxes[1], warm_start=alone))
+                    expected = state(solve(alone, j, 1.0))
                 except InfeasibleError:
                     with pytest.raises(InfeasibleError):
-                        solve_box_lp(inst.A, inst.b, inst.c, *boxes[1],
-                                     warm_start=parent)
-                    continue
-                got = state(solve_box_lp(inst.A, inst.b, inst.c, *boxes[1],
-                                         warm_start=parent))
-                for g, e in zip(got, expected):
-                    assert np.array_equal(g, e)
+                        solve(parent, j, 1.0)
+                else:
+                    got = state(solve(parent, j, 1.0))
+                    for g, e in zip(got, expected):
+                        assert np.array_equal(g, e)
+                assert parent._branch_row(j)[1] is row and parent._branch_row(j)[2] is d
+                assert parent.xb == kept[2]
+                for now, before in zip((row, d), kept[:2]):
+                    assert np.array_equal(now, before)
             assert np.array_equal(parent.binv, binv)
             assert np.array_equal(parent.status, status)
         assert moved >= 10
+
+    def test_fixing_outside_the_parent_box_is_refused(self):
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
+        root = solve_lp(inst)
+        j = int(root.s[0])
+        child = solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, j, 0.0))
+        args = (inst.A, inst.b, inst.c)
+        for start in ((root, inst.n, 0.0), (root, -1, 1.0), (root, j, 0.5 + 1.0),
+                      (child, j, 1.0), (root, j, np.nan)):
+            with pytest.raises(ValueError, match="not inside the parent's box"):
+                solve_box_lp(*args, warm_start=start)
+        with pytest.raises(ValueError, match="pass no bounds"):
+            solve_box_lp(*args, np.zeros(inst.n), np.ones(inst.n),
+                         warm_start=(root, j, 1.0))
+        # a variable already fixed may be fixed again at the same value
+        again = solve_box_lp(*args, warm_start=(child, j, 0.0))
+        assert again.value == child.value and again.pivots == 0
 
     def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
         # row 0 at -0.3 n: with x_21 at 1 no point of the box fits it
@@ -463,8 +493,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lp._Simplex, "dual_run", recorded)
         with pytest.raises(InfeasibleError) as exc_info:
-            solve_box_lp(inst.A, inst.b, inst.c, lower, upper,
-                         warm_start=root)
+            solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, 21, 1.0))
         # a violated row with no entering candidate: dual_run returns the
         # Farkas vector that is raised
         u = exc_info.value.farkas_u
@@ -479,11 +508,7 @@ class TestWarmStart:
         # simplex ends at a basis whose reduced costs certify no optimum
         m, n = 3, 60
         inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
-        start = SimpleNamespace(
-            basis=np.arange(n, n + m),
-            status=np.array([1] * n + [2] * m, dtype=np.int8),
-            binv=np.eye(m), system=np.hstack([inst.A, np.eye(m)]),
-            gamma=np.concatenate([inst.c, np.zeros(m)]))
+        start = all_at_upper(inst.A, inst.c)
         cores = []
         certify = lp._Simplex.certify
 
@@ -511,6 +536,22 @@ class TestWarmStart:
         assert d == pytest.approx((gamma - core.mat.T @ y)[e], rel=1e-9)
 
 
+def all_at_upper(a, c):
+    """A warm start with every structural of max c @ x, a @ x <= b at its
+    upper bound and the slacks basic, and the fixing of a structural with
+    c_j > 0 at the bound it sits at: the start is not dual feasible."""
+    m, n = a.shape
+    start = SimpleNamespace(
+        basis=np.arange(n, n + m),
+        status=np.array([1] * n + [2] * m, dtype=np.int8),
+        binv=np.eye(m), system=np.hstack([a, np.eye(m)]),
+        gamma=np.concatenate([c, np.zeros(m)]),
+        lower=np.zeros(n + m), upper=np.r_[np.ones(n), np.full(m, np.inf)],
+        sgn=np.r_[-np.ones(n), np.zeros(m)], x_n=np.r_[np.ones(n), np.zeros(m)],
+        low_b=[0.0] * m, upp_b=[np.inf] * m)
+    return start, int(np.argmax(c)), 1.0
+
+
 def _tiny_pivots(when):
     """`_Simplex._exchange` reading the pivot element as zero whenever
     when() is true, which forces the tiny-pivot refactorization."""
@@ -526,50 +567,88 @@ def _tiny_pivots(when):
 
 
 class TestCarriedState:
-    """The masks, nonbasic point and basic bounds `_Simplex` carries across
-    pivots equal the ones recomputed from status, lower and upper, at the
-    start and after every pivot of every solve of a small tree grid."""
+    """The signed mask, nonbasic point and basic bounds `_Simplex` carries
+    across pivots equal the ones recomputed from status, lower and upper,
+    at the start of every cold solve and child and after every pivot of a
+    small tree grid.  A child's box is its parent's with one variable
+    fixed, and the row, reduced costs and basic values its first pass
+    reads from the parent are the ones that pass would compute."""
 
     @staticmethod
-    def _check(core):
-        at_upper = core.status == lp._AT_UPPER
-        x_n = np.where(at_upper, core.upper, core.lower)
-        x_n[core.basis] = 0.0
-        assert np.array_equal(np.flatnonzero(core.status == lp._BASIC),
-                              np.sort(core.basis))
-        assert np.array_equal(core.free, core.upper - core.lower > lp.PIV_TOL)
-        assert np.array_equal(core.at_upper, at_upper)
-        assert np.array_equal(core.nb_free, core.free & (core.status != lp._BASIC))
-        assert np.array_equal(core.x_n, x_n)
-        assert np.array_equal(core.low_b, core.lower[core.basis])
-        assert np.array_equal(core.upp_b, core.upper[core.basis])
+    def _check(state, mat):
+        at_upper = state.status == lp._AT_UPPER
+        free = state.upper - state.lower > lp.PIV_TOL
+        sgn = np.where(free, np.where(at_upper, -1.0, 1.0), 0.0)
+        sgn[state.basis] = 0.0
+        x_n = np.where(at_upper, state.upper, state.lower)
+        x_n[state.basis] = 0.0
+        assert state.lower.shape == state.upper.shape == (mat.shape[1],)
+        assert np.array_equal(np.flatnonzero(state.status == lp._BASIC),
+                              np.sort(state.basis))
+        assert np.array_equal(state.sgn, sgn)
+        assert np.array_equal(state.x_n, x_n)
+        assert state.low_b == state.lower[state.basis].tolist()
+        assert state.upp_b == state.upper[state.basis].tolist()
+
+    @classmethod
+    def _check_child(cls, core, parent, j, side):
+        cls._check(core, core.mat)
+        n = parent.x_star.size
+        for box, bound in ((core.lower, parent.lower), (core.upper, parent.upper)):
+            expected = bound.copy()
+            expected[j] = side
+            assert np.array_equal(box, expected)
+            assert np.array_equal(box[n:], bound[n:])
+        assert np.array_equal(core.basis, parent.basis)
+        assert np.array_equal(core.binv, parent.binv)
+        if core.status[j] != lp._BASIC:
+            assert core.first is None
+            return
+        r, s, d = core.first
+        assert core.basis[r] == j
+        assert not (s.flags.writeable or d.flags.writeable)
+        rhs_n = core.rhs - core.mat @ core.x_n
+        assert np.array_equal(core.rhs_n, rhs_n)
+        assert list(core.xb) == (core.binv @ rhs_n).tolist()
+        assert np.array_equal(s, (core.mat.T @ core.binv[r]) * core.sgn)
+        gamma = parent.gamma
+        assert np.array_equal(d, gamma - core.mat.T @ (gamma[core.basis] @ core.binv))
 
     def test_after_every_pivot(self, monkeypatch):
         seen = collections.Counter()
         init = lp._Simplex.__init__
+        branch = lp._Simplex.branch
         solve = bnb.solve_box_lp
 
         def started(core, *args):
             init(core, *args)
-            self._check(core)
+            self._check(core, core.mat)
             seen["solves"] += 1
+
+        def branched(parent, j, side, *args):
+            core = branch(parent, j, side, *args)
+            self._check_child(core, parent, j, side)
+            seen["solves"] += 1
+            seen["seeded"] += core.first is not None
+            return core
 
         # every seventh basis change takes the tiny-pivot path
         tiny = _tiny_pivots(lambda: seen["pivots"] % 7 == 3)
 
         def pivoted(core, *args):
             tiny(core, *args)
-            self._check(core)
+            self._check(core, core.mat)
             seen["pivots"] += 1
 
         def solved(*args, **kwargs):
             res = solve(*args, **kwargs)
-            assert np.array_equal(res.at_upper, res.status == lp._AT_UPPER)
-            assert np.array_equal(res.nb_free, res.free & (res.status != lp._BASIC))
+            self._check(res, res.system)
+            assert list(res.xb) == (res.binv @ res.rhs_n).tolist()
             seen["tiny"] += res.refactors["tiny_pivot"]
             return res
 
         monkeypatch.setattr(lp._Simplex, "__init__", started)
+        monkeypatch.setattr(lp._Simplex, "branch", staticmethod(branched))
         monkeypatch.setattr(lp._Simplex, "_exchange", pivoted)
         monkeypatch.setattr(bnb, "solve_box_lp", solved)
         for m in (2, 3):
@@ -584,6 +663,7 @@ class TestCarriedState:
                             continue
                         seen["infeasible"] += res.children_infeasible
         assert seen["solves"] >= 1000 and seen["pivots"] >= 1500
+        assert seen["seeded"] >= 900
         assert seen["infeasible"] >= 5 and seen["tiny"] >= 100
 
 
@@ -654,8 +734,8 @@ class TestEnteringRule:
         status = np.array([k[0] for k in cols], dtype=np.int8)
         alpha = np.array([k[1] for k in cols])
         free = np.array([k[2] for k in cols])
-        rise, fall = lp._entering(
-            alpha, np.abs(alpha), status == up, free & (status != basic))
+        sgn = np.where(free & (status != basic), np.where(status == up, -1.0, 1.0), 0.0)
+        rise, fall = lp._entering(alpha * sgn)
         assert np.flatnonzero(rise).tolist() == [1, 3, 10]
         assert np.flatnonzero(fall).tolist() == [2, 4]
 
@@ -669,6 +749,63 @@ class TestEnteringRule:
         solves = len(calls)
         sol.child_bounds(int(sol.s[0]))
         assert len(calls) == solves + 1
+
+
+class TestDirectSolve:
+    """`lp._solve`, the LAPACK gesv gufunc that np.linalg.solve wraps,
+    called directly by certify and the Farkas verdict."""
+
+    def test_bit_equal_to_numpy_for_b_and_its_transpose(self):
+        gen = np.random.default_rng(2201)
+        ill = 0
+        for m in range(1, 9):
+            for k in range(20):
+                bmat = gen.standard_normal((m, m))
+                if m > 1 and k % 4 == 0:
+                    # singular values from 1 down to 1e-12: condition near 1e12
+                    u, _, vt = np.linalg.svd(bmat)
+                    bmat = (u * np.logspace(0, -12, m)) @ vt
+                    ill += np.linalg.cond(bmat) > 1e11
+                rhs, rhs_t = gen.standard_normal(m), gen.standard_normal(m)
+                got = lp._solve((bmat, rhs), (bmat.T, rhs_t))
+                want = np.linalg.solve(bmat, rhs), np.linalg.solve(bmat.T, rhs_t)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+        assert ill >= 30
+
+    def test_bit_equal_on_the_bases_of_real_solves(self):
+        solved = 0
+        for i in range(12):
+            m = 1 + i % 4
+            inst = generate(m, 40, BSpec.gaussian(), RngHandle(2202, i))
+            sol = solve_box_lp(inst.A, inst.b, inst.c)
+            bmat = sol.system[:, sol.basis]
+            got = lp._solve((bmat, sol.rhs_n), (bmat.T, sol.gamma[sol.basis]))
+            want = (np.linalg.solve(bmat, sol.rhs_n),
+                    np.linalg.solve(bmat.T, sol.gamma[sol.basis]))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert np.array_equal(sol.duals, got[1])
+            solved += 1
+        assert solved == 12
+
+    @pytest.mark.parametrize("bmat", [
+        np.zeros((1, 1)),
+        np.ones((2, 2)),
+        np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 5.0]]),
+    ])
+    def test_singular_basis_raises_without_a_warning(self, bmat):
+        m = len(bmat)
+        errors = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(bmat, np.ones(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArithmeticError) as exc_info:
+                lp._solve((np.eye(m), np.ones(m)), (bmat, np.ones(m)))
+        assert type(exc_info.value) is ArithmeticError
+        assert str(exc_info.value) == "simplex basis became singular"
+        assert np.geterr() == errors
 
 
 class TestSolveLpAgainstOracle:

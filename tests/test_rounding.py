@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -256,21 +257,22 @@ class TestRoundPipeline:
         assert gap_chain_check(cert, inst, sol)
 
     def test_pipeline_reads_the_partition_of_its_lp_solution(self, monkeypatch):
-        # solve_lp classifies x* once; the pipeline reads that partition
-        # and never classifies x* again
-        calls = []
-        partition = lp.support_partition
+        # solve_lp finds the fractional support of x* once; the pipeline
+        # reads it and the entries at 0 and 1, each classified once, on
+        # its first read
+        calls = collections.Counter()
 
-        def counted(x):
-            calls.append(x)
-            return partition(x)
+        def counted(name):
+            classify = getattr(lp, name)
+            return lambda x: calls.update([name]) or classify(x)
 
-        monkeypatch.setattr(lp, "support_partition", counted)
+        for name in ("_fractional", "_at_bounds"):
+            monkeypatch.setattr(lp, name, counted(name))
         inst, sol = solved(42)
-        assert len(calls) == 1 and sol.s.size > 0
+        assert calls == {"_fractional": 1} and sol.s.size > 0
         cert = round_pipeline(inst, sol, RoundingParams.defaults(2, 400), RngHandle(6))
         assert cert.feasible and cert.flip_set
-        assert len(calls) == 1
+        assert calls == {"_fractional": 1, "_at_bounds": 1}
         assert not hasattr(rounding, "support_partition")
 
     def test_flip_count_and_pools_disjoint(self):
