@@ -108,7 +108,10 @@ class BSpec:
             values = tuple(float(tok) for tok in parts[1:])
         except ValueError as exc:
             raise InstanceFormatError(f"bad b_spec value: {exc}") from None
-        return cls(kind, values)
+        try:
+            return cls(kind, values)
+        except ValueError as exc:  # no values, or a value that is not finite
+            raise InstanceFormatError(str(exc)) from None
 
     def build_b(self, m: int, n: int, rng: RngHandle | None) -> np.ndarray:
         if self.kind == "zeros":

@@ -7,12 +7,9 @@ one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
 basis change; basic values, duals and the pivot row are products with it.
 The inverse is computed afresh when a pivot element is too small to
 divide by, and before an infeasibility verdict.  What each pass reads
-besides is carried across pivots, where a basis change moves two columns:
-the signed entering mask `sgn` (+1 for a free nonbasic column at its
-lower bound, -1 at its upper bound, 0 for a basic or fixed one), the
-nonbasic point and the bounds of the basic variables.  Carrying it
-changes no product, so every pivot and every returned bit is what
-rebuilding it on each pass gives.
+besides is carried across pivots (`_Simplex` holds the whole state of a
+solve).  Carrying it changes no product, so every pivot and every
+returned bit is what rebuilding it on each pass gives.
 
 Every solve runs bounded dual simplex pivots on the one system [A | I]
 from a dual feasible start until the basic values lie inside their
@@ -22,16 +19,15 @@ structural with c_j > 0 at its upper bound, every other structural at
 its lower bound, and the slacks basic, so the reduced costs are c itself
 and have the optimal signs.  A structural fixed by its box is never
 started at its upper bound.  A branch-and-bound child starts from its
-parent's `LpSolution` and one fixing (j, side): the parent's final
-state, each array copied once, with the entries x_j touches set.
-Reduced costs depend on the basis alone and a fixed column never enters,
-so that start is dual feasible too.  When x_j is basic, the child's
-first pass reads the parent's last-pass basic values and the branched
-row and reduced costs that `child_bounds(j)` keeps, the same products on
-the same inverse.  One rule, `_entering`, says which columns can enter a
-dual pivot.  When a violated row has no entering candidate, the bounds
-are infeasible, and that row of the basis inverse, solved afresh, is the
-Farkas vector of the verdict.
+parent's final simplex state and one fixing (j, side): a copy with the
+entries x_j touches set.  Reduced costs depend on the basis alone and a
+fixed column never enters, so that start is dual feasible too.  When x_j
+is basic, the child's first pass reads the parent's last-pass basic
+values and the branched row and reduced costs that `child_bounds(j)`
+keeps, the same products on the same inverse.  One rule, `_entering`,
+says which columns can enter a dual pivot.  When a violated row has no
+entering candidate, the bounds are infeasible, and that row of the
+basis inverse, solved afresh, is the Farkas vector of the verdict.
 
 Each solve ends by solving its final basis afresh with LAPACK gesv, the
 routine np.linalg.solve calls, and the returned point and duals come
@@ -42,19 +38,19 @@ solve that starts from it, and a reduced cost of the wrong sign (a start
 that was not dual feasible) raises ArithmeticError.
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals, the final simplex state and
-`refactors`, how many fresh inverses the solve took by cause (a tiny
-pivot, an infeasibility verdict, the exit check).  The dual vector, the
-reduced costs and the support (variables at 0, at 1, fractional;
-`support_partition` composes the one fractional test with the two bound
-tests) are computed on first read and kept, so a child that is never
-expanded never computes them, and expanding a node reads only its
-fractional support.  `child_bounds(j)` bounds the values of the two
-children that fix a basic x_j by one pivot.
+point, its value and basic duals, its pivot and refactorization counts
+and its final `_Simplex`.  The dual vector, the reduced costs and the
+support (variables at 0, at 1, fractional; `support_partition` composes
+the one fractional test with the two bound tests) are computed on first
+read and kept, so a child that is never expanded never computes them,
+and expanding a node reads only its fractional support.
+`child_bounds(j)` bounds the values of the two children that fix a basic
+x_j by one pivot.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,8 +81,6 @@ FEAS_TOL = 1e-9        # bound violation tolerance for basic values
 PIV_TOL = 1e-11        # entries below this never pivot
 CLASSIFY_TOL = 1e-9    # distance to {0,1} for the support partition
 INV_TOL = 1e-10        # max row sum of binv B - I a carried inverse may reach
-
-_AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
 class InfeasibleError(Exception):
@@ -120,27 +114,16 @@ class GapBreakdown:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimal basic solution of one box LP, its duals and its final
-    simplex state.
+    """Optimal basic solution of one box LP.
 
     `duals` are the basic duals of the final basis, which roundoff can
-    leave slightly below zero.  The final simplex state is what a
-    branch-and-bound child re-solves from (`solve_box_lp`'s `warm_start`)
-    and what `child_bounds` bounds the children's values from: `system`
-    (the [A | I] matrix the solve ran on), `gamma` (its cost vector
-    [c, 0]), `lower` and `upper` (the box of all n + m columns: the
-    structural box, then [0, inf) for each slack), `basis` (m column
-    indices), `status` (at lower, at upper or basic for each column),
-    `binv` (the carried inverse of the basis matrix, consistent with it to
-    roundoff), `sgn` (the signed entering mask), `x_n` (each nonbasic
-    column at its bound, basic ones at 0), `low_b` and `upp_b` (the bounds
-    of the basic variables, lists of floats), and `rhs_n` and `xb`, the
-    b - N x_N and the basic values binv @ rhs_n of the last dual simplex
-    pass, on the final binv.  A child copies what it changes and never
-    writes the parent's state.
-
-    `refactors` maps each cause of a fresh basis inverse during the solve
-    ("tiny_pivot", "verdict", "exit_check") to how many it took.
+    leave slightly below zero.  `refactors` maps each cause of a fresh
+    basis inverse during the solve ("tiny_pivot", "verdict",
+    "exit_check") to how many it took.  `simplex` is the solve's final
+    `_Simplex`: what a branch-and-bound child re-solves from
+    (`solve_box_lp`'s `warm_start`) and what `child_bounds` bounds the
+    children's values from.  A child copies what it changes and never
+    writes it.
 
     `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star),
     the fractional support `s` and the indices `n0`, `n1` at 0 and at 1
@@ -152,20 +135,8 @@ class LpSolution:
     value: float
     duals: np.ndarray
     pivots: int
-    basis: np.ndarray
-    status: np.ndarray
-    binv: np.ndarray
-    system: np.ndarray
-    gamma: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    sgn: np.ndarray
-    x_n: np.ndarray
-    low_b: list
-    upp_b: list
-    rhs_n: np.ndarray
-    xb: tuple
     refactors: dict
+    simplex: _Simplex
 
     @cached_property
     def u_star(self) -> np.ndarray:
@@ -173,8 +144,8 @@ class LpSolution:
 
     @cached_property
     def reduced_costs(self) -> np.ndarray:
-        n = len(self.x_star)
-        return self.gamma[:n] - self.system[:, :n].T @ self.u_star
+        n, core = len(self.x_star), self.simplex
+        return core.gamma[:n] - core.mat[:, :n].T @ self.u_star
 
     @cached_property
     def s(self) -> np.ndarray:
@@ -192,14 +163,13 @@ class LpSolution:
         alpha of B^-1 [A | I], and the reduced costs d of gamma at the
         final basis, as a dual simplex pass computes them from binv; kept
         (read-only) for the last j asked, so a node's bound and both its
-        children read one product."""
+        children read one product.  ValueError when x_j is nonbasic."""
         kept = self.__dict__.get("_row")
         if kept is None or kept[0] != j:
-            d = kept[3] if kept else _read_only(
-                _reduced(self.system, self.binv, self.basis, self.gamma))
-            r = self.basis.tolist().index(j)
-            kept = self.__dict__["_row"] = (
-                j, r, _read_only(_row(self.system, self.binv, r, self.sgn)), d)
+            core = self.simplex
+            r = core.position(j)
+            d = kept[3] if kept else _read_only(core.reduced())
+            kept = self.__dict__["_row"] = (j, r, _read_only(core.row(r)), d)
         return kept[1:]
 
     def child_bounds(self, j: int) -> tuple[float, float]:
@@ -214,7 +184,7 @@ class LpSolution:
         B^-1)).  So U = value - delta * min |d_k| / |alpha_k|, widened by
         1e-9 (1 + |U|), and -inf when no column can enter, as the child LP
         is then infeasible.  The row and d are kept for the children's
-        first pass.
+        first pass.  ValueError when x_j is nonbasic.
         """
         s, d = self._branch_row(j)[1:]
         rise, fall = _entering(s)
@@ -238,16 +208,6 @@ def _top(v):
 def _read_only(v):
     v.flags.writeable = False
     return v
-
-
-def _row(mat, binv, r, sgn):
-    """alpha * sgn for the row alpha = e_r' binv mat of B^-1 [A | I]."""
-    return (mat.T @ binv[r]) * sgn
-
-
-def _reduced(mat, binv, basis, gamma):
-    """d = gamma - mat' (gamma_B binv), the reduced costs at the basis."""
-    return gamma - mat.T @ (gamma[basis] @ binv)
 
 
 def _entering(s):
@@ -284,80 +244,101 @@ def _solve(*systems):
 
 
 class _Simplex:
-    """The system mat x = rhs, low <= x <= upp, its basis, the basis
-    inverse binv and one pivot budget.
+    """The whole state of one bounded dual simplex solve of max gamma @ x
+    over mat x = rhs, lower <= x <= upper, with one pivot budget.
 
-    dual_run(gamma) pivots from a dual feasible basis until it is primal
-    feasible too, within the budget, and certify(gamma) solves the basis
-    it leaves afresh and returns the optimum.  Basic values, duals and
-    pivot rows are products with binv, which one product-form step
-    updates per basis change.
+    `mat` is [A | I] (the n structurals, then the m slacks), `eye` its
+    slack block and `gamma` the costs [c, 0]; with `rhs` they are shared
+    by every child.  `lower` and `upper` are the box of all n + m columns:
+    the structural box, then [0, inf) for each slack.  `basis` holds the m
+    basic columns and `binv` the inverse of mat[:, basis], consistent with
+    it to roundoff.  A nonbasic column sits at its bound `x_n` (basic
+    columns read 0 there), and the signed entering mask `sgn` is +1 for a
+    free nonbasic column at its lower bound, -1 at its upper bound and 0
+    for a basic or fixed one.  `low_b` and `upp_b` are the bounds of the
+    basic variables in basis order, lists of floats.  These are carried
+    across pivots, where a basis change moves two columns.  `rhs_n` and
+    `xb` are b - N x_N and the basic values (a list of floats) of
+    dual_run's last pass, on the current binv, which certify solves
+    against and a child's first pass reads; both are replaced, never
+    written in place.  `first`, when set, is (r, s, d) for the first pass:
+    the row alpha * sgn at position r and the reduced costs, kept by the
+    parent, with `xb` and `rhs_n` its own.  `pivots` counts basis changes,
+    `refactors` counts fresh inverses by cause (a pivot element too small
+    to divide by, an infeasibility verdict and the exit check), and
+    `fresh` says binv was inverted afresh at the current basis.
 
-    State read on every pass is carried across pivots, where a basis
-    change moves two columns: the signed entering mask `sgn`, the
-    nonbasic point `x_n` and the bounds `low_b`, `upp_b` of the basic
-    variables (lists of floats).  `rhs_n` and `xb` are b - N x_N and the
-    basic values (a list of floats) of dual_run's last pass, which
-    certify solves against and a child's first pass reads.  A cold solve
-    builds the state from a status (`__init__`); a child copies its
-    parent's (`branch`).  `first`, when set, is (r, s, d) for the first
-    pass: the row alpha * sgn at position r and the reduced costs, kept
-    by the parent, with `xb` and `rhs_n` its own.  `eye` is the slack
-    block of [A | I].  `refactors` counts fresh inverses by cause: a pivot
-    element too small to divide by, an infeasibility verdict and the exit
-    check.
+    The constructor builds a cold solve's crash start and `branch` a
+    child's start from a parent's final state.  dual_run() pivots from a
+    dual feasible basis until it is primal feasible too, within the
+    budget, and certify() solves the basis it leaves afresh and returns
+    the optimum.  Basic values, duals and pivot rows are products with
+    binv, which one product-form step updates per basis change.
     """
 
-    def __init__(self, mat, rhs, lower, upper, basis, status, binv, max_pivots):
-        self.mat = mat
-        self.rhs = rhs
-        self.lower = lower
-        self.upper = upper
-        self.basis = np.array(basis)
-        self.status = status
-        self.binv = binv
-        at_upper = status == _AT_UPPER
-        self.sgn = np.where((upper - lower) > PIV_TOL, np.where(at_upper, -1.0, 1.0), 0.0)
-        self.sgn[self.basis] = 0.0
-        self.x_n = np.where(at_upper, upper, lower)
-        self.x_n[self.basis] = 0.0
-        self.low_b, self.upp_b = lower[self.basis].tolist(), upper[self.basis].tolist()
+    def __init__(self, a, b, c, lower, upper, max_pivots):
+        """The crash start of max c @ x, a @ x <= b, lower <= x <= upper:
+        the slacks basic with binv = I, each free structural (upper -
+        lower above PIV_TOL) with c_j > 0 at its upper bound and every
+        other one at its lower bound."""
+        m, n = a.shape
+        self.mat = np.hstack([a, np.eye(m)])
+        self.eye = self.mat[:, n:]
+        self.rhs, self.gamma = b, np.concatenate([c, np.zeros(m)])
+        self.lower = np.concatenate((lower, np.zeros(m)))
+        self.upper = np.concatenate((upper, np.full(m, np.inf)))
+        self.basis, self.binv = np.arange(n, n + m), np.eye(m)
+        free = upper - lower > PIV_TOL
+        at_upper = free & (c > 0.0)
+        self.sgn = np.concatenate(
+            (np.where(free, np.where(at_upper, -1.0, 1.0), 0.0), np.zeros(m)))
+        self.x_n = np.concatenate((np.where(at_upper, upper, lower), np.zeros(m)))
+        self.low_b, self.upp_b = [0.0] * m, [np.inf] * m
         self.first = None
         self._start(max_pivots)
 
-    @classmethod
-    def branch(cls, parent, j, side, rhs, max_pivots):
-        """The child of `parent` (an LpSolution) that fixes x_j at side:
-        the parent's final state with each array copied once and the
-        entries j touches set.  x_j fixed never enters (sgn 0); basic, its
-        bounds change and the first pass reads the parent's last pass and
-        its kept row and reduced costs, nonbasic, it moves to side."""
-        core = cls.__new__(cls)
-        core.mat, core.rhs = parent.system, rhs
-        core.lower, core.upper = parent.lower.copy(), parent.upper.copy()
+    def branch(self, j, side, first, max_pivots):
+        """The child that fixes x_j at side: a copy of this final state
+        with each array it changes copied once and the entries x_j touches
+        set.  x_j fixed never enters (sgn 0).  Nonbasic (`first` None), it
+        moves to side; basic, `first` is the (r, s, d) the parent kept for
+        it, its bounds at position r change, and the first pass reads the
+        kept row and reduced costs and this state's last pass."""
+        core = copy.copy(self)
+        core.lower, core.upper = self.lower.copy(), self.upper.copy()
         core.lower[j] = core.upper[j] = side
-        core.basis, core.status = parent.basis.copy(), parent.status.copy()
-        core.binv, core.x_n = parent.binv.copy(), parent.x_n.copy()
-        core.sgn = parent.sgn.copy()
+        core.basis, core.binv = self.basis.copy(), self.binv.copy()
+        core.sgn, core.x_n = self.sgn.copy(), self.x_n.copy()
         core.sgn[j] = 0.0
-        core.low_b, core.upp_b = list(parent.low_b), list(parent.upp_b)
-        core.first = None
-        if core.status[j] == _BASIC:
-            core.first = parent._branch_row(j)
-            r = core.first[0]
-            core.low_b[r] = core.upp_b[r] = float(side)
-            core.rhs_n, core.xb = parent.rhs_n, parent.xb
-        else:
+        core.low_b, core.upp_b = list(self.low_b), list(self.upp_b)
+        core.first = first
+        if first is None:
             core.x_n[j] = side
+        else:
+            core.low_b[first[0]] = core.upp_b[first[0]] = float(side)
         core._start(max_pivots)
         return core
 
     def _start(self, max_pivots):
-        self.eye = self.mat[:, self.mat.shape[1] - len(self.basis):]
-        self.fresh = False  # binv was just inverted from the current basis
+        self.fresh = False
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
         self.refactors = dict.fromkeys(("tiny_pivot", "verdict", "exit_check"), 0)
+
+    def position(self, j):
+        """The basis position of x_j; ValueError when x_j is nonbasic."""
+        try:
+            return self.basis.tolist().index(j)
+        except ValueError:
+            raise ValueError(f"x_{j} is not basic") from None
+
+    def row(self, r):
+        """alpha * sgn for the row alpha = e_r' binv mat of B^-1 [A | I]."""
+        return (self.mat.T @ self.binv[r]) * self.sgn
+
+    def reduced(self):
+        """d = gamma - mat' (gamma_B binv), the reduced costs at the basis."""
+        return self.gamma - self.mat.T @ (self.gamma[self.basis] @ self.binv)
 
     def _refactor(self, cause):
         try:
@@ -375,11 +356,9 @@ class _Simplex:
         inverse when the pivot element w[pos] is too small to divide by."""
         leave = self.basis[pos]
         lo, up = self.low_b[pos], self.upp_b[pos]
-        self.status[leave] = _AT_UPPER if to_upper else _AT_LOWER
         self.sgn[leave] = (-1.0 if to_upper else 1.0) if up - lo > PIV_TOL else 0.0
         self.x_n[leave] = up if to_upper else lo
         self.basis[pos] = e
-        self.status[e] = _BASIC
         self.sgn[e] = self.x_n[e] = 0.0
         self.low_b[pos], self.upp_b[pos] = self.lower.item(e), self.upper.item(e)
         if abs(w[pos]) <= PIV_TOL:
@@ -390,7 +369,7 @@ class _Simplex:
         self.binv[pos] = row
         self.fresh = False
 
-    def dual_run(self, gamma):
+    def dual_run(self):
         """Bounded dual simplex pivots (Koberstein 2005) until every basic
         value lies within its bounds; the reduced costs of gamma at the
         current basis must have the optimal signs.
@@ -425,7 +404,7 @@ class _Simplex:
             # x_basis[r] must rise to its lower bound, or fall to its upper
             rise_to_lower = self.low_b[r] - self.xb[r] > 0.0
             if r != r_kept:
-                s = _row(self.mat, self.binv, r, self.sgn)
+                s = self.row(r)
             rise, fall = _entering(s)
             eligible = (rise if rise_to_lower else fall).nonzero()[0]
             if eligible.size == 0:
@@ -435,7 +414,7 @@ class _Simplex:
                 rho, = _solve((self.mat[:, self.basis].T, self.eye[r]))
                 return np.maximum(rho if rise_to_lower else -rho, 0.0)
             if d is None:
-                d = _reduced(self.mat, self.binv, self.basis, gamma)
+                d = self.reduced()
             mag = abs(s[eligible])
             ratios = abs(d[eligible]) / mag
             ties = ratios <= ratios[ratios.argmin()] + RC_TOL
@@ -445,7 +424,7 @@ class _Simplex:
             if self.pivots >= self.max_pivots:
                 raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
 
-    def certify(self, gamma):
+    def certify(self):
         """Solve the final basis afresh and return (x, y) from that solve.
 
         The solve also certifies the exit.  A free nonbasic reduced cost of
@@ -459,8 +438,8 @@ class _Simplex:
         change is not refactorized again, and its exit stands.
         """
         bmat = self.mat[:, self.basis]
-        xb, y = _solve((bmat, self.rhs_n), (bmat.T, gamma[self.basis]))
-        d = gamma - self.mat.T @ y
+        xb, y = _solve((bmat, self.rhs_n), (bmat.T, self.gamma[self.basis]))
+        d = self.gamma - self.mat.T @ y
         # at lower, a column gains from rising (d > 0); at upper, from falling
         wrong = (d * self.sgn > RC_TOL).nonzero()[0]
         if wrong.size:
@@ -496,23 +475,21 @@ def solve_box_lp(
     `warm_start` is (parent, j, side): the result of an optimal solve of
     the same A, b, c and the fixing x_j = side inside the parent's box, as
     a branch-and-bound child's.  The box is then the parent's with x_j
-    fixed, and no bounds are passed.  The solve starts from the parent's
-    final simplex state (`_Simplex.branch`) on its [A | I] system, which
-    is shared and not rebuilt; the parent is read and never changed, so
-    two children can start from one parent.  Without it the solve builds
-    [A | I] and starts from the crash point: each free structural (upper
-    - lower above the pivot tolerance) with c_j > 0 at its upper bound,
-    every other one at its lower bound, and the slacks basic, whose
-    inverse is the identity.  Both starts are dual feasible.  Dual simplex
-    pivots then bring every basic value inside its bounds, which makes the
-    basis optimal, or find a row that proves the bounds infeasible
-    (InfeasibleError with its Farkas vector).  When the start breaks no
-    row it is optimal and the solve takes no pivot.  Reaching
-    `max_pivots` pivots raises IterationLimitError.  A start that was not
-    dual feasible raises ArithmeticError naming a column whose reduced
-    cost has the wrong sign at the exit.  Bounds that are not finite or
-    not of shape (n,), bounds next to a warm start, and a fixing outside
-    the structurals or the parent's box raise ValueError.
+    fixed, and no bounds are passed.  The solve starts from a copy of the
+    parent's final simplex state (`_Simplex.branch`) on its [A | I]
+    system, which is shared and not rebuilt; the parent is read and never
+    changed, so two children can start from one parent.  Without it the
+    solve builds [A | I] and starts from the crash point (`_Simplex`).
+    Both starts are dual feasible.  Dual simplex pivots then bring every
+    basic value inside its bounds, which makes the basis optimal, or find
+    a row that proves the bounds infeasible (InfeasibleError with its
+    Farkas vector).  When the start breaks no row it is optimal and the
+    solve takes no pivot.  Reaching `max_pivots` pivots raises
+    IterationLimitError.  A start that was not dual feasible raises
+    ArithmeticError naming a column whose reduced cost has the wrong sign
+    at the exit.  Bounds that are not finite or not of shape (n,), bounds
+    next to a warm start, and a fixing outside the structurals or the
+    parent's box raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -525,10 +502,14 @@ def solve_box_lp(
         parent, j, side = warm_start
         if lower is not None or upper is not None:
             raise ValueError("a warm start takes its box from the parent; pass no bounds")
-        if not (0 <= j < n and parent.lower[j] <= side <= parent.upper[j]):
+        start = parent.simplex
+        if not (0 <= j < n and start.lower[j] <= side <= start.upper[j]):
             raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
-        gamma = parent.gamma
-        core = _Simplex.branch(parent, j, side, b, max_pivots)
+        try:
+            first = parent._branch_row(j)
+        except ValueError:  # x_j is nonbasic
+            first = None
+        core = start.branch(j, side, first, max_pivots)
     else:
         lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
         upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
@@ -538,20 +519,11 @@ def solve_box_lp(
             raise ValueError("bounds must be finite")
         if (lower > upper + 1e-15).any():
             raise ValueError("lower bound exceeds upper bound")
-        gamma = np.concatenate([c, np.zeros(m)])
-        status = np.full(n + m, _AT_LOWER, dtype=np.int8)
-        status[:n][(c > 0.0) & (upper - lower > PIV_TOL)] = _AT_UPPER
-        status[n:] = _BASIC
-        core = _Simplex(
-            np.hstack([a, np.eye(m)]), b,
-            np.concatenate((lower, np.zeros(m))),
-            np.concatenate((upper, np.full(m, np.inf))),
-            np.arange(n, n + m), status, np.eye(m), max_pivots,
-        )
+        core = _Simplex(a, b, c, lower, upper, max_pivots)
     lower, upper = core.lower[:n], core.upper[:n]
     point = None
     while point is None:
-        u = core.dual_run(gamma)
+        u = core.dual_run()
         if u is not None:
             w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
             margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
@@ -559,17 +531,11 @@ def solve_box_lp(
                 f"LP infeasible: aggregated row violates the box by {margin:.3e}",
                 farkas_u=u,
             )
-        point = core.certify(gamma)
+        point = core.certify()
     x_full, y = point
     x = np.minimum(np.maximum(x_full[:n], lower), upper)
-    return LpSolution(
-        x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
-        basis=core.basis, status=core.status, binv=core.binv, system=core.mat,
-        gamma=gamma, lower=core.lower, upper=core.upper, sgn=core.sgn,
-        x_n=core.x_n, low_b=core.low_b, upp_b=core.upp_b, rhs_n=core.rhs_n,
-        xb=tuple(core.xb), refactors=core.refactors,
-    )
-
+    return LpSolution(x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
+                      refactors=core.refactors, simplex=core)
 
 
 def _check_optimum(instance, sol):

@@ -267,7 +267,8 @@ class TestOnePivotBound:
         def recorded(node, j):
             keys = bounds(node, j)
             n = node.x_star.size
-            seen.append((inst, j, node.lower[:n].copy(), node.upper[:n].copy(), keys))
+            box = node.simplex
+            seen.append((inst, j, box.lower[:n].copy(), box.upper[:n].copy(), keys))
             return keys
 
         monkeypatch.setattr(lp.LpSolution, "child_bounds", recorded)

@@ -102,10 +102,16 @@ class TestGenLpIp:
         assert "--frobnicate" in err
 
     def test_malformed_instance_exits_one(self, tmp_path, capsys):
-        bad = tmp_path / "bad.gip"
-        bad.write_text("GIPLAB v1\n2 2\nzeros\n0\nnot-a-number\n")
-        assert cli("lp", str(bad)) == 1
-        assert "bad instance file" in capsys.readouterr().err
+        # a bad number, then b-spec lines the BSpec constructor refuses
+        for document in (
+            "GIPLAB v1\n2 2\nzeros\n0\nnot-a-number\n",
+            "GIPLAB v1\n1 1\nscaled_ones\n0\n0.0\n1.0\n1.0\n",
+            "GIPLAB v1\n1 1\nexplicit nan\n0\n0.0\n1.0\n1.0\n",
+        ):
+            bad = tmp_path / "bad.gip"
+            bad.write_text(document)
+            assert cli("lp", str(bad)) == 1
+            assert f"error: bad instance file {bad}: " in capsys.readouterr().err
 
     def test_gen_bad_explicit_length_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "x.gip")

@@ -224,7 +224,7 @@ class TestTrialStatusRows:
         solve_box_lp = lp.solve_box_lp
 
         def from_all_at_upper(a, b, c, **kwargs):
-            return solve_box_lp(a, b, c, warm_start=all_at_upper(a, c), **kwargs)
+            return solve_box_lp(a, b, c, warm_start=all_at_upper(a, b, c), **kwargs)
 
         monkeypatch.setattr(lp, "solve_box_lp", from_all_at_upper)
         cfg = small_config(m_list=(3,), n_list=(60,), seeds_per_cell=1,

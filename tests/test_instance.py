@@ -53,6 +53,14 @@ class TestBSpec:
         with pytest.raises(ValueError):
             BSpec("scaled_ones")
 
+    @pytest.mark.parametrize("text, message", [
+        ("scaled_ones", "b_spec 'scaled_ones' requires values"),
+        ("explicit nan", "b_spec values must be finite"),
+    ])
+    def test_parse_refuses_a_spec_the_constructor_refuses(self, text, message):
+        with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+            BSpec.parse(text)
+
 
 class TestGenerate:
     def test_zeros_b(self):

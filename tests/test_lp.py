@@ -1,9 +1,9 @@
 import collections
+import copy
 import dataclasses
 import re
 import sys
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,14 +253,17 @@ class TestWarmStart:
     def _with_binv(sol, binv):
         """sol with its carried inverse replaced, and the last pass's basic
         values taken on it, as the solve would have left them."""
-        return dataclasses.replace(sol, binv=binv, xb=tuple((binv @ sol.rhs_n).tolist()))
+        core = copy.copy(sol.simplex)
+        core.binv, core.xb = binv, (binv @ core.rhs_n).tolist()
+        return dataclasses.replace(sol, simplex=core)
 
     @classmethod
     def _warm_and_cold(cls, inst, parent, j, side):
         """The child of parent fixing x_j at side, warm and cold, checked
         against each other, and its box; None when both find the box
         infeasible."""
-        lower, upper = cls._fixed(parent.lower[:inst.n], parent.upper[:inst.n], j, side)
+        box = parent.simplex
+        lower, upper = cls._fixed(box.lower[:inst.n], box.upper[:inst.n], j, side)
         args = (inst.A, inst.b, inst.c)
         try:
             cold = solve_box_lp(*args, lower, upper)
@@ -270,21 +273,23 @@ class TestWarmStart:
             return None
         warm = solve_box_lp(*args, warm_start=(parent, j, side))
         for res in (warm, cold):
-            assert np.array_equal(res.lower[:inst.n], lower)
-            assert np.array_equal(res.upper[:inst.n], upper)
+            assert np.array_equal(res.simplex.lower[:inst.n], lower)
+            assert np.array_equal(res.simplex.upper[:inst.n], upper)
         assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
         for res in (warm, cold):
             assert np.all(inst.A @ res.x_star <= inst.b + 1e-7)
             assert np.all((lower <= res.x_star) & (res.x_star <= upper))
             cls._check_certificate(inst, lower, upper, res)
             cls._check_inverse(res)
+            TestCarriedState._check(res.simplex)
         return warm, cold
 
     @staticmethod
     def _check_inverse(res):
         """The carried basis inverse inverts the final basis."""
-        bmat = res.system[:, res.basis]
-        residual = res.binv @ bmat - np.eye(len(res.basis))
+        core = res.simplex
+        bmat = core.mat[:, core.basis]
+        residual = core.binv @ bmat - np.eye(len(core.basis))
         assert np.linalg.norm(residual, np.inf) <= 1e-10
 
     def test_fixings_from_the_root_and_down_one_path(self):
@@ -362,7 +367,8 @@ class TestWarmStart:
             res = solve(*args, **kwargs)
             seen = collections.Counter(causes[start:])
             assert res.refactors == {k: seen[k] for k in res.refactors}
-            assert list(res.xb) == (res.binv @ res.rhs_n).tolist()
+            core = res.simplex
+            assert core.xb == (core.binv @ core.rhs_n).tolist()
             return res
 
         monkeypatch.setattr(lp._Simplex, "_refactor", counted)
@@ -377,7 +383,7 @@ class TestWarmStart:
         for i in range(16):
             inst = self._instance(i)
             root = solve_lp(inst)
-            drifted = self._with_binv(root, root.binv + 1e-3)
+            drifted = self._with_binv(root, root.simplex.binv + 1e-3)
             for j in root.s:
                 for side in (0.0, 1.0):
                     solves += self._warm_and_cold(inst, drifted, j, side) is not None
@@ -411,7 +417,7 @@ class TestWarmStart:
         for i in range(16):
             inst = self._instance(i)
             root = solve_lp(inst)
-            shrunk = self._with_binv(root, root.binv * 1e-14)
+            shrunk = self._with_binv(root, root.simplex.binv * 1e-14)
             for j in root.s:
                 pair = self._warm_and_cold(inst, shrunk, j, 1.0)
                 if pair is not None:
@@ -425,8 +431,14 @@ class TestWarmStart:
         # the row, reduced costs and basic values the parent keeps for its
         # children are read-only and unchanged
         def state(res):
-            return (res.x_star, res.duals, res.value, res.pivots, res.basis,
-                    res.status, res.binv)
+            core = res.simplex
+            return (res.x_star, res.duals, res.value, res.pivots, core.basis,
+                    core.sgn, core.x_n, core.binv)
+
+        def carried(core):
+            return [np.array(v, copy=True) for v in (
+                core.lower, core.upper, core.basis, core.binv, core.sgn,
+                core.x_n, core.low_b, core.upp_b, core.rhs_n, core.xb)]
 
         def solve(start, j, side):
             return solve_box_lp(inst.A, inst.b, inst.c, warm_start=(start, j, side))
@@ -435,10 +447,10 @@ class TestWarmStart:
         for i in range(16):
             inst = self._instance(i)
             parent, alone = solve_lp(inst), solve_lp(inst)
-            binv, status = parent.binv.copy(), parent.status.copy()
+            before = carried(parent.simplex)
             for j in parent.s:
                 parent.child_bounds(j)
-                (_, row, d), xb = parent._branch_row(j), parent.xb
+                (_, row, d), xb = parent._branch_row(j), parent.simplex.xb
                 kept = (row.copy(), d.copy(), xb)
                 assert not (row.flags.writeable or d.flags.writeable)
                 try:
@@ -455,11 +467,11 @@ class TestWarmStart:
                     for g, e in zip(got, expected):
                         assert np.array_equal(g, e)
                 assert parent._branch_row(j)[1] is row and parent._branch_row(j)[2] is d
-                assert parent.xb == kept[2]
-                for now, before in zip((row, d), kept[:2]):
-                    assert np.array_equal(now, before)
-            assert np.array_equal(parent.binv, binv)
-            assert np.array_equal(parent.status, status)
+                assert parent.simplex.xb == kept[2]
+                for now, then in zip((row, d), kept[:2]):
+                    assert np.array_equal(now, then)
+            for now, then in zip(carried(parent.simplex), before):
+                assert np.array_equal(now, then)
         assert moved >= 10
 
     def test_fixing_outside_the_parent_box_is_refused(self):
@@ -479,6 +491,18 @@ class TestWarmStart:
         again = solve_box_lp(*args, warm_start=(child, j, 0.0))
         assert again.value == child.value and again.pivots == 0
 
+    def test_child_bounds_of_a_nonbasic_variable_is_refused(self):
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
+        root = solve_lp(inst)
+        basic = root.simplex.basis.tolist()
+        j = next(k for k in range(inst.n) if k not in basic)
+        with pytest.raises(ValueError, match=rf"^x_{j} is not basic$"):
+            root.child_bounds(j)
+        # the refusal keeps nothing, and the fixing still re-solves
+        assert "_row" not in root.__dict__
+        child = solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, j, root.x_star[j]))
+        assert child.pivots == 0 and child.value == root.value
+
     def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
         # row 0 at -0.3 n: with x_21 at 1 no point of the box fits it
         inst = generate(1, 24, BSpec.scaled_ones([-0.3]), RngHandle(4400, 12))
@@ -487,8 +511,8 @@ class TestWarmStart:
         outcomes = []
         dual_run = lp._Simplex.dual_run
 
-        def recorded(core, gamma):
-            outcomes.append(dual_run(core, gamma))
+        def recorded(core):
+            outcomes.append(dual_run(core))
             return outcomes[-1]
 
         monkeypatch.setattr(lp._Simplex, "dual_run", recorded)
@@ -508,13 +532,13 @@ class TestWarmStart:
         # simplex ends at a basis whose reduced costs certify no optimum
         m, n = 3, 60
         inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
-        start = all_at_upper(inst.A, inst.c)
+        start = all_at_upper(inst.A, inst.b, inst.c)
         cores = []
         certify = lp._Simplex.certify
 
-        def recorded(core, gamma):
+        def recorded(core):
             cores.append(core)
-            return certify(core, gamma)
+            return certify(core)
 
         monkeypatch.setattr(lp._Simplex, "certify", recorded)
         with pytest.raises(ArithmeticError) as exc_info:
@@ -527,28 +551,27 @@ class TestWarmStart:
         assert found is not None
         e, d = int(found[1]), float(found[2])
         core = cores[-1]
-        assert core.pivots >= 1 and core.status[e] != lp._BASIC
+        assert core.pivots >= 1 and e not in core.basis.tolist()
         # a column at its lower bound would gain from rising, one at its
         # upper bound from falling
-        assert (d > lp.RC_TOL) if core.status[e] == lp._AT_LOWER else (d < -lp.RC_TOL)
+        at_lower = core.x_n[e] == core.lower[e]
+        assert at_lower != (core.x_n[e] == core.upper[e])
+        assert (d > lp.RC_TOL) if at_lower else (d < -lp.RC_TOL)
         gamma = np.concatenate([inst.c, np.zeros(m)])
+        assert np.array_equal(core.gamma, gamma)
         y = np.linalg.solve(core.mat[:, core.basis].T, gamma[core.basis])
         assert d == pytest.approx((gamma - core.mat.T @ y)[e], rel=1e-9)
 
 
-def all_at_upper(a, c):
+def all_at_upper(a, b, c):
     """A warm start with every structural of max c @ x, a @ x <= b at its
     upper bound and the slacks basic, and the fixing of a structural with
     c_j > 0 at the bound it sits at: the start is not dual feasible."""
     m, n = a.shape
-    start = SimpleNamespace(
-        basis=np.arange(n, n + m),
-        status=np.array([1] * n + [2] * m, dtype=np.int8),
-        binv=np.eye(m), system=np.hstack([a, np.eye(m)]),
-        gamma=np.concatenate([c, np.zeros(m)]),
-        lower=np.zeros(n + m), upper=np.r_[np.ones(n), np.full(m, np.inf)],
-        sgn=np.r_[-np.ones(n), np.zeros(m)], x_n=np.r_[np.ones(n), np.zeros(m)],
-        low_b=[0.0] * m, upp_b=[np.inf] * m)
+    core = lp._Simplex(a, b, c, np.zeros(n), np.ones(n), 50 * (n + m))
+    core.sgn[:n], core.x_n[:n] = -1.0, 1.0
+    start = lp.LpSolution(x_star=np.ones(n), value=float(c.sum()), duals=np.zeros(m),
+                          pivots=0, refactors=core.refactors, simplex=core)
     return start, int(np.argmax(c)), 1.0
 
 
@@ -568,23 +591,26 @@ def _tiny_pivots(when):
 
 class TestCarriedState:
     """The signed mask, nonbasic point and basic bounds `_Simplex` carries
-    across pivots equal the ones recomputed from status, lower and upper,
-    at the start of every cold solve and child and after every pivot of a
-    small tree grid.  A child's box is its parent's with one variable
-    fixed, and the row, reduced costs and basic values its first pass
-    reads from the parent are the ones that pass would compute."""
+    across pivots equal the ones recomputed from the basis, the box and
+    the bound each nonbasic column sits at, at the start of every cold
+    solve and child and after every pivot of a small tree grid.  A
+    child's box is its parent's with one variable fixed, and the row,
+    reduced costs and basic values its first pass reads from the parent
+    are the ones that pass would compute."""
 
     @staticmethod
-    def _check(state, mat):
-        at_upper = state.status == lp._AT_UPPER
+    def _check(state):
+        m, width = state.mat.shape
+        assert state.lower.shape == state.upper.shape == (width,)
+        assert np.unique(state.basis).size == state.basis.size == m
+        nonbasic = np.ones(width, dtype=bool)
+        nonbasic[state.basis] = False
+        # a nonbasic column at its upper bound, else at its lower bound;
+        # a basic one reads 0
+        at_upper = nonbasic & (state.x_n == state.upper)
         free = state.upper - state.lower > lp.PIV_TOL
-        sgn = np.where(free, np.where(at_upper, -1.0, 1.0), 0.0)
-        sgn[state.basis] = 0.0
-        x_n = np.where(at_upper, state.upper, state.lower)
-        x_n[state.basis] = 0.0
-        assert state.lower.shape == state.upper.shape == (mat.shape[1],)
-        assert np.array_equal(np.flatnonzero(state.status == lp._BASIC),
-                              np.sort(state.basis))
+        sgn = np.where(nonbasic & free, np.where(at_upper, -1.0, 1.0), 0.0)
+        x_n = np.where(at_upper, state.upper, np.where(nonbasic, state.lower, 0.0))
         assert np.array_equal(state.sgn, sgn)
         assert np.array_equal(state.x_n, x_n)
         assert state.low_b == state.lower[state.basis].tolist()
@@ -592,8 +618,9 @@ class TestCarriedState:
 
     @classmethod
     def _check_child(cls, core, parent, j, side):
-        cls._check(core, core.mat)
-        n = parent.x_star.size
+        cls._check(core)
+        n = core.mat.shape[1] - core.mat.shape[0]
+        assert core.mat is parent.mat and core.gamma is parent.gamma
         for box, bound in ((core.lower, parent.lower), (core.upper, parent.upper)):
             expected = bound.copy()
             expected[j] = side
@@ -601,7 +628,7 @@ class TestCarriedState:
             assert np.array_equal(box[n:], bound[n:])
         assert np.array_equal(core.basis, parent.basis)
         assert np.array_equal(core.binv, parent.binv)
-        if core.status[j] != lp._BASIC:
+        if j not in parent.basis.tolist():
             assert core.first is None
             return
         r, s, d = core.first
@@ -622,7 +649,7 @@ class TestCarriedState:
 
         def started(core, *args):
             init(core, *args)
-            self._check(core, core.mat)
+            self._check(core)
             seen["solves"] += 1
 
         def branched(parent, j, side, *args):
@@ -637,18 +664,19 @@ class TestCarriedState:
 
         def pivoted(core, *args):
             tiny(core, *args)
-            self._check(core, core.mat)
+            self._check(core)
             seen["pivots"] += 1
 
         def solved(*args, **kwargs):
             res = solve(*args, **kwargs)
-            self._check(res, res.system)
-            assert list(res.xb) == (res.binv @ res.rhs_n).tolist()
+            core = res.simplex
+            self._check(core)
+            assert core.xb == (core.binv @ core.rhs_n).tolist()
             seen["tiny"] += res.refactors["tiny_pivot"]
             return res
 
         monkeypatch.setattr(lp._Simplex, "__init__", started)
-        monkeypatch.setattr(lp._Simplex, "branch", staticmethod(branched))
+        monkeypatch.setattr(lp._Simplex, "branch", branched)
         monkeypatch.setattr(lp._Simplex, "_exchange", pivoted)
         monkeypatch.setattr(bnb, "solve_box_lp", solved)
         for m in (2, 3):
@@ -714,9 +742,9 @@ class TestEnteringRule:
     pivot, shared by the dual simplex and `LpSolution.child_bounds`."""
 
     def test_hand_row(self):
-        lo, up, basic = lp._AT_LOWER, lp._AT_UPPER, lp._BASIC
+        lo, up, basic = "lower", "upper", "basic"
         tol = lp.PIV_TOL
-        # (status, alpha_k, free) per column
+        # (place, alpha_k, free) per column
         cols = [
             (basic, -1.0, True),   # basic: excluded
             (lo, -1.0, True),      # from lower, alpha < 0: rises
@@ -731,10 +759,10 @@ class TestEnteringRule:
             (lo, -2.0 * tol, True),  # just above PIV_TOL: rises
             (basic, 1.0, True),    # basic: excluded
         ]
-        status = np.array([k[0] for k in cols], dtype=np.int8)
+        place = np.array([k[0] for k in cols])
         alpha = np.array([k[1] for k in cols])
         free = np.array([k[2] for k in cols])
-        sgn = np.where(free & (status != basic), np.where(status == up, -1.0, 1.0), 0.0)
+        sgn = np.where(free & (place != basic), np.where(place == up, -1.0, 1.0), 0.0)
         rise, fall = lp._entering(alpha * sgn)
         assert np.flatnonzero(rise).tolist() == [1, 3, 10]
         assert np.flatnonzero(fall).tolist() == [2, 4]
@@ -779,10 +807,11 @@ class TestDirectSolve:
             m = 1 + i % 4
             inst = generate(m, 40, BSpec.gaussian(), RngHandle(2202, i))
             sol = solve_box_lp(inst.A, inst.b, inst.c)
-            bmat = sol.system[:, sol.basis]
-            got = lp._solve((bmat, sol.rhs_n), (bmat.T, sol.gamma[sol.basis]))
-            want = (np.linalg.solve(bmat, sol.rhs_n),
-                    np.linalg.solve(bmat.T, sol.gamma[sol.basis]))
+            core = sol.simplex
+            bmat = core.mat[:, core.basis]
+            got = lp._solve((bmat, core.rhs_n), (bmat.T, core.gamma[core.basis]))
+            want = (np.linalg.solve(bmat, core.rhs_n),
+                    np.linalg.solve(bmat.T, core.gamma[core.basis]))
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
             assert np.array_equal(sol.duals, got[1])
