@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -263,6 +262,10 @@ def _run_sweep(cfg: SweepConfig, with_knapsack: bool) -> list[ExperimentRecord]:
     if workers <= 1 or len(jobs) <= 1:
         records = [run_trial(*job) for job in jobs]
     else:
+        # imported here: a serial sweep, and every import of the package,
+        # does not pay for the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_trial, *zip(*jobs), chunksize=4))
     if cfg.out:

@@ -24,10 +24,19 @@ entries x_j touches set.  Reduced costs depend on the basis alone and a
 fixed column never enters, so that start is dual feasible too.  When x_j
 is basic, the child's first pass reads the parent's last-pass basic
 values and the branched row and reduced costs that `child_bounds(j)`
-keeps, the same products on the same inverse.  One rule, `_entering`,
+keeps, the same products on the same inverse, and enters the column
+that the bound's ratio test for its side picks.  One rule, `_entering`,
 says which columns can enter a dual pivot.  When a violated row has no
 entering candidate, the bounds are infeasible, and that row of the
 basis inverse, solved afresh, is the Farkas vector of the verdict.
+
+A tree's LPs are small (n + m entries), so numpy's fixed cost per call
+is most of a solve.  The products of the simplex (basic values, pivot
+rows and columns, reduced costs, certify's duals and inverse test, the
+value) use ndarray.dot, which costs about half of `@` on these operands
+and gives the same bits in the layouts the simplex passes it; the
+reduced costs of `LpSolution` keep `@` on the strided block A', a
+layout where `.dot` gave other bits.
 
 Each solve ends by solving its final basis afresh with LAPACK gesv, the
 routine np.linalg.solve calls, and the returned point and duals come
@@ -50,9 +59,7 @@ x_j by one pivot.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 # The gufunc np.linalg.solve wraps (LAPACK gesv on one right-hand side),
@@ -112,7 +119,25 @@ class GapBreakdown:
     total: float
 
 
-@dataclass(frozen=True, eq=False)
+class _kept:
+    """A property computed on first read and kept in the instance
+    `__dict__`, where later reads find it first.  functools.cached_property
+    does the same, but takes a lock on every first read on Python 3.11."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class LpSolution:
     """Optimal basic solution of one box LP.
 
@@ -138,38 +163,51 @@ class LpSolution:
     refactors: dict
     simplex: _Simplex
 
-    @cached_property
+    def __init__(self, x_star, value, duals, pivots, refactors, simplex):
+        # one dict update in place of the frozen dataclass's
+        # object.__setattr__ per field; instances stay frozen
+        self.__dict__.update(x_star=x_star, value=value, duals=duals, pivots=pivots,
+                             refactors=refactors, simplex=simplex)
+
+    @_kept
     def u_star(self) -> np.ndarray:
         return np.where(self.duals > 0.0, self.duals, 0.0)
 
-    @cached_property
+    @_kept
     def reduced_costs(self) -> np.ndarray:
         n, core = len(self.x_star), self.simplex
         return core.gamma[:n] - core.mat[:, :n].T @ self.u_star
 
-    @cached_property
+    @_kept
     def s(self) -> np.ndarray:
         return _fractional(self.x_star)
 
-    @cached_property
+    @_kept
     def _n0_n1(self):
         return _at_bounds(self.x_star)
 
     n0 = property(lambda self: self._n0_n1[0])
     n1 = property(lambda self: self._n0_n1[1])
 
-    def _branch_row(self, j: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """(r, s, d): the basis position r of x_j, alpha * sgn on its row
-        alpha of B^-1 [A | I], and the reduced costs d of gamma at the
-        final basis, as a dual simplex pass computes them from binv; kept
-        (read-only) for the last j asked, so a node's bound and both its
-        children read one product.  ValueError when x_j is nonbasic."""
+    def _branch_row(self, j: int) -> tuple:
+        """(r, s, d, tests): the basis position r of x_j, alpha * sgn on
+        its row alpha of B^-1 [A | I], the reduced costs d of gamma at the
+        final basis, as a dual simplex pass computes them from binv, and
+        the ratio tests (`_ratio_test`) of the columns that move x_j down
+        and up (`_entering`'s fall and rise), in that order; kept for the
+        last j asked, s and d read-only and the tests never written, so a
+        node's bound and both its children read one product and one ratio
+        test per side.  ValueError when x_j is nonbasic."""
         kept = self.__dict__.get("_row")
         if kept is None or kept[0] != j:
             core = self.simplex
             r = core.position(j)
             d = kept[3] if kept else _read_only(core.reduced())
-            kept = self.__dict__["_row"] = (j, r, _read_only(core.row(r)), d)
+            s = _read_only(core.row(r))
+            rise, fall = _entering(s)
+            tests = (_ratio_test(s, d, fall.nonzero()[0]),
+                     _ratio_test(s, d, rise.nonzero()[0]))
+            kept = self.__dict__["_row"] = (j, r, s, d, tests)
         return kept[1:]
 
     def child_bounds(self, j: int) -> tuple[float, float]:
@@ -183,20 +221,22 @@ class LpSolution:
         |alpha_k| per unit and costs |d_k| (d = gamma - [A | I]' (gamma_B
         B^-1)).  So U = value - delta * min |d_k| / |alpha_k|, widened by
         1e-9 (1 + |U|), and -inf when no column can enter, as the child LP
-        is then infeasible.  The row and d are kept for the children's
-        first pass.  ValueError when x_j is nonbasic.
+        is then infeasible.  The row, d and each side's ratio test are
+        kept, and a child's first pass takes its entering column from its
+        side's test.  ValueError when x_j is nonbasic.
         """
-        s, d = self._branch_row(j)[1:]
-        rise, fall = _entering(s)
-        bounds = []
-        for delta, moves in ((self.x_star[j], fall), (1.0 - self.x_star[j], rise)):
-            ratios = abs(d[moves]) / abs(s[moves])
-            if ratios.size == 0:
-                bounds.append(-np.inf)
-                continue
-            u = self.value - delta * float(ratios[ratios.argmin()])
-            bounds.append(u + 1e-9 * (1.0 + abs(u)))
-        return bounds[0], bounds[1]
+        down, up = self._branch_row(j)[3]
+        x_j = self.x_star[j]
+        return _bound(self.value, x_j, down), _bound(self.value, 1.0 - x_j, up)
+
+
+def _bound(value, delta, test):
+    """value - delta * the least ratio of `test`, widened by 1e-9 (1 +
+    |U|); -inf when no column can enter."""
+    if test is None:
+        return -np.inf
+    u = value - delta * test[3]
+    return u + 1e-9 * (1.0 + abs(u))
 
 
 def _top(v):
@@ -206,7 +246,7 @@ def _top(v):
 
 
 def _read_only(v):
-    v.flags.writeable = False
+    v.setflags(write=False)
     return v
 
 
@@ -221,12 +261,30 @@ def _entering(s):
     return s < -PIV_TOL, s > PIV_TOL
 
 
+def _ratio_test(s, d, eligible):
+    """(eligible, |s|, ratios, least) of the dual ratio test on a row
+    s = alpha * sgn over the indices `eligible` of the columns that can
+    enter: |alpha_k|, |d_k| / |alpha_k| and the least ratio as a float;
+    None when no column is eligible."""
+    if not eligible.size:
+        return None
+    mag = abs(s[eligible])
+    ratios = abs(d[eligible]) / mag
+    return eligible, mag, ratios, ratios.item(ratios.argmin())
+
+
 def _worst_row(xb, low_b, upp_b):
     """The first position of the largest bound violation of the basic
-    values xb beyond FEAS_TOL, compared as floats, or -1 when none."""
+    values xb beyond FEAS_TOL, compared as floats, or -1 when none.  A
+    violation is max(lo - v, v - up), the first when they tie or either
+    is NaN, and a NaN violation is never the largest."""
     r, worst = -1, FEAS_TOL
-    for i, (v, lo, up) in enumerate(zip(xb, low_b, upp_b)):
-        t = max(lo - v, v - up)
+    for i in range(len(xb)):
+        v = xb[i]
+        t = low_b[i] - v
+        above = v - upp_b[i]
+        if above > t:
+            t = above
         if t > worst:
             r, worst = i, t
     return r
@@ -235,12 +293,15 @@ def _worst_row(xb, low_b, upp_b):
 def _solve(*systems):
     """The solution of each square system (mat, rhs) by gesv, as
     np.linalg.solve gives it; a singular matrix raises ArithmeticError."""
+    out = []
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
-            return [_gesv(mat, rhs, signature="dd->d") for mat, rhs in systems]
+            for mat, rhs in systems:
+                out.append(_gesv(mat, rhs, signature="dd->d"))
     except FloatingPointError:
         raise ArithmeticError("simplex basis became singular") from None
+    return out
 
 
 class _Simplex:
@@ -248,25 +309,27 @@ class _Simplex:
     over mat x = rhs, lower <= x <= upper, with one pivot budget.
 
     `mat` is [A | I] (the n structurals, then the m slacks), `eye` its
-    slack block and `gamma` the costs [c, 0]; with `rhs` they are shared
-    by every child.  `lower` and `upper` are the box of all n + m columns:
-    the structural box, then [0, inf) for each slack.  `basis` holds the m
-    basic columns and `binv` the inverse of mat[:, basis], consistent with
-    it to roundoff.  A nonbasic column sits at its bound `x_n` (basic
-    columns read 0 there), and the signed entering mask `sgn` is +1 for a
-    free nonbasic column at its lower bound, -1 at its upper bound and 0
-    for a basic or fixed one.  `low_b` and `upp_b` are the bounds of the
-    basic variables in basis order, lists of floats.  These are carried
-    across pivots, where a basis change moves two columns.  `rhs_n` and
-    `xb` are b - N x_N and the basic values (a list of floats) of
-    dual_run's last pass, on the current binv, which certify solves
-    against and a child's first pass reads; both are replaced, never
-    written in place.  `first`, when set, is (r, s, d) for the first pass:
-    the row alpha * sgn at position r and the reduced costs, kept by the
-    parent, with `xb` and `rhs_n` its own.  `pivots` counts basis changes,
-    `refactors` counts fresh inverses by cause (a pivot element too small
-    to divide by, an infeasibility verdict and the exit check), and
-    `fresh` says binv was inverted afresh at the current basis.
+    slack block and `gamma` the costs [c, 0]; with `rhs` and `n` they are
+    shared by every child.  `lower` and `upper` are the box of all n + m
+    columns: the structural box, then [0, inf) for each slack.  `basis`
+    holds the m basic columns and `binv` the inverse of mat[:, basis],
+    consistent with it to roundoff.  A nonbasic column sits at its bound
+    `x_n` (basic columns read 0 there), and the signed entering mask `sgn`
+    is +1 for a free nonbasic column at its lower bound, -1 at its upper
+    bound and 0 for a basic or fixed one.  `low_b` and `upp_b` are the
+    bounds of the basic variables in basis order, lists of floats.  These
+    are carried across pivots, where a basis change moves two columns.
+    `rhs_n` and `xb` are b - N x_N and the basic values (a list of floats)
+    of dual_run's last pass, on the current binv, which certify solves
+    against and a child's first pass reads; `binv`, `rhs_n` and `xb` are
+    replaced, never written in place, so a child shares its parent's until
+    it changes them.  `first`, when set, is (r, s, d, tests) for the first
+    pass: the row alpha * sgn at position r, the reduced costs and the
+    ratio tests of the two ways out of the row, kept by the parent, with
+    `xb` and `rhs_n` its own.  `pivots` counts basis changes, `refactors`
+    counts fresh inverses by cause (a pivot element too small to divide
+    by, an infeasibility verdict and the exit check), and `fresh` says
+    binv was inverted afresh at the current basis.
 
     The constructor builds a cold solve's crash start and `branch` a
     child's start from a parent's final state.  dual_run() pivots from a
@@ -282,36 +345,37 @@ class _Simplex:
         lower above PIV_TOL) with c_j > 0 at its upper bound and every
         other one at its lower bound."""
         m, n = a.shape
-        self.mat = np.hstack([a, np.eye(m)])
+        self.n, self.rhs = n, b
+        self.mat = np.zeros((m, n + m))
+        self.mat[:, :n], self.mat[:, n:] = a, np.eye(m)
         self.eye = self.mat[:, n:]
-        self.rhs, self.gamma = b, np.concatenate([c, np.zeros(m)])
-        self.lower = np.concatenate((lower, np.zeros(m)))
-        self.upper = np.concatenate((upper, np.full(m, np.inf)))
+        self.gamma, self.lower, self.x_n, self.sgn = np.zeros((4, n + m))
+        self.upper = np.full(n + m, np.inf)
+        self.gamma[:n], self.lower[:n], self.upper[:n] = c, lower, upper
         self.basis, self.binv = np.arange(n, n + m), np.eye(m)
         free = upper - lower > PIV_TOL
         at_upper = free & (c > 0.0)
-        self.sgn = np.concatenate(
-            (np.where(free, np.where(at_upper, -1.0, 1.0), 0.0), np.zeros(m)))
-        self.x_n = np.concatenate((np.where(at_upper, upper, lower), np.zeros(m)))
+        self.sgn[:n] = np.where(free, np.where(at_upper, -1.0, 1.0), 0.0)
+        self.x_n[:n] = np.where(at_upper, upper, lower)
         self.low_b, self.upp_b = [0.0] * m, [np.inf] * m
         self.first = None
         self._start(max_pivots)
 
     def branch(self, j, side, first, max_pivots):
         """The child that fixes x_j at side: a copy of this final state
-        with each array it changes copied once and the entries x_j touches
-        set.  x_j fixed never enters (sgn 0).  Nonbasic (`first` None), it
-        moves to side; basic, `first` is the (r, s, d) the parent kept for
-        it, its bounds at position r change, and the first pass reads the
-        kept row and reduced costs and this state's last pass."""
-        core = copy.copy(self)
-        core.lower, core.upper = self.lower.copy(), self.upper.copy()
+        with each array it changes in place copied once and the entries
+        x_j touches set.  x_j fixed never enters (sgn 0).  Nonbasic
+        (`first` None), it moves to side; basic, `first` is the (r, s, d,
+        tests) the parent kept for it, its bounds at position r change,
+        and the first pass reads the kept row, reduced costs and ratio
+        tests and this state's last pass."""
+        core = object.__new__(_Simplex)
+        core.__dict__.update(
+            self.__dict__, lower=self.lower.copy(), upper=self.upper.copy(),
+            basis=self.basis.copy(), sgn=self.sgn.copy(), x_n=self.x_n.copy(),
+            low_b=self.low_b.copy(), upp_b=self.upp_b.copy(), first=first)
         core.lower[j] = core.upper[j] = side
-        core.basis, core.binv = self.basis.copy(), self.binv.copy()
-        core.sgn, core.x_n = self.sgn.copy(), self.x_n.copy()
         core.sgn[j] = 0.0
-        core.low_b, core.upp_b = list(self.low_b), list(self.upp_b)
-        core.first = first
         if first is None:
             core.x_n[j] = side
         else:
@@ -323,7 +387,7 @@ class _Simplex:
         self.fresh = False
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
-        self.refactors = dict.fromkeys(("tiny_pivot", "verdict", "exit_check"), 0)
+        self.refactors = {"tiny_pivot": 0, "verdict": 0, "exit_check": 0}
 
     def position(self, j):
         """The basis position of x_j; ValueError when x_j is nonbasic."""
@@ -334,11 +398,11 @@ class _Simplex:
 
     def row(self, r):
         """alpha * sgn for the row alpha = e_r' binv mat of B^-1 [A | I]."""
-        return (self.mat.T @ self.binv[r]) * self.sgn
+        return self.mat.T.dot(self.binv[r]) * self.sgn
 
     def reduced(self):
         """d = gamma - mat' (gamma_B binv), the reduced costs at the basis."""
-        return self.gamma - self.mat.T @ (self.gamma[self.basis] @ self.binv)
+        return self.gamma - self.mat.T.dot(self.gamma[self.basis].dot(self.binv))
 
     def _refactor(self, cause):
         try:
@@ -352,22 +416,25 @@ class _Simplex:
         """Column e takes basis position pos, where w = B^-1 a_e under the
         old basis, and the column leaving it goes to its upper bound when
         `to_upper`, else to its lower bound: the carried state moves with
-        both columns, and binv takes a product-form step, or a fresh
-        inverse when the pivot element w[pos] is too small to divide by."""
-        leave = self.basis[pos]
-        lo, up = self.low_b[pos], self.upp_b[pos]
-        self.sgn[leave] = (-1.0 if to_upper else 1.0) if up - lo > PIV_TOL else 0.0
-        self.x_n[leave] = up if to_upper else lo
-        self.basis[pos] = e
-        self.sgn[e] = self.x_n[e] = 0.0
-        self.low_b[pos], self.upp_b[pos] = self.lower.item(e), self.upper.item(e)
-        if abs(w[pos]) <= PIV_TOL:
+        both columns, and binv takes a product-form step into a new array,
+        or a fresh inverse when the pivot element w[pos] is too small to
+        divide by."""
+        basis, sgn, x_n, low_b, upp_b = self.basis, self.sgn, self.x_n, self.low_b, self.upp_b
+        leave = basis.item(pos)
+        lo, up = low_b[pos], upp_b[pos]
+        sgn[leave] = (-1.0 if to_upper else 1.0) if up - lo > PIV_TOL else 0.0
+        x_n[leave] = up if to_upper else lo
+        basis[pos] = e
+        sgn[e] = x_n[e] = 0.0
+        low_b[pos], upp_b[pos] = self.lower.item(e), self.upper.item(e)
+        pivot = w.item(pos)
+        if abs(pivot) <= PIV_TOL:
             self._refactor("tiny_pivot")
             return
-        row = self.binv[pos] / w[pos]
-        self.binv -= w[:, None] * row
-        self.binv[pos] = row
-        self.fresh = False
+        row = self.binv[pos] / pivot
+        binv = self.binv - w[:, None] * row
+        binv[pos] = row
+        self.binv, self.fresh = binv, False
 
     def dual_run(self):
         """Bounded dual simplex pivots (Koberstein 2005) until every basic
@@ -378,14 +445,16 @@ class _Simplex:
         (`_worst_row`) out at the bound it violates.  Of the columns
         `_entering` finds moving it toward that bound on its row alpha of
         B^-1 [A | I], it enters the one that keeps the reduced costs dual
-        feasible (the smallest |d_k| / |alpha_k|, the largest |alpha_k|
-        among ties); d is computed only once there is a candidate.
-        Returns None once the basis is primal feasible.  When the violated
-        row r has no entering candidate, no point of the box can move that
-        basic value toward its bound, and the row rho = B^-T e_r proves
-        it: every solution has alpha @ z = rho @ b, which no point of the
-        box reaches.  The slack entries of alpha are rho itself, so sign *
-        rho is nonnegative up to PIV_TOL, and the Farkas vector returned is
+        feasible (`_ratio_test`: the smallest |d_k| / |alpha_k|, the
+        largest |alpha_k| among ties); d is computed only once there is a
+        candidate.  On the first pass of a child whose parent kept the
+        branched row, that row's ratio test is the parent's.  Returns None
+        once the basis is primal feasible.  When the violated row r has no
+        entering candidate, no point of the box can move that basic value
+        toward its bound, and the row rho = B^-T e_r proves it: every
+        solution has alpha @ z = rho @ b, which no point of the box
+        reaches.  The slack entries of alpha are rho itself, so sign * rho
+        is nonnegative up to PIV_TOL, and the Farkas vector returned is
         max(sign * rho, 0).  The verdict stands only on a binv inverted
         afresh at the current basis, so a carried binv is refactorized and
         the row taken again first; the returned rho is then solved afresh.
@@ -393,33 +462,36 @@ class _Simplex:
         while True:
             first, self.first = self.first, None
             if first is None:
-                self.rhs_n = self.rhs - self.mat @ self.x_n
-                self.xb = (self.binv @ self.rhs_n).tolist()
-                r_kept = s = d = None
+                self.rhs_n = self.rhs - self.mat.dot(self.x_n)
+                self.xb = self.binv.dot(self.rhs_n).tolist()
+                r_kept = d = None
             else:
-                r_kept, s, d = first
-            r = _worst_row(self.xb, self.low_b, self.upp_b)
+                r_kept, s, d, tests = first
+            low_b = self.low_b
+            r = _worst_row(self.xb, low_b, self.upp_b)
             if r < 0:
                 return None
             # x_basis[r] must rise to its lower bound, or fall to its upper
-            rise_to_lower = self.low_b[r] - self.xb[r] > 0.0
-            if r != r_kept:
+            rise_to_lower = low_b[r] - self.xb[r] > 0.0
+            if r == r_kept:
+                test = tests[rise_to_lower]
+            else:
                 s = self.row(r)
-            rise, fall = _entering(s)
-            eligible = (rise if rise_to_lower else fall).nonzero()[0]
-            if eligible.size == 0:
+                rise, fall = _entering(s)
+                eligible = (rise if rise_to_lower else fall).nonzero()[0]
+                if eligible.size and d is None:
+                    d = self.reduced()
+                test = _ratio_test(s, d, eligible)
+            if test is None:
                 if not self.fresh:
                     self._refactor("verdict")
                     continue
                 rho, = _solve((self.mat[:, self.basis].T, self.eye[r]))
                 return np.maximum(rho if rise_to_lower else -rho, 0.0)
-            if d is None:
-                d = self.reduced()
-            mag = abs(s[eligible])
-            ratios = abs(d[eligible]) / mag
-            ties = ratios <= ratios[ratios.argmin()] + RC_TOL
+            eligible, mag, ratios, least = test
+            ties = ratios <= least + RC_TOL
             e = int(eligible[ties][mag[ties].argmax()])
-            self._exchange(r, e, self.binv @ self.mat[:, e], not rise_to_lower)
+            self._exchange(r, e, self.binv.dot(self.mat[:, e]), not rise_to_lower)
             self.pivots += 1
             if self.pivots >= self.max_pivots:
                 raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
@@ -437,9 +509,12 @@ class _Simplex:
         on the new binv.  A binv inverted afresh since the last basis
         change is not refactorized again, and its exit stands.
         """
-        bmat = self.mat[:, self.basis]
-        xb, y = _solve((bmat, self.rhs_n), (bmat.T, self.gamma[self.basis]))
-        d = self.gamma - self.mat.T @ y
+        basis = self.basis
+        # mat.take: mat[:, basis] as a C-contiguous copy, at a third of
+        # the cost of fancy indexing; gesv and .dot give the same bits
+        bmat = self.mat.take(basis, 1)
+        xb, y = _solve((bmat, self.rhs_n), (bmat.T, self.gamma[basis]))
+        d = self.gamma - self.mat.T.dot(y)
         # at lower, a column gains from rising (d > 0); at upper, from falling
         wrong = (d * self.sgn > RC_TOL).nonzero()[0]
         if wrong.size:
@@ -449,14 +524,14 @@ class _Simplex:
                 f"has reduced cost {float(d[e])!r}"
             )
         outside = _worst_row(xb.tolist(), self.low_b, self.upp_b) >= 0
-        if not self.fresh and (outside or _top(abs(
-                self.binv @ bmat - self.eye).sum(axis=1)) > INV_TOL):
+        if not self.fresh and (outside or _top(np.add.reduce(abs(
+                self.binv.dot(bmat) - self.eye), axis=1)) > INV_TOL):
             self._refactor("exit_check")
             if outside:
                 return None
-            self.xb = (self.binv @ self.rhs_n).tolist()
+            self.xb = self.binv.dot(self.rhs_n).tolist()
         x = self.x_n.copy()
-        x[self.basis] = xb
+        x[basis] = xb
         return x, y
 
 
@@ -474,43 +549,50 @@ def solve_box_lp(
 
     `warm_start` is (parent, j, side): the result of an optimal solve of
     the same A, b, c and the fixing x_j = side inside the parent's box, as
-    a branch-and-bound child's.  The box is then the parent's with x_j
-    fixed, and no bounds are passed.  The solve starts from a copy of the
-    parent's final simplex state (`_Simplex.branch`) on its [A | I]
-    system, which is shared and not rebuilt; the parent is read and never
-    changed, so two children can start from one parent.  Without it the
-    solve builds [A | I] and starts from the crash point (`_Simplex`).
+    a branch-and-bound child's.  The solve then takes A, b, c and the box
+    from the parent: it solves the parent's LP with x_j fixed and does
+    not read `a`, `b` or `c`.  No bounds are passed.  The solve starts from a copy of the parent's
+    final simplex state (`_Simplex.branch`) on its [A | I] system, which
+    is shared and not rebuilt; the parent is read and never changed, so
+    two children can start from one parent.  Without it the solve builds
+    [A | I] and starts from the crash point (`_Simplex`).
     Both starts are dual feasible.  Dual simplex pivots then bring every
     basic value inside its bounds, which makes the basis optimal, or find
     a row that proves the bounds infeasible (InfeasibleError with its
-    Farkas vector).  When the start breaks no row it is optimal and the
-    solve takes no pivot.  Reaching `max_pivots` pivots raises
-    IterationLimitError.  A start that was not dual feasible raises
+    Farkas vector, and the margin by which the aggregated row of the
+    solved LP misses its box).  When the start breaks no row it is
+    optimal and the solve takes no pivot.  Reaching `max_pivots` pivots
+    raises IterationLimitError.  A start that was not dual feasible raises
     ArithmeticError naming a column whose reduced cost has the wrong sign
-    at the exit.  Bounds that are not finite or not of shape (n,), bounds
-    next to a warm start, and a fixing outside the structurals or the
-    parent's box raise ValueError.
+    at the exit.  A cold A, b or c with an entry that is not finite,
+    bounds that are not finite or not of shape (n,), bounds next to a
+    warm start, and a fixing outside the structurals or the parent's box
+    raise ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    if max_pivots is None:
-        max_pivots = 50 * (n + m)
-
     if warm_start is not None:
         parent, j, side = warm_start
         if lower is not None or upper is not None:
             raise ValueError("a warm start takes its box from the parent; pass no bounds")
         start = parent.simplex
+        n = start.n
         if not (0 <= j < n and start.lower[j] <= side <= start.upper[j]):
             raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
+        if max_pivots is None:
+            max_pivots = 50 * start.mat.shape[1]
         try:
             first = parent._branch_row(j)
         except ValueError:  # x_j is nonbasic
             first = None
         core = start.branch(j, side, first, max_pivots)
     else:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        c = np.asarray(c, dtype=float)
+        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+            raise ValueError("A, b and c must be finite")
+        m, n = a.shape
+        if max_pivots is None:
+            max_pivots = 50 * (n + m)
         lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
         upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
@@ -525,17 +607,19 @@ def solve_box_lp(
     while point is None:
         u = core.dual_run()
         if u is not None:
-            w = a.T @ u  # aggregated row; margin = its box minimum - b @ u
-            margin = float(np.sum(np.minimum(w * lower, w * upper))) - float(b @ u)
+            # aggregated row of the solved LP; margin = its box minimum - b @ u
+            w = core.mat[:, :n].T @ u
+            margin = float(np.minimum(w * lower, w * upper).sum()) - float(core.rhs @ u)
             raise InfeasibleError(
                 f"LP infeasible: aggregated row violates the box by {margin:.3e}",
                 farkas_u=u,
             )
         point = core.certify()
     x_full, y = point
-    x = np.minimum(np.maximum(x_full[:n], lower), upper)
-    return LpSolution(x_star=x, value=float(c @ x), duals=y, pivots=core.pivots,
-                      refactors=core.refactors, simplex=core)
+    x = x_full[:n]
+    np.maximum(x, lower, out=x)
+    np.minimum(x, upper, out=x)
+    return LpSolution(x, float(core.gamma[:n].dot(x)), y, core.pivots, core.refactors, core)
 
 
 def _check_optimum(instance, sol):
@@ -544,19 +628,19 @@ def _check_optimum(instance, sol):
     from the kept reduced costs."""
     a, b = instance.A, instance.b
     x, u, value, r = sol.x_star, sol.u_star, sol.value, sol.reduced_costs
-    ax = a @ x
-    if np.any(ax > b + 1e-7):
+    ax = a.dot(x)
+    if (ax > b + 1e-7).any():
         raise ArithmeticError("optimal point violates A x <= b beyond tolerance")
-    dv = float(b @ u + np.sum(np.maximum(r, 0.0)))  # dual_value(u) from r
+    dv = float(b.dot(u) + np.add.reduce(np.maximum(r, 0.0)))  # dual_value(u) from r
     if abs(value - dv) > 1e-7 * (1.0 + abs(value)):
         raise ArithmeticError(
             f"strong duality violated: primal {value!r} vs dual {dv!r}"
         )
-    if np.any(x * np.maximum(-r, 0.0) > 1e-7) or np.any(
+    if (x * np.maximum(-r, 0.0) > 1e-7).any() or (
         (1.0 - x) * np.maximum(r, 0.0) > 1e-7
-    ):
+    ).any():
         raise ArithmeticError("complementary slackness violated on variables")
-    if np.any(u * (b - ax) > 1e-7):
+    if (u * (b - ax) > 1e-7).any():
         raise ArithmeticError("complementary slackness violated on rows")
 
 
@@ -593,7 +677,7 @@ def solve_lp(
     satisfies A x <= b, and IterationLimitError past the pivot budget.
     """
     sol = solve_box_lp(instance.A, instance.b, instance.c, max_pivots=max_pivots)
-    if np.any(sol.duals < -1e-7):
+    if (sol.duals < -1e-7).any():
         raise ArithmeticError("negative dual beyond roundoff tolerance")
     _check_optimum(instance, sol)
     if sol.s.size > instance.m:

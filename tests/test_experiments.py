@@ -1,8 +1,11 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,8 @@ from giplab.rng import RngHandle
 
 from oracles import count_small_weight_subsets
 from test_lp import all_at_upper
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def small_config(**over):
@@ -260,6 +265,17 @@ class TestSweeps:
         gap_sweep(small_config(out=str(out1), parallelism=1))
         gap_sweep(small_config(out=str(out2), parallelism=2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_import_leaves_out_the_process_pool(self):
+        # the pool is imported on the parallel path only, so the import of
+        # the package, which every process pays, does not load it
+        code = ("import sys, giplab.experiments, giplab.cli\n"
+                "print('concurrent.futures.process' in sys.modules)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env=env, check=True)
+        assert res.stdout.strip() == "False"
 
     def test_env_var_overrides_parallelism(self, tmp_path, monkeypatch):
         out = tmp_path / "env.csv"

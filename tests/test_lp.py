@@ -131,6 +131,29 @@ class TestBoxBounds:
             solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
 
 
+class TestDataFinite:
+    """A cold solve refuses A, b or c with an entry that is not finite,
+    which the simplex would otherwise carry into a value of nan."""
+
+    @pytest.mark.parametrize("part, entry", [
+        ("A", np.inf), ("A", np.nan), ("b", -np.inf), ("b", np.nan),
+        ("c", np.nan), ("c", np.inf),
+    ], ids=["inf-A", "nan-A", "inf-b", "nan-b", "nan-c", "inf-c"])
+    def test_refused(self, part, entry):
+        inst = generate(2, 10, BSpec.gaussian(), RngHandle(1))
+        data = {"A": inst.A.copy(), "b": inst.b.copy(), "c": inst.c.copy()}
+        data[part].flat[3 % data[part].size] = entry
+        with pytest.raises(ValueError, match="A, b and c must be finite"):
+            solve_box_lp(data["A"], data["b"], data["c"])
+
+    def test_one_by_two(self):
+        # an inf in A and a NaN in c of a 1 x 2 LP, each alone
+        a, b, c = np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0, -1.0])
+        for a_, c_ in ((np.array([[np.inf, 2.0]]), c), (a, np.array([np.nan, -1.0]))):
+            with pytest.raises(ValueError, match="must be finite"):
+                solve_box_lp(a_, b, c_)
+
+
 class TestHighsLpDifferential:
     """Root LPs and branch-and-bound child boxes against scipy's HiGHS
     `linprog`: values to 1e-7 relative, infeasibility verdicts exactly, and
@@ -427,9 +450,10 @@ class TestWarmStart:
 
     def test_siblings_start_from_one_unchanged_parent(self):
         # side 0 then side 1 from one parent result, as in the tree: side 1
-        # matches side 1 solved from an untouched copy, bit for bit, and
-        # the row, reduced costs and basic values the parent keeps for its
-        # children are read-only and unchanged
+        # matches side 1 solved from an untouched copy, bit for bit; the
+        # row and reduced costs the parent keeps for its children are
+        # read-only, and they, the two ratio tests and the basic values
+        # stay unchanged and the same objects across siblings
         def state(res):
             core = res.simplex
             return (res.x_star, res.duals, res.value, res.pivots, core.basis,
@@ -450,8 +474,8 @@ class TestWarmStart:
             before = carried(parent.simplex)
             for j in parent.s:
                 parent.child_bounds(j)
-                (_, row, d), xb = parent._branch_row(j), parent.simplex.xb
-                kept = (row.copy(), d.copy(), xb)
+                (_, row, d, tests), xb = parent._branch_row(j), parent.simplex.xb
+                kept = (row.copy(), d.copy(), xb, copy.deepcopy(tests))
                 assert not (row.flags.writeable or d.flags.writeable)
                 try:
                     moved += solve(parent, j, 0.0).pivots > 0
@@ -466,10 +490,16 @@ class TestWarmStart:
                     got = state(solve(parent, j, 1.0))
                     for g, e in zip(got, expected):
                         assert np.array_equal(g, e)
-                assert parent._branch_row(j)[1] is row and parent._branch_row(j)[2] is d
-                assert parent.simplex.xb == kept[2]
+                again = parent._branch_row(j)
+                assert again[1] is row and again[2] is d and again[3] is tests
+                assert parent.simplex.xb is xb and xb == kept[2]
                 for now, then in zip((row, d), kept[:2]):
                     assert np.array_equal(now, then)
+                for now, then in zip(tests, kept[3]):
+                    assert (now is None) == (then is None)
+                    if now is not None:
+                        for a, b in zip(now, then):
+                            assert np.array_equal(a, b)
             for now, then in zip(carried(parent.simplex), before):
                 assert np.array_equal(now, then)
         assert moved >= 10
@@ -525,6 +555,100 @@ class TestWarmStart:
         w = inst.A.T @ u
         assert np.all(u >= 0.0)
         assert np.minimum(w * lower, w * upper).sum() - inst.b @ u > 1e-3
+
+    def test_infeasible_child_margin_is_the_parent_s(self):
+        # a warm start solves the parent's LP, so the margin in the error
+        # comes from the parent's A, b and the Farkas vector, whatever
+        # data the caller passes
+        inst = generate(1, 24, BSpec.scaled_ones([-0.3]), RngHandle(4400, 12))
+        other = generate(1, 24, BSpec.gaussian(), RngHandle(4401, 12))
+        root = solve_lp(inst)
+        lower, upper = self._fixed(np.zeros(24), np.ones(24), 21, 1.0)
+        with pytest.raises(InfeasibleError) as exc_info:
+            solve_box_lp(other.A, other.b, other.c, warm_start=(root, 21, 1.0))
+        found = re.fullmatch(r"LP infeasible: aggregated row violates the box by (\S+)",
+                             str(exc_info.value))
+        assert found is not None
+        u = exc_info.value.farkas_u
+
+        def margin(a, b):
+            w = a.T @ u
+            return np.minimum(w * lower, w * upper).sum() - b @ u
+
+        assert float(found[1]) == pytest.approx(margin(inst.A, inst.b), rel=1e-3)
+        assert float(found[1]) != pytest.approx(margin(other.A, other.b), rel=1e-3)
+
+    def test_first_pivot_takes_the_bound_s_ratio_test(self, monkeypatch):
+        # every child whose parent kept the branched row (x_j basic) enters,
+        # on its first pivot, the column its parent's child_bounds ratio
+        # test for that side picks: among the eligible columns whose ratio
+        # is within RC_TOL of the least, the first of largest |alpha_k|.
+        # Each instance is solved again with its last column twice its
+        # first, (c, A) and all: the twins' ratios are equal bit for bit
+        # and the twin's |alpha_k| twice as large, so the tie rule decides
+        kept, first_entered = {}, {}
+        seen = collections.Counter()
+        bounds, branch, exchange = (
+            lp.LpSolution.child_bounds, lp._Simplex.branch, lp._Simplex._exchange)
+
+        def bounded(sol, j):
+            out = bounds(sol, j)
+            kept[id(sol.simplex), j] = (sol, out, sol._branch_row(j))
+            return out
+
+        def branched(parent, j, side, first, max_pivots):
+            core = branch(parent, j, side, first, max_pivots)
+            if first is not None:
+                sol, out, row = kept[id(parent), j]
+                assert all(a is b for a, b in zip(first, row))
+                test = row[3][side]
+                # the bound of that side is read from the same test
+                if test is None:
+                    assert out[side] == -np.inf
+                else:
+                    delta = sol.x_star[j] if side == 0 else 1.0 - sol.x_star[j]
+                    u = sol.value - delta * test[3]
+                    assert out[side] == u + 1e-9 * (1.0 + abs(u))
+                # the child itself is kept, so no other solve reuses its id
+                first_entered[id(core)] = (test, None, core)
+            return core
+
+        def exchanged(core, pos, e, w, to_upper):
+            pending = first_entered.get(id(core))
+            if pending is not None and pending[1] is None:
+                first_entered[id(core)] = (pending[0], e, core)
+            exchange(core, pos, e, w, to_upper)
+
+        monkeypatch.setattr(lp.LpSolution, "child_bounds", bounded)
+        monkeypatch.setattr(lp._Simplex, "branch", branched)
+        monkeypatch.setattr(lp._Simplex, "_exchange", exchanged)
+        for m in (2, 3):
+            for n in (24, 32):
+                for seed in range(8):
+                    for b_spec in (BSpec.zeros(), BSpec.scaled_ones([-0.05] * m)):
+                        inst = generate(m, n, b_spec, RngHandle(5100 + seed, 10 * m + n))
+                        twin = inst.with_column(n - 1, 2.0 * inst.c[0], 2.0 * inst.A[:, 0])
+                        for case in (inst, twin):
+                            try:
+                                bnb.solve_ip(case)
+                            except InfeasibleError:
+                                pass
+                        for test, e, _ in first_entered.values():
+                            if test is None:
+                                seen["no_candidate"] += 1
+                                continue
+                            eligible, mag, ratios, least = test
+                            assert least == min(ratios.tolist())
+                            ties = [k for k, t in enumerate(ratios.tolist())
+                                    if t <= least + lp.RC_TOL]
+                            pick = max(ties, key=lambda k: (mag[k], -k))
+                            assert e == eligible[pick]
+                            seen["checked"] += 1
+                            seen["tied"] += len(ties) > 1
+                            seen["larger_alpha_won"] += pick != ties[0]
+                        first_entered.clear()
+        assert seen["checked"] >= 1000 and seen["no_candidate"] >= 1
+        assert seen["tied"] >= 5 and seen["larger_alpha_won"] >= 1
 
     def test_dual_infeasible_start_raises_with_the_column(self, monkeypatch):
         # every structural at its upper bound with the slacks basic: rows
@@ -631,7 +755,7 @@ class TestCarriedState:
         if j not in parent.basis.tolist():
             assert core.first is None
             return
-        r, s, d = core.first
+        r, s, d, tests = core.first
         assert core.basis[r] == j
         assert not (s.flags.writeable or d.flags.writeable)
         rhs_n = core.rhs - core.mat @ core.x_n
@@ -640,6 +764,18 @@ class TestCarriedState:
         assert np.array_equal(s, (core.mat.T @ core.binv[r]) * core.sgn)
         gamma = parent.gamma
         assert np.array_equal(d, gamma - core.mat.T @ (gamma[core.basis] @ core.binv))
+        # the ratio tests of the columns that move x_j down, then up
+        rise, fall = s < -lp.PIV_TOL, s > lp.PIV_TOL
+        for test, moves in zip(tests, (fall, rise)):
+            eligible = np.flatnonzero(moves)
+            if eligible.size == 0:
+                assert test is None
+                continue
+            ratios = np.abs(d[eligible]) / np.abs(s[eligible])
+            assert np.array_equal(test[0], eligible)
+            assert np.array_equal(test[1], np.abs(s[eligible]))
+            assert np.array_equal(test[2], ratios)
+            assert type(test[3]) is float and test[3] == ratios.min()
 
     def test_after_every_pivot(self, monkeypatch):
         seen = collections.Counter()
@@ -777,6 +913,65 @@ class TestEnteringRule:
         solves = len(calls)
         sol.child_bounds(int(sol.s[0]))
         assert len(calls) == solves + 1
+
+
+class TestDotLayouts:
+    """The simplex takes its small products with ndarray.dot, which costs
+    about half of `@` on operands this size.  For each operand layout it
+    passes to .dot, the two give the same bits.  The strided structural
+    block mat[:, :n] transposed is left out: `.dot` gave other bits
+    there, so `LpSolution.reduced_costs` keeps `@` on it."""
+
+    @staticmethod
+    def _draws():
+        gen = np.random.default_rng(2401)
+        for m in range(1, 9):
+            for n in (24, 40, 100, 400, 1000, 4000):
+                for _ in range(4):
+                    mat = np.zeros((m, n + m))
+                    mat[:, :n] = gen.standard_normal((m, n))
+                    mat[:, n:] = np.eye(m)
+                    basis = gen.choice(n + m, m, replace=False)
+                    yield m, n, mat, basis, gen
+
+    def test_dot_is_matmul_on_the_simplex_layouts(self):
+        draws = 0
+        for m, n, mat, basis, gen in self._draws():
+            bmat = mat[:, basis]
+            binv = np.linalg.inv(bmat)
+            x, v = gen.standard_normal(n + m), gen.standard_normal(m)
+            e, r = int(gen.integers(n + m)), int(gen.integers(m))
+            for a, b in (
+                (mat, x),              # b - N x_N: C-contiguous [A | I]
+                (mat.T, binv[r]),      # a pivot row: the transpose, a row of binv
+                (mat.T, v),            # reduced costs and certify's duals
+                (v, binv),             # gamma_B binv
+                (binv, v),             # basic values
+                (binv, mat[:, e]),     # the pivot column: strided
+                (binv, bmat),          # the inverse test: fancy-indexed basis
+                (x[:n], mat[0, :n]),   # the value c @ x
+            ):
+                assert np.array_equal(a.dot(b), a @ b)
+            # certify takes the basis matrix with mat.take, C-contiguous
+            # where mat[:, basis] is not: its products and solves match
+            taken = mat.take(basis, 1)
+            assert np.array_equal(binv.dot(taken), binv @ bmat)
+            for got, want in zip(lp._solve((taken, v), (taken.T, x[:m])),
+                                 lp._solve((bmat, v), (bmat.T, x[:m]))):
+                assert np.array_equal(got, want)
+            draws += 1
+        assert draws == 8 * 6 * 4
+
+    def test_reduced_costs_keep_matmul_on_the_strided_block(self):
+        # the strided mat[:, :n].T is the one layout left on `@`, as .dot
+        # gave other bits there: the kept reduced costs are that product
+        for i in range(12):
+            m = 1 + i % 8
+            inst = generate(m, 40, BSpec.gaussian(), RngHandle(2402, i))
+            sol = solve_box_lp(inst.A, inst.b, inst.c)
+            core = sol.simplex
+            want = core.gamma[:40] - core.mat[:, :40].T @ sol.u_star
+            assert sol.reduced_costs.tobytes() == want.tobytes()
 
 
 class TestDirectSolve:
