@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: gen, lp, ip, round, gap-sweep, tree-sweep, stats, disc-mc,
-knap-mc.  Exit codes: 0 success, 1 usage error (bad flags, missing files),
-2 computational failure (budget exhausted, pipeline could not run).
+knap-mc.  Exit codes: 0 success, 1 usage error (bad flags, a named file that
+cannot be opened or parsed), 2 computational failure (budget exhausted,
+pipeline could not run).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -46,9 +48,6 @@ def _parse_b_token(token: str, m: int) -> BSpec:
 def _load(path: str):
     try:
         return read_instance(path)
-    except FileNotFoundError:
-        print(f"error: no such instance file: {path}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
     except InstanceFormatError as exc:
         print(f"error: bad instance file {path}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
@@ -68,12 +67,13 @@ def _cmd_lp(args) -> int:
         sol = lp.solve_lp(inst)
     except lp.InfeasibleError as exc:
         print("status: infeasible")
-        print(f"farkas_u: {' '.join(repr(float(v)) for v in exc.farkas_u)}")
+        print("farkas_u: " + " ".join(map(repr, exc.farkas_u.tolist())))
         return 0
     print(f"value: {sol.value!r}")
     nz = np.flatnonzero(sol.x_star > 1e-12)
-    print("x_nonzero: " + " ".join(f"{i}={float(sol.x_star[i])!r}" for i in nz))
-    print("u_star: " + " ".join(repr(float(v)) for v in sol.u_star))
+    pairs = zip(nz.tolist(), sol.x_star[nz].tolist())
+    print("x_nonzero: " + " ".join(f"{i}={v!r}" for i, v in pairs))
+    print("u_star: " + " ".join(map(repr, sol.u_star.tolist())))
     print(f"n0_size: {sol.n0.size}")
     print(f"s_size: {sol.s.size}")
     print(f"pivots: {sol.pivots}")
@@ -125,9 +125,6 @@ def _read_config(args) -> experiments.SweepConfig:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = experiments.SweepConfig.from_json(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such config file: {args.config}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
     except (ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR) from None
@@ -138,6 +135,9 @@ def _read_config(args) -> experiments.SweepConfig:
 
 def _cmd_sweep(args) -> int:
     cfg = _read_config(args)
+    if cfg.out:
+        # a missing output directory fails here, not after every trial
+        os.scandir(os.path.dirname(cfg.out) or ".").close()
     records = args.sweep(cfg)
     if not cfg.out:
         sys.stdout.write(experiments.records_to_csv(records))
@@ -277,6 +277,12 @@ def run_cli(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # a file named on the command line that cannot be opened
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
     except ValueError as exc:
         # a flag value the library rejects
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,14 @@ The on-disk format is a self-describing UTF-8 text document::
     <m rows of A, n whitespace-separated entries each>
 
 Numbers are rendered as shortest round-trip decimals, so serialization is
-bit-exact and diffable.
+bit-exact and diffable.  The document is made piece by piece: the header,
+b, c, then each A row from its own ``tolist()``.  :func:`write_instance`
+writes each piece as it is formatted and :func:`serialize` joins the same
+pieces.  The reader parses A with numpy's C text reader.  A per-token pass
+with ``float()`` runs only when that reader refuses the block, finds a
+count other than m*n or a value that is not finite: it accepts what
+``float()`` accepts and exists to name the first bad field in document
+order.
 """
 
 from __future__ import annotations
@@ -188,17 +195,24 @@ def validate_b(instance: Instance) -> bool:
     return bool(np.linalg.norm(neg) <= instance.n / 10.0)
 
 
+def _lines(instance: Instance):
+    """The document as lines without line ends: the four header lines, b
+    and c as one block each (an entry a line), then the A rows.  Each is
+    formatted when it is asked for, so an A row holds Python floats for its
+    own n entries only."""
+    meta = instance.meta
+    yield MAGIC
+    yield f"{instance.m} {instance.n}"
+    yield meta.b_spec
+    yield meta.seed if meta.seed is not None else "-"
+    for vec in (instance.b, instance.c):
+        yield "\n".join(map(repr, np.asarray(vec, dtype=float).tolist()))
+    for row in np.asarray(instance.A, dtype=float):
+        yield " ".join(map(repr, row.tolist()))
+
+
 def serialize(instance: Instance) -> bytes:
-    lines = [MAGIC, f"{instance.m} {instance.n}", instance.meta.b_spec]
-    lines.append(instance.meta.seed if instance.meta.seed is not None else "-")
-    b, c, a = (
-        np.asarray(v, dtype=float).tolist()
-        for v in (instance.b, instance.c, instance.A)
-    )
-    lines.extend(map(repr, b))
-    lines.extend(map(repr, c))
-    lines.extend(" ".join(map(repr, row)) for row in a)
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return ("\n".join(_lines(instance)) + "\n").encode("utf-8")
 
 
 def _parse_float(tok: str, what: str) -> float:
@@ -228,18 +242,40 @@ def _parse_floats(toks: list[str], what: Callable[[int], str]) -> np.ndarray:
     return values
 
 
+def _parse_a(lines: list[str], m: int, n: int) -> np.ndarray:
+    """A from its block of lines: m*n entries, row-major, in any line layout.
+
+    numpy's C reader takes the block when its rows are all the same length;
+    it splits on whitespace and converts each whole field as float() does,
+    with the same bits.  A block it refuses, or whose count or values are
+    wrong, goes to the per-token pass, which names the first bad field.
+    """
+    # loadtxt warns on a block with no data; the per-token pass reports it
+    if any(ln and not ln.isspace() for ln in lines):
+        try:
+            a = np.loadtxt(lines, comments=None)
+        except ValueError:
+            a = None
+        if a is not None and a.size == m * n and np.isfinite(a).all():
+            return a.reshape(m, n)
+    toks = " ".join(lines).split()
+    if len(toks) != m * n:
+        raise InstanceFormatError(f"A: expected {m * n} entries, got {len(toks)}")
+    return _parse_floats(toks, lambda pos: f"A[{pos // n},{pos % n}]").reshape(m, n)
+
+
 def deserialize(data: bytes) -> Instance:
     try:
-        text = data.decode("utf-8")
+        lines = data.decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise InstanceFormatError("document is not UTF-8 text") from None
-    lines = text.splitlines()
     if not lines:
         raise InstanceFormatError("empty document (missing header)")
     if lines[0].strip() != MAGIC:
         raise InstanceFormatError(f"bad header line: {lines[0]!r}")
     if len(lines) < 4:
-        raise InstanceFormatError("truncated document (missing dimensions)")
+        missing = ("dimensions", "b_spec descriptor", "seed token")[len(lines) - 1]
+        raise InstanceFormatError(f"truncated document (missing {missing})")
     dims = lines[1].split()
     if len(dims) != 2:
         raise InstanceFormatError(f"bad dimension line: {lines[1]!r}")
@@ -263,20 +299,16 @@ def deserialize(data: bytes) -> Instance:
     c = _parse_floats(
         [ln.strip() for ln in body[m : m + n]], lambda i: f"c[{i}]"
     )
-    # A is row-major and whitespace-separated; any line layout is accepted
-    toks = " ".join(body[m + n :]).split()
-    if len(toks) != m * n:
-        raise InstanceFormatError(
-            f"A: expected {m * n} entries, got {len(toks)}"
-        )
-    a = _parse_floats(toks, lambda pos: f"A[{pos // n},{pos % n}]").reshape(m, n)
+    a = _parse_a(body[m + n :], m, n)
     meta = InstanceMeta(seed=seed, b_spec=b_spec_text)
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 
 
 def write_instance(path, instance: Instance) -> None:
-    with open(path, "wb") as fh:
-        fh.write(serialize(instance))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for text in _lines(instance):
+            fh.write(text)
+            fh.write("\n")
 
 
 def read_instance(path) -> Instance:

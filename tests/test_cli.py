@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -91,6 +92,32 @@ class TestGenLpIp:
         assert out[0] == "status: NodeLimit"
         assert f"best_bound: {res.best_bound!r}" in out
 
+    # the LP-infeasible report is checked the same way by
+    # test_lp_infeasible_prints_farkas_vector
+    @pytest.mark.parametrize("m, n, b, seed", [
+        (2, 50, "zeros", 1),
+        (8, 4000, "gaussian", 0),
+        (3, 1000, "scaled_ones:0.02", 2),
+    ])
+    def test_lp_report_matches_entry_by_entry_formatting(self, tmp_path, capsys,
+                                                         m, n, b, seed):
+        from giplab.instance import read_instance
+        from giplab.lp import solve_lp
+
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", str(m), "--n", str(n), "--b", b, "--seed", str(seed),
+            "--out", path)
+        capsys.readouterr()
+        assert cli("lp", path) == 0
+        out = capsys.readouterr().out.splitlines()
+        sol = solve_lp(read_instance(path))
+        nz = np.flatnonzero(sol.x_star > 1e-12)
+        assert nz.size > 0
+        assert out[1:3] == [
+            "x_nonzero: " + " ".join(f"{i}={float(sol.x_star[i])!r}" for i in nz),
+            "u_star: " + " ".join(repr(float(v)) for v in sol.u_star),
+        ]
+
     def test_missing_file_exits_one(self, capsys):
         assert cli("ip", "missing.gip") == 1
         err = capsys.readouterr().err
@@ -121,6 +148,48 @@ class TestGenLpIp:
 
     def test_usage_error_without_subcommand(self):
         assert cli() == 1
+
+
+class TestFileErrors:
+    """A file named on the command line that cannot be opened gives one
+    `error: cannot open <path>: <reason>` line and exit 1."""
+
+    @staticmethod
+    def _error(path, code):
+        return f"error: cannot open {path}: {os.strerror(code)}\n"
+
+    def test_lp_on_a_directory(self, tmp_path, capsys):
+        assert cli("lp", str(tmp_path)) == 1
+        assert capsys.readouterr().err == self._error(tmp_path, errno.EISDIR)
+
+    def test_gen_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.giplab"
+        assert cli("gen", "--m", "2", "--n", "5", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self._error(out, errno.ENOENT)
+        assert captured.out == ""
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert cli("gap-sweep", "--config", str(tmp_path)) == 1
+        assert capsys.readouterr().err == self._error(tmp_path, errno.EISDIR)
+
+    @pytest.mark.parametrize("command", ["gap-sweep", "tree-sweep"])
+    def test_sweep_out_in_a_missing_directory_fails_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, command):
+        from giplab import experiments
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            m_list=[2], n_list=[12], seeds_per_cell=2, parallelism=1,
+        )))
+        missing = tmp_path / "missing"
+        assert cli(command, "--config", str(cfg_path),
+                   "--out", str(missing / "s.csv")) == 1
+        assert capsys.readouterr().err == self._error(missing, errno.ENOENT)
 
 
 @pytest.mark.parametrize("command", [

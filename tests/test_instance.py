@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,26 @@ def make_instance(a, b, c):
         c=np.atleast_1d(np.asarray(c, dtype=float)),
         meta=InstanceMeta(seed=None, b_spec="explicit"),
     )
+
+
+def _with_a_token(inst, row, col, tok):
+    """The instance's document with A[row, col] written as tok."""
+    lines = serialize(inst).decode().splitlines()
+    i = 4 + inst.m + inst.n + row
+    toks = lines[i].split()
+    toks[col] = tok
+    lines[i] = " ".join(toks)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _load_quietly(doc):
+    """deserialize(doc), checking that it lets no warning escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return deserialize(doc)
+        finally:
+            assert [str(w.message) for w in caught] == []
 
 
 class TestBSpec:
@@ -154,6 +176,52 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError, match=r"^non-finite b\[1\]: "):
             load(lines)
 
+    # A[1,2] of a 2 x 6 document, as tokens numpy's text reader and float()
+    # disagree on: the document reads as the per-token float() pass reads it
+    @pytest.mark.parametrize("tok", ["1_0", "\u0663", "\uff11"])
+    def test_a_token_float_accepts_keeps_float_s_bits(self, tok):
+        inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
+        back = _load_quietly(_with_a_token(inst, 1, 2, tok))
+        want = inst.A.copy()
+        want[1, 2] = float(tok)
+        assert np.array_equal(back.A.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("tok, error", [
+        ("0x1p3", "bad"), ("2\x00", "bad"), ("1d0", "bad"), ("nan(1)", "bad"),
+        ("1-2", "bad"), ("nan", "non-finite"), ("-inf", "non-finite"),
+        ("1e400", "non-finite"),
+    ])
+    def test_a_token_float_refuses_is_named(self, tok, error):
+        inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
+        with pytest.raises(InstanceFormatError) as info:
+            _load_quietly(_with_a_token(inst, 1, 2, tok))
+        assert str(info.value) == f"{error} A[1,2]: {tok!r}"
+
+    def test_a_block_of_whole_rows_is_counted(self):
+        inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
+        lines = serialize(inst).decode().splitlines()
+        for rows, got in ((lines[12:13], 6), (lines[12:] + lines[12:13], 18),
+                          ([row + " 0.5" for row in lines[12:]], 14)):
+            doc = ("\n".join(lines[:12] + rows) + "\n").encode()
+            with pytest.raises(InstanceFormatError,
+                               match=rf"^A: expected 12 entries, got {got}$"):
+                _load_quietly(doc)
+
+    @pytest.mark.parametrize("blank", ["  ", "\t", "\r"])
+    def test_blank_a_line_stands_for_no_entry(self, blank):
+        # np.fromstring(line, sep=" ") reads each of these lines as one entry, -1.0
+        inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
+        lines = serialize(inst).decode().splitlines()
+        short_row = " ".join(lines[13].split()[:-1])
+        doc = "\n".join(lines[:13] + [blank, short_row]) + "\n"
+        with pytest.raises(InstanceFormatError, match=r"^A: expected 12 entries, got 11$"):
+            _load_quietly(doc.encode())
+        blank_block = "\n".join(lines[:12] + [blank, blank]) + "\n"
+        with pytest.raises(InstanceFormatError, match=r"^A: expected 12 entries, got 0$"):
+            _load_quietly(blank_block.encode())
+        spaced = "\n".join(lines[:13] + [blank, lines[13]]) + "\n"
+        assert np.array_equal(_load_quietly(spaced.encode()).A, inst.A)
+
     @pytest.mark.parametrize(
         "b_spec",
         [
@@ -164,9 +232,14 @@ class TestSerialization:
         ],
         ids=lambda spec: spec.kind,
     )
-    def test_roundtrip_bit_exact_at_scale(self, b_spec):
+    def test_roundtrip_bit_exact_at_scale(self, b_spec, tmp_path):
         inst = generate(8, 4000, b_spec, RngHandle(6))
         data = serialize(inst)
+        assert data == serialize_oracle(inst)
+        # one formatter: the file holds exactly the serialized bytes
+        path = tmp_path / "inst.giplab"
+        write_instance(path, inst)
+        assert path.read_bytes() == data
         back = deserialize(data)
         for name in ("A", "b", "c"):
             got, want = getattr(back, name), getattr(inst, name)
@@ -233,9 +306,16 @@ class TestSerialization:
 
     def test_truncated(self):
         inst = generate(2, 3, BSpec.zeros(), RngHandle(1))
-        data = serialize(inst).decode().splitlines()[:6]
+        lines = serialize(inst).decode().splitlines()
         with pytest.raises(InstanceFormatError, match="expected"):
-            deserialize(("\n".join(data)).encode())
+            deserialize(("\n".join(lines[:6])).encode())
+        # the message names the first missing line
+        for keep, missing in ((1, "dimensions"), (2, "b_spec descriptor"),
+                              (3, "seed token")):
+            doc = ("\n".join(lines[:keep]) + "\n").encode()
+            with pytest.raises(InstanceFormatError,
+                               match=rf"^truncated document \(missing {missing}\)$"):
+                deserialize(doc)
 
     def test_a_entries_accept_any_line_layout(self):
         inst = generate(2, 3, BSpec.zeros(), RngHandle(2))
