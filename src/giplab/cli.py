@@ -4,6 +4,10 @@ Subcommands: gen, lp, ip, round, gap-sweep, tree-sweep, stats, disc-mc,
 knap-mc.  Exit codes: 0 success, 1 usage error (bad flags, a named file that
 cannot be opened or parsed), 2 computational failure (budget exhausted,
 pipeline could not run).
+
+Each subcommand imports the modules it runs when its handler is first
+called, so a process started for one subcommand neither loads nor compiles
+the solvers of the others.
 """
 
 from __future__ import annotations
@@ -11,15 +15,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import bnb, discrepancy, experiments, knapsack, lp, rounding
+from . import lp
 from .instance import BSpec, InstanceFormatError, generate, read_instance, write_instance
-from .numerics import calibrate_theta
 from .rng import RngHandle
 
 USAGE_ERROR = 1
@@ -81,6 +83,8 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_ip(args) -> int:
+    from . import bnb
+
     inst = _load(args.instance)
     res = bnb.solve_ip(inst, node_limit=args.node_limit)
     print(f"status: {res.status}")
@@ -96,6 +100,8 @@ def _cmd_ip(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    from . import rounding
+
     inst = _load(args.instance)
     try:
         sol = lp.solve_lp(inst)
@@ -121,7 +127,9 @@ def _cmd_round(args) -> int:
     return 0
 
 
-def _read_config(args) -> experiments.SweepConfig:
+def _read_config(args):
+    from . import experiments
+
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = experiments.SweepConfig.from_json(fh.read())
@@ -134,11 +142,13 @@ def _read_config(args) -> experiments.SweepConfig:
 
 
 def _cmd_sweep(args) -> int:
+    from . import experiments
+
     cfg = _read_config(args)
     if cfg.out:
         # a missing output directory fails here, not after every trial
         os.scandir(os.path.dirname(cfg.out) or ".").close()
-    records = args.sweep(cfg)
+    records = getattr(experiments, args.sweep)(cfg)
     if not cfg.out:
         sys.stdout.write(experiments.records_to_csv(records))
     else:
@@ -147,6 +157,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    import json
+
+    from . import experiments
+
     summary = experiments.stats_check(
         m=args.m, n=args.n, seeds=args.seeds,
         master_seed=args.seed, b_spec=_parse_b_token(args.b, args.m).descriptor(),
@@ -157,6 +171,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_disc_mc(args) -> int:
+    from . import discrepancy
+    from .numerics import calibrate_theta
+
     params = calibrate_theta(args.m, args.k)
     target = np.zeros(args.m)
     if args.target_norm:
@@ -176,6 +193,8 @@ def _cmd_disc_mc(args) -> int:
 
 
 def _cmd_knap_mc(args) -> int:
+    from . import knapsack
+
     mean, stderr, bound = knapsack.knapsack_expectation_mc(
         args.n, args.dist, args.g, args.trials, RngHandle(args.seed)
     )
@@ -189,7 +208,9 @@ def _cmd_knap_mc(args) -> int:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="giplab", description=__doc__)
+    # --help shows the docstring up to its last paragraph, which is for
+    # readers of this module
+    parser = _Parser(prog="giplab", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")
@@ -223,12 +244,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap-sweep", help="gap scaling sweep from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep, sweep=experiments.gap_sweep)
+    p.set_defaults(func=_cmd_sweep, sweep="gap_sweep")
 
     p = sub.add_parser("tree-sweep", help="tree-size sweep with knapsack proxy")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep, sweep=experiments.tree_sweep)
+    p.set_defaults(func=_cmd_sweep, sweep="tree_sweep")
 
     p = sub.add_parser("stats", help="dual-norm / value / zero-count statistics")
     p.add_argument("--m", type=int, required=True)

@@ -428,3 +428,38 @@ class TestSubprocessEntry:
         assert cli_proc("gen", "--m", "1", "--n", "8", "--b", "zeros",
                         "--seed", "0", "--out", path).returncode == 0
         assert cli_proc("ip", path).returncode == 0
+
+    def test_each_subcommand_loads_only_its_modules(self, tmp_path):
+        # a fresh process: the in-process tests already hold every module
+        script = """
+import sys
+
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] == "giplab"}
+
+import giplab.cli as cli
+start = {"giplab", "giplab.instance", "giplab.rng", "giplab.lp", "giplab.cli"}
+assert loaded() == start, sorted(loaded())
+assert "json" not in sys.modules
+path = sys.argv[1]
+assert cli.run_cli(["gen", "--m", "1", "--n", "30", "--seed", "1", "--out", path]) == 0
+assert cli.run_cli(["lp", path]) == 0
+assert loaded() == start, sorted(loaded())
+# ordered so that no call's modules were loaded by an earlier one
+for argv, modules in [
+    (["ip", path], {"giplab.bnb"}),
+    (["knap-mc", "--n", "8", "--g", "0.5", "--trials", "5"], {"giplab.knapsack"}),
+    (["disc-mc", "--m", "1", "--k", "2", "--trials", "100"],
+     {"giplab.discrepancy", "giplab.numerics"}),
+    (["round", path, "--k", "2", "--t", "1"], {"giplab.rounding"}),
+    (["stats", "--m", "1", "--n", "8", "--seeds", "2"], {"giplab.experiments", "json"}),
+]:
+    assert not modules & sys.modules.keys(), argv
+    assert cli.run_cli(argv) == 0, argv
+    assert modules <= sys.modules.keys(), argv
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.gip")],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
