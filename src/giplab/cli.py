@@ -4,10 +4,6 @@ Subcommands: gen, lp, ip, round, gap-sweep, tree-sweep, stats, disc-mc,
 knap-mc.  Exit codes: 0 success, 1 usage error (bad flags, a named file that
 cannot be opened or parsed), 2 computational failure (budget exhausted,
 pipeline could not run).
-
-Each subcommand imports the modules it runs when its handler is first
-called, so a process started for one subcommand neither loads nor compiles
-the solvers of the others.
 """
 
 from __future__ import annotations
@@ -20,6 +16,9 @@ import sys
 
 import numpy as np
 
+# Each handler imports the modules it runs when it is first called, so a
+# process started for one subcommand neither loads nor compiles the solvers
+# of the others; gen and lp need only these.
 from . import lp
 from .instance import BSpec, InstanceFormatError, generate, read_instance, write_instance
 from .rng import RngHandle
@@ -208,9 +207,7 @@ def _cmd_knap_mc(args) -> int:
 
 
 def build_parser() -> _Parser:
-    # --help shows the docstring up to its last paragraph, which is for
-    # readers of this module
-    parser = _Parser(prog="giplab", description=__doc__.rsplit("\n\n", 1)[0])
+    parser = _Parser(prog="giplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded instance file")

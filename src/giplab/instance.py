@@ -22,11 +22,11 @@ Numbers are rendered as shortest round-trip decimals, so serialization is
 bit-exact and diffable.  The document is made piece by piece: the header,
 b, c, then each A row from its own ``tolist()``.  :func:`write_instance`
 writes each piece as it is formatted and :func:`serialize` joins the same
-pieces.  The reader parses b and c, then A, with numpy's C text reader.
-A per-token pass with ``float()`` runs only when that reader refuses a
-block, finds a count other than the one the dimensions give or a value
-that is not finite: it accepts what ``float()`` accepts and exists to name
-the first bad field in document order.
+pieces.  The reader parses A with numpy's C text reader.  A per-token pass
+with ``float()`` runs only when that reader refuses the block, finds a
+count other than m*n or a value that is not finite: it accepts what
+``float()`` accepts and exists to name the first bad field in document
+order.
 """
 
 from __future__ import annotations
@@ -242,34 +242,22 @@ def _parse_floats(toks: list[str], what: Callable[[int], str]) -> np.ndarray:
     return values
 
 
-def _load_block(lines: list[str]) -> np.ndarray | None:
-    """The block read by numpy's C reader as a (rows, fields) array, or None
-    where it refuses the block or reads a value that is not finite.
-
-    The reader takes a block whose non-blank lines all hold the same number
-    of fields; it splits on whitespace and converts each whole field as
-    float() does, with the same bits.
-    """
-    # loadtxt warns on a block with no data; the per-token pass reports it
-    if not any(ln and not ln.isspace() for ln in lines):
-        return None
-    try:
-        values = np.loadtxt(lines, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
-
-
 def _parse_a(lines: list[str], m: int, n: int) -> np.ndarray:
     """A from its block of lines: m*n entries, row-major, in any line layout.
 
-    A block the C reader refuses, such as one whose lines hold different
-    numbers of entries, or whose count is wrong, goes to _parse_floats,
-    which names the first bad field.
+    numpy's C reader takes the block when its rows are all the same length;
+    it splits on whitespace and converts each whole field as float() does,
+    with the same bits.  A block it refuses, or whose count or values are
+    wrong, goes to the per-token pass, which names the first bad field.
     """
-    a = _load_block(lines)
-    if a is not None and a.size == m * n:
-        return a.reshape(m, n)
+    # loadtxt warns on a block with no data; the per-token pass reports it
+    if any(ln and not ln.isspace() for ln in lines):
+        try:
+            a = np.loadtxt(lines, comments=None)
+        except ValueError:
+            a = None
+        if a is not None and a.size == m * n and np.isfinite(a).all():
+            return a.reshape(m, n)
     toks = " ".join(lines).split()
     if len(toks) != m * n:
         raise InstanceFormatError(f"A: expected {m * n} entries, got {len(toks)}")
@@ -307,15 +295,10 @@ def deserialize(data: bytes) -> Instance:
         raise InstanceFormatError(
             f"truncated document: expected {m + n} vector lines, got {len(body)}"
         )
-    # one entry a line: a blank line, or one of two fields, is a bad entry
-    vec = _load_block(body[: m + n])
-    if vec is not None and vec.shape == (m + n, 1):
-        b, c = vec[:m, 0], vec[m:, 0]
-    else:
-        b = _parse_floats([ln.strip() for ln in body[:m]], lambda i: f"b[{i}]")
-        c = _parse_floats(
-            [ln.strip() for ln in body[m : m + n]], lambda i: f"c[{i}]"
-        )
+    b = _parse_floats([ln.strip() for ln in body[:m]], lambda i: f"b[{i}]")
+    c = _parse_floats(
+        [ln.strip() for ln in body[m : m + n]], lambda i: f"c[{i}]"
+    )
     a = _parse_a(body[m + n :], m, n)
     meta = InstanceMeta(seed=seed, b_spec=b_spec_text)
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
