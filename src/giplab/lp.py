@@ -36,7 +36,9 @@ rows and columns, reduced costs, certify's duals and inverse test, the
 value) use ndarray.dot, which costs about half of `@` on these operands
 and gives the same bits in the layouts the simplex passes it; the
 reduced costs of `LpSolution` keep `@` on the strided block A', a
-layout where `.dot` gave other bits.
+layout where `.dot` gave other bits.  A shortcut past the plain numpy or
+Python form stays only where a one-process A/B on branch-and-bound trials
+(`tools/ab_inprocess.py`) measures it saving at least 2% of their time.
 
 Each solve ends by solving its final basis afresh with LAPACK gesv, the
 routine np.linalg.solve calls, and the returned point and duals come
@@ -60,6 +62,7 @@ x_j by one pivot.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 # The gufunc np.linalg.solve wraps (LAPACK gesv on one right-hand side),
@@ -119,25 +122,7 @@ class GapBreakdown:
     total: float
 
 
-class _kept:
-    """A property computed on first read and kept in the instance
-    `__dict__`, where later reads find it first.  functools.cached_property
-    does the same, but takes a lock on every first read on Python 3.11."""
-
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Optimal basic solution of one box LP.
 
@@ -153,7 +138,7 @@ class LpSolution:
     `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star),
     the fractional support `s` and the indices `n0`, `n1` at 0 and at 1
     (the parts of `support_partition(x_star)`) are computed on first read
-    and kept, each on its own.
+    and kept, each on its own (`functools.cached_property`).
     """
 
     x_star: np.ndarray
@@ -163,26 +148,20 @@ class LpSolution:
     refactors: dict
     simplex: _Simplex
 
-    def __init__(self, x_star, value, duals, pivots, refactors, simplex):
-        # one dict update in place of the frozen dataclass's
-        # object.__setattr__ per field; instances stay frozen
-        self.__dict__.update(x_star=x_star, value=value, duals=duals, pivots=pivots,
-                             refactors=refactors, simplex=simplex)
-
-    @_kept
+    @cached_property
     def u_star(self) -> np.ndarray:
         return np.where(self.duals > 0.0, self.duals, 0.0)
 
-    @_kept
+    @cached_property
     def reduced_costs(self) -> np.ndarray:
         n, core = len(self.x_star), self.simplex
         return core.gamma[:n] - core.mat[:, :n].T @ self.u_star
 
-    @_kept
+    @cached_property
     def s(self) -> np.ndarray:
         return _fractional(self.x_star)
 
-    @_kept
+    @cached_property
     def _n0_n1(self):
         return _at_bounds(self.x_star)
 
@@ -239,12 +218,6 @@ def _bound(value, delta, test):
     return u + 1e-9 * (1.0 + abs(u))
 
 
-def _top(v):
-    """The largest entry of v, read at v.argmax(): the same value as
-    v.max() (NaN included) at a fraction of its dispatch cost."""
-    return v[v.argmax()]
-
-
 def _read_only(v):
     v.setflags(write=False)
     return v
@@ -270,7 +243,7 @@ def _ratio_test(s, d, eligible):
         return None
     mag = abs(s[eligible])
     ratios = abs(d[eligible]) / mag
-    return eligible, mag, ratios, ratios.item(ratios.argmin())
+    return eligible, mag, ratios, float(ratios[ratios.argmin()])
 
 
 def _worst_row(xb, low_b, upp_b):
@@ -385,6 +358,8 @@ class _Simplex:
 
     def _start(self, max_pivots):
         self.fresh = False
+        if max_pivots is None:  # the default: 50 pivots per column of [A | I]
+            max_pivots = 50 * len(self.gamma)
         self.max_pivots = max(int(max_pivots), 1)
         self.pivots = 0
         self.refactors = {"tiny_pivot": 0, "verdict": 0, "exit_check": 0}
@@ -420,14 +395,14 @@ class _Simplex:
         or a fresh inverse when the pivot element w[pos] is too small to
         divide by."""
         basis, sgn, x_n, low_b, upp_b = self.basis, self.sgn, self.x_n, self.low_b, self.upp_b
-        leave = basis.item(pos)
+        leave = basis[pos]
         lo, up = low_b[pos], upp_b[pos]
         sgn[leave] = (-1.0 if to_upper else 1.0) if up - lo > PIV_TOL else 0.0
         x_n[leave] = up if to_upper else lo
         basis[pos] = e
         sgn[e] = x_n[e] = 0.0
-        low_b[pos], upp_b[pos] = self.lower.item(e), self.upper.item(e)
-        pivot = w.item(pos)
+        low_b[pos], upp_b[pos] = float(self.lower[e]), float(self.upper[e])
+        pivot = w[pos]
         if abs(pivot) <= PIV_TOL:
             self._refactor("tiny_pivot")
             return
@@ -510,9 +485,7 @@ class _Simplex:
         change is not refactorized again, and its exit stands.
         """
         basis = self.basis
-        # mat.take: mat[:, basis] as a C-contiguous copy, at a third of
-        # the cost of fancy indexing; gesv and .dot give the same bits
-        bmat = self.mat.take(basis, 1)
+        bmat = self.mat[:, basis]
         xb, y = _solve((bmat, self.rhs_n), (bmat.T, self.gamma[basis]))
         d = self.gamma - self.mat.T.dot(y)
         # at lower, a column gains from rising (d > 0); at upper, from falling
@@ -524,8 +497,8 @@ class _Simplex:
                 f"has reduced cost {float(d[e])!r}"
             )
         outside = _worst_row(xb.tolist(), self.low_b, self.upp_b) >= 0
-        if not self.fresh and (outside or _top(np.add.reduce(abs(
-                self.binv.dot(bmat) - self.eye), axis=1)) > INV_TOL):
+        if not self.fresh and (outside or np.add.reduce(abs(
+                self.binv.dot(bmat) - self.eye), axis=1).max() > INV_TOL):
             self._refactor("exit_check")
             if outside:
                 return None
@@ -562,12 +535,12 @@ def solve_box_lp(
     Farkas vector, and the margin by which the aggregated row of the
     solved LP misses its box).  When the start breaks no row it is
     optimal and the solve takes no pivot.  Reaching `max_pivots` pivots
-    raises IterationLimitError.  A start that was not dual feasible raises
-    ArithmeticError naming a column whose reduced cost has the wrong sign
-    at the exit.  A cold A, b or c with an entry that is not finite,
-    bounds that are not finite or not of shape (n,), bounds next to a
-    warm start, and a fixing outside the structurals or the parent's box
-    raise ValueError.
+    (by default 50 per column of [A | I]) raises IterationLimitError.  A
+    start that was not dual feasible raises ArithmeticError naming a
+    column whose reduced cost has the wrong sign at the exit.  A cold A,
+    b or c with an entry that is not finite, bounds that are not finite
+    or not of shape (n,), bounds next to a warm start, and a fixing
+    outside the structurals or the parent's box raise ValueError.
     """
     if warm_start is not None:
         parent, j, side = warm_start
@@ -577,8 +550,6 @@ def solve_box_lp(
         n = start.n
         if not (0 <= j < n and start.lower[j] <= side <= start.upper[j]):
             raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
-        if max_pivots is None:
-            max_pivots = 50 * start.mat.shape[1]
         try:
             first = parent._branch_row(j)
         except ValueError:  # x_j is nonbasic
@@ -590,9 +561,7 @@ def solve_box_lp(
         c = np.asarray(c, dtype=float)
         if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
             raise ValueError("A, b and c must be finite")
-        m, n = a.shape
-        if max_pivots is None:
-            max_pivots = 50 * (n + m)
+        _, n = a.shape
         lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
         upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
         if lower.shape != (n,) or upper.shape != (n,):
@@ -688,7 +657,7 @@ def solve_lp(
 def dual_value(u, instance: Instance) -> float:
     """b @ u plus the summed positive part of c - A' u, the dual objective."""
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0):
+    if not (u >= 0.0).all():
         raise ValueError("dual vector must be nonnegative")
     r = instance.c - instance.A.T @ u
     return float(instance.b @ u + np.sum(np.maximum(r, 0.0)))
@@ -703,9 +672,9 @@ def gap_formula(x, u, instance: Instance) -> GapBreakdown:
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
+    if not ((x >= -1e-12) & (x <= 1.0 + 1e-12)).all():
         raise ValueError("x must lie in [0, 1]^n")
-    if np.any(u < 0.0):
+    if not (u >= 0.0).all():
         raise ValueError("u must be nonnegative")
     a, b, c = instance.A, instance.b, instance.c
     r = c - a.T @ u

@@ -79,7 +79,7 @@ def entropy(x):
     Accepts a scalar or an array; raises ValueError outside [0, 1].
     """
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():
         raise ValueError("entropy argument must lie in [0, 1]")
     out = np.zeros_like(arr)
     interior = (arr > 0.0) & (arr < 1.0)
@@ -97,7 +97,7 @@ def solve_beta(alpha: float) -> float:
     on [1/2, 1] so the root is unique.  Raises ValueError when alpha**2 / 4
     exceeds ln(2) (no solution) or alpha < 0.
     """
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     target = alpha * alpha / 4.0
     if target > LN2 * (1.0 + 1e-12):

@@ -115,7 +115,7 @@ def conditioned_column(u, rng: RngHandle) -> tuple[float, np.ndarray]:
     u = np.asarray(u, dtype=float)
     if u.ndim != 1:
         raise ValueError("u must be a vector")
-    if np.any(u < 0.0):
+    if not (u >= 0.0).all():
         raise ValueError("u must be nonnegative")
     c, a, _ = _conditioned_draw(u, rng.gen)
     return c, a
@@ -148,9 +148,9 @@ def band_sample(omega: float, nu: float, rng: RngHandle) -> BandSample:
     rejected draws are returned with ``accepted=False`` so callers can
     measure the acceptance rate directly.
     """
-    if omega < 0.0:
+    if not omega >= 0.0:
         raise ValueError("omega must be nonnegative")
-    if nu <= 0.0:
+    if not nu > 0.0:
         raise ValueError("nu must be positive")
     gen = rng.gen
     while True:

@@ -168,7 +168,7 @@ def randomized_round(
     probability, so small max_tries values already suffice in practice.
     """
     x_star = np.asarray(x_star, dtype=float)
-    if np.any(x_star < -1e-12) or np.any(x_star > 1.0 + 1e-12):
+    if not ((x_star >= -1e-12) & (x_star <= 1.0 + 1e-12)).all():
         raise ValueError("x_star must lie in [0, 1]^n")
     frac = np.asarray(frac, dtype=np.intp)
     base = np.round(x_star)
@@ -190,7 +190,7 @@ def randomized_round(
 
 def filter_reduced_costs(lp_solution: LpSolution, delta: float, t: int) -> np.ndarray:
     """Zero-support indices whose reduced-cost magnitude is at most t*delta."""
-    if delta <= 0.0:
+    if not delta > 0.0:
         raise ValueError("delta must be positive")
     n0 = lp_solution.n0
     rc = lp_solution.reduced_costs[n0]

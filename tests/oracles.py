@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from fractions import Fraction
 from itertools import combinations, islice
 
 import numpy as np
@@ -359,3 +360,89 @@ def serialize_oracle(instance) -> bytes:
     for row in instance.A:
         lines.append(" ".join(repr(float(v)) for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _exact_solve(rows, rhs):
+    """The solution of the square system rows @ z = rhs in Fractions, by
+    Gaussian elimination with the first nonzero pivot of each column."""
+    k = len(rows)
+    aug = [list(row) + [v] for row, v in zip(rows, rhs)]
+    for col in range(k):
+        piv = next(r for r in range(col, k) if aug[r][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        head = aug[col]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / head[col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], head)]
+    return [aug[r][k] / aug[r][r] for r in range(k)]
+
+
+def exact_basis_check(a, b, c, lower, upper, basis, x_n):
+    """Exact figures of a basis of max c @ x, A x + s = b, lower <= x <=
+    upper, s >= 0, in rational arithmetic: every float datum is taken as the
+    rational it is.  The columns are [A | I]; `basis` holds the m basic
+    columns and `x_n` the value of every column (basic ones ignored), each
+    nonbasic column at one of its bounds.
+
+    Returns (bound violation, reduced-cost violation, value): the largest
+    distance of a basic value outside its bounds, the largest reduced cost
+    c_j - a_j' y of a sign that would improve the objective by moving a
+    nonbasic column off its bound (y solving B' y = c_B), and c @ x at the
+    basic point.  Each violation is 0 when there is none."""
+    a = [[Fraction(v) for v in row] for row in np.asarray(a, dtype=float).tolist()]
+    m, n = len(a), len(a[0])
+    b = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+    c = [Fraction(v) for v in np.asarray(c, dtype=float).tolist()]
+    lo = [Fraction(v) for v in np.asarray(lower, dtype=float).tolist()] + [Fraction(0)] * m
+    up = [Fraction(v) for v in np.asarray(upper, dtype=float).tolist()] + [None] * m
+    basis = [int(k) for k in basis]
+    in_basis = set(basis)
+    x = [Fraction(v) for v in np.asarray(x_n, dtype=float).tolist()]
+
+    def column(k):
+        return [row[k] for row in a] if k < n else [Fraction(int(i == k - n)) for i in range(m)]
+
+    cost = c + [Fraction(0)] * m
+    rhs = list(b)
+    for k in range(n + m):
+        if k not in in_basis and x[k] != 0:
+            rhs = [r - v * x[k] for r, v in zip(rhs, column(k))]
+    cols = [column(k) for k in basis]
+    xb = _exact_solve([[col[i] for col in cols] for i in range(m)], rhs)
+    y = _exact_solve(cols, [cost[k] for k in basis])
+
+    bound_gap = Fraction(0)
+    for k, v in zip(basis, xb):
+        bound_gap = max(bound_gap, lo[k] - v)
+        if up[k] is not None:
+            bound_gap = max(bound_gap, v - up[k])
+        x[k] = v
+    rc_gap = Fraction(0)
+    for k in range(n + m):
+        if k in in_basis or up[k] == lo[k]:
+            continue
+        d = cost[k] - sum(v * w for v, w in zip(column(k), y))
+        if x[k] == lo[k]:
+            rc_gap = max(rc_gap, d)
+        elif x[k] == up[k]:
+            rc_gap = max(rc_gap, -d)
+        else:
+            raise ValueError(f"nonbasic column {k} is not at a bound")
+    return bound_gap, rc_gap, sum(cj * xj for cj, xj in zip(c, x[:n]))
+
+
+def exact_farkas_margin(a, b, u, lower, upper):
+    """min over the box of (u' A) x, less u @ b, in rational arithmetic: a
+    vector u >= 0 proves A x <= b infeasible on the box when this is
+    positive.  Raises ValueError when u has a negative entry."""
+    u = [Fraction(v) for v in np.asarray(u, dtype=float).tolist()]
+    if min(u) < 0:
+        raise ValueError("a Farkas vector must be nonnegative")
+    rows = np.asarray(a, dtype=float).tolist()
+    box = zip(np.asarray(lower, dtype=float).tolist(), np.asarray(upper, dtype=float).tolist())
+    total = Fraction(0)
+    for j, (lo, up) in enumerate(box):
+        w = sum(ui * Fraction(row[j]) for ui, row in zip(u, rows))
+        total += min(w * Fraction(lo), w * Fraction(up))
+    return total - sum(ui * Fraction(v) for ui, v in zip(u, np.asarray(b, dtype=float).tolist()))

@@ -1,9 +1,11 @@
 import collections
 import copy
 import dataclasses
+import itertools
 import re
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,12 @@ from giplab.lp import (
 from giplab.numerics import theory_params
 from giplab.rng import RngHandle
 
-from oracles import linprog_oracle, lp_vertex_oracle
+from oracles import (
+    exact_basis_check,
+    exact_farkas_margin,
+    linprog_oracle,
+    lp_vertex_oracle,
+)
 from test_instance import make_instance
 
 
@@ -831,6 +838,75 @@ class TestCarriedState:
         assert seen["infeasible"] >= 5 and seen["tiny"] >= 100
 
 
+class TestExactCertificates:
+    """Optimal bases, one-pivot keys and Farkas vectors checked in rational
+    arithmetic by `oracles.exact_basis_check` and `exact_farkas_margin`,
+    which share no code with the solver: every float datum is the rational
+    it is."""
+
+    @staticmethod
+    def _exact(inst, sol):
+        core = sol.simplex
+        n = inst.n
+        return exact_basis_check(inst.A, inst.b, inst.c, core.lower[:n], core.upper[:n],
+                                 core.basis, core.x_n)
+
+    @pytest.mark.parametrize("m, n", [(8, 4000), (5, 2000), (3, 1000), (2, 400)])
+    def test_lp_cli_roots(self, m, n):
+        for i, b_spec in enumerate((BSpec.zeros(), BSpec.gaussian(),
+                                    BSpec.scaled_ones([0.02] * m))):
+            inst = generate(m, n, b_spec, RngHandle(i))
+            sol = solve_lp(inst)
+            bound_gap, rc_gap, value = self._exact(inst, sol)
+            assert bound_gap <= lp.FEAS_TOL and rc_gap <= lp.RC_TOL
+            assert abs(value - Fraction(sol.value)) <= 1e-9 * (1 + abs(sol.value))
+
+    def test_the_oracle_sees_a_start_that_is_not_optimal(self):
+        inst = generate(3, 400, BSpec.zeros(), RngHandle(1))
+        start = lp._Simplex(inst.A, inst.b, inst.c, np.zeros(400), np.ones(400), 1)
+        bound_gap, rc_gap, _ = exact_basis_check(
+            inst.A, inst.b, inst.c, np.zeros(400), np.ones(400), start.basis, start.x_n)
+        # the crash start breaks a row (TestSolveLpHandCases) and is dual feasible
+        assert bound_gap > 1.0 and rc_gap == 0
+
+    def test_tree_children_keys_and_farkas_vectors(self, monkeypatch):
+        # both children of every node a tree bounds: an optimal basis exact
+        # within tolerance and a key at least its exact value, or a Farkas
+        # vector with a positive exact margin over the child's box
+        bounded = []
+        child_bounds = lp.LpSolution.child_bounds
+
+        def recorded(sol, j):
+            bounded.append((sol, j, child_bounds(sol, j)))
+            return bounded[-1][2]
+
+        monkeypatch.setattr(lp.LpSolution, "child_bounds", recorded)
+        feasible = infeasible = 0
+        for m, n, k, seed in itertools.product((2, 3), (24, 32), range(3), range(3)):
+            b_spec = (BSpec.zeros(), BSpec.gaussian(), BSpec.scaled_ones([-0.1] * m))[k]
+            inst = generate(m, n, b_spec, RngHandle(2704 + k, 10 * m + n + seed))
+            bounded.clear()
+            bnb.solve_ip(inst)
+            for parent, j, keys in bounded:
+                for side, key in enumerate(keys):
+                    try:
+                        child = solve_box_lp(None, None, None, warm_start=(parent, j, side))
+                    except InfeasibleError as exc:
+                        # the parent's box with x_j fixed
+                        lower = parent.simplex.lower[:n].copy()
+                        upper = parent.simplex.upper[:n].copy()
+                        lower[j] = upper[j] = side
+                        margin = exact_farkas_margin(inst.A, inst.b, exc.farkas_u, lower, upper)
+                        assert margin > 0
+                        infeasible += 1
+                        continue
+                    bound_gap, rc_gap, value = self._exact(inst, child)
+                    assert bound_gap <= lp.FEAS_TOL and rc_gap <= lp.RC_TOL
+                    assert Fraction(key) >= value
+                    feasible += 1
+        assert feasible > 900 and infeasible > 20
+
+
 class TestCheckOptimum:
     def test_shifted_value_breaks_strong_duality(self):
         # the dual side is b u + sum (c - A'u)^+, as dual_value computes it
@@ -871,6 +947,59 @@ class TestOneResultType:
                 assert np.array_equal(getattr(sol, name), getattr(box, name)), name
             solved += 1
         assert solved >= 40
+
+
+class TestLazyFields:
+    """`u_star`, `reduced_costs`, `s`, `n0` and `n1` are computed on first
+    read and kept; a solution is frozen."""
+
+    LAZY = ("u_star", "reduced_costs", "s", "n0", "n1")
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = collections.Counter()
+        for name in ("_fractional", "_at_bounds"):
+            classify = getattr(lp, name)
+            monkeypatch.setattr(
+                lp, name, lambda x, name=name, f=classify: calls.update([name]) or f(x))
+        return calls
+
+    def test_each_is_computed_once_and_kept(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        inst = generate(3, 40, BSpec.gaussian(), RngHandle(2701))
+        sol = solve_box_lp(inst.A, inst.b, inst.c)
+        assert not calls
+        first = {name: getattr(sol, name) for name in self.LAZY}
+        assert calls == {"_fractional": 1, "_at_bounds": 1}
+        for name in self.LAZY:
+            assert getattr(sol, name) is first[name], name
+        assert calls == {"_fractional": 1, "_at_bounds": 1}
+        assert np.array_equal(first["u_star"], np.maximum(sol.duals, 0.0))
+        assert sum(first[name].size for name in ("n0", "n1", "s")) == 40
+
+    def test_a_child_never_read_computes_none(self, monkeypatch):
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
+        root = solve_box_lp(inst.A, inst.b, inst.c)
+        j = int(root.s[0])
+        before = set(vars(root))
+        calls = self._counted(monkeypatch)
+        children = [solve_box_lp(None, None, None, warm_start=(root, j, side))
+                    for side in (0, 1)]
+        assert not calls
+        for child in children:
+            assert set(vars(child)) == {f.name for f in dataclasses.fields(child)}
+        # the children read the parent's kept row, not its lazy fields
+        assert set(vars(root)) - before <= {"_row"}
+
+    def test_fields_cannot_be_assigned(self):
+        inst = generate(2, 24, BSpec.gaussian(), RngHandle(2702))
+        sol = solve_lp(inst)
+        names = [f.name for f in dataclasses.fields(sol)] + list(self.LAZY)
+        for name in names:
+            kept = getattr(sol, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sol, name, kept)
+            assert getattr(sol, name) is kept
 
 
 class TestEnteringRule:
@@ -952,13 +1081,6 @@ class TestDotLayouts:
                 (x[:n], mat[0, :n]),   # the value c @ x
             ):
                 assert np.array_equal(a.dot(b), a @ b)
-            # certify takes the basis matrix with mat.take, C-contiguous
-            # where mat[:, basis] is not: its products and solves match
-            taken = mat.take(basis, 1)
-            assert np.array_equal(binv.dot(taken), binv @ bmat)
-            for got, want in zip(lp._solve((taken, v), (taken.T, x[:m])),
-                                 lp._solve((bmat, v), (bmat.T, x[:m]))):
-                assert np.array_equal(got, want)
             draws += 1
         assert draws == 8 * 6 * 4
 

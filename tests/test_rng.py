@@ -14,8 +14,10 @@ from giplab.rng import (
     gaussian_matrix,
     mixture_sample,
 )
+from giplab import lp, rounding
+from giplab.instance import BSpec, generate
 from giplab.rng import _conditioned_draw
-from giplab.numerics import mixture_density
+from giplab.numerics import entropy, mixture_density, solve_beta
 
 from oracles import band_y_cdf, band_y_cdf_quadrature
 
@@ -188,3 +190,52 @@ class TestMixtureSample:
         assert isinstance(val, float)
         with pytest.raises(ValueError):
             mixture_sample(1.5, RngHandle(1))
+
+
+
+class _NoDraws:
+    """A handle whose generator may not be touched: a range check must
+    refuse its arguments before the first draw."""
+
+    @property
+    def gen(self):
+        raise AssertionError("drew from the generator before refusing")
+
+
+def _lp_case():
+    inst = generate(2, 6, BSpec.zeros(), RngHandle(2703))
+    return inst, lp.solve_lp(inst)
+
+
+_NAN = math.nan
+_HALF = np.full(6, 0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: band_sample(_NAN, 1.0, _NoDraws()), "omega must be nonnegative",
+                 id="band_sample-omega"),
+    pytest.param(lambda: band_sample(0.5, _NAN, _NoDraws()), "nu must be positive",
+                 id="band_sample-nu"),
+    pytest.param(lambda: conditioned_column([_NAN, 0.0], _NoDraws()),
+                 "u must be nonnegative", id="conditioned_column"),
+    pytest.param(lambda: entropy(_NAN), r"must lie in \[0, 1\]", id="entropy-scalar"),
+    pytest.param(lambda: entropy(np.array([0.5, _NAN])), r"must lie in \[0, 1\]",
+                 id="entropy-array"),
+    pytest.param(lambda: solve_beta(_NAN), "alpha must be nonnegative", id="solve_beta"),
+    pytest.param(lambda: lp.dual_value([_NAN, 0.0], _lp_case()[0]),
+                 "dual vector must be nonnegative", id="dual_value"),
+    pytest.param(lambda: lp.gap_formula(_HALF * _NAN, [0.0, 0.0], _lp_case()[0]),
+                 r"x must lie in \[0, 1\]\^n", id="gap_formula-x"),
+    pytest.param(lambda: lp.gap_formula(_HALF, [0.0, _NAN], _lp_case()[0]),
+                 "u must be nonnegative", id="gap_formula-u"),
+    pytest.param(lambda: rounding.randomized_round(
+        np.where(np.arange(6) == 1, _NAN, _HALF), [0, 1, 2], _lp_case()[0].A, _NoDraws()),
+        r"x_star must lie in \[0, 1\]\^n", id="randomized_round"),
+    pytest.param(lambda: rounding.filter_reduced_costs(_lp_case()[1], _NAN, 1),
+                 "delta must be positive", id="filter_reduced_costs"),
+])
+def test_nan_fails_range_checks(call, message):
+    # a check written `x < 0` lets NaN through; each is written so that
+    # NaN fails it, and those that draw refuse before the first draw
+    with pytest.raises(ValueError, match=message):
+        call()
