@@ -8,8 +8,8 @@ keyed by min(U, parent bound), where U is the parent's
 `LpSolution.child_bounds(j)`: one dual simplex pivot on the parent's
 optimal basis bounds the child's LP value (Driebeek 1966; Tomlin 1971).
 When it reaches the top of the queue it is solved by dual simplex from
-the parent's `LpSolution` and the fixing (`solve_box_lp`'s
-`warm_start`): the parent's final simplex state with x_j fixed, which
+the parent's `LpSolution` and the fixing (`solve_box_lp(node, j,
+side)`): the parent's final simplex state with x_j fixed, which
 stays dual feasible, and whose first pass reads the row and reduced
 costs the bound computed.  It is then pushed again with its exact key
 min(LP value, parent bound) and the same counter.  Keys only fall, to
@@ -18,7 +18,9 @@ child at creation gives, and a child the search ends before reaching is
 never solved.  An exact key above the pushed one raises ArithmeticError.
 A node's fractional support is computed when it is expanded, once, and
 its entries at 0 and 1 are never classified.  Every LP of one tree runs
-on the [A | I] system of the root solve.
+on the [A | I] system of the root solve: the root is `solve_lp`, the one
+cold start, and each child `solve_box_lp`, both called by the names this
+module imports, which perfbench's tracer replaces to time them.
 An infeasible child is proved so by the Farkas vector of the row where
 the dual simplex stops; it is counted as created and dropped when it is
 popped.  The branching variable is the most fractional coordinate; the
@@ -99,7 +101,7 @@ def solve_ip(
     leaves it empty), when its best key cannot beat the incumbent, or
     before a child past node_limit; the status is set after the loop.
     """
-    if node_limit < 1:
+    if not node_limit >= 1:  # NaN fails it too
         raise ValueError("node_limit must be >= 1")
     a, b, c = instance.A, instance.b, instance.c
     nodes_created = 1
@@ -134,7 +136,7 @@ def solve_ip(
         if fixing is not None:
             children_solved += 1
             try:
-                child = solve_box_lp(a, b, c, warm_start=(node, *fixing))
+                child = solve_box_lp(node, *fixing)
             except InfeasibleError:
                 children_infeasible += 1
                 continue

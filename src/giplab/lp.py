@@ -1,7 +1,7 @@
 """Bounded dual simplex for max c @ x, A @ x <= b, x in [0,1]^n.
 
 The solver works on the equality system A x + s = b with structural
-variables boxed in [lb, ub] (default [0, 1]) and slacks in [0, inf).  It
+variables in [0, 1], or fixed by branching, and slacks in [0, inf).  It
 carries the inverse of the m x m basis matrix (m <= ~10) and updates it by
 one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
 basis change; basic values, duals and the pivot row are products with it.
@@ -14,11 +14,10 @@ returned bit is what rebuilding it on each pass gives.
 Every solve runs bounded dual simplex pivots on the one system [A | I]
 from a dual feasible start until the basic values lie inside their
 bounds, under one pivot budget.  The basis it ends at is then optimal.
-A cold solve starts from a crash point (Bixby 1992): each free
-structural with c_j > 0 at its upper bound, every other structural at
-its lower bound, and the slacks basic, so the reduced costs are c itself
-and have the optimal signs.  A structural fixed by its box is never
-started at its upper bound.  A branch-and-bound child starts from its
+The one cold solve, `solve_lp`, starts from a crash point (Bixby 1992):
+each structural with c_j > 0 at 1, every other structural at 0, and the
+slacks basic, so the reduced costs are c itself and have the optimal
+signs.  A branch-and-bound child (`solve_box_lp`) starts from its
 parent's final simplex state and one fixing (j, side): a copy with the
 entries x_j touches set.  Reduced costs depend on the basis alone and a
 fixed column never enters, so that start is dual feasible too.  When x_j
@@ -131,9 +130,8 @@ class LpSolution:
     basis inverse during the solve ("tiny_pivot", "verdict",
     "exit_check") to how many it took.  `simplex` is the solve's final
     `_Simplex`: what a branch-and-bound child re-solves from
-    (`solve_box_lp`'s `warm_start`) and what `child_bounds` bounds the
-    children's values from.  A child copies what it changes and never
-    writes it.
+    (`solve_box_lp`) and what `child_bounds` bounds the children's values
+    from.  A child copies what it changes and never writes it.
 
     `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star),
     the fractional support `s` and the indices `n0`, `n1` at 0 and at 1
@@ -284,9 +282,10 @@ class _Simplex:
     `mat` is [A | I] (the n structurals, then the m slacks), `eye` its
     slack block and `gamma` the costs [c, 0]; with `rhs` and `n` they are
     shared by every child.  `lower` and `upper` are the box of all n + m
-    columns: the structural box, then [0, inf) for each slack.  `basis`
-    holds the m basic columns and `binv` the inverse of mat[:, basis],
-    consistent with it to roundoff.  A nonbasic column sits at its bound
+    columns: [0, 1] for each structural, or the value a child fixes it
+    at, then [0, inf) for each slack.  `basis` holds the m basic columns
+    and `binv` the inverse of mat[:, basis], consistent with it to
+    roundoff.  A nonbasic column sits at its bound
     `x_n` (basic columns read 0 there), and the signed entering mask `sgn`
     is +1 for a free nonbasic column at its lower bound, -1 at its upper
     bound and 0 for a basic or fixed one.  `low_b` and `upp_b` are the
@@ -312,11 +311,10 @@ class _Simplex:
     binv, which one product-form step updates per basis change.
     """
 
-    def __init__(self, a, b, c, lower, upper, max_pivots):
-        """The crash start of max c @ x, a @ x <= b, lower <= x <= upper:
-        the slacks basic with binv = I, each free structural (upper -
-        lower above PIV_TOL) with c_j > 0 at its upper bound and every
-        other one at its lower bound."""
+    def __init__(self, a, b, c, max_pivots):
+        """The crash start of max c @ x, a @ x <= b, x in [0,1]^n: the
+        slacks basic with binv = I, each structural with c_j > 0 at its
+        upper bound 1 and every other one at 0."""
         m, n = a.shape
         self.n, self.rhs = n, b
         self.mat = np.zeros((m, n + m))
@@ -324,24 +322,24 @@ class _Simplex:
         self.eye = self.mat[:, n:]
         self.gamma, self.lower, self.x_n, self.sgn = np.zeros((4, n + m))
         self.upper = np.full(n + m, np.inf)
-        self.gamma[:n], self.lower[:n], self.upper[:n] = c, lower, upper
+        self.gamma[:n], self.upper[:n] = c, 1.0
         self.basis, self.binv = np.arange(n, n + m), np.eye(m)
-        free = upper - lower > PIV_TOL
-        at_upper = free & (c > 0.0)
-        self.sgn[:n] = np.where(free, np.where(at_upper, -1.0, 1.0), 0.0)
-        self.x_n[:n] = np.where(at_upper, upper, lower)
+        at_upper = c > 0.0
+        self.sgn[:n] = np.where(at_upper, -1.0, 1.0)
+        self.x_n[:n] = at_upper
         self.low_b, self.upp_b = [0.0] * m, [np.inf] * m
         self.first = None
         self._start(max_pivots)
 
-    def branch(self, j, side, first, max_pivots):
+    def branch(self, j, side, first):
         """The child that fixes x_j at side: a copy of this final state
         with each array it changes in place copied once and the entries
         x_j touches set.  x_j fixed never enters (sgn 0).  Nonbasic
         (`first` None), it moves to side; basic, `first` is the (r, s, d,
         tests) the parent kept for it, its bounds at position r change,
         and the first pass reads the kept row, reduced costs and ratio
-        tests and this state's last pass."""
+        tests and this state's last pass.  The child has the default
+        pivot budget."""
         core = object.__new__(_Simplex)
         core.__dict__.update(
             self.__dict__, lower=self.lower.copy(), upper=self.upper.copy(),
@@ -353,10 +351,10 @@ class _Simplex:
             core.x_n[j] = side
         else:
             core.low_b[first[0]] = core.upp_b[first[0]] = float(side)
-        core._start(max_pivots)
+        core._start()
         return core
 
-    def _start(self, max_pivots):
+    def _start(self, max_pivots=None):
         self.fresh = False
         if max_pivots is None:  # the default: 50 pivots per column of [A | I]
             max_pivots = 50 * len(self.gamma)
@@ -508,69 +506,15 @@ class _Simplex:
         return x, y
 
 
-def solve_box_lp(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    lower: np.ndarray | None = None,
-    upper: np.ndarray | None = None,
-    *,
-    max_pivots: int | None = None,
-    warm_start: tuple[LpSolution, int, float] | None = None,
-) -> LpSolution:
-    """Maximize c @ x over A x <= b, lower <= x <= upper (defaults [0,1]^n).
-
-    `warm_start` is (parent, j, side): the result of an optimal solve of
-    the same A, b, c and the fixing x_j = side inside the parent's box, as
-    a branch-and-bound child's.  The solve then takes A, b, c and the box
-    from the parent: it solves the parent's LP with x_j fixed and does
-    not read `a`, `b` or `c`.  No bounds are passed.  The solve starts from a copy of the parent's
-    final simplex state (`_Simplex.branch`) on its [A | I] system, which
-    is shared and not rebuilt; the parent is read and never changed, so
-    two children can start from one parent.  Without it the solve builds
-    [A | I] and starts from the crash point (`_Simplex`).
-    Both starts are dual feasible.  Dual simplex pivots then bring every
-    basic value inside its bounds, which makes the basis optimal, or find
-    a row that proves the bounds infeasible (InfeasibleError with its
-    Farkas vector, and the margin by which the aggregated row of the
-    solved LP misses its box).  When the start breaks no row it is
-    optimal and the solve takes no pivot.  Reaching `max_pivots` pivots
-    (by default 50 per column of [A | I]) raises IterationLimitError.  A
-    start that was not dual feasible raises ArithmeticError naming a
-    column whose reduced cost has the wrong sign at the exit.  A cold A,
-    b or c with an entry that is not finite, bounds that are not finite
-    or not of shape (n,), bounds next to a warm start, and a fixing
-    outside the structurals or the parent's box raise ValueError.
-    """
-    if warm_start is not None:
-        parent, j, side = warm_start
-        if lower is not None or upper is not None:
-            raise ValueError("a warm start takes its box from the parent; pass no bounds")
-        start = parent.simplex
-        n = start.n
-        if not (0 <= j < n and start.lower[j] <= side <= start.upper[j]):
-            raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
-        try:
-            first = parent._branch_row(j)
-        except ValueError:  # x_j is nonbasic
-            first = None
-        core = start.branch(j, side, first, max_pivots)
-    else:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        c = np.asarray(c, dtype=float)
-        if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
-            raise ValueError("A, b and c must be finite")
-        _, n = a.shape
-        lower = np.zeros(n) if lower is None else np.asarray(lower, dtype=float)
-        upper = np.ones(n) if upper is None else np.asarray(upper, dtype=float)
-        if lower.shape != (n,) or upper.shape != (n,):
-            raise ValueError(f"bounds must be of shape ({n},)")
-        if not (np.isfinite(lower) & np.isfinite(upper)).all():
-            raise ValueError("bounds must be finite")
-        if (lower > upper + 1e-15).any():
-            raise ValueError("lower bound exceeds upper bound")
-        core = _Simplex(a, b, c, lower, upper, max_pivots)
+def _run(core: _Simplex) -> LpSolution:
+    """Dual simplex pivots from the dual feasible start `core` until the
+    basis is optimal (none when the start breaks no row), or until a row
+    proves the box infeasible: InfeasibleError with its Farkas vector and
+    the margin by which the aggregated row misses the box.
+    IterationLimitError at the pivot budget; ArithmeticError naming a
+    column whose reduced cost has the wrong sign at the exit when the
+    start was not dual feasible."""
+    n = core.n
     lower, upper = core.lower[:n], core.upper[:n]
     point = None
     while point is None:
@@ -580,15 +524,35 @@ def solve_box_lp(
             w = core.mat[:, :n].T @ u
             margin = float(np.minimum(w * lower, w * upper).sum()) - float(core.rhs @ u)
             raise InfeasibleError(
-                f"LP infeasible: aggregated row violates the box by {margin:.3e}",
-                farkas_u=u,
-            )
+                f"LP infeasible: aggregated row violates the box by {margin:.3e}", u)
         point = core.certify()
     x_full, y = point
     x = x_full[:n]
     np.maximum(x, lower, out=x)
     np.minimum(x, upper, out=x)
     return LpSolution(x, float(core.gamma[:n].dot(x)), y, core.pivots, core.refactors, core)
+
+
+def solve_box_lp(parent: LpSolution, j: int, side: float) -> LpSolution:
+    """The child of `parent` (`solve_lp`'s result or an earlier child's)
+    that fixes x_j at `side`, solved by `_run` from a copy of the parent's
+    final simplex state (`_Simplex.branch`) under the default pivot budget.
+    The [A | I] system is shared, and the parent is read and never
+    changed, so two children can start from one parent.  A fixing outside
+    the structurals or the parent's box raises ValueError.
+
+    Only children are solved here; `solve_lp` is the one cold start.  The
+    name stays its own because perfbench's tracer wraps
+    `giplab.bnb.solve_box_lp` as its `lp.child` span.
+    """
+    start = parent.simplex
+    if not (0 <= j < start.n and start.lower[j] <= side <= start.upper[j]):
+        raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
+    try:
+        first = parent._branch_row(j)
+    except ValueError:  # x_j is nonbasic
+        first = None
+    return _run(start.branch(j, side, first))
 
 
 def _check_optimum(instance, sol):
@@ -629,23 +593,20 @@ def support_partition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (*_at_bounds(x), _fractional(x))
 
 
-def solve_lp(
-    instance: Instance,
-    *,
-    max_pivots: int | None = None,
-) -> LpSolution:
+def solve_lp(instance: Instance, *, max_pivots: int | None = None) -> LpSolution:
     """Optimal basic solution of the box relaxation of `instance`.
 
-    This is `solve_box_lp` on [0,1]^n, checked: no dual below zero beyond
-    roundoff, primal feasibility, strong duality, complementary slackness
-    and at most m fractional coordinates.  The checks read `u_star`,
-    `reduced_costs` and the support partition, so a root solution returns
-    with them computed.
+    The one cold solve: `_run` from the crash start (`_Simplex`) on a new
+    [A | I], then checked: no dual below zero beyond roundoff, primal
+    feasibility, strong duality, complementary slackness and at most m
+    fractional coordinates.  The checks read `u_star`, `reduced_costs` and
+    the support partition, so a root solution returns with them computed.
 
     Raises InfeasibleError (with a Farkas certificate) when no x in [0,1]^n
-    satisfies A x <= b, and IterationLimitError past the pivot budget.
+    satisfies A x <= b, and IterationLimitError on reaching `max_pivots`
+    pivots (by default 50 per column of [A | I]).
     """
-    sol = solve_box_lp(instance.A, instance.b, instance.c, max_pivots=max_pivots)
+    sol = _run(_Simplex(instance.A, instance.b, instance.c, max_pivots))
     if (sol.duals < -1e-7).any():
         raise ArithmeticError("negative dual beyond roundoff tolerance")
     _check_optimum(instance, sol)

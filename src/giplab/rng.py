@@ -121,12 +121,23 @@ def conditioned_column(u, rng: RngHandle) -> tuple[float, np.ndarray]:
     return c, a
 
 
+def _check_band(omega: float, nu: float) -> None:
+    """ValueError unless omega >= 0 and nu > 0, which NaN fails."""
+    if not omega >= 0.0:
+        raise ValueError("omega must be nonnegative")
+    if not nu > 0.0:
+        raise ValueError("nu must be positive")
+
+
 def band_accept_prob(omega: float, nu: float, z: float) -> float:
     """Acceptance probability of the band sampler at conditioned value z.
 
     phi(nu/s) / phi(z/s) for z in [0, nu] with s = sqrt(1 + omega**2),
-    and 0 outside the band.
+    and 0 outside the band; a NaN z raises ValueError.
     """
+    if not (omega >= 0.0 and nu > 0.0 and z == z):  # one test per draw
+        _check_band(omega, nu)
+        raise ValueError("z must not be NaN")
     if z < 0.0 or z > nu:
         return 0.0
     s2 = 1.0 + omega * omega
@@ -135,6 +146,7 @@ def band_accept_prob(omega: float, nu: float, z: float) -> float:
 
 def band_acceptance_rate(omega: float, nu: float) -> float:
     """Expected acceptance rate 2*nu*phi(nu/s)/s over conditioned draws."""
+    _check_band(omega, nu)
     s = math.sqrt(1.0 + omega * omega)
     phi = math.exp(-0.5 * (nu / s) ** 2) / math.sqrt(2.0 * math.pi)
     return 2.0 * nu * phi / s
@@ -148,10 +160,7 @@ def band_sample(omega: float, nu: float, rng: RngHandle) -> BandSample:
     rejected draws are returned with ``accepted=False`` so callers can
     measure the acceptance rate directly.
     """
-    if not omega >= 0.0:
-        raise ValueError("omega must be nonnegative")
-    if not nu > 0.0:
-        raise ValueError("nu must be positive")
+    _check_band(omega, nu)
     gen = rng.gen
     while True:
         x = float(gen.standard_normal())

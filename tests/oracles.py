@@ -446,3 +446,13 @@ def exact_farkas_margin(a, b, u, lower, upper):
         w = sum(ui * Fraction(row[j]) for ui, row in zip(u, rows))
         total += min(w * Fraction(lo), w * Fraction(up))
     return total - sum(ui * Fraction(v) for ui, v in zip(u, np.asarray(b, dtype=float).tolist()))
+
+
+def exact_row_slack(a, b, x):
+    """The slack b - A x of every row in rational arithmetic, a list of
+    Fractions: every float datum is taken as the rational it is, so x
+    satisfies A x <= b exactly when no entry is negative."""
+    x = [Fraction(v) for v in np.asarray(x, dtype=float).tolist()]
+    return [Fraction(bi) - sum(Fraction(v) * xj for v, xj in zip(row, x) if xj)
+            for row, bi in zip(np.asarray(a, dtype=float).tolist(),
+                               np.asarray(b, dtype=float).tolist())]

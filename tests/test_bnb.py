@@ -39,6 +39,13 @@ class TestHandCases:
             assert res.best_bound is not None
             assert res.best_bound >= full.opt_value - 1e-9
 
+    @pytest.mark.parametrize("limit", [float("nan"), 0, 0.5, -1])
+    def test_node_limit_below_one_is_refused(self, limit):
+        # NaN fails the check too, where it would otherwise run unlimited
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
+        with pytest.raises(ValueError, match="node_limit must be >= 1"):
+            solve_ip(inst, node_limit=limit)
+
     def test_infeasible_ip(self):
         # x >= 0.5 and x <= 0.75 admits no binary point
         inst = make_instance([[-1.0], [1.0]], [-0.5, 0.75], [1.0])
@@ -156,9 +163,9 @@ class TestBranchVariable:
         fixed = []
         solve_box_lp = bnb.solve_box_lp
 
-        def recorded(a, b, c, *, warm_start, **kwargs):
-            fixed.append(warm_start[1])
-            return solve_box_lp(a, b, c, warm_start=warm_start, **kwargs)
+        def recorded(parent, j, side):
+            fixed.append(j)
+            return solve_box_lp(parent, j, side)
 
         monkeypatch.setattr(bnb, "solve_box_lp", recorded)
         solve_ip(make_instance(np.eye(n), caps, np.ones(n)))
@@ -319,6 +326,45 @@ class TestModuleBoundary:
             if alias.name.startswith("_")
         ]
         assert private == []
+
+    def test_one_cold_start(self):
+        # `_Simplex(` builds a crash start, and only solve_lp builds one;
+        # every other solve starts from a parent (`_Simplex.branch`)
+        src = Path(lp.__file__).parent
+        callers = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for func in ast.walk(tree):
+                if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call) and (
+                            getattr(node.func, "id", None) == "_Simplex"
+                            or getattr(node.func, "attr", None) == "_Simplex"):
+                        callers.append((path.name, func.name))
+        assert callers == [("lp.py", "solve_lp")]
+
+    def test_lp_calls_go_through_the_module_globals(self):
+        # perfbench's tracer replaces giplab.bnb.solve_lp and
+        # giplab.bnb.solve_box_lp, so bnb imports both at module level
+        # from lp, calls them by those names and never binds them locally
+        tree = ast.parse(Path(bnb.__file__).read_text())
+        names = {"solve_lp", "solve_box_lp"}
+        imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                    and node.module == "lp" and node.level == 1 for alias in node.names}
+        assert names <= imported
+        called = collections.Counter(
+            node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names)
+        assert set(called) == names
+        bound = [node for node in ast.walk(tree)
+                 if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                     or isinstance(node, ast.arg)) and
+                 getattr(node, "id", getattr(node, "arg", None)) in names]
+        assert bound == []
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and node.attr in names]
 
 
 class TestFrozenTrees:

@@ -29,7 +29,7 @@ from giplab.lp import solve_lp
 from giplab.rng import RngHandle
 
 from oracles import count_small_weight_subsets
-from test_lp import all_at_upper
+from test_lp import put_all_at_upper
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -224,14 +224,16 @@ class TestTrialStatusRows:
         assert self._empty_cells(rec) == {"cert_gap"}
 
     def test_dual_infeasible_lp_is_an_arithmetic_error(self, monkeypatch):
-        # a start with every structural at its upper bound is not dual
-        # feasible, and the solve ends with a reduced cost of the wrong sign
-        solve_box_lp = lp.solve_box_lp
+        # a root start with every structural at its upper bound is not
+        # dual feasible, and the solve ends with a reduced cost of the
+        # wrong sign
+        init = lp._Simplex.__init__
 
-        def from_all_at_upper(a, b, c, **kwargs):
-            return solve_box_lp(a, b, c, warm_start=all_at_upper(a, b, c), **kwargs)
+        def from_all_at_upper(core, *args):
+            init(core, *args)
+            put_all_at_upper(core)
 
-        monkeypatch.setattr(lp, "solve_box_lp", from_all_at_upper)
+        monkeypatch.setattr(lp._Simplex, "__init__", from_all_at_upper)
         cfg = small_config(m_list=(3,), n_list=(60,), seeds_per_cell=1,
                            b_spec="scaled_ones -0.1 -0.1 -0.1")
         rec = run_trial(cfg, 0, 3, 60)

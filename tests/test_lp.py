@@ -100,47 +100,42 @@ class TestStartRule:
         assert sol.pivots == 0
         assert np.array_equal(sol.x_star, np.zeros(200))
 
-    def test_variable_fixed_by_its_box_starts_at_lower(self):
-        inst = generate(2, 40, BSpec.scaled_ones([1.0, 1.0]), RngHandle(33))
-        up = np.flatnonzero(inst.c > 0)[:6]
-        lower = np.zeros(40)
-        upper = np.ones(40)
-        lower[up[:2]] = upper[up[:2]] = 0.0
-        lower[up[2:4]] = upper[up[2:4]] = 1.0
-        # narrower than the pivot tolerance: fixed, so it stays at lower
-        lower[up[4:]] = 0.5
-        upper[up[4:]] = 0.5 + 5e-12
-        res = solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
-        assert res.pivots == 0
-        assert np.array_equal(res.x_star[up], [0.0, 0.0, 1.0, 1.0, 0.5, 0.5])
+    def test_variable_fixed_by_its_box_starts_at_lower(self, monkeypatch):
+        # a child fixes x_j at 0 or 1 with sgn 0, so a fixed structural
+        # never enters a later pivot and ends at its value; twelve fixings
+        # down one chain of children, each of a fractional variable or,
+        # when there is none, of one at 1, at 0 and 1 in turn
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(35))
+        entered = []
+        exchange = lp._Simplex._exchange
 
+        def recorded(core, pos, e, w, to_upper):
+            entered.append(e)
+            exchange(core, pos, e, w, to_upper)
 
-class TestBoxBounds:
-    """solve_box_lp refuses bounds that are not finite, not of shape (n,)
-    or crossed."""
-
-    @pytest.mark.parametrize("lower, upper, reason", [
-        (np.full(10, np.nan), None, "must be finite"),
-        (None, np.full(10, np.inf), "must be finite"),
-        (None, np.where(np.arange(10) == 3, np.nan, 1.0), "must be finite"),
-        (np.full(10, -np.inf), None, "must be finite"),
-        (np.full(10, np.inf), np.full(10, np.inf), "must be finite"),
-        (np.zeros(9), None, "must be of shape"),
-        (None, np.ones((10, 1)), "must be of shape"),
-        (None, 1.0, "must be of shape"),
-        (np.ones(10), np.zeros(10), "exceeds"),
-    ], ids=["nan-lower", "inf-upper", "one-nan-upper", "inf-lower",
-            "inf-both", "short-lower", "column-upper", "scalar-upper",
-            "crossed"])
-    def test_refused(self, lower, upper, reason):
-        inst = generate(2, 10, BSpec.zeros(), RngHandle(1))
-        with pytest.raises(ValueError, match=reason):
-            solve_box_lp(inst.A, inst.b, inst.c, lower, upper)
+        monkeypatch.setattr(lp._Simplex, "_exchange", recorded)
+        sol = solve_lp(inst)
+        entered.clear()
+        fixed = {}
+        for step in range(12):
+            j = int(sol.s[0]) if sol.s.size else next(
+                int(k) for k in np.flatnonzero(sol.x_star == 1.0) if k not in fixed)
+            side = float(step % 2)
+            start = len(entered)
+            sol = solve_box_lp(sol, j, side)
+            fixed[j] = side
+            assert not set(entered[start:]) & set(fixed)
+            core = sol.simplex
+            for k, v in fixed.items():
+                assert sol.x_star[k] == v and core.sgn[k] == 0.0
+                assert core.lower[k] == core.upper[k] == v
+        assert len(entered) >= 20
 
 
 class TestDataFinite:
-    """A cold solve refuses A, b or c with an entry that is not finite,
-    which the simplex would otherwise carry into a value of nan."""
+    """An instance refuses A, b or c with an entry that is not finite, so
+    no solve sees one, and the simplex never carries it into a value of
+    nan."""
 
     @pytest.mark.parametrize("part, entry", [
         ("A", np.inf), ("A", np.nan), ("b", -np.inf), ("b", np.nan),
@@ -150,15 +145,15 @@ class TestDataFinite:
         inst = generate(2, 10, BSpec.gaussian(), RngHandle(1))
         data = {"A": inst.A.copy(), "b": inst.b.copy(), "c": inst.c.copy()}
         data[part].flat[3 % data[part].size] = entry
-        with pytest.raises(ValueError, match="A, b and c must be finite"):
-            solve_box_lp(data["A"], data["b"], data["c"])
+        with pytest.raises(ValueError, match=f"^{part} contains non-finite entries$"):
+            make_instance(data["A"], data["b"], data["c"])
 
     def test_one_by_two(self):
         # an inf in A and a NaN in c of a 1 x 2 LP, each alone
         a, b, c = np.array([[1.0, 2.0]]), np.array([1.0]), np.array([1.0, -1.0])
         for a_, c_ in ((np.array([[np.inf, 2.0]]), c), (a, np.array([np.nan, -1.0]))):
-            with pytest.raises(ValueError, match="must be finite"):
-                solve_box_lp(a_, b, c_)
+            with pytest.raises(ValueError, match="contains non-finite entries"):
+                make_instance(a_, b, c_)
 
 
 class TestHighsLpDifferential:
@@ -186,10 +181,10 @@ class TestHighsLpDifferential:
         }[recipe]()
 
     @staticmethod
-    def _child_boxes(inst, gen):
+    def _child_fixings(inst, gen):
+        """Six sets of fixings (idx, vals): x_idx = vals."""
         n = inst.n
         for k in range(6):
-            lower, upper = np.zeros(n), np.ones(n)
             idx = gen.choice(n, int(gen.integers(1, max(2, n // 4))), replace=False)
             if k % 3 == 0:
                 # against the start point: c_j > 0 at 0 and c_j < 0 at 1
@@ -200,8 +195,7 @@ class TestHighsLpDifferential:
                 # push row 0 up: its positive entries at 1
                 idx = idx[inst.A[0, idx] > 0]
                 vals = np.ones(idx.size)
-            lower[idx] = upper[idx] = vals
-            yield lower, upper
+            yield idx, vals
 
     @staticmethod
     def _check(inst, lower, upper, solve):
@@ -237,21 +231,34 @@ class TestHighsLpDifferential:
     @pytest.mark.parametrize("recipe", RECIPES)
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_root_and_child_boxes(self, m, n, recipe):
+        # each child box is reached from the root by a chain of children,
+        # one fixing per solve, and checked at the chain's end, or at the
+        # step whose box the chain proves infeasible
         inst = generate(m, n, self._b_spec(recipe, m), RngHandle(7, 1000 * m + n))
-        lower, upper = np.zeros(n), np.ones(n)
-        self._check(inst, lower, upper, lambda: solve_lp(inst).value)
+        if not self._check(inst, np.zeros(n), np.ones(n), lambda: solve_lp(inst).value):
+            return
+        root = solve_lp(inst)
         gen = np.random.default_rng([m, n, self.RECIPES.index(recipe)])
-        for lower, upper in self._child_boxes(inst, gen):
-            self._check(
-                inst, lower, upper,
-                lambda: solve_box_lp(inst.A, inst.b, inst.c, lower, upper).value,
-            )
+        for idx, vals in self._child_fixings(inst, gen):
+            lower, upper = np.zeros(n), np.ones(n)
+            parent = root
+            for j, side in zip(idx.tolist(), vals.tolist()):
+                lower[j] = upper[j] = side
+                try:
+                    parent = solve_box_lp(parent, j, side)
+                except InfeasibleError:
+                    self._check(inst, lower, upper,
+                                lambda: solve_box_lp(parent, j, side).value)
+                    break
+            else:
+                self._check(inst, lower, upper, lambda: parent.value)
 
 
 class TestWarmStart:
     """Children, each its parent's box with one variable fixed, re-solved
     by dual simplex from the parent's final simplex state, against the
-    solve of the same box from the crash start."""
+    cold solve of the substituted LP: the fixed columns F dropped, b -
+    A_F x_F for b and c_F x_F added to the value."""
 
     @staticmethod
     def _instance(i):
@@ -265,6 +272,20 @@ class TestWarmStart:
         lower, upper = lower.copy(), upper.copy()
         lower[j] = upper[j] = side
         return lower, upper
+
+    @staticmethod
+    def _substituted(inst, lower, upper):
+        """(free, x_F, offset, instance): the free columns, the values of
+        the fixed ones, c_F x_F and the LP over the free columns with b -
+        A_F x_F; the instance is None when every column is fixed."""
+        free = lower < upper
+        x_f = lower[~free]
+        a_f = inst.A[:, ~free]
+        offset = float(inst.c[~free] @ x_f)
+        if not free.any():
+            return free, x_f, offset, None
+        return free, x_f, offset, make_instance(
+            inst.A[:, free], inst.b - a_f @ x_f, inst.c[free])
 
     @staticmethod
     def _check_certificate(inst, lower, upper, res):
@@ -289,29 +310,42 @@ class TestWarmStart:
 
     @classmethod
     def _warm_and_cold(cls, inst, parent, j, side):
-        """The child of parent fixing x_j at side, warm and cold, checked
-        against each other, and its box; None when both find the box
-        infeasible."""
+        """The child of parent fixing x_j at side, warm, and the cold
+        solve of its substituted LP, checked against each other; None when
+        both find the box infeasible.  When every column is fixed, the
+        cold side is the slack b - A x_F itself, and None stands for it."""
         box = parent.simplex
         lower, upper = cls._fixed(box.lower[:inst.n], box.upper[:inst.n], j, side)
-        args = (inst.A, inst.b, inst.c)
+        free, x_f, offset, sub = cls._substituted(inst, lower, upper)
         try:
-            cold = solve_box_lp(*args, lower, upper)
+            if sub is None:
+                if (inst.b - inst.A @ lower < -lp.FEAS_TOL).any():
+                    raise InfeasibleError("the fixed point breaks a row")
+                cold = None
+            else:
+                cold = solve_lp(sub)
         except InfeasibleError:
             with pytest.raises(InfeasibleError):
-                solve_box_lp(*args, warm_start=(parent, j, side))
+                solve_box_lp(parent, j, side)
             return None
-        warm = solve_box_lp(*args, warm_start=(parent, j, side))
-        for res in (warm, cold):
-            assert np.array_equal(res.simplex.lower[:inst.n], lower)
-            assert np.array_equal(res.simplex.upper[:inst.n], upper)
-        assert abs(warm.value - cold.value) <= 1e-9 * max(1.0, abs(cold.value))
-        for res in (warm, cold):
-            assert np.all(inst.A @ res.x_star <= inst.b + 1e-7)
-            assert np.all((lower <= res.x_star) & (res.x_star <= upper))
-            cls._check_certificate(inst, lower, upper, res)
+        warm = solve_box_lp(parent, j, side)
+        assert np.array_equal(warm.simplex.lower[:inst.n], lower)
+        assert np.array_equal(warm.simplex.upper[:inst.n], upper)
+        assert np.array_equal(warm.x_star[~free], x_f)
+        cold_value = offset + (cold.value if cold is not None else 0.0)
+        assert abs(warm.value - cold_value) <= 1e-9 * max(1.0, abs(cold_value))
+        assert np.all(inst.A @ warm.x_star <= inst.b + 1e-7)
+        assert np.all((lower <= warm.x_star) & (warm.x_star <= upper))
+        cls._check_certificate(inst, lower, upper, warm)
+        bound_gap, rc_gap, value = exact_basis_check(
+            inst.A, inst.b, inst.c, lower, upper, warm.simplex.basis, warm.simplex.x_n)
+        assert bound_gap <= lp.FEAS_TOL and rc_gap <= lp.RC_TOL
+        assert abs(value - Fraction(warm.value)) <= 1e-9 * (1 + abs(warm.value))
+        for res in filter(None, (warm, cold)):
             cls._check_inverse(res)
             TestCarriedState._check(res.simplex)
+        if cold is not None:
+            cls._check_certificate(sub, np.zeros(sub.n), np.ones(sub.n), cold)
         return warm, cold
 
     @staticmethod
@@ -368,7 +402,7 @@ class TestWarmStart:
             st.tuples(st.integers(0, n - 1), st.sampled_from((0.0, 1.0))),
             min_size=1, max_size=3, unique_by=lambda f: f[0]), label="fixings")
         try:
-            parent = solve_box_lp(inst.A, inst.b, inst.c)
+            parent = solve_lp(inst)
         except InfeasibleError:
             return
         self._check_inverse(parent)
@@ -383,26 +417,28 @@ class TestWarmStart:
         """Every fresh inverse, by cause, and a check that each returned
         solution's `refactors` counts those made during its solve and that
         the basic values it keeps for its children are on its final
-        inverse."""
+        inverse, for the warm children and the cold solves alike."""
         causes = []
         refactor = lp._Simplex._refactor
-        solve = lp.solve_box_lp
 
         def counted(core, cause):
             causes.append(cause)
             refactor(core, cause)
 
-        def checked(*args, **kwargs):
-            start = len(causes)
-            res = solve(*args, **kwargs)
-            seen = collections.Counter(causes[start:])
-            assert res.refactors == {k: seen[k] for k in res.refactors}
-            core = res.simplex
-            assert core.xb == (core.binv @ core.rhs_n).tolist()
-            return res
+        def checked(solve):
+            def run(*args, **kwargs):
+                start = len(causes)
+                res = solve(*args, **kwargs)
+                seen = collections.Counter(causes[start:])
+                assert res.refactors == {k: seen[k] for k in res.refactors}
+                core = res.simplex
+                assert core.xb == (core.binv @ core.rhs_n).tolist()
+                return res
+            return run
 
         monkeypatch.setattr(lp._Simplex, "_refactor", counted)
-        monkeypatch.setattr(sys.modules[__name__], "solve_box_lp", checked)
+        for name in ("solve_box_lp", "solve_lp"):
+            monkeypatch.setattr(sys.modules[__name__], name, checked(getattr(lp, name)))
         return causes
 
     def test_drifted_inverse_is_refactorized(self, monkeypatch):
@@ -471,9 +507,6 @@ class TestWarmStart:
                 core.lower, core.upper, core.basis, core.binv, core.sgn,
                 core.x_n, core.low_b, core.upp_b, core.rhs_n, core.xb)]
 
-        def solve(start, j, side):
-            return solve_box_lp(inst.A, inst.b, inst.c, warm_start=(start, j, side))
-
         moved = 0
         for i in range(16):
             inst = self._instance(i)
@@ -485,16 +518,16 @@ class TestWarmStart:
                 kept = (row.copy(), d.copy(), xb, copy.deepcopy(tests))
                 assert not (row.flags.writeable or d.flags.writeable)
                 try:
-                    moved += solve(parent, j, 0.0).pivots > 0
+                    moved += solve_box_lp(parent, j, 0.0).pivots > 0
                 except InfeasibleError:
                     pass
                 try:
-                    expected = state(solve(alone, j, 1.0))
+                    expected = state(solve_box_lp(alone, j, 1.0))
                 except InfeasibleError:
                     with pytest.raises(InfeasibleError):
-                        solve(parent, j, 1.0)
+                        solve_box_lp(parent, j, 1.0)
                 else:
-                    got = state(solve(parent, j, 1.0))
+                    got = state(solve_box_lp(parent, j, 1.0))
                     for g, e in zip(got, expected):
                         assert np.array_equal(g, e)
                 again = parent._branch_row(j)
@@ -515,17 +548,13 @@ class TestWarmStart:
         inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
         root = solve_lp(inst)
         j = int(root.s[0])
-        child = solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, j, 0.0))
-        args = (inst.A, inst.b, inst.c)
+        child = solve_box_lp(root, j, 0.0)
         for start in ((root, inst.n, 0.0), (root, -1, 1.0), (root, j, 0.5 + 1.0),
                       (child, j, 1.0), (root, j, np.nan)):
             with pytest.raises(ValueError, match="not inside the parent's box"):
-                solve_box_lp(*args, warm_start=start)
-        with pytest.raises(ValueError, match="pass no bounds"):
-            solve_box_lp(*args, np.zeros(inst.n), np.ones(inst.n),
-                         warm_start=(root, j, 1.0))
+                solve_box_lp(*start)
         # a variable already fixed may be fixed again at the same value
-        again = solve_box_lp(*args, warm_start=(child, j, 0.0))
+        again = solve_box_lp(child, j, 0.0)
         assert again.value == child.value and again.pivots == 0
 
     def test_child_bounds_of_a_nonbasic_variable_is_refused(self):
@@ -537,7 +566,7 @@ class TestWarmStart:
             root.child_bounds(j)
         # the refusal keeps nothing, and the fixing still re-solves
         assert "_row" not in root.__dict__
-        child = solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, j, root.x_star[j]))
+        child = solve_box_lp(root, j, root.x_star[j])
         assert child.pivots == 0 and child.value == root.value
 
     def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
@@ -554,7 +583,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lp._Simplex, "dual_run", recorded)
         with pytest.raises(InfeasibleError) as exc_info:
-            solve_box_lp(inst.A, inst.b, inst.c, warm_start=(root, 21, 1.0))
+            solve_box_lp(root, 21, 1.0)
         # a violated row with no entering candidate: dual_run returns the
         # Farkas vector that is raised
         u = exc_info.value.farkas_u
@@ -564,26 +593,24 @@ class TestWarmStart:
         assert np.minimum(w * lower, w * upper).sum() - inst.b @ u > 1e-3
 
     def test_infeasible_child_margin_is_the_parent_s(self):
-        # a warm start solves the parent's LP, so the margin in the error
-        # comes from the parent's A, b and the Farkas vector, whatever
-        # data the caller passes
+        # a child solves its parent's LP, so the margin in the error comes
+        # from the parent's A, b and the Farkas vector over the child's box,
+        # and an instance with other data gives another margin
         inst = generate(1, 24, BSpec.scaled_ones([-0.3]), RngHandle(4400, 12))
         other = generate(1, 24, BSpec.gaussian(), RngHandle(4401, 12))
         root = solve_lp(inst)
         lower, upper = self._fixed(np.zeros(24), np.ones(24), 21, 1.0)
         with pytest.raises(InfeasibleError) as exc_info:
-            solve_box_lp(other.A, other.b, other.c, warm_start=(root, 21, 1.0))
+            solve_box_lp(root, 21, 1.0)
         found = re.fullmatch(r"LP infeasible: aggregated row violates the box by (\S+)",
                              str(exc_info.value))
         assert found is not None
         u = exc_info.value.farkas_u
-
-        def margin(a, b):
-            w = a.T @ u
-            return np.minimum(w * lower, w * upper).sum() - b @ u
-
-        assert float(found[1]) == pytest.approx(margin(inst.A, inst.b), rel=1e-3)
-        assert float(found[1]) != pytest.approx(margin(other.A, other.b), rel=1e-3)
+        exact = exact_farkas_margin(inst.A, inst.b, u, lower, upper)
+        assert exact > 0
+        assert float(found[1]) == pytest.approx(float(exact), rel=1e-3)
+        assert float(found[1]) != pytest.approx(
+            float(exact_farkas_margin(other.A, other.b, u, lower, upper)), rel=1e-3)
 
     def test_first_pivot_takes_the_bound_s_ratio_test(self, monkeypatch):
         # every child whose parent kept the branched row (x_j basic) enters,
@@ -603,8 +630,8 @@ class TestWarmStart:
             kept[id(sol.simplex), j] = (sol, out, sol._branch_row(j))
             return out
 
-        def branched(parent, j, side, first, max_pivots):
-            core = branch(parent, j, side, first, max_pivots)
+        def branched(parent, j, side, first):
+            core = branch(parent, j, side, first)
             if first is not None:
                 sol, out, row = kept[id(parent), j]
                 assert all(a is b for a, b in zip(first, row))
@@ -673,7 +700,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lp._Simplex, "certify", recorded)
         with pytest.raises(ArithmeticError) as exc_info:
-            solve_box_lp(inst.A, inst.b, inst.c, warm_start=start)
+            solve_box_lp(*start)
         message = str(exc_info.value)
         assert "np.float64(" not in message
         found = re.fullmatch(
@@ -694,13 +721,21 @@ class TestWarmStart:
         assert d == pytest.approx((gamma - core.mat.T @ y)[e], rel=1e-9)
 
 
+def put_all_at_upper(core):
+    """Move every structural of the start `core` to its upper bound, with
+    the slacks still basic: a start that is not dual feasible once some
+    c_j < 0."""
+    core.sgn[:core.n], core.x_n[:core.n] = -1.0, 1.0
+
+
 def all_at_upper(a, b, c):
-    """A warm start with every structural of max c @ x, a @ x <= b at its
-    upper bound and the slacks basic, and the fixing of a structural with
-    c_j > 0 at the bound it sits at: the start is not dual feasible."""
+    """A child start (parent, j, side) with every structural of max c @ x,
+    a @ x <= b at its upper bound and the slacks basic, and the fixing of
+    a structural with c_j > 0 at the bound it sits at: the start is not
+    dual feasible."""
     m, n = a.shape
-    core = lp._Simplex(a, b, c, np.zeros(n), np.ones(n), 50 * (n + m))
-    core.sgn[:n], core.x_n[:n] = -1.0, 1.0
+    core = lp._Simplex(a, b, c, None)
+    put_all_at_upper(core)
     start = lp.LpSolution(x_star=np.ones(n), value=float(c.sum()), duals=np.zeros(m),
                           pivots=0, refactors=core.refactors, simplex=core)
     return start, int(np.argmax(c)), 1.0
@@ -863,7 +898,7 @@ class TestExactCertificates:
 
     def test_the_oracle_sees_a_start_that_is_not_optimal(self):
         inst = generate(3, 400, BSpec.zeros(), RngHandle(1))
-        start = lp._Simplex(inst.A, inst.b, inst.c, np.zeros(400), np.ones(400), 1)
+        start = lp._Simplex(inst.A, inst.b, inst.c, 1)
         bound_gap, rc_gap, _ = exact_basis_check(
             inst.A, inst.b, inst.c, np.zeros(400), np.ones(400), start.basis, start.x_n)
         # the crash start breaks a row (TestSolveLpHandCases) and is dual feasible
@@ -890,7 +925,7 @@ class TestExactCertificates:
             for parent, j, keys in bounded:
                 for side, key in enumerate(keys):
                     try:
-                        child = solve_box_lp(None, None, None, warm_start=(parent, j, side))
+                        child = solve_box_lp(parent, j, side)
                     except InfeasibleError as exc:
                         # the parent's box with x_j fixed
                         lower = parent.simplex.lower[:n].copy()
@@ -925,8 +960,10 @@ class TestCheckOptimum:
 
 class TestOneResultType:
     def test_root_solve_is_the_box_solve(self):
-        # solve_lp is solve_box_lp on [0, 1]^n plus its checks: one type,
-        # and every field and derived quantity bit for bit
+        # solve_lp is the one loop `_run` from the crash start plus its
+        # checks, and a child runs that loop too: one type, and every field
+        # and derived quantity bit for bit, also for a child that fixes a
+        # nonbasic variable where it sits, which takes no pivot
         fields = ("x_star", "value", "u_star", "reduced_costs", "n0", "n1",
                   "s", "pivots")
         solved = 0
@@ -935,19 +972,23 @@ class TestOneResultType:
             n = (20, 60, 150, 400)[(i // 4) % 4]
             b_spec = BSpec.zeros() if i % 2 else BSpec.gaussian()
             inst = generate(m, n, b_spec, RngHandle(4700, i))
+            start = lp._Simplex(inst.A, inst.b, inst.c, None)
             try:
                 sol = solve_lp(inst)
             except InfeasibleError:
                 with pytest.raises(InfeasibleError):
-                    solve_box_lp(inst.A, inst.b, inst.c)
+                    lp._run(start)
                 continue
-            box = solve_box_lp(inst.A, inst.b, inst.c)
-            assert type(sol) is type(box) is lp.LpSolution
-            for name in fields:
-                assert np.array_equal(getattr(sol, name), getattr(box, name)), name
+            run = lp._run(start)
+            j = next(k for k in range(n) if k not in sol.simplex.basis.tolist())
+            child = solve_box_lp(sol, j, sol.x_star[j])
+            assert child.pivots == 0
+            for other, names in ((run, fields), (child, fields[:-1])):
+                assert type(sol) is type(other) is lp.LpSolution
+                for name in names:
+                    assert np.array_equal(getattr(sol, name), getattr(other, name)), name
             solved += 1
         assert solved >= 40
-
 
 class TestLazyFields:
     """`u_star`, `reduced_costs`, `s`, `n0` and `n1` are computed on first
@@ -965,9 +1006,12 @@ class TestLazyFields:
         return calls
 
     def test_each_is_computed_once_and_kept(self, monkeypatch):
-        calls = self._counted(monkeypatch)
+        # a child, as solve_lp's checks read them on a root
         inst = generate(3, 40, BSpec.gaussian(), RngHandle(2701))
-        sol = solve_box_lp(inst.A, inst.b, inst.c)
+        root = solve_lp(inst)
+        j = int(root.s[0])
+        calls = self._counted(monkeypatch)
+        sol = solve_box_lp(root, j, 0.0)
         assert not calls
         first = {name: getattr(sol, name) for name in self.LAZY}
         assert calls == {"_fractional": 1, "_at_bounds": 1}
@@ -979,12 +1023,11 @@ class TestLazyFields:
 
     def test_a_child_never_read_computes_none(self, monkeypatch):
         inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
-        root = solve_box_lp(inst.A, inst.b, inst.c)
+        root = solve_lp(inst)
         j = int(root.s[0])
         before = set(vars(root))
         calls = self._counted(monkeypatch)
-        children = [solve_box_lp(None, None, None, warm_start=(root, j, side))
-                    for side in (0, 1)]
+        children = [solve_box_lp(root, j, side) for side in (0, 1)]
         assert not calls
         for child in children:
             assert set(vars(child)) == {f.name for f in dataclasses.fields(child)}
@@ -1090,7 +1133,7 @@ class TestDotLayouts:
         for i in range(12):
             m = 1 + i % 8
             inst = generate(m, 40, BSpec.gaussian(), RngHandle(2402, i))
-            sol = solve_box_lp(inst.A, inst.b, inst.c)
+            sol = solve_lp(inst)
             core = sol.simplex
             want = core.gamma[:40] - core.mat[:, :40].T @ sol.u_star
             assert sol.reduced_costs.tobytes() == want.tobytes()
@@ -1123,7 +1166,7 @@ class TestDirectSolve:
         for i in range(12):
             m = 1 + i % 4
             inst = generate(m, 40, BSpec.gaussian(), RngHandle(2202, i))
-            sol = solve_box_lp(inst.A, inst.b, inst.c)
+            sol = solve_lp(inst)
             core = sol.simplex
             bmat = core.mat[:, core.basis]
             got = lp._solve((bmat, core.rhs_n), (bmat.T, core.gamma[core.basis]))

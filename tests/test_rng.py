@@ -160,6 +160,14 @@ class TestBandSample:
             band_sample(-1.0, 0.5, RngHandle(1))
         with pytest.raises(ValueError):
             band_sample(1.0, 0.0, RngHandle(1))
+        # the two helpers refuse what the sampler refuses
+        for nu in (-1.0, 0.0):
+            with pytest.raises(ValueError, match="nu must be positive"):
+                band_acceptance_rate(1.0, nu)
+            with pytest.raises(ValueError, match="nu must be positive"):
+                band_accept_prob(1.0, nu, 0.0)
+        with pytest.raises(ValueError, match="omega must be nonnegative"):
+            band_acceptance_rate(-1.0, 0.5)
 
 
 class TestMixtureSample:
@@ -216,6 +224,16 @@ _HALF = np.full(6, 0.5)
                  id="band_sample-omega"),
     pytest.param(lambda: band_sample(0.5, _NAN, _NoDraws()), "nu must be positive",
                  id="band_sample-nu"),
+    pytest.param(lambda: band_accept_prob(1.0, 0.5, _NAN), "z must not be NaN",
+                 id="band_accept_prob-z"),
+    pytest.param(lambda: band_accept_prob(_NAN, 0.5, 0.2), "omega must be nonnegative",
+                 id="band_accept_prob-omega"),
+    pytest.param(lambda: band_accept_prob(1.0, _NAN, 0.2), "nu must be positive",
+                 id="band_accept_prob-nu"),
+    pytest.param(lambda: band_acceptance_rate(_NAN, 1.0), "omega must be nonnegative",
+                 id="band_acceptance_rate-omega"),
+    pytest.param(lambda: band_acceptance_rate(1.0, _NAN), "nu must be positive",
+                 id="band_acceptance_rate-nu"),
     pytest.param(lambda: conditioned_column([_NAN, 0.0], _NoDraws()),
                  "u must be nonnegative", id="conditioned_column"),
     pytest.param(lambda: entropy(_NAN), r"must lie in \[0, 1\]", id="entropy-scalar"),

@@ -1,5 +1,6 @@
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from scipy.stats import kstest
 
 from giplab import lp, rounding
 from giplab.discrepancy import ExactBudgetError
+from giplab.experiments import SweepConfig, run_trial
 from giplab.instance import BSpec, generate
 from giplab.lp import solve_lp
 from giplab.numerics import calibrate_theta, householder_to_axis
 from giplab.rng import RngHandle, conditioned_column
 from giplab.rounding import (
+    FEAS_CHECK_TOL,
     PoolTooSmallError,
     RoundingBoundNotMetError,
     RoundingParams,
@@ -23,6 +26,7 @@ from giplab.rounding import (
     sigma_last,
 )
 
+from oracles import exact_row_slack
 from test_instance import make_instance
 
 
@@ -396,3 +400,37 @@ class TestGapChain:
         )
         assert cert.certified_gap <= bound
         assert gap_chain_check(cert, inst, sol)
+
+
+class TestExactCertificateSlack:
+    def test_round_cert_certificates(self, monkeypatch):
+        # the feasible certificates of perfbench's round_cert configuration
+        # (m=2, n=400, b zeros, one pool per trial) at 20 streams: the exact
+        # rational slack of A x'' <= b breaks no row by more than
+        # FEAS_CHECK_TOL, and the float slack the pipeline tested is it up
+        # to roundoff
+        certs = []
+        pipeline = rounding.round_pipeline
+
+        def recorded(instance, lp_solution, params, rng):
+            certs.append((instance, pipeline(instance, lp_solution, params, rng)))
+            return certs[-1][1]
+
+        monkeypatch.setattr(rounding, "round_pipeline", recorded)
+        cfg = SweepConfig(m_list=(2,), n_list=(400,), seeds_per_cell=20, seed=10,
+                          b_spec="zeros", rounding="auto", t=1, parallelism=1)
+        for stream, m, n, _ in cfg.trials():
+            run_trial(cfg, stream, m, n)
+        feasible = [(inst, cert) for inst, cert in certs if cert.feasible]
+        for inst, cert in feasible:
+            exact = exact_row_slack(inst.A, inst.b, cert.x_double_prime)
+            assert min(exact) >= -FEAS_CHECK_TOL
+            slack = inst.b - inst.A @ cert.x_double_prime
+            assert np.allclose([float(v) for v in exact], slack, rtol=0.0, atol=1e-10)
+        assert len(feasible) >= 10
+        assert sum(len(cert.flip_set) > 0 for _, cert in feasible) >= 5
+
+    def test_oracle_is_exact_on_a_hand_row(self):
+        # 0.1 + 0.2 exceeds 0.3 as the rationals the floats are
+        [slack] = exact_row_slack([[0.1, 0.2, 5.0]], [0.3], [1.0, 1.0, 0.0])
+        assert slack == Fraction(0.3) - Fraction(0.1) - Fraction(0.2) < 0
