@@ -291,10 +291,8 @@ def tree_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
                 if r.knap_count is None:
                     continue
                 envelope = knapsack.expectation_bound(r.n, r.ipgap)
-                fh.write(
-                    f"{r.seed},{r.m},{r.n},{repr(r.ipgap)},{r.tree_size},"
-                    f"{r.knap_count},{repr(envelope)}\n"
-                )
+                cells = (r.seed, r.m, r.n, r.ipgap, r.tree_size, r.knap_count, envelope)
+                fh.write(",".join(map(_cell, cells)) + "\n")
     return records
 
 

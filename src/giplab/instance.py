@@ -14,24 +14,28 @@ The on-disk format is a self-describing UTF-8 text document::
     <m> <n>
     <b-spec descriptor>
     <seed token or ->
-    <m lines of b>
-    <n lines of c>
-    <m rows of A, n whitespace-separated entries each>
+    <m lines: the b block>
+    <n lines: the c block>
+    <the remaining lines: the A block>
+
+Each block holds its m, n or m*n entries (A row-major) in any line layout:
+whitespace separates entries and a blank line holds none.  The writer puts
+b and c one entry per line and A one row per line.
 
 Numbers are rendered as shortest round-trip decimals, so serialization is
 bit-exact and diffable.  The document is made piece by piece: the header,
 b, c, then each A row from its own ``tolist()``.  :func:`write_instance`
 writes each piece as it is formatted and :func:`serialize` joins the same
-pieces.  The reader parses A with numpy's C text reader.  A per-token pass
-with ``float()`` runs only when that reader refuses the block, finds a
-count other than m*n or a value that is not finite: it accepts what
-``float()`` accepts and exists to name the first bad field in document
-order.
+pieces.  The reader parses every block with numpy's C text reader.  A
+per-token pass with ``float()`` runs only when that reader refuses the
+block, finds a count other than the block's or a value that is not finite:
+it accepts what ``float()`` accepts and exists to name the first bad field
+in document order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -101,23 +105,17 @@ class BSpec:
 
     @classmethod
     def parse(cls, text: str) -> "BSpec":
+        """The recipe a descriptor names; the constructor checks it."""
         parts = text.split()
         if not parts:
             raise InstanceFormatError("empty b_spec descriptor")
-        kind = parts[0]
-        if kind not in cls._KINDS:
-            raise InstanceFormatError(f"unknown b_spec kind: {kind!r}")
-        if kind in ("zeros", "gaussian"):
-            if len(parts) > 1:
-                raise InstanceFormatError(f"b_spec {kind!r} takes no values")
-            return cls(kind)
         try:
             values = tuple(float(tok) for tok in parts[1:])
         except ValueError as exc:
             raise InstanceFormatError(f"bad b_spec value: {exc}") from None
         try:
-            return cls(kind, values)
-        except ValueError as exc:  # no values, or a value that is not finite
+            return cls(parts[0], values or None)
+        except ValueError as exc:
             raise InstanceFormatError(str(exc)) from None
 
     def build_b(self, m: int, n: int, rng: RngHandle | None) -> np.ndarray:
@@ -215,53 +213,40 @@ def serialize(instance: Instance) -> bytes:
     return ("\n".join(_lines(instance)) + "\n").encode("utf-8")
 
 
-def _parse_float(tok: str, what: str) -> float:
-    try:
-        value = float(tok)
-    except ValueError:
-        raise InstanceFormatError(f"bad {what}: {tok!r}") from None
-    if not np.isfinite(value):
-        raise InstanceFormatError(f"non-finite {what}: {tok!r}")
-    return value
+def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
+    """A block's entries as an array of `shape`, row-major, in any line layout.
 
-
-def _parse_floats(toks: list[str], what: Callable[[int], str]) -> np.ndarray:
-    """All tokens as finite floats, converted in bulk.
-
-    Only when the bulk pass fails are the tokens scanned one by one, so the
-    error names the first bad field, what(pos), in document order.
+    numpy's C reader takes the block when its lines all hold the same number
+    of entries; it splits on whitespace and converts each whole field as
+    float() does, with the same bits.  A block it refuses, or whose count or
+    values are wrong, goes to the per-token pass, which names the first bad
+    field.
     """
-    try:
-        values = np.fromiter(map(float, toks), float, count=len(toks))
-    except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        values = np.array(
-            [_parse_float(tok, what(pos)) for pos, tok in enumerate(toks)]
-        )
-    return values
-
-
-def _parse_a(lines: list[str], m: int, n: int) -> np.ndarray:
-    """A from its block of lines: m*n entries, row-major, in any line layout.
-
-    numpy's C reader takes the block when its rows are all the same length;
-    it splits on whitespace and converts each whole field as float() does,
-    with the same bits.  A block it refuses, or whose count or values are
-    wrong, goes to the per-token pass, which names the first bad field.
-    """
+    count = math.prod(shape)
     # loadtxt warns on a block with no data; the per-token pass reports it
     if any(ln and not ln.isspace() for ln in lines):
         try:
-            a = np.loadtxt(lines, comments=None)
+            values = np.loadtxt(lines, comments=None, ndmin=1)
         except ValueError:
-            a = None
-        if a is not None and a.size == m * n and np.isfinite(a).all():
-            return a.reshape(m, n)
+            values = None
+        if values is not None and values.size == count and np.isfinite(values).all():
+            return values.reshape(shape)
     toks = " ".join(lines).split()
-    if len(toks) != m * n:
-        raise InstanceFormatError(f"A: expected {m * n} entries, got {len(toks)}")
-    return _parse_floats(toks, lambda pos: f"A[{pos // n},{pos % n}]").reshape(m, n)
+    if len(toks) != count:
+        raise InstanceFormatError(f"{name}: expected {count} entries, got {len(toks)}")
+    values = np.empty(count)
+    for pos, tok in enumerate(toks):
+        try:
+            values[pos] = float(tok)
+        except ValueError:
+            problem = "bad"
+        else:
+            if math.isfinite(values[pos]):
+                continue
+            problem = "non-finite"
+        field = ",".join(map(str, np.unravel_index(pos, shape)))
+        raise InstanceFormatError(f"{problem} {name}[{field}]: {tok!r}")
+    return values.reshape(shape)
 
 
 def deserialize(data: bytes) -> Instance:
@@ -295,11 +280,9 @@ def deserialize(data: bytes) -> Instance:
         raise InstanceFormatError(
             f"truncated document: expected {m + n} vector lines, got {len(body)}"
         )
-    b = _parse_floats([ln.strip() for ln in body[:m]], lambda i: f"b[{i}]")
-    c = _parse_floats(
-        [ln.strip() for ln in body[m : m + n]], lambda i: f"c[{i}]"
-    )
-    a = _parse_a(body[m + n :], m, n)
+    b = _parse_block("b", body[:m], m)
+    c = _parse_block("c", body[m : m + n], n)
+    a = _parse_block("A", body[m + n :], m, n)
     meta = InstanceMeta(seed=seed, b_spec=b_spec_text)
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 

@@ -73,9 +73,9 @@ class KnapsackCount:
 def _count_dfs(weights: np.ndarray, cap_eff: float) -> int:
     """DFS over weights sorted descending, on an explicit stack.
 
-    At depth i with residual r: all remaining weights fit -> add 2**(n-i);
-    even the smallest remaining weight exceeds r -> only the empty
-    completion remains.  Each popped node follows its exclude branch in
+    At depth i with residual r: all remaining weights fit -> add 2**(n-i),
+    which at i = n counts the empty completion, as r >= 0; even the smallest
+    remaining weight exceeds r -> only the empty completion remains.  Each popped node follows its exclude branch in
     place and pushes its include branch, so every pop ends in one leaf,
     every leaf adds at least 1, and a pop visits at most n + 1 nodes.
     """
@@ -92,9 +92,6 @@ def _count_dfs(weights: np.ndarray, cap_eff: float) -> int:
         start, residual = stack.pop()
         i = start
         while True:
-            if i == n:
-                count += 1
-                break
             if suffix_total[i] <= residual:
                 count += 1 << (n - i)
                 break

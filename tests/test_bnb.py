@@ -422,6 +422,18 @@ class TestIpGap:
     def test_hand_gap(self):
         assert ipgap(make_instance([[1.0]], [0.5], [1.0])) == pytest.approx(0.5)
 
+    def test_node_limit_raises(self):
+        # the root is fractional, so one node leaves the gap open
+        with pytest.raises(RuntimeError, match="^node limit reached"):
+            ipgap(make_instance([[1.0]], [0.5], [1.0]), node_limit=1)
+
+    def test_lp_feasible_ip_infeasible_raises(self):
+        # 0.4 <= x <= 0.5 holds for the LP and for no binary x
+        inst = make_instance([[1.0], [-1.0]], [0.5, -0.4], [1.0])
+        assert solve_lp(inst).value == pytest.approx(0.5)
+        with pytest.raises(InfeasibleError, match="^IP infeasible"):
+            ipgap(inst)
+
     def test_root_lp_solved_once(self, solve_lp_calls):
         inst = generate(2, 24, BSpec.zeros(), RngHandle(905))
         assert ipgap(inst) > 0.0

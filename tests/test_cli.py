@@ -261,6 +261,17 @@ class TestRound:
         assert code == 2
         assert "columns" in err
 
+    def test_round_on_an_infeasible_lp_exits_two(self, tmp_path, capsys):
+        path = str(tmp_path / "a.gip")
+        cli("gen", "--m", "2", "--n", "5", "--b", "explicit:-100,-100",
+            "--seed", "3", "--out", path)
+        capsys.readouterr()
+        assert cli("round", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: LP stage failed: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestParserKept:
     """run_cli builds its parser once per process; no flag value of one

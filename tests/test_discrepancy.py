@@ -60,6 +60,15 @@ class TestDiscExact:
         with pytest.raises(ValueError, match="columns"):
             DiscInstance(columns=cols, target=np.zeros(2), theta=0.5, k=3)
 
+    @pytest.mark.parametrize("columns, target, k, message", [
+        (np.ones(6), np.zeros(1), 1, "columns must be an"),
+        (np.ones((2, 6)), np.zeros(3), 1, "target dimension"),
+        (np.ones((2, 6)), np.zeros(2), 7, "k must lie in"),
+    ])
+    def test_malformed_instance_refused(self, columns, target, k, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            DiscInstance(columns=columns, target=target, theta=0.5, k=k)
+
     def test_budget_refused(self):
         cols = np.zeros((1, 60))
         with pytest.raises(ExactBudgetError):
@@ -233,6 +242,16 @@ class TestDiscSearch:
         exact = disc_exact(inst)
         search = disc_search(inst, RngHandle(seed, 7), restarts=20)
         assert search.deviation >= exact.deviation - 1e-12
+
+    def test_k_equal_to_count_has_no_swap(self):
+        inst = random_instance(4, count=6, k=6, theta=1e-9)
+        out = disc_search(inst, RngHandle(4), restarts=3)
+        exact = disc_exact(inst)
+        assert not out.found
+        assert out.subset == exact.subset == tuple(range(6))
+        assert out.deviation == exact.deviation
+        # each restart scores its one subset and finds no swap
+        assert out.evaluations == 3
 
     def test_determinism(self):
         inst = random_instance(5)

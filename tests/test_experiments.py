@@ -403,6 +403,21 @@ class TestStatsCheck:
         for value in freqs.values():
             assert 0.0 <= value <= 1.0
 
+    def test_infeasible_lps_are_counted(self):
+        # a negative b whose delta is still inside theory_params' range
+        spec = "scaled_ones -0.2 -0.2"
+        summary = stats_check(m=2, n=50, seeds=20, master_seed=1, b_spec=spec)
+        failures = 0
+        for j in range(20):
+            try:
+                solve_lp(generate(2, 50, BSpec.parse(spec), RngHandle(1, j)))
+            except lp.InfeasibleError:
+                failures += 1
+        assert summary["lp_failures"] == failures > 0
+        # a seed whose LP failed meets no event
+        for value in summary["frequencies"].values():
+            assert value <= (20 - failures) / 20
+
     def test_deterministic(self):
         a = stats_check(m=2, n=60, seeds=10, master_seed=4)
         b = stats_check(m=2, n=60, seeds=10, master_seed=4)

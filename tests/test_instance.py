@@ -35,14 +35,28 @@ def make_instance(a, b, c):
     )
 
 
-def _with_a_token(inst, row, col, tok):
-    """The instance's document with A[row, col] written as tok."""
+def _with_token(inst, name, pos, tok):
+    """The instance's document with entry pos of block name written as tok;
+    pos is (row, col) in A and an index in b and c."""
+    row, col = pos if name == "A" else (pos, 0)
+    i = {"b": 4, "c": 4 + inst.m, "A": 4 + inst.m + inst.n}[name] + row
     lines = serialize(inst).decode().splitlines()
-    i = 4 + inst.m + inst.n + row
     toks = lines[i].split()
     toks[col] = tok
     lines[i] = " ".join(toks)
     return ("\n".join(lines) + "\n").encode()
+
+
+# tokens float() accepts and numpy's text reader refuses: a document reads
+# as the per-token float() pass reads it
+FLOAT_ONLY_TOKENS = ["1_0", "\u0663", "\uff11"]
+# tokens float() refuses or reads as a value that is not finite, with the
+# word their message starts with
+REFUSED_TOKENS = [
+    ("0x1p3", "bad"), ("2\x00", "bad"), ("1d0", "bad"), ("nan(1)", "bad"),
+    ("1-2", "bad"), ("nan", "non-finite"), ("-inf", "non-finite"),
+    ("1e400", "non-finite"),
+]
 
 
 def _load_quietly(doc):
@@ -78,8 +92,18 @@ class TestBSpec:
     @pytest.mark.parametrize("text, message", [
         ("scaled_ones", "b_spec 'scaled_ones' requires values"),
         ("explicit nan", "b_spec values must be finite"),
+        ("zeros 1.5", "b_spec 'zeros' takes no values"),
+        ("ones 1", "unknown b_spec kind: 'ones'"),
     ])
     def test_parse_refuses_a_spec_the_constructor_refuses(self, text, message):
+        with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+            BSpec.parse(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (" ", "empty b_spec descriptor"),
+        ("explicit 1 x", "bad b_spec value: could not convert string to float: 'x'"),
+    ])
+    def test_parse_refuses_a_descriptor_it_cannot_read(self, text, message):
         with pytest.raises(InstanceFormatError, match=f"^{message}$"):
             BSpec.parse(text)
 
@@ -176,26 +200,66 @@ class TestSerialization:
         with pytest.raises(InstanceFormatError, match=r"^non-finite b\[1\]: "):
             load(lines)
 
-    # A[1,2] of a 2 x 6 document, as tokens numpy's text reader and float()
-    # disagree on: the document reads as the per-token float() pass reads it
-    @pytest.mark.parametrize("tok", ["1_0", "\u0663", "\uff11"])
+    # A[1,2] of a 2 x 6 document
+    @pytest.mark.parametrize("tok", FLOAT_ONLY_TOKENS)
     def test_a_token_float_accepts_keeps_float_s_bits(self, tok):
         inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
-        back = _load_quietly(_with_a_token(inst, 1, 2, tok))
+        back = _load_quietly(_with_token(inst, "A", (1, 2), tok))
         want = inst.A.copy()
         want[1, 2] = float(tok)
         assert np.array_equal(back.A.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("tok, error", [
-        ("0x1p3", "bad"), ("2\x00", "bad"), ("1d0", "bad"), ("nan(1)", "bad"),
-        ("1-2", "bad"), ("nan", "non-finite"), ("-inf", "non-finite"),
-        ("1e400", "non-finite"),
-    ])
+    @pytest.mark.parametrize("tok, error", REFUSED_TOKENS)
     def test_a_token_float_refuses_is_named(self, tok, error):
         inst = generate(2, 6, BSpec.zeros(), RngHandle(3))
         with pytest.raises(InstanceFormatError) as info:
-            _load_quietly(_with_a_token(inst, 1, 2, tok))
+            _load_quietly(_with_token(inst, "A", (1, 2), tok))
         assert str(info.value) == f"{error} A[1,2]: {tok!r}"
+
+    # b[1] and c[4] of a 2 x 6 document: b and c go through A's parse rule
+    @pytest.mark.parametrize("tok", FLOAT_ONLY_TOKENS)
+    @pytest.mark.parametrize("name, pos", [("b", 1), ("c", 4)])
+    def test_b_and_c_token_float_accepts_keeps_float_s_bits(self, name, pos, tok):
+        inst = generate(2, 6, BSpec.gaussian(), RngHandle(3))
+        back = _load_quietly(_with_token(inst, name, pos, tok))
+        want = getattr(inst, name).copy()
+        want[pos] = float(tok)
+        got = getattr(back, name)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("tok, error", REFUSED_TOKENS)
+    @pytest.mark.parametrize("name, pos", [("b", 1), ("c", 4)])
+    def test_b_and_c_token_float_refuses_is_named(self, name, pos, tok, error):
+        inst = generate(2, 6, BSpec.gaussian(), RngHandle(3))
+        with pytest.raises(InstanceFormatError) as info:
+            _load_quietly(_with_token(inst, name, pos, tok))
+        assert str(info.value) == f"{error} {name}[{pos}]: {tok!r}"
+
+    def test_b_and_c_entries_accept_any_line_layout(self):
+        inst = generate(2, 3, BSpec.gaussian(), RngHandle(2))
+        lines = serialize(inst).decode().splitlines()
+        b, c = lines[4:6], lines[6:9]
+        # b on one line and a blank one, which the C reader takes; c in rows
+        # of unequal length, which only the per-token pass takes
+        for c_block in ([" ".join(c), "", ""], [" ".join(c[:2]), "", c[2]]):
+            doc = lines[:4] + [" ".join(b), ""] + c_block + lines[9:]
+            back = _load_quietly(("\n".join(doc) + "\n").encode())
+            for name in ("A", "b", "c"):
+                got, want = getattr(back, name), getattr(inst, name)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_b_and_c_blocks_are_counted(self):
+        inst = generate(2, 3, BSpec.gaussian(), RngHandle(2))
+        lines = serialize(inst).decode().splitlines()
+        # a blank line holds no entry
+        for b, c, message in (
+            ([lines[4] + " 0.5", lines[5]], lines[6:9], "b: expected 2 entries, got 3"),
+            (["", " "], lines[6:9], "b: expected 2 entries, got 0"),
+            (lines[4:6], [lines[6], "", lines[8]], "c: expected 3 entries, got 2"),
+        ):
+            doc = lines[:4] + b + c + lines[9:]
+            with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+                _load_quietly(("\n".join(doc) + "\n").encode())
 
     def test_a_block_of_whole_rows_is_counted(self):
         inst = generate(2, 6, BSpec.zeros(), RngHandle(3))

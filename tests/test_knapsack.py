@@ -31,6 +31,10 @@ class TestKnapsackCount:
     def test_hand_enumeration(self):
         assert knapsack_count([0.2, 0.3, 0.7], 0.5).count == 4
 
+    @pytest.mark.parametrize("method", ["dfs_pruned", "meet_in_middle"])
+    def test_no_weights_count_the_empty_set(self, method):
+        assert knapsack_count([], 0.0, method=method).count == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             knapsack_count([-0.1], 1.0)
