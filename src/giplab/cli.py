@@ -50,8 +50,7 @@ def _load(path: str):
     try:
         return read_instance(path)
     except InstanceFormatError as exc:
-        print(f"error: bad instance file {path}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+        raise ValueError(f"bad instance file {path}: {exc}") from None
 
 
 def _cmd_gen(args) -> int:
@@ -105,8 +104,7 @@ def _cmd_round(args) -> int:
     try:
         sol = lp.solve_lp(inst)
     except (lp.InfeasibleError, lp.IterationLimitError) as exc:
-        print(f"error: LP stage failed: {exc}", file=sys.stderr)
-        return RUN_ERROR
+        raise RuntimeError(f"LP stage failed: {exc}") from None
     params = rounding.RoundingParams.defaults(
         inst.m, inst.n,
         k=args.k, delta=args.delta, t=args.t, theta=args.theta,
@@ -133,8 +131,7 @@ def _read_config(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = experiments.SweepConfig.from_json(fh.read())
     except (ValueError, TypeError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR) from None
+        raise ValueError(f"bad config: {exc}") from None
     if args.out:
         cfg = dataclasses.replace(cfg, out=args.out)
     return cfg
@@ -293,19 +290,16 @@ def run_cli(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except OSError as exc:
-        if exc.filename is None:
-            raise
-        # a file named on the command line that cannot be opened
-        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        # a named file that cannot be opened, or a write the OS refuses
+        where = "" if exc.filename is None else f"cannot open {exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return USAGE_ERROR
     except ValueError as exc:
-        # a flag value the library rejects
+        # a flag value, config or instance file the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (lp.IterationLimitError, ArithmeticError, RuntimeError) as exc:
+    except (ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUN_ERROR
 

@@ -45,7 +45,10 @@ from that solve.  The fresh solve also certifies the exit: basic values
 outside their box send the solve back to the dual simplex on a fresh
 inverse, binv B - I beyond INV_TOL refactorizes the inverse for the next
 solve that starts from it, and a reduced cost of the wrong sign (a start
-that was not dual feasible) raises ArithmeticError.
+that was not dual feasible) raises ArithmeticError.  Every factorization
+of a basis, a fresh inverse or a gesv solve, goes through `_solve`, and
+one rule there detects a singular basis: the invalid flag the LAPACK
+gufunc sets becomes ArithmeticError("simplex basis became singular").
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
 point, its value and basic duals, its pivot and refactorization counts
@@ -64,10 +67,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# The gufunc np.linalg.solve wraps (LAPACK gesv on one right-hand side),
-# called directly: the wrapper's argument and type checks cost about 4 us
-# of a 5 us solve of a 3 x 3 basis, and the result is the same bits.
-from numpy.linalg._umath_linalg import solve1 as _gesv
+# The gufuncs np.linalg.solve (gesv, one right-hand side) and np.linalg.inv
+# wrap, called directly: the wrappers' checks cost about 4 us of a 5 us
+# solve of a 3 x 3 basis, and the result is the same bits.
+from numpy.linalg._umath_linalg import inv as _inv, solve1 as _gesv
 
 from .instance import Instance
 from .rng import RngHandle, conditioned_column
@@ -104,7 +107,7 @@ class InfeasibleError(Exception):
         self.farkas_u = farkas_u
 
 
-class IterationLimitError(Exception):
+class IterationLimitError(RuntimeError):
     """Pivot budget exhausted before reaching optimality."""
 
 
@@ -263,13 +266,17 @@ def _worst_row(xb, low_b, upp_b):
 
 def _solve(*systems):
     """The solution of each square system (mat, rhs) by gesv, as
-    np.linalg.solve gives it; a singular matrix raises ArithmeticError."""
+    np.linalg.solve gives it, and for a system (mat,) the inverse of mat,
+    as np.linalg.inv gives it; a singular matrix raises ArithmeticError."""
     out = []
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore",
                          under="ignore"):
-            for mat, rhs in systems:
-                out.append(_gesv(mat, rhs, signature="dd->d"))
+            for system in systems:
+                if len(system) == 1:
+                    out.append(_inv(*system, signature="d->d"))
+                else:
+                    out.append(_gesv(*system, signature="dd->d"))
     except FloatingPointError:
         raise ArithmeticError("simplex basis became singular") from None
     return out
@@ -378,10 +385,7 @@ class _Simplex:
         return self.gamma - self.mat.T.dot(self.gamma[self.basis].dot(self.binv))
 
     def _refactor(self, cause):
-        try:
-            self.binv = np.linalg.inv(self.mat[:, self.basis])
-        except np.linalg.LinAlgError:
-            raise ArithmeticError("simplex basis became singular") from None
+        self.binv, = _solve((self.mat[:, self.basis],))
         self.fresh = True
         self.refactors[cause] += 1
 

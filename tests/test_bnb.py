@@ -1,5 +1,6 @@
 import ast
 import collections
+import math
 from pathlib import Path
 
 import numpy as np
@@ -197,7 +198,8 @@ class TestBranchVariable:
 
 
 class TestHighsDifferential:
-    """solve_ip against HiGHS milp past brute-force sizes (n 26-60)."""
+    """solve_ip against HiGHS milp past brute-force sizes (n 26-60, and
+    400)."""
 
     @staticmethod
     def _instance(i):
@@ -236,6 +238,21 @@ class TestHighsDifferential:
                 assert cut.opt_value <= truth + tol, i
             assert truth <= cut.best_bound + tol, i
         assert brackets > 0
+
+    def test_optimum_at_the_paper_size(self):
+        # n = 400, where the paper's claims are measured: m 2 and 3, b zeros
+        # or the edge scaled_ones -0.1 / sqrt(m) per row (|b|_2 = n / 10)
+        for i in range(12):
+            m = 2 + i % 2
+            if (i // 2) % 2:
+                b_spec = BSpec.scaled_ones([-0.1 / math.sqrt(m)] * m)
+            else:
+                b_spec = BSpec.zeros()
+            inst = generate(m, 400, b_spec, RngHandle(4210, i))
+            truth = milp_oracle(inst.A, inst.b, inst.c)
+            res = solve_ip(inst)
+            assert truth is not None and res.status == "Optimal", i
+            assert abs(res.opt_value - truth) <= 1e-9 * (1.0 + abs(truth)), i
 
 
 class TestTreeOracle:

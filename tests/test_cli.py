@@ -10,6 +10,8 @@ import pytest
 
 from giplab.cli import run_cli
 
+from test_instance import HEADER_ERRORS
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -140,6 +142,13 @@ class TestGenLpIp:
             assert cli("lp", str(bad)) == 1
             assert f"error: bad instance file {bad}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", HEADER_ERRORS)
+    def test_bad_header_exits_one(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.gip"
+        bad.write_bytes(doc)
+        assert cli("lp", str(bad)) == 1
+        assert capsys.readouterr() == ("", f"error: bad instance file {bad}: {message}\n")
+
     def test_gen_bad_explicit_length_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "x.gip")
         assert cli("gen", "--m", "3", "--n", "4", "--b", "explicit:1.0,2.0",
@@ -190,6 +199,38 @@ class TestFileErrors:
         assert cli(command, "--config", str(cfg_path),
                    "--out", str(missing / "s.csv")) == 1
         assert capsys.readouterr().err == self._error(missing, errno.ENOENT)
+
+
+class TestWriteErrors:
+    """A write the OS refuses after the file opened (a full disk raises on
+    the flush, with no filename) gives one `error: <reason>` line, exit 1
+    and no traceback."""
+
+    NO_SPACE = f"error: {os.strerror(errno.ENOSPC)}\n"
+
+    @staticmethod
+    def _no_space(*args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def test_gen(self, tmp_path, capsys, monkeypatch):
+        from giplab import cli as cli_module
+
+        monkeypatch.setattr(cli_module, "write_instance", self._no_space)
+        assert cli("gen", "--m", "2", "--n", "5", "--out", str(tmp_path / "x.gip")) == 1
+        assert capsys.readouterr() == ("", self.NO_SPACE)
+
+    def test_sweep_out(self, tmp_path, capsys, monkeypatch):
+        from giplab import experiments
+
+        monkeypatch.setattr(experiments, "write_csv", self._no_space)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            m_list=[2], n_list=[12], seeds_per_cell=1, rounding="never",
+            parallelism=1,
+        )))
+        assert cli("gap-sweep", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "s.csv")) == 1
+        assert capsys.readouterr() == ("", self.NO_SPACE)
 
 
 @pytest.mark.parametrize("command", [

@@ -59,6 +59,29 @@ REFUSED_TOKENS = [
 ]
 
 
+def _with_header_fault(line, text):
+    """A valid 2 x 3 document with header line `line` replaced by the bytes
+    `text`."""
+    lines = serialize(generate(2, 3, BSpec.zeros(), RngHandle(1))).split(b"\n")
+    lines[line] = text
+    return b"\n".join(lines)
+
+
+# documents whose header the reader refuses, with the whole message
+HEADER_ERRORS = [
+    pytest.param(_with_header_fault(3, b"\xff"), "document is not UTF-8 text",
+                 id="not-utf8"),
+    pytest.param(_with_header_fault(1, b"2"), "bad dimension line: '2'",
+                 id="one-size"),
+    pytest.param(_with_header_fault(1, b"2 3 4"), "bad dimension line: '2 3 4'",
+                 id="three-sizes"),
+    pytest.param(_with_header_fault(1, b"2 x"), "bad dimension line: '2 x'",
+                 id="non-integer"),
+    pytest.param(_with_header_fault(1, b"0 3"), "dimensions must be positive: '0 3'",
+                 id="zero-size"),
+]
+
+
 def _load_quietly(doc):
     """deserialize(doc), checking that it lets no warning escape."""
     with warnings.catch_warnings(record=True) as caught:
@@ -367,6 +390,12 @@ class TestSerialization:
             meta=inst.meta,
         )
         assert serialize(typed) == serialize_oracle(typed)
+
+    @pytest.mark.parametrize("doc, message", HEADER_ERRORS)
+    def test_header_error_is_named(self, doc, message):
+        with pytest.raises(InstanceFormatError) as exc_info:
+            deserialize(doc)
+        assert str(exc_info.value) == message
 
     def test_truncated(self):
         inst = generate(2, 3, BSpec.zeros(), RngHandle(1))

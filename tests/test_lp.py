@@ -455,6 +455,41 @@ class TestWarmStart:
                     solves += self._warm_and_cold(inst, drifted, j, side) is not None
         assert solves >= 30 and causes.count("exit_check") > 0
 
+    def test_exit_check_runs_the_dual_simplex_again(self, monkeypatch):
+        # a nonbasic x_j at 0 fixed at 1 breaks the box of the parent's
+        # basis, and the parent's inverse is bent (rank one) so that the
+        # child's carried basic values all read 0.5, inside every box: the
+        # first pass finds nothing to pivot, the fresh solve of certify
+        # finds a value outside, refactorizes and returns None, and the
+        # dual simplex runs again from the fresh inverse to the cold optimum
+        self._count_refactors(monkeypatch)
+        runs = []
+        dual_run = lp._Simplex.dual_run
+
+        def counted(core):
+            runs.append(core)
+            return dual_run(core)
+
+        monkeypatch.setattr(lp._Simplex, "dual_run", counted)
+        children = 0
+        for i in range(4):
+            inst = self._instance(i)
+            root = solve_lp(inst)
+            core = root.simplex
+            bmat = core.mat[:, core.basis]
+            for j in np.setdiff1d(root.n0, core.basis)[:6]:
+                rhs_n = core.rhs_n - core.mat[:, j]
+                xb = np.linalg.solve(bmat, rhs_n)
+                if not (xb < -lp.FEAS_TOL).any():
+                    continue
+                bent = core.binv + np.outer(0.5 - core.binv @ rhs_n, rhs_n) / (rhs_n @ rhs_n)
+                pair = self._warm_and_cold(inst, self._with_binv(root, bent), j, 1.0)
+                assert pair is not None
+                assert pair[0].refactors["exit_check"] == 1
+                assert runs.count(pair[0].simplex) == 2
+                children += 1
+        assert children >= 4
+
     def test_tiny_pivot_is_refactorized(self, monkeypatch):
         # every pivot element read as zero: each basis change inverts the
         # new basis afresh instead of a product-form step, and is counted
@@ -1140,8 +1175,9 @@ class TestDotLayouts:
 
 
 class TestDirectSolve:
-    """`lp._solve`, the LAPACK gesv gufunc that np.linalg.solve wraps,
-    called directly by certify and the Farkas verdict."""
+    """`lp._solve`, the LAPACK gesv and inverse gufuncs that
+    np.linalg.solve and np.linalg.inv wrap, called directly by certify,
+    the Farkas verdict and every fresh basis inverse."""
 
     def test_bit_equal_to_numpy_for_b_and_its_transpose(self):
         gen = np.random.default_rng(2201)
@@ -1155,8 +1191,9 @@ class TestDirectSolve:
                     bmat = (u * np.logspace(0, -12, m)) @ vt
                     ill += np.linalg.cond(bmat) > 1e11
                 rhs, rhs_t = gen.standard_normal(m), gen.standard_normal(m)
-                got = lp._solve((bmat, rhs), (bmat.T, rhs_t))
-                want = np.linalg.solve(bmat, rhs), np.linalg.solve(bmat.T, rhs_t)
+                got = lp._solve((bmat, rhs), (bmat.T, rhs_t), (bmat,))
+                want = (np.linalg.solve(bmat, rhs), np.linalg.solve(bmat.T, rhs_t),
+                        np.linalg.inv(bmat))
                 for g, w in zip(got, want):
                     assert g.tobytes() == w.tobytes()
         assert ill >= 30
@@ -1188,13 +1225,20 @@ class TestDirectSolve:
         errors = np.geterr()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(bmat, np.ones(m))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ArithmeticError) as exc_info:
-                lp._solve((np.eye(m), np.ones(m)), (bmat, np.ones(m)))
-        assert type(exc_info.value) is ArithmeticError
-        assert str(exc_info.value) == "simplex basis became singular"
-        assert np.geterr() == errors
+        # a basis of the structural columns bmat, refactorized afresh
+        core = lp._Simplex(bmat, np.ones(m), np.zeros(m), None)
+        core.basis = np.arange(m)
+        for solve in (lambda: lp._solve((np.eye(m), np.ones(m)), (bmat, np.ones(m))),
+                      lambda: lp._solve((bmat,)),
+                      lambda: core._refactor("tiny_pivot")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ArithmeticError) as exc_info:
+                    solve()
+            assert type(exc_info.value) is ArithmeticError
+            assert str(exc_info.value) == "simplex basis became singular"
+            assert np.geterr() == errors
+        assert core.refactors["tiny_pivot"] == 0 and not core.fresh
 
 
 class TestSolveLpAgainstOracle:
