@@ -143,7 +143,7 @@ def solve_ip(
             exact = min(child.value, cap)  # parent bound is valid too
             if exact > bound:
                 raise ArithmeticError(
-                    f"child LP value {child.value!r} is above its pushed key {bound!r}"
+                    f"child LP value {child.value!r} is above its pushed key {float(bound)!r}"
                 )
             heapq.heappush(heap, (-exact, order, cap, child, None))
             continue

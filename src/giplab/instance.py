@@ -22,15 +22,20 @@ Each block holds its m, n or m*n entries (A row-major) in any line layout:
 whitespace separates entries and a blank line holds none.  The writer puts
 b and c one entry per line and A one row per line.
 
-Numbers are rendered as shortest round-trip decimals, so serialization is
-bit-exact and diffable.  The document is made piece by piece: the header,
-b, c, then each A row from its own ``tolist()``.  :func:`write_instance`
-writes each piece as it is formatted and :func:`serialize` joins the same
-pieces.  The reader parses every block with numpy's C text reader.  A
-per-token pass with ``float()`` runs only when that reader refuses the
-block, finds a count other than the block's or a value that is not finite:
-it accepts what ``float()`` accepts and exists to name the first bad field
-in document order.
+Numbers are written as repr() writes them, the shortest decimal that
+reads back to the same double, so serialization is bit-exact and
+diffable.  One kernel, `_format`, formats the entries of b, c and A
+(row-major) _CHUNK at a time with numpy operations on the whole chunk: it
+decides the digits exactly and calls repr() for the 0.6% of Gaussian
+entries it leaves undecided (the comment above it says which).
+:func:`write_instance` writes each chunk as it is made, so the document is
+never held whole, and :func:`serialize` joins the same chunks.
+:func:`read_instance` frees the file's bytes once decoded and the text
+once split into lines.  The reader parses every block with numpy's C text
+reader.  A per-token pass with ``float()`` runs only when that reader
+refuses the block, finds a count other than the block's or a value that is
+not finite: it accepts what ``float()`` accepts and exists to name the
+first bad field in document order.
 """
 
 from __future__ import annotations
@@ -193,24 +198,187 @@ def validate_b(instance: Instance) -> bool:
     return bool(np.linalg.norm(neg) <= instance.n / 10.0)
 
 
-def _lines(instance: Instance):
-    """The document as lines without line ends: the four header lines, b
-    and c as one block each (an entry a line), then the A rows.  Each is
-    formatted when it is asked for, so an A row holds Python floats for its
-    own n entries only."""
-    meta = instance.meta
-    yield MAGIC
-    yield f"{instance.m} {instance.n}"
-    yield meta.b_spec
-    yield meta.seed if meta.seed is not None else "-"
-    for vec in (instance.b, instance.c):
-        yield "\n".join(map(repr, np.asarray(vec, dtype=float).tolist()))
-    for row in np.asarray(instance.A, dtype=float):
-        yield " ".join(map(repr, row.tolist()))
+# --------------------------------------------------------------------------
+# The writer.  `_format` renders a float64 vector as the bytes of
+# repr(x[i]) + chr(sep[i]) for every i, with numpy operations on the whole
+# vector, and calls repr() itself only for the entries it does not decide.
+#
+# It takes an entry a = |x| with 1e-4 <= a < 1e15 that is not a power of
+# two.  repr writes such a value positionally, as the shortest decimal
+# inside its rounding interval [a - u/2, a + u/2] (u = ulp(a)), and of those
+# the nearest to a.  With q = 16 - floor(log10(a)), N = a * 10**q lies in
+# [1e16, 1e17) and the interval scales to N -+ h, h = u/2 * 10**q.  As
+# 0.55 < h < 11.2, the nearest 17-digit rounding of N is always inside and
+# at most one 15-digit one fits, so repr's digits are the first of N's
+# nearest 15-, 16- and 17-digit roundings that lies inside.  A 15-digit
+# one that ends in 0 means a shorter repr, and an entry whose nearest 16-
+# or 17-digit roundings tie goes to repr(), which breaks the tie by its
+# own rule.  Every step is exact: N = hi + lo is a Dekker two-product
+# (10**q is a double for q <= 22), N and h are multiples of 2**-47, and the
+# distances compared are below 128, so each is a double.  Neither of the
+# two other ways out of this scheme happens in the taken range: the
+# boundary N -+ h is a midpoint of two doubles, whose shortest decimal has
+# more than 17 digits, and a rounding up to 1e17 would put 10**(17 - q)
+# inside the interval of a double below it, while 10**j for j in -4..15 is
+# a double or lies below its nearest one.  About 0.6% of N(0, 1) entries
+# go to repr(), nearly all of them for a shorter repr.
+
+_CHUNK = 4096  # entries per `_format` call
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+_P_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_P_LO = _POW10 - _P_HI
+# the doubles nearest 10**-4 .. 10**15; none lies below its power of ten,
+# so a double is at least 10**j exactly when it is at least _DECADES[j + 4]
+_DECADES = np.concatenate([1.0 / _POW10[4:0:-1], _POW10[:16]])
+
+# A text is built in a row of _WIDTH bytes: the prefix "-0.000" in bytes
+# 0-5, digit j of the 17 in byte 6 + 2j and after it, in byte 7 + 2j, the
+# '.' or the separator that follows that digit.  A byte that is not part of
+# the text is 0, and the rows are joined by dropping every 0 byte.
+_WIDTH = 40
+
+
+def _quad_words() -> np.ndarray:
+    """Word v < 10000: the four digits of v, each followed by an empty byte."""
+    v = np.arange(10000, dtype=np.uint16)
+    quads = np.zeros((10000, 8), np.uint8)
+    for byte in (6, 4, 2, 0):
+        quads[:, byte] = v % 10 + 48
+        v //= 10
+    return quads.view("<u8").ravel()
+
+
+_QUADS = _quad_words()
+# masks that keep a word's four digits, or drop its last one or two
+_KEEP = np.array([0xFFFFFFFFFFFFFFFF, 0xFF00FFFFFFFFFFFF, 0x00000000FFFFFFFF], np.uint64)
+
+
+def _prefix(neg: bool, p: int) -> bytes:
+    """Bytes 0-7 of a row whose text has p digits before its '.', less
+    the first digit (byte 6) and its slot: a '-' for a negative entry, and
+    "0." and -p zeros when p <= 0."""
+    row = bytearray(8)
+    row[0] = ord("-") if neg else 0
+    if p <= 0:
+        row[1:3] = b"0."
+        row[6 + p:6] = b"0" * -p
+    return bytes(row)
+
+
+# indexed by q + 23 * (x < 0); p = 17 - q
+_PREFIX = np.frombuffer(
+    b"".join(_prefix(neg, 17 - q) for neg in (False, True) for q in range(23)), "<u8")
+# byte of the '.' after digit p - 1; a text with p <= 0 has it in its prefix
+_DOT = np.array([5 + 2 * (17 - q) if q < 17 else 2 for q in range(23)])
+
+
+def _two_prod(a: np.ndarray, q: np.ndarray):
+    """(hi, lo) with hi + lo = a * 10**q exactly (Dekker 1971)."""
+    hi = a * _POW10[q]
+    t = a * _SPLITTER
+    ah = t - (t - a)
+    al = a - ah
+    bh, bl = _P_HI[q], _P_LO[q]
+    return hi, ((ah * bh - hi) + ah * bl + al * bh) + al * bl
+
+
+def _digits(a: np.ndarray):
+    """For entries 1e-4 <= a < 1e15 that are not powers of two: q, the
+    rounding R = uh * 1e9 + ul of N = a * 10**q to repr's k digits, and
+    whether that is left undecided (a tie, or a repr shorter than 15)."""
+    _, e2 = np.frexp(a)
+    q = 21 - np.searchsorted(_DECADES, a, side="right")
+    hi, lo = _two_prod(a, q)
+    h = np.ldexp(_POW10[q], e2 - 54)
+    # N = uh * 1e9 + ul + f: integers uh < 1e8 and ul < 1e9, |f| <= 1/2
+    r = np.rint(lo)
+    f = lo - r
+    uh = np.floor(hi / 1e9)
+    ul = hi - uh * 1e9 + r
+    carry = np.floor(ul / 1e9)
+    uh += carry
+    ul -= carry * 1e9
+    # distances from N to its nearest 16- and 15-digit roundings
+    t16 = ul - 10.0 * np.floor(ul / 10.0)
+    t15 = ul - 100.0 * np.floor(ul / 100.0)
+    x16 = t16 + f
+    x15 = t15 + f
+    d16 = np.minimum(np.abs(x16), 10.0 - x16)
+    d15 = np.minimum(np.abs(x15), 100.0 - x15)
+    ok15 = d15 < h
+    ok16 = (d16 < h) & ~ok15
+    tie = ~ok15 & ((x16 == 5.0) | ~ok16 & (np.abs(f) == 0.5))
+    ul -= ok15 * (t15 - 100.0 * (x15 > 50.0)) + ok16 * (t16 - 10.0 * (x16 > 5.0))
+    carry = ul >= 1e9
+    uh += carry
+    ul -= carry * 1e9
+    # a 15-digit R that ends in 0 has a shorter repr
+    short = ok15 & (ul - 1000.0 * np.floor(ul / 1000.0) == 0.0)
+    return q, uh, ul, 17 - ok16 - 2 * ok15, tie | short
+
+
+def _format(x: np.ndarray, sep: np.ndarray) -> bytes:
+    """The bytes of repr(x[i]) + chr(sep[i]) for each entry of the float64
+    vector x; sep holds one byte per entry."""
+    a = np.abs(x)
+    # a significand bit is set unless a is 0 or a power of two
+    take = (a >= 1e-4) & (a < 1e15) & (x.view(np.uint64) << np.uint64(12) != 0)
+    q, uh, ul, k, undecided = _digits(np.where(take, a, 1.5))
+    fallback = ~take | undecided
+    # digits written: k, or 16 for a 15-digit integer, which ends in ".0"
+    last = np.maximum(k, 18 - q)
+
+    # R's digits D0-D7 are uh's and D8-D16 ul's; word 0 of a row holds D0
+    # and word j >= 1 holds D(4j-3)..D(4j)
+    d0 = np.floor(uh / 1e7)
+    d1_4 = np.floor(uh / 1e3) - d0 * 1e4
+    d8 = np.floor(ul / 1e8)
+    d5_8 = (uh - np.floor(uh / 1e3) * 1e3) * 10.0 + d8
+    d9_12 = np.floor(ul / 1e4) - d8 * 1e4
+    d13_16 = ul - np.floor(ul / 1e4) * 1e4
+    n = x.size
+    rows = np.empty((n, _WIDTH), np.uint8)
+    words = rows.view(np.uint64)
+    words[:, 0] = _PREFIX[q + 23 * (x < 0)] | (d0 + 48).astype(np.uint64) << np.uint64(48)
+    words[:, 1] = _QUADS[d1_4.astype(np.intp)]
+    words[:, 2] = _QUADS[d5_8.astype(np.intp)]
+    words[:, 3] = _QUADS[d9_12.astype(np.intp)]
+    words[:, 4] = _QUADS[d13_16.astype(np.intp)] & _KEEP[17 - last]
+    start = np.arange(0, n * _WIDTH, _WIDTH)
+    flat = rows.ravel()
+    flat[start + _DOT[q]] = ord(".")
+    end = 5 + 2 * last
+    idx = np.flatnonzero(fallback)
+    texts = list(map(repr, x[idx].tolist()))
+    rows[idx] = 0  # the repr of a double has at most 24 characters
+    rows[idx, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)
+    end[idx] = np.fromiter(map(len, texts), np.intp, idx.size)
+    flat[start + end] = sep
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _pieces(instance: Instance):
+    """The document as byte strings: the four header lines, then the entries
+    of b, c and A row-major, _CHUNK at a time.  A b or c entry and the last
+    entry of an A row are followed by a newline, any other by a space."""
+    m, n, meta = instance.m, instance.n, instance.meta
+    seed = meta.seed if meta.seed is not None else "-"
+    yield f"{MAGIC}\n{m} {n}\n{meta.b_spec}\n{seed}\n".encode("utf-8")
+    parts = [np.asarray(v).reshape(-1) for v in (instance.b, instance.c, instance.A)]
+    total = m + n + m * n
+    for begin in range(0, total, _CHUNK):
+        end = min(begin + _CHUNK, total)
+        x = np.concatenate(
+            [part[max(begin - at, 0):max(end - at, 0)]
+             for part, at in zip(parts, (0, m, m + n))], dtype=float)
+        col = np.arange(begin, end) - (m + n)  # index in A, row-major
+        sep = np.where((col < 0) | (col % n == n - 1), 10, 32).astype(np.uint8)
+        yield _format(x, sep)
 
 
 def serialize(instance: Instance) -> bytes:
-    return ("\n".join(_lines(instance)) + "\n").encode("utf-8")
+    return b"".join(_pieces(instance))
 
 
 def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
@@ -249,11 +417,14 @@ def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
     return values.reshape(shape)
 
 
-def deserialize(data: bytes) -> Instance:
+def _text(data: bytes) -> str:
     try:
-        lines = data.decode("utf-8").splitlines()
+        return data.decode("utf-8")
     except UnicodeDecodeError:
         raise InstanceFormatError("document is not UTF-8 text") from None
+
+
+def _from_lines(lines: list[str]) -> Instance:
     if not lines:
         raise InstanceFormatError("empty document (missing header)")
     if lines[0].strip() != MAGIC:
@@ -287,13 +458,18 @@ def deserialize(data: bytes) -> Instance:
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 
 
+def deserialize(data: bytes) -> Instance:
+    return _from_lines(_text(data).splitlines())
+
+
 def write_instance(path, instance: Instance) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for text in _lines(instance):
-            fh.write(text)
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        for piece in _pieces(instance):
+            fh.write(piece)
 
 
 def read_instance(path) -> Instance:
+    # the bytes are freed once decoded and the text once split, so bytes,
+    # text and lines are never held at once
     with open(path, "rb") as fh:
-        return deserialize(fh.read())
+        return _from_lines(_text(fh.read()).splitlines())

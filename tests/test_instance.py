@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from giplab import instance as instance_module
 from giplab.instance import (
     BSpec,
     Instance,
@@ -144,6 +145,20 @@ class TestGenerate:
     def test_explicit_dimension_mismatch(self):
         with pytest.raises(ValueError):
             generate(3, 5, BSpec.explicit([1.0, 2.0]), RngHandle(1))
+
+    def test_gaussian_b_needs_an_rng(self):
+        with pytest.raises(ValueError, match="gaussian b_spec needs an rng"):
+            BSpec.gaussian().build_b(2, 5, None)
+
+    @pytest.mark.parametrize("m, n, a, b, c, message", [
+        (0, 2, np.zeros((0, 2)), np.zeros(0), np.zeros(2), "dimensions must be >= 1"),
+        (2, 3, np.zeros((3, 2)), np.zeros(2), np.zeros(3), "A has inconsistent shape"),
+        (2, 3, np.zeros((2, 3)), np.zeros(3), np.zeros(3), "b has inconsistent shape"),
+        (2, 3, np.zeros((2, 3)), np.zeros(2), np.zeros(2), "c has inconsistent shape"),
+    ])
+    def test_shapes_are_checked(self, m, n, a, b, c, message):
+        with pytest.raises(ValueError, match=message):
+            Instance(m=m, n=n, A=a, b=b, c=c, meta=InstanceMeta(None, "zeros"))
 
     def test_determinism(self):
         a = generate(3, 20, BSpec.gaussian(), RngHandle(42))
@@ -424,6 +439,97 @@ class TestSerialization:
         write_instance(path, inst)
         again = read_instance(path)
         assert abs(solve_lp(inst).value - solve_lp(again).value) <= 1e-12
+
+
+def _repr_oracle(x, sep):
+    return "".join(repr(v) + chr(s) for v, s in zip(x.tolist(), sep.tolist())).encode()
+
+
+def _separators(kind, size, rng):
+    if kind == "mixed":
+        return np.where(rng.random(size) < 0.5, 10, 32).astype(np.uint8)
+    return np.full(size, {"space": 32, "newline": 10}[kind], np.uint8)
+
+
+# entries the writer's kernel hands to repr(), by the reason it does
+FALLBACK_ENTRIES = {
+    "zero": [0.0, -0.0],
+    "subnormal": [5e-324],
+    "outside [1e-4, 1e15)": [2.2250738585072014e-308, 1.7976931348623157e308,
+                             9.999999999999999e-05, 1e15, 1e16],
+    "power of two": [0.5, 1024.0],
+    "fewer than 15 digits": [1e-4, 80.0],
+    # 2494715181658.21875 lies halfway between two 17-digit decimals and
+    # 0.55469512939453125 between two 16-digit ones
+    "17-digit tie": [2494715181658.21875],
+    "16-digit tie": [0.5546951293945312],
+}
+# entries it decides: 17 and 16 digits, and the doubles just below a power
+# of ten; 999999999999999.9 ties between two 17-digit decimals, but its
+# 16-digit rounding is inside its interval
+DECIDED_ENTRIES = [0.30000000000000004, 9.999999999999998, 0.9999999999999999,
+                   999999999999999.9, 1.2345678901234567e-4, 0.1 + 0.7]
+
+
+class TestFormatKernel:
+    """`_format` against repr(), the writer it stands in for."""
+
+    def test_matches_repr_on_a_million_values(self):
+        rng = np.random.default_rng(2024)
+        scaled = rng.standard_normal(920_000) * 10.0 ** rng.integers(-8, 18, 920_000)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([scaled, bits[np.isfinite(bits)]])
+        assert x.size > 1_000_000
+        sep = np.full(x.size, 32, np.uint8)
+        step = instance_module._CHUNK
+        got = b"".join(instance_module._format(x[i:i + step], sep[i:i + step])
+                       for i in range(0, x.size, step))
+        assert got == (" ".join(map(repr, x.tolist())) + " ").encode()
+
+    @pytest.mark.parametrize("kind", ["space", "newline", "mixed"])
+    def test_separators(self, kind):
+        rng = np.random.default_rng(7)
+        hand = [v for vals in FALLBACK_ENTRIES.values() for v in vals] + DECIDED_ENTRIES
+        x = np.concatenate([hand, np.negative(hand), rng.standard_normal(5000)])
+        sep = _separators(kind, x.size, rng)
+        assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+
+    def test_every_fallback_reason(self, monkeypatch):
+        handed = []
+
+        def spy(value):
+            handed.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(instance_module, "repr", spy, raising=False)
+        fallback = [v for vals in FALLBACK_ENTRIES.values() for v in vals]
+        for sign in (1.0, -1.0):
+            x = sign * np.array(fallback + DECIDED_ENTRIES)
+            sep = np.full(x.size, 32, np.uint8)
+            handed.clear()
+            assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+            assert [repr(v) for v in handed] == [repr(sign * v) for v in fallback]
+
+    def test_no_floating_point_exception(self):
+        x = np.array([v for vals in FALLBACK_ENTRIES.values() for v in vals]
+                     + DECIDED_ENTRIES + [-1.7976931348623157e308, -5e-324])
+        sep = np.full(x.size, 10, np.uint8)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+            assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+        assert np.geterr() == before
+
+    def test_chunks_split_b_c_and_rows_anywhere(self, monkeypatch, tmp_path):
+        # a chunk of 7 entries ends inside b, c and A rows and spans blocks
+        monkeypatch.setattr(instance_module, "_CHUNK", 7)
+        inst = generate(3, 5, BSpec.gaussian(), RngHandle(3))
+        data = serialize(inst)
+        assert data == serialize_oracle(inst)
+        write_instance(tmp_path / "x.giplab", inst)
+        assert (tmp_path / "x.giplab").read_bytes() == data
 
 
 class TestColumnNormStatistic:

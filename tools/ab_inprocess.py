@@ -1,21 +1,25 @@
-"""One-process A/B of two giplab source trees on perfbench's tree_exact ops.
+"""One-process A/B of two giplab source trees on one of perfbench's workloads.
 
-    python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC [--seed 10] [--rounds 9]
+    python3 tools/ab_inprocess.py PARENT_SRC CHANGE_SRC
+        [--workload tree_exact|round_cert|lp_cli] [--seed 10] [--rounds 9]
 
 PARENT_SRC and CHANGE_SRC are directories that each hold a ``giplab``
 package (a checkout's ``src/``).  Each is loaded under a package name of its
 own, ``giplab_parent`` and ``giplab_change``; the package imports its
 modules relatively, so the two live side by side in one process.  The ops
-are the ones ``perfbench/run.py --workload tree_exact --seed SEED`` times
-in BENCHMARK.json's ``run_seconds`` (504 ``run_trial(...,
-with_knapsack=True)`` calls at 25 s), built by perfbench's own
-``build_ops``.  Every round runs each op on both sides back to back,
-parent first on even ops and change first on odd ones, and sums each
-side's op times.  It prints each round's ratio (change time / parent
-time) and the median ratio over the rounds; a ratio above 1 means the
-change is slower.  Every record must be equal on both sides, or the run
-stops (records are compared by repr, as the two packages define the
-record type twice).
+are the ones ``perfbench/run.py --workload WORKLOAD --seed SEED`` times in
+BENCHMARK.json's ``run_seconds``, built by perfbench's own ``build_ops``,
+and each side runs them with the workload's own ``run_op``: tree_exact
+(the default) and round_cert call ``experiments.run_trial``, lp_cli runs
+``giplab gen`` then ``giplab lp`` through ``cli.run_cli`` on one file.
+Every round runs each op on both sides back to back, parent first on even
+ops and change first on odd ones, and sums each side's op times.  It
+prints each round's ratio (change time / parent time) and the median ratio
+over the rounds; a ratio above 1 means the change is slower.  Every output
+must be equal on both sides, or the run stops: trial records are compared
+by repr (the two packages define the record type twice), and an lp_cli op
+must print the same ``gen`` and ``lp`` output and leave the same file
+bytes on both sides.
 
 One process, one thread: the thread pins perfbench sets are set here
 before numpy is imported.  The benchmark's own pairs (separate processes,
@@ -31,6 +35,7 @@ import json
 import os
 import statistics
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,19 +56,26 @@ def load(src: str, name: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    importlib.import_module(f"{name}.experiments")
+    for module in ("experiments", "cli"):
+        importlib.import_module(f"{name}.{module}")
     return pkg
 
 
 @contextlib.contextmanager
 def as_giplab(pkg):
-    """`pkg` stands in for `giplab` while perfbench builds its ops and
-    config, which import giplab by that name."""
-    sys.modules["giplab"] = pkg
+    """`pkg` and its modules stand in for `giplab` and its modules, which
+    perfbench imports by those names."""
+    prefix = pkg.__name__ + "."
+    alias = {"giplab": pkg}
+    for key, module in list(sys.modules.items()):
+        if key.startswith(prefix):
+            alias["giplab." + key[len(prefix):]] = module
+    sys.modules.update(alias)
     try:
         yield
     finally:
-        del sys.modules["giplab"]
+        for key in alias:
+            del sys.modules[key]
 
 
 def main(argv=None) -> int:
@@ -71,6 +83,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
+    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS),
+                        default="tree_exact")
     parser.add_argument("--seed", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=9)
     args = parser.parse_args(argv)
@@ -78,28 +92,40 @@ def main(argv=None) -> int:
         seconds = json.load(fh)["run_seconds"]
 
     sides = [load(args.parent_src, "giplab_parent"), load(args.change_src, "giplab_change")]
-    work = workloads.WORKLOADS["tree_exact"]
-    configs = []
-    for pkg in sides:
-        with as_giplab(pkg):
-            configs.append(work.context(args.seed, ""))
-            ops = work.build_ops(args.seed, work.op_count(seconds))
-    runs = [(pkg.experiments.run_trial, cfg) for pkg, cfg in zip(sides, configs)]
+    work = workloads.WORKLOADS[args.workload]
+    with tempfile.TemporaryDirectory() as root:
+        # a trial context is a SweepConfig of the side's own package; an
+        # lp_cli context is the file path, the same on both sides
+        ctxs = []
+        for pkg in sides:
+            with as_giplab(pkg):
+                ctxs.append(work.context(args.seed, root))
+                ops = work.build_ops(args.seed, work.op_count(seconds))
+        try:
+            return compare(work, ctxs, ops, sides, args)
+        finally:
+            work.cleanup(ctxs[0])
 
-    print(f"{len(ops)} tree_exact ops at seed {args.seed}, {args.rounds} rounds")
+
+def compare(work, ctxs, ops, sides, args) -> int:
+    print(f"{len(ops)} {work.name} ops at seed {args.seed}, {args.rounds} rounds")
     ratios = []
     for rnd in range(args.rounds):
         total = [0.0, 0.0]
-        for i, (stream, m, n) in enumerate(ops):
-            recs = [None, None]
+        for i, op in enumerate(ops):
+            outs = [None, None]
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
-                run, cfg = runs[k]
-                t0 = time.perf_counter()
-                recs[k] = run(cfg, stream, m, n, with_knapsack=True)
-                total[k] += time.perf_counter() - t0
-            if repr(recs[0]) != repr(recs[1]):
-                print(f"op {(stream, m, n)}: records differ\n  parent {recs[0]}\n"
-                      f"  change {recs[1]}", file=sys.stderr)
+                with as_giplab(sides[k]):
+                    t0 = time.perf_counter()
+                    out = work.run_op(ctxs[k], op)
+                    total[k] += time.perf_counter() - t0
+                if work.name == "lp_cli":
+                    with open(ctxs[k], "rb") as fh:
+                        out = (out, fh.read())
+                outs[k] = out
+            if repr(outs[0]) != repr(outs[1]):
+                print(f"op {op}: outputs differ\n  parent {outs[0]!r:.500}\n"
+                      f"  change {outs[1]!r:.500}", file=sys.stderr)
                 return 1
         ratios.append(total[1] / total[0])
         print(f"round {rnd}: parent {total[0]:.4f} s  change {total[1]:.4f} s  "
