@@ -39,7 +39,7 @@ def _parse_b_token(token: str, m: int) -> BSpec:
         return BSpec(token)
     for kind in ("scaled_ones", "explicit"):
         if token.startswith(kind + ":"):
-            values = [float(v) for v in token[len(kind) + 1 :].split(",") if v]
+            values = [float(v) for v in token[len(kind) + 1 :].split(",")]
             if len(values) == 1 and kind == "scaled_ones":
                 values = values * m
             return BSpec(kind, tuple(values))

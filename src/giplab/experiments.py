@@ -29,6 +29,7 @@ __all__ = [
     "CSV_HEADER",
     "SweepConfig",
     "ExperimentRecord",
+    "run_trial",
     "gap_sweep",
     "tree_sweep",
     "stats_check",

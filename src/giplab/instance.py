@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rng import RngHandle, gaussian_matrix
+from .rng import RngHandle
 
 __all__ = [
     "BSpec",
@@ -123,18 +123,13 @@ class BSpec:
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from None
 
-    def build_b(self, m: int, n: int, rng: RngHandle | None) -> np.ndarray:
+    def build_b(self, m: int, n: int, rng: RngHandle) -> np.ndarray:
+        """b for an m x n instance; the Instance checks the value count."""
         if self.kind == "zeros":
             return np.zeros(m)
         if self.kind == "gaussian":
-            if rng is None:
-                raise ValueError("gaussian b_spec needs an rng")
             return rng.gen.standard_normal(m)
         values = np.asarray(self.values, dtype=float)
-        if values.shape != (m,):
-            raise ValueError(
-                f"b_spec {self.kind!r} has {values.size} values, expected {m}"
-            )
         if self.kind == "scaled_ones":
             return values * n
         return values.copy()
@@ -142,7 +137,10 @@ class BSpec:
 
 @dataclass(frozen=True)
 class InstanceMeta:
-    """Provenance: generator identity token and b recipe."""
+    """Provenance: generator identity token and b recipe descriptor.
+
+    The Instance that holds it checks the descriptor, so what the writer
+    writes the reader reads."""
 
     seed: str | None
     b_spec: str
@@ -160,6 +158,11 @@ class Instance:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("instance dimensions must be >= 1")
+        spec = BSpec.parse(self.meta.b_spec)
+        if spec.values is not None and len(spec.values) != self.m:
+            raise InstanceFormatError(
+                f"b_spec {spec.kind!r} has {len(spec.values)} values, expected {self.m}"
+            )
         if self.A.shape != (self.m, self.n):
             raise ValueError("A has inconsistent shape")
         if self.b.shape != (self.m,):
@@ -185,7 +188,7 @@ def generate(m: int, n: int, b_spec: BSpec, rng: RngHandle) -> Instance:
     The draw order (A row-major, then c, then b if random) is part of the
     reproducibility contract.
     """
-    a = gaussian_matrix(m, n, rng)
+    a = rng.gen.standard_normal((m, n))
     c = rng.gen.standard_normal(n)
     b = b_spec.build_b(m, n, rng)
     meta = InstanceMeta(seed=rng.key, b_spec=b_spec.descriptor())
@@ -442,7 +445,6 @@ def _from_lines(lines: list[str]) -> Instance:
     if m < 1 or n < 1:
         raise InstanceFormatError(f"dimensions must be positive: {lines[1]!r}")
     b_spec_text = lines[2].strip()
-    BSpec.parse(b_spec_text)  # validates the descriptor
     seed_tok = lines[3].strip()
     seed = None if seed_tok == "-" else seed_tok
 

@@ -31,6 +31,7 @@ __all__ = [
     "KnapsackCount",
     "MAX_COUNT_N",
     "knapsack_count",
+    "expectation_bound",
     "knapsack_expectation_mc",
     "reduced_cost_knapsack",
     "logcon_tail_check",
@@ -156,7 +157,9 @@ def draw_weights(n: int, weight_law: str, rng: RngHandle) -> np.ndarray:
     """n nonnegative weights from ``uniform01``, ``absgauss``, or ``absmix:<eps>``.
 
     All three laws have maximum density at most 1 before taking absolute
-    values, which is what the expectation envelope requires.
+    values, which is what the expectation envelope requires; for the mixture
+    tests/test_numerics.py::TestMixtureDensity::test_max_density_at_most_one
+    checks it.
     """
     gen = rng.gen
     if weight_law == "uniform01":
@@ -226,9 +229,7 @@ def sphere_net(d: int) -> np.ndarray:
     raise ValueError("sphere nets provided only for d <= 3")
 
 
-def logcon_tail_check(
-    m: int, n: int, trials: int, rng: RngHandle, *, allow_small: bool = False
-) -> float:
+def logcon_tail_check(m: int, n: int, trials: int, rng: RngHandle) -> float:
     """Empirical frequency of max_u ||u' (W - E W)||_1 >= 4n over a sphere net.
 
     W is the (m+1) x n standard normal objective-extended matrix, u ranges
@@ -238,8 +239,8 @@ def logcon_tail_check(
     d = m + 1
     if d > 3:
         raise ValueError("net check supports m + 1 <= 3")
-    if n < 100 * d and not allow_small:
-        raise ValueError("n must be >= 100*(m+1); pass allow_small to relax")
+    if n < 100 * d:
+        raise ValueError("n must be >= 100*(m+1)")
     net = sphere_net(d)
     hits = 0
     for trial in range(trials):

@@ -2,23 +2,20 @@
 
 Closed-form quantities used throughout the library: the binary entropy
 function and its inverse on [1/2, 1], the subset-size/tolerance calibration
-for the discrepancy solver, Householder rotations onto a coordinate axis,
-and the density of the scaled uniform+Gaussian mixture.
+for the discrepancy solver and Householder rotations onto the last
+coordinate axis.
 
 All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 LN2 = math.log(2.0)
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
 
 __all__ = [
     "DiscParams",
@@ -29,7 +26,6 @@ __all__ = [
     "log_binomial",
     "calibrate_theta",
     "householder_to_axis",
-    "mixture_density",
 ]
 
 
@@ -73,21 +69,17 @@ class TheoryParams:
         return (1.0 + e) / (1.0 - 3.0 * e - (1.0 - e) * d)
 
 
-def entropy(x):
+def entropy(x: float) -> float:
     """Binary entropy -x*ln(x) - (1-x)*ln(1-x) with the 0*ln(0) := 0 convention.
 
-    Accepts a scalar or an array; raises ValueError outside [0, 1].
+    Raises ValueError outside [0, 1].
     """
-    arr = np.asarray(x, dtype=float)
-    if not ((arr >= 0.0) & (arr <= 1.0)).all():
+    if not 0.0 <= x <= 1.0:
         raise ValueError("entropy argument must lie in [0, 1]")
-    out = np.zeros_like(arr)
-    interior = (arr > 0.0) & (arr < 1.0)
-    xi = arr[interior]
-    out[interior] = -xi * np.log(xi) - (1.0 - xi) * np.log1p(-xi)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+    if x == 0.0 or x == 1.0:
+        return 0.0
+    # numpy's log and log1p, not math.log: the bits of solve_beta depend on them
+    return float(-x * np.log(x) - (1.0 - x) * np.log1p(-x))
 
 
 def solve_beta(alpha: float) -> float:
@@ -153,10 +145,10 @@ def calibrate_theta(m: int, k: int) -> DiscParams:
     return DiscParams(m=m, k=k, a=a, theta=theta)
 
 
-def householder_to_axis(u, axis: int = -1) -> np.ndarray:
-    """Orthogonal matrix R with R @ u = ||u||_2 * e_axis.
+def householder_to_axis(u) -> np.ndarray:
+    """Orthogonal matrix R with R @ u = ||u||_2 * e_m, e_m the last axis.
 
-    A single Householder reflection composed with a sign flip of the target
+    A single Householder reflection composed with a sign flip of the last
     row, so R is orthogonal but det(R) may be -1.  The construction never
     subtracts nearly-equal vectors, so it is stable for any nonzero u.
     """
@@ -164,50 +156,13 @@ def householder_to_axis(u, axis: int = -1) -> np.ndarray:
     if u.ndim != 1:
         raise ValueError("u must be a vector")
     m = u.shape[0]
-    axis = int(axis)
-    if axis < 0:
-        axis += m
-    if not 0 <= axis < m:
-        raise ValueError("axis out of range")
     nrm = float(np.linalg.norm(u))
     if nrm == 0.0:
         raise ValueError("cannot rotate the zero vector onto an axis")
-    sign = 1.0 if u[axis] >= 0.0 else -1.0
+    sign = 1.0 if u[-1] >= 0.0 else -1.0
     w = u.copy()
-    w[axis] += sign * nrm
+    w[-1] += sign * nrm
     r = np.eye(m) - (2.0 / float(w @ w)) * np.outer(w, w)
-    # the reflection sends u to -sign*nrm*e_axis; flip that row to land on +nrm
-    r[axis, :] *= -sign
+    # the reflection sends u to -sign*nrm*e_m; flip that row to land on +nrm
+    r[-1, :] *= -sign
     return r
-
-
-@functools.partial(np.vectorize, otypes=[float])
-def _normal_cdf(z):
-    # erfc of the negated argument keeps the lower tail's relative accuracy
-    return 0.5 * math.erfc(-z / SQRT2)
-
-
-def mixture_density(eps: float, x):
-    """Density at x of sqrt(eps)*U + sqrt(1-eps)*Z.
-
-    U is uniform on [-sqrt(3), sqrt(3)] and Z standard normal, so the mixture
-    has mean 0 and variance 1 for every eps in [0, 1].  The endpoints use the
-    pure-Gaussian and pure-uniform limits.
-    """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    arr = np.asarray(x, dtype=float)
-    if eps <= 1e-14:
-        out = np.exp(-0.5 * arr * arr) / math.sqrt(2.0 * math.pi)
-    elif eps >= 1.0:
-        out = np.where(np.abs(arr) <= SQRT3, 1.0 / (2.0 * SQRT3), 0.0)
-    else:
-        half_width = math.sqrt(3.0 * eps)
-        scale = math.sqrt(1.0 - eps)
-        out = (
-            _normal_cdf((arr + half_width) / scale)
-            - _normal_cdf((arr - half_width) / scale)
-        ) / (2.0 * half_width)
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out

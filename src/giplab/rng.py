@@ -20,7 +20,6 @@ _U64 = 2**64
 __all__ = [
     "RngHandle",
     "BandSample",
-    "gaussian_matrix",
     "conditioned_column",
     "band_accept_prob",
     "band_acceptance_rate",
@@ -85,13 +84,6 @@ class BandSample:
     y: float
     z: float
     accepted: bool
-
-
-def gaussian_matrix(m: int, n: int, rng: RngHandle) -> np.ndarray:
-    """m x n matrix of independent standard normals."""
-    if m < 1 or n < 1:
-        raise ValueError("matrix dimensions must be >= 1")
-    return rng.gen.standard_normal((m, n))
 
 
 def _conditioned_draw(u: np.ndarray, gen: np.random.Generator) -> tuple[float, np.ndarray, int]:
@@ -172,17 +164,12 @@ def band_sample(omega: float, nu: float, rng: RngHandle) -> BandSample:
     return BandSample(x=x, y=y, z=z, accepted=accepted)
 
 
-def mixture_sample(eps: float, rng: RngHandle, size=None):
-    """Draw sqrt(eps)*U + sqrt(1-eps)*Z, U uniform on [-sqrt(3), sqrt(3)].
-
-    Returns a scalar for ``size=None`` and an array otherwise.
-    """
+def mixture_sample(eps: float, rng: RngHandle, size) -> np.ndarray:
+    """An array of `size` draws of sqrt(eps)*U + sqrt(1-eps)*Z, U uniform
+    on [-sqrt(3), sqrt(3)] and Z standard normal."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     gen = rng.gen
     u = gen.uniform(-math.sqrt(3.0), math.sqrt(3.0), size)
     z = gen.standard_normal(size)
-    out = math.sqrt(eps) * u + math.sqrt(1.0 - eps) * z
-    if size is None:
-        return float(out)
-    return out
+    return math.sqrt(eps) * u + math.sqrt(1.0 - eps) * z

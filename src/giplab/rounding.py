@@ -47,6 +47,7 @@ __all__ = [
     "fixed_events",
     "randomized_round",
     "filter_reduced_costs",
+    "sigma_last",
     "round_pipeline",
     "gap_chain_check",
 ]
@@ -265,7 +266,7 @@ def _flip_search(
 
     u_star = lp_solution.u_star
     u_norm = float(np.linalg.norm(u_star))
-    rot = householder_to_axis(u_star, axis=-1) if u_norm > 1e-15 else np.eye(m)
+    rot = householder_to_axis(u_star) if u_norm > 1e-15 else np.eye(m)
     mu_t = params.delta * t / 2.0
     sigma_t = sigma_last(u_norm, params.delta, t)
     columns = rot @ instance.A[:, z]

@@ -155,6 +155,15 @@ class TestGenLpIp:
                    "--seed", "0", "--out", out) == 1
         assert "explicit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token", ["explicit:1,,2", "scaled_ones:0.1,", "explicit:"])
+    def test_gen_empty_b_field_exits_one(self, tmp_path, capsys, token):
+        out = tmp_path / "x.gip"
+        assert cli("gen", "--m", "2", "--n", "4", "--b", token,
+                   "--seed", "0", "--out", str(out)) == 1
+        assert capsys.readouterr() == (
+            "", "error: could not convert string to float: ''\n")
+        assert not out.exists()
+
     def test_usage_error_without_subcommand(self):
         assert cli() == 1
 

@@ -26,13 +26,14 @@ from oracles import serialize_oracle
 
 def make_instance(a, b, c):
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
     return Instance(
         m=a.shape[0],
         n=a.shape[1],
         A=a,
-        b=np.atleast_1d(np.asarray(b, dtype=float)),
+        b=b,
         c=np.atleast_1d(np.asarray(c, dtype=float)),
-        meta=InstanceMeta(seed=None, b_spec="explicit"),
+        meta=InstanceMeta(seed=None, b_spec=BSpec.explicit(b).descriptor()),
     )
 
 
@@ -143,12 +144,8 @@ class TestGenerate:
         assert inst.b[0] == pytest.approx(30.0)
 
     def test_explicit_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^b_spec 'explicit' has 2 values, expected 3$"):
             generate(3, 5, BSpec.explicit([1.0, 2.0]), RngHandle(1))
-
-    def test_gaussian_b_needs_an_rng(self):
-        with pytest.raises(ValueError, match="gaussian b_spec needs an rng"):
-            BSpec.gaussian().build_b(2, 5, None)
 
     @pytest.mark.parametrize("m, n, a, b, c, message", [
         (0, 2, np.zeros((0, 2)), np.zeros(0), np.zeros(2), "dimensions must be >= 1"),
@@ -196,6 +193,22 @@ class TestSerialization:
         assert np.array_equal(back.c, inst.c)
         assert back.meta.seed == inst.meta.seed
         assert back.meta.b_spec == inst.meta.b_spec
+
+    def test_instance_checks_its_descriptor(self):
+        # what the writer writes the reader reads: a hand-built instance
+        # round-trips, and a descriptor either would refuse is refused
+        inst = make_instance([[1.0, -2.0], [0.5, 3.0]], [1.0, -1.5], [0.25, 2.0])
+        back = deserialize(serialize(inst))
+        assert back.meta == inst.meta
+        for name in ("A", "b", "c"):
+            assert np.array_equal(getattr(back, name), getattr(inst, name))
+        with pytest.raises(InstanceFormatError, match="^b_spec 'explicit' requires values$"):
+            Instance(m=1, n=1, A=np.zeros((1, 1)), b=np.zeros(1), c=np.zeros(1),
+                     meta=InstanceMeta(None, "explicit"))
+        doc = b"GIPLAB v1\n2 1\nexplicit 1.0 2.0 3.0\n-\n1.0\n2.0\n0.5\n0.25\n-0.5\n"
+        with pytest.raises(InstanceFormatError,
+                           match="^b_spec 'explicit' has 3 values, expected 2$"):
+            deserialize(doc)
 
     def test_empty_stream(self):
         with pytest.raises(InstanceFormatError):
@@ -376,7 +389,7 @@ class TestSerialization:
             bounded = st.floats(-1e300, 1e300) | edge.filter(lambda v: abs(v) <= 1e300)
             beta = vector(m, "recipe values", bounded if kind == "scaled_ones" else values)
             spec = BSpec(kind, tuple(beta.tolist()))
-            b = spec.build_b(m, n, None)
+            b = spec.build_b(m, n, RngHandle(0))
         seed = data.draw(
             st.none() | st.builds(lambda s, t: RngHandle(s, t).key,
                                   st.integers(0, 2**64 - 1), st.integers(0, 2**32)),

@@ -143,10 +143,10 @@ class TestDataFinite:
     ], ids=["inf-A", "nan-A", "inf-b", "nan-b", "nan-c", "inf-c"])
     def test_refused(self, part, entry):
         inst = generate(2, 10, BSpec.gaussian(), RngHandle(1))
-        data = {"A": inst.A.copy(), "b": inst.b.copy(), "c": inst.c.copy()}
-        data[part].flat[3 % data[part].size] = entry
+        bad = getattr(inst, part).copy()
+        bad.flat[3 % bad.size] = entry
         with pytest.raises(ValueError, match=f"^{part} contains non-finite entries$"):
-            make_instance(data["A"], data["b"], data["c"])
+            dataclasses.replace(inst, **{part: bad})
 
     def test_one_by_two(self):
         # an inf in A and a NaN in c of a 1 x 2 LP, each alone

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,7 +16,6 @@ from giplab.numerics import (
     entropy,
     householder_to_axis,
     log_binomial,
-    mixture_density,
     solve_beta,
     theory_params,
 )
@@ -28,6 +28,11 @@ from oracles import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _bits_digest(values) -> str:
+    """SHA-256 of the float64 bytes of `values`."""
+    return hashlib.sha256(np.array(values, dtype=np.float64).tobytes()).hexdigest()
 
 
 class TestEntropy:
@@ -49,16 +54,19 @@ class TestEntropy:
 
     def test_symmetry_on_random_points(self):
         rng = np.random.default_rng(7)
-        x = rng.random(1000)
-        assert np.allclose(entropy(x), entropy(1.0 - x), atol=1e-12)
+        for x in rng.random(1000).tolist():
+            assert entropy(x) == pytest.approx(entropy(1.0 - x), abs=1e-12)
 
     def test_concavity_midpoint(self):
         rng = np.random.default_rng(8)
-        a = rng.random(500)
-        b = rng.random(500)
-        mid = entropy((a + b) / 2.0)
-        avg = (entropy(a) + entropy(b)) / 2.0
-        assert np.all(mid >= avg - 1e-12)
+        for a, b in rng.random((500, 2)).tolist():
+            assert entropy((a + b) / 2.0) >= (entropy(a) + entropy(b)) / 2.0 - 1e-12
+
+    def test_bits_are_frozen(self):
+        # numpy's log and log1p on one float; math.log gives other bits
+        grid = [0.0, 1.0] + np.random.default_rng(3417).random(4096).tolist()
+        assert _bits_digest([entropy(x) for x in grid]) == (
+            "5e56e03ab0dc858e2a1af7939988aff9c2373cd37a37ac0641f1474df9980b32")
 
 
 class TestSolveBeta:
@@ -93,6 +101,11 @@ class TestSolveBeta:
         for beta in rng.uniform(0.5, 1.0, size=1000):
             alpha = 2.0 * math.sqrt(entropy(beta))
             assert abs(solve_beta(alpha) - beta) <= 1e-9
+
+    def test_bits_are_frozen(self):
+        alphas = np.linspace(0.0, 2.0 * math.sqrt(math.log(2.0)), 257).tolist()
+        assert _bits_digest([solve_beta(a) for a in alphas]) == (
+            "ab7f3f5ef375c94db19a04cc1ea0cf3b1fddc98c5ab08cfe9935f070d46e85a2")
 
 
 class TestLogBinomial:
@@ -148,11 +161,11 @@ class TestCalibrateTheta:
 class TestHouseholder:
     def test_already_on_axis(self):
         u = np.array([0.0, 0.0, 2.5])
-        r = householder_to_axis(u, axis=2)
+        r = householder_to_axis(u)
         assert np.allclose(r @ u, [0.0, 0.0, 2.5], atol=1e-12)
 
     def test_e1_to_e2(self):
-        r = householder_to_axis(np.array([1.0, 0.0]), axis=1)
+        r = householder_to_axis(np.array([1.0, 0.0]))
         assert np.allclose(r @ np.array([1.0, 0.0]), [0.0, 1.0], atol=1e-12)
 
     def test_defining_property_random(self):
@@ -179,47 +192,39 @@ class TestHouseholder:
 
 
 class TestMixtureDensity:
+    """The uniform+Gaussian mixture's density, read from the oracle: the
+    histogram of `rng.mixture_sample` and the knapsack envelope for the
+    ``absmix`` weight law rest on it."""
+
     def test_pure_gaussian(self):
-        assert mixture_density(0.0, 0.0) == pytest.approx(
+        assert mixture_density_oracle(0.0, 0.0) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-12
         )
 
     def test_pure_uniform(self):
-        assert mixture_density(1.0, 0.0) == pytest.approx(
+        assert mixture_density_oracle(1.0, 0.0) == pytest.approx(
             1.0 / (2.0 * math.sqrt(3.0)), abs=1e-12
         )
-        assert mixture_density(1.0, 1.8) == 0.0
+        assert mixture_density_oracle(1.0, 1.8) == 0.0
 
     def test_max_density_at_most_one(self):
         xs = np.linspace(-4.0, 4.0, 4001)
         for eps in np.linspace(0.0, 1.0, 21):
-            assert np.max(mixture_density(eps, xs)) <= 1.0 + 1e-12
+            assert np.max(mixture_density_oracle(float(eps), xs)) <= 1.0 + 1e-12
 
     def test_integrates_to_one(self):
         for eps in (0.0, 0.25, 0.5, 0.9, 1.0):
-            total, _ = quad(lambda x: mixture_density(eps, x), -10.0, 10.0,
-                            limit=200)
+            total, _ = quad(lambda x: float(mixture_density_oracle(eps, x)),
+                            -10.0, 10.0, limit=200)
             assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_matches_ndtr_oracle(self):
-        xs = np.linspace(-12.0, 12.0, 2401)
-        for eps in np.linspace(0.0, 1.0, 21):
-            got = mixture_density(float(eps), xs)
-            ref = mixture_density_oracle(float(eps), xs)
-            assert np.abs(got - ref).max() <= 1e-14, eps
 
     def test_symmetric_in_x(self):
         xs = np.linspace(0.0, 5.0, 100)
         for eps in (0.2, 0.7):
             assert np.allclose(
-                mixture_density(eps, xs), mixture_density(eps, -xs), atol=1e-13
+                mixture_density_oracle(eps, xs), mixture_density_oracle(eps, -xs),
+                atol=1e-13,
             )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            mixture_density(-0.1, 0.0)
-        with pytest.raises(ValueError):
-            mixture_density(1.1, 0.0)
 
 
 class TestTheoryParams:

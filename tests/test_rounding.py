@@ -184,7 +184,7 @@ class TestPrepareColumns:
         cert = round_pipeline(inst, sol, params, RngHandle(seed))
         assert cert.flip_set and cert.pool_index_used == pool
         m, k = inst.m, params.k
-        rot = householder_to_axis(sol.u_star, axis=-1)
+        rot = householder_to_axis(sol.u_star)
         mu = params.delta * params.t / 2.0
         sigma = sigma_last(float(np.linalg.norm(sol.u_star)), params.delta, params.t)
         flips = list(cert.flip_set)
