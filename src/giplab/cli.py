@@ -39,7 +39,10 @@ def _parse_b_token(token: str, m: int) -> BSpec:
         return BSpec(token)
     for kind in ("scaled_ones", "explicit"):
         if token.startswith(kind + ":"):
-            values = [float(v) for v in token[len(kind) + 1 :].split(",")]
+            try:
+                values = [float(v) for v in token[len(kind) + 1 :].split(",")]
+            except ValueError as exc:
+                raise ValueError(f"bad --b recipe {token!r}: {exc}") from None
             if len(values) == 1 and kind == "scaled_ones":
                 values = values * m
             return BSpec(kind, tuple(values))

@@ -91,10 +91,7 @@ class SweepConfig:
             raise ValueError(f"b_spec must be a recipe string, got {self.b_spec!r}")
         spec = BSpec.parse(self.b_spec)
         for m in self.m_list:
-            if spec.values is not None and len(spec.values) != m:
-                raise ValueError(
-                    f"b_spec {self.b_spec!r} has {len(spec.values)} values, m = {m}"
-                )
+            spec.check_count(m)
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         if self.rounding not in ("auto", "always", "never"):

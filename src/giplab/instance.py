@@ -30,12 +30,16 @@ decides the digits exactly and calls repr() for the 0.6% of Gaussian
 entries it leaves undecided (the comment above it says which).
 :func:`write_instance` writes each chunk as it is made, so the document is
 never held whole, and :func:`serialize` joins the same chunks.
-:func:`read_instance` frees the file's bytes once decoded and the text
-once split into lines.  The reader parses every block with numpy's C text
-reader.  A per-token pass with ``float()`` runs only when that reader
-refuses the block, finds a count other than the block's or a value that is
-not finite: it accepts what ``float()`` accepts and exists to name the
-first bad field in document order.
+
+The reader gives each entry the bits float() gives its token.  A document
+of printable ASCII, spaces and newlines goes to `_parse`, which mirrors
+`_format`: _PARSE_BYTES of text at a time, it reads the digits of every
+token with numpy operations on the whole chunk, decides each value
+exactly and calls float() for the 0.01% of Gaussian entries it leaves
+undecided (the comment above it says which).  Any other document, or one
+with a block count that is wrong or a token float() refuses or reads as
+not finite, goes to a per-token float() pass over its lines, which reads
+it as before and names the first bad field in document order.
 """
 
 from __future__ import annotations
@@ -123,6 +127,13 @@ class BSpec:
         except ValueError as exc:
             raise InstanceFormatError(str(exc)) from None
 
+    def check_count(self, m: int) -> None:
+        """Refuse a recipe whose values do not number m, one per row."""
+        if self.values is not None and len(self.values) != m:
+            raise InstanceFormatError(
+                f"b_spec {self.kind!r} has {len(self.values)} values, expected {m}"
+            )
+
     def build_b(self, m: int, n: int, rng: RngHandle) -> np.ndarray:
         """b for an m x n instance; the Instance checks the value count."""
         if self.kind == "zeros":
@@ -158,11 +169,7 @@ class Instance:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("instance dimensions must be >= 1")
-        spec = BSpec.parse(self.meta.b_spec)
-        if spec.values is not None and len(spec.values) != self.m:
-            raise InstanceFormatError(
-                f"b_spec {spec.kind!r} has {len(spec.values)} values, expected {self.m}"
-            )
+        BSpec.parse(self.meta.b_spec).check_count(self.m)
         if self.A.shape != (self.m, self.n):
             raise ValueError("A has inconsistent shape")
         if self.b.shape != (self.m,):
@@ -384,24 +391,159 @@ def serialize(instance: Instance) -> bytes:
     return b"".join(_pieces(instance))
 
 
-def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
-    """A block's entries as an array of `shape`, row-major, in any line layout.
+# --------------------------------------------------------------------------
+# The reader.  `_parse` reads a run of text whose tokens are separated by
+# ' ' and '\n' into the values float() gives them, with numpy operations on
+# the whole run, and calls float() itself only for the tokens it does not
+# decide.
+#
+# It decides a token -?d*.?d* of 1 to 24 digits whose digits spell an
+# integer D < 10**17, with s digits after the '.': its value is D / 10**s.
+# When D is a double (every D <= 2**53 is) and s <= 22, so is 10**s, and
+# one division rounds the quotient correctly (Clinger 1990).  Otherwise
+# D > 2**53, and for s <= 20 the reader runs the writer's exact test: a0 =
+# fl(D) / 10**s is within two ulps of D / 10**s, and r = D - a0 * 10**s is
+# exact as ((fl(D) - hi) - lo) + (D - fl(D)), with hi + lo = a0 * 10**s the
+# writer's Dekker product, fl(D) - hi a Sterbenz difference and D - fl(D)
+# an integer of at most 8.  With h = ulp(a0)/2 * 10**s, the answer is a0,
+# or the double next to a0 on r's side when |r| > h, if r less that step's
+# 2h lies strictly inside -+h.  D > 2**53 and s <= 20 put a0 above 2**-14,
+# so a0 * 10**s is a multiple of 2**-46, and every quantity compared is
+# such a multiple below 128, so a double.  A tie, a candidate further off,
+# an a0 or neighbour that is a power of two (whose interval is lopsided)
+# and a token of any other form ('e', '+', '_', more digits) go to float().
+#
+# The digits are read 8 at a time: the dots are dropped from the run, each
+# token's last 24 bytes are read as three little-endian words, the bytes
+# before its digits are masked to 0 after the ASCII '0's are cleared, and
+# the SWAR combine of Lemire (2021) turns each word into its 8-digit value.
 
-    numpy's C reader takes the block when its lines all hold the same number
-    of entries; it splits on whitespace and converts each whole field as
-    float() does, with the same bits.  A block it refuses, or whose count or
-    values are wrong, goes to the per-token pass, which names the first bad
-    field.
-    """
-    count = math.prod(shape)
-    # loadtxt warns on a block with no data; the per-token pass reports it
-    if any(ln and not ln.isspace() for ln in lines):
+_PARSE_BYTES = 1 << 16  # bytes of text per `_parse` call, cut after a separator
+_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII '0's
+_NON_DIGIT = np.uint64(0x7676767676767676)  # a byte above 9 plus this sets bit 7
+_BIT7 = np.uint64(0x8080808080808080)
+_PAIRS = np.uint64(0x000000FF000000FF)
+_MUL1 = np.uint64(100 + (1000000 << 32))
+_MUL2 = np.uint64(1 + (10000 << 32))
+_U10, _U8, _U16, _U32 = (np.uint64(v) for v in (10, 8, 16, 32))
+_E8, _E16 = np.uint64(10**8), np.uint64(10**16)
+# _KEEP_HIGH[k] clears the first k bytes of a word and keeps the rest
+_KEEP_HIGH = np.array([(2**64 - 1) << 8 * k & 2**64 - 1 for k in range(9)], np.uint64)
+_WORD_AT = np.array([[0], [8], [16]])  # a token's 24 bytes as three words
+_SIGN = np.array([1.0, -1.0])
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The value of each word of digit values 0-9, first digit in the low
+    byte (Lemire 2021)."""
+    v = v * _U10 + (v >> _U8)
+    return ((v & _PAIRS) * _MUL1 + ((v >> _U16) & _PAIRS) * _MUL2) >> _U32
+
+
+def _parse(text: bytes):
+    """The values float() gives the tokens of `text`, which ends with a
+    separator, and the offset of the separator after each.  None when a
+    byte below 33 other than a space or a newline separates them, or when
+    float() refuses a token, as it does one with a byte that is not
+    printable ASCII, or reads it as a value that is not finite."""
+    raw = np.frombuffer(text, np.uint8)
+    sep = np.flatnonzero(raw <= 32)
+    gaps = raw[sep]
+    if not ((gaps == 32) | (gaps == 10)).all():
+        return None
+    start = np.concatenate(([0], sep[:-1] + 1))
+    nonempty = sep > start
+    if not nonempty.all():  # runs of separators hold empty tokens
+        sep, start = sep[nonempty], start[nonempty]
+    dots = np.flatnonzero(raw == 46)
+    # the dots before each token's separator, the dots in it, and its digits
+    # after its '.'
+    if dots.size == sep.size and (dots > start).all() and (dots < sep).all():
+        before, ndots, s = np.arange(1, sep.size + 1), 1, sep - 1 - dots
+    else:
+        before = np.searchsorted(dots, sep)
+        ndots = before - np.concatenate(([0], before[:-1]))
+        s = np.where(ndots == 1, sep - 1 - np.concatenate(([-1], dots))[before], 0)
+    # with the dots dropped and 24 bytes put in front, a token's bytes end
+    # at end + 24, and its digits fill the last 24 - pad bytes before that
+    end = sep - before
+    size = sep - start - ndots
+    bare = (b"0" * 24 + text).replace(b".", b"")
+    neg = np.frombuffer(bare, np.uint8)[end + 24 - size] == 45
+    pad = 24 - size + neg
+    # the little-endian word that starts at each byte
+    words = np.ndarray((len(bare) - 7,), "<u8", bare, 0, (1,))
+    v = words[end + _WORD_AT] ^ _ZEROS
+    v &= _KEEP_HIGH.take(np.minimum(np.maximum(pad - _WORD_AT, 0), 8))
+    bad = (v | (v + _NON_DIGIT)) & _BIT7
+    v = _eight_digits(v)
+    taken = (((bad[0] | bad[1] | bad[2]) == 0) & (ndots <= 1) & (pad >= 0) & (pad < 24)
+             & (s <= 24 - pad) & (v[0] < _U10))
+    # v[0] is held to 10 so D < 2**63 for every token, taken or not
+    d = np.minimum(v[0], _U10) * _E16 + v[1] * _E8 + v[2]
+    df = d.astype(np.float64)
+    off = (d - df.astype(np.uint64)).view(np.int64)  # D - fl(D)
+    values = df / _POW10[np.minimum(s, 22)]
+    decided = taken & (off == 0) & (s <= 22)
+    near = np.flatnonzero(taken & (off != 0) & (s <= 20))
+    if near.size:
+        q = s[near]
+        a0 = values[near]
+        hi, lo = _two_prod(a0, q)
+        r = ((df[near] - hi) - lo) + off[near]
+        bits = a0.view(np.int64)
+        h2 = ((bits + 1).view(np.float64) - a0) * _POW10[q]  # 2h
+        step = (r > 0.5 * h2).view(np.int8) - (r < -0.5 * h2).view(np.int8)
+        pick = bits + step
+        values[near] = pick.view(np.float64)
+        decided[near] = ((np.abs(r - step * h2) < 0.5 * h2)
+                         & (bits << 12 != 0) & (pick << 12 != 0))
+    values *= _SIGN[neg.view(np.uint8)]
+    undecided = np.flatnonzero(~decided)
+    for i, first, stop in zip(undecided.tolist(), start[undecided].tolist(),
+                              sep[undecided].tolist()):
         try:
-            values = np.loadtxt(lines, comments=None, ndmin=1)
+            value = float(text[first:stop])
         except ValueError:
-            values = None
-        if values is not None and values.size == count and np.isfinite(values).all():
-            return values.reshape(shape)
+            return None
+        if not math.isfinite(value):
+            return None
+        values[i] = value
+    return values, sep
+
+
+def _cut(data: bytes, lo: int) -> int:
+    """The end of the chunk of data that starts at lo: just past the last
+    separator in its first _PARSE_BYTES bytes, or past the first one after
+    them when they hold none, or the end of data."""
+    if len(data) - lo <= _PARSE_BYTES:
+        return len(data)
+    limit = lo + _PARSE_BYTES
+    cut = max(data.rfind(b" ", lo, limit), data.rfind(b"\n", lo, limit))
+    if cut < lo:
+        after = [at for at in (data.find(b" ", limit), data.find(b"\n", limit)) if at >= 0]
+        cut = min(after, default=len(data) - 1)
+    return cut + 1
+
+
+def _line_ends(data: bytes, lo: int, count: int) -> np.ndarray | None:
+    """The offsets of the first `count` newlines at or after lo, or None
+    when data holds fewer."""
+    raw = np.frombuffer(data, np.uint8)
+    found = []
+    while count and lo < raw.size:
+        at = np.flatnonzero(raw[lo:lo + _PARSE_BYTES] == 10)[:count]
+        found.append(at + lo)
+        count -= at.size
+        lo += _PARSE_BYTES
+    return None if count else np.concatenate(found)
+
+
+def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
+    """A block's entries as an array of `shape`, row-major, in any line
+    layout, read token by token with float(); the first bad field in
+    document order is named."""
+    count = math.prod(shape)
     toks = " ".join(lines).split()
     if len(toks) != count:
         raise InstanceFormatError(f"{name}: expected {count} entries, got {len(toks)}")
@@ -427,7 +569,8 @@ def _text(data: bytes) -> str:
         raise InstanceFormatError("document is not UTF-8 text") from None
 
 
-def _from_lines(lines: list[str]) -> Instance:
+def _header(lines: list[str]) -> tuple[int, int, InstanceMeta]:
+    """m, n and the provenance the first four lines of a document give."""
     if not lines:
         raise InstanceFormatError("empty document (missing header)")
     if lines[0].strip() != MAGIC:
@@ -444,10 +587,15 @@ def _from_lines(lines: list[str]) -> Instance:
         raise InstanceFormatError(f"bad dimension line: {lines[1]!r}") from None
     if m < 1 or n < 1:
         raise InstanceFormatError(f"dimensions must be positive: {lines[1]!r}")
-    b_spec_text = lines[2].strip()
     seed_tok = lines[3].strip()
     seed = None if seed_tok == "-" else seed_tok
+    return m, n, InstanceMeta(seed=seed, b_spec=lines[2].strip())
 
+
+def _from_lines(lines: list[str]) -> Instance:
+    """The per-token pass: the document's lines read with str.split and
+    float(), which names the first fault."""
+    m, n, meta = _header(lines[:4])
     body = lines[4:]
     if len(body) < m + n:
         raise InstanceFormatError(
@@ -456,12 +604,57 @@ def _from_lines(lines: list[str]) -> Instance:
     b = _parse_block("b", body[:m], m)
     c = _parse_block("c", body[m : m + n], n)
     a = _parse_block("A", body[m + n :], m, n)
-    meta = InstanceMeta(seed=seed, b_spec=b_spec_text)
     return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 
 
+def _from_bytes(data: bytes) -> Instance | None:
+    """The instance a document of printable ASCII, spaces and newlines
+    holds, its body read by `_parse` _PARSE_BYTES at a time; None when it
+    holds another byte or the per-token pass would refuse its body."""
+    lines, at = [], 0
+    while len(lines) < 4 and at < len(data):
+        stop = data.find(b"\n", at)
+        stop = len(data) if stop < 0 else stop
+        lines.append(data[at:stop].decode("latin-1"))
+        at = stop + 1
+    if not all(line.isascii() and line.isprintable() for line in lines):
+        return None
+    m, n, meta = _header(lines)
+    # each entry takes at least two bytes, so a header that claims more
+    # than the document can hold allocates nothing
+    ends = _line_ends(data, at, m + n) if m + n + m * n <= len(data) else None
+    if ends is None:
+        return None
+    # the blocks' entries, and how many end at or before the last newline
+    # of b and of c
+    last = (int(ends[m - 1]), int(ends[-1]))
+    through = [0, 0]
+    values = np.empty(m + n + m * n)
+    got = 0
+    while at < len(data):
+        end = _cut(data, at)
+        chunk = data[at:end]
+        if not chunk.endswith((b" ", b"\n")):
+            chunk += b"\n"
+        parsed = _parse(chunk)
+        if parsed is None or got + parsed[0].size > values.size:
+            return None
+        part, sep = parsed
+        for k in (0, 1):
+            if last[k] >= at:
+                through[k] = got + int(np.count_nonzero(sep <= last[k] - at))
+        values[got:got + part.size] = part
+        got += part.size
+        at = end
+    if got != values.size or through != [m, m + n]:
+        return None
+    return Instance(m=m, n=n, A=values[m + n:].reshape(m, n), b=values[:m],
+                    c=values[m:m + n], meta=meta)
+
+
 def deserialize(data: bytes) -> Instance:
-    return _from_lines(_text(data).splitlines())
+    instance = _from_bytes(data)
+    return instance if instance is not None else _from_lines(_text(data).splitlines())
 
 
 def write_instance(path, instance: Instance) -> None:
@@ -471,7 +664,5 @@ def write_instance(path, instance: Instance) -> None:
 
 
 def read_instance(path) -> Instance:
-    # the bytes are freed once decoded and the text once split, so bytes,
-    # text and lines are never held at once
     with open(path, "rb") as fh:
-        return _from_lines(_text(fh.read()).splitlines())
+        return deserialize(fh.read())

@@ -161,7 +161,7 @@ class TestGenLpIp:
         assert cli("gen", "--m", "2", "--n", "4", "--b", token,
                    "--seed", "0", "--out", str(out)) == 1
         assert capsys.readouterr() == (
-            "", "error: could not convert string to float: ''\n")
+            "", f"error: bad --b recipe {token!r}: could not convert string to float: ''\n")
         assert not out.exists()
 
     def test_usage_error_without_subcommand(self):

@@ -107,6 +107,15 @@ class TestSweepConfig:
             with pytest.raises(ValueError):
                 small_config(**bad)
 
+    def test_b_spec_count_rule_is_the_instance_rule(self):
+        # a config and a generated instance refuse a recipe of the wrong
+        # length with one rule and one message
+        message = "^b_spec 'explicit' has 3 values, expected 2$"
+        with pytest.raises(ValueError, match=message):
+            small_config(b_spec="explicit 1 2 3", m_list=(2,))
+        with pytest.raises(ValueError, match=message):
+            generate(2, 12, BSpec.explicit([1, 2, 3]), RngHandle(0))
+
     def test_trial_enumeration_sorted(self):
         cfg = small_config(m_list=(3, 2), n_list=(16, 12), seeds_per_cell=2)
         trials = cfg.trials()

@@ -560,3 +560,211 @@ class TestColumnNormStatistic:
                 if norms.max() >= limit:
                     hits += 1
         assert hits / 500 <= 0.01
+
+
+def _float_oracle(text):
+    return np.array([float(tok) for tok in text.split()])
+
+
+def _parse_all(text):
+    """`_parse` over text cut into chunks as the reader cuts a document."""
+    parts, lo = [], 0
+    while lo < len(text):
+        end = instance_module._cut(text, lo)
+        parsed = instance_module._parse(text[lo:end])
+        assert parsed is not None
+        parts.append(parsed[0])
+        lo = end
+    return np.concatenate(parts)
+
+
+def _hand_decimals(rng, count):
+    """Decimals of 1 to 20 digits with a '.' anywhere or none, a '-' on
+    half of them, each followed by a space."""
+    k = rng.integers(1, 21, count)[:, None]
+    at = rng.integers(0, 22, count)[:, None]  # no '.' when at > k
+    col = np.arange(20)
+    # byte 0 holds the sign, digit j goes to byte 1 + j, or 2 + j after
+    # the '.', and byte 22 holds the space; the 0 bytes are dropped
+    rows = np.zeros((count, 23), np.uint8)
+    rows[:, :1] = np.where(rng.random((count, 1)) < 0.5, 45, 0)
+    digits = np.where(col < k, rng.integers(48, 58, (count, 20)), 0)
+    np.put_along_axis(rows, 1 + col + (col >= at), digits, axis=1)
+    np.put_along_axis(rows, 1 + np.minimum(at, 21), np.where(at <= k, 46, 0), axis=1)
+    rows[:, 22] = 32
+    return rows.tobytes().translate(None, b"\0")
+
+
+# tokens the reader's kernel hands to float(), by the reason it does
+UNDECIDED_TOKENS = {
+    "not -?digits.digits": ["+1.5", "1e-05", "1E5", "1_0", "-1.5e300"],
+    "more than 24 digits": ["0.0000000000000000000000015"],
+    "17 digits or more": ["123456789012345678", "12345678.901234567890"],
+    # D a double, s > 22
+    "too many decimals, exact D": ["0.00000000000000000000001"],
+    # D not a double, s > 20
+    "too many decimals, inexact D": [".000012345678901234567"],
+    # 2**53 + 3 lies halfway between two doubles
+    "tie": ["9007199254740995"],
+    # the candidate a0 is 1.0 for the first; for the second the step from
+    # a0 leads to 0.03125
+    "power of two": ["0.9999999999999999", "0.031250000000000003"],
+}
+# tokens it decides: each form the kernel takes, on both paths
+DECIDED_TOKENS = ["00.5", "5.", ".5", "-.5", "-0.0", "0", "1.5", "-17",
+                  "0.30000000000000004", "1.2345678901234567",
+                  "9007199254740993.5", "1.0000000000000002", "99999999999999.99",
+                  "0.00012345678901234567", "000000000000000000000001"]
+
+
+class TestParseKernel:
+    """`_parse` against float(), the reader it stands in for."""
+
+    def test_matches_float_on_a_million_tokens(self):
+        rng = np.random.default_rng(2025)
+        scaled = rng.standard_normal(700_000) * 10.0 ** rng.integers(-8, 18, 700_000)
+        bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
+        x = np.concatenate([scaled, bits[np.isfinite(bits)]])
+        step = instance_module._CHUNK
+        text = b"".join(
+            instance_module._format(x[i:i + step], _separators("mixed", x[i:i + step].size, rng))
+            for i in range(0, x.size, step))
+        text += _hand_decimals(rng, 250_000)
+        want = _float_oracle(text)
+        assert want.size > 1_000_000
+        assert np.array_equal(_parse_all(text).view(np.uint64), want.view(np.uint64))
+
+    def test_edge_tokens(self):
+        near = []
+        for j in range(-22, 23):
+            v = 10.0 ** j
+            near += [np.nextafter(v, 0), v, np.nextafter(v, np.inf)]
+        near = [f"{v:{form}}" for v in near for form in (".15g", ".16g", ".17g", ".20f")]
+        near += [f"{2**53 + k}{tail}" for k in range(-3, 4) for tail in ("", ".0", ".5")]
+        toks = DECIDED_TOKENS + near + [t for ts in UNDECIDED_TOKENS.values() for t in ts]
+        for sign in ("", "-"):
+            text = (" ".join(sign + t.lstrip("-+") for t in toks) + "\n").encode()
+            got, sep = instance_module._parse(text)
+            assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
+            assert text[sep[-1]:] == b"\n"
+
+    def test_every_undecided_reason_reaches_float(self, monkeypatch):
+        handed = []
+
+        def spy(token):
+            handed.append(token.decode())
+            return float(token)
+
+        monkeypatch.setattr(instance_module, "float", spy, raising=False)
+        undecided = [t for ts in UNDECIDED_TOKENS.values() for t in ts]
+        text = (" ".join(DECIDED_TOKENS + undecided) + "\n").encode()
+        got, _ = instance_module._parse(text)
+        assert handed == undecided
+        monkeypatch.undo()
+        assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
+
+    @pytest.mark.parametrize("text", [
+        b"1.5 x\n", b"1.5 .\n", b"- 1.5\n", b"1.2.3\n", b".-5\n", b"1-2\n",
+        b"nan\n", b"-inf\n", b"1e400\n",
+    ])
+    def test_refused_token_refuses_the_run(self, text):
+        # float() refuses it or reads it as a value that is not finite
+        assert instance_module._parse(text) is None
+
+    @pytest.mark.parametrize("byte", [b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x7f",
+                                      b"\x00", "٣".encode(), b"\xff"])
+    def test_other_bytes_refuse_the_run(self, byte):
+        assert instance_module._parse(b"1.5 2" + byte + b"5 3.5\n") is None
+        assert instance_module._parse(b"1.5" + byte + b"2.5\n") is None
+
+    def test_no_floating_point_exception(self):
+        hand = DECIDED_TOKENS + [t for ts in UNDECIDED_TOKENS.values() for t in ts]
+        junk = ["9" * 24, "9" * 30, "-" + "9" * 17, "." + "9" * 23, "99999999999999999.9"]
+        text = (" ".join(hand + junk) + "\n").encode()
+        doc = serialize(generate(2, 6, BSpec.gaussian(), RngHandle(5)))
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got, _ = instance_module._parse(text)
+                assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
+                assert instance_module._parse(text + b"x\n") is None
+                assert serialize(deserialize(doc)) == doc
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("size", [1, 7, 20, 64])
+    def test_chunks_end_at_any_token(self, monkeypatch, size):
+        # chunks of a few bytes end after every token, or hold a single
+        # token longer than the chunk, with or without a final newline
+        monkeypatch.setattr(instance_module, "_PARSE_BYTES", size)
+        inst = generate(3, 5, BSpec.gaussian(), RngHandle(3))
+        doc = serialize(inst)
+        *head, body = doc.split(b"\n", 4)
+        spaced = b"\n".join(head + [body.replace(b" ", b"   ")])
+        for data in (doc, doc.rstrip(b"\n"), spaced):
+            back = deserialize(data)
+            for name in ("A", "b", "c"):
+                got, want = getattr(back, name), getattr(inst, name)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_header_claiming_more_entries_than_bytes_is_named(self):
+        # 2.5e9 entries would take 20 GB; the count is named instead
+        doc = b"GIPLAB v1\n50000 50000\nzeros\n-\n" + b"0\n" * 100_000
+        with pytest.raises(InstanceFormatError,
+                           match="^A: expected 2500000000 entries, got 0$"):
+            deserialize(doc)
+
+    @pytest.mark.parametrize("layout, expected", [
+        ("several spaces", None), ("blank lines", None), ("no final newline", None),
+        ("CRLF", None), ("tab", None), ("form feed in a row", None),
+        ("form feed in b", None), ("file separator", None),
+        ("non-ASCII digit", None),
+        ("blank line in b", "b: expected 2 entries, got 1"),
+        ("CRLF with a bad token", "bad A[0,2]: 'x'"),
+        ("dot-only token", "bad A[0,0]: '.'"),
+        ("DEL in a token", "bad A[0,0]: '1\\x7f'"),
+        # str.splitlines ends the dimension line at the form feed, so every
+        # later line moves down one block
+        ("form feed in the header", "A: expected 6 entries, got 7"),
+    ])
+    def test_layouts_read_as_the_per_token_pass_reads_them(self, layout, expected):
+        inst = generate(2, 3, BSpec.gaussian(), RngHandle(4))
+        head, b, c, a = (lambda ls: (ls[:4], ls[4:6], ls[6:9], ls[9:11]))(
+            serialize(inst).split(b"\n"))
+        want_a = inst.A.copy()
+
+        def join(lines, sep=b"\n", end=b"\n"):
+            return sep.join(lines) + end
+
+        def a_token(row, col, tok):
+            toks = a[row].split()
+            toks[col] = tok
+            return [b" ".join(toks) if i == row else r for i, r in enumerate(a)]
+
+        if layout == "non-ASCII digit":
+            want_a[0, 1] = 3.0
+        doc = {
+            "several spaces": join(head + [b"  " + x.replace(b" ", b"   ") + b"  "
+                                           for x in b + c + a]),
+            "blank lines": join(head + b + c + [b""] + a[:1] + [b"", b"   "] + a[1:] + [b""]),
+            "no final newline": join(head + b + c + a, end=b""),
+            "CRLF": join(head + b + c + a, sep=b"\r\n", end=b"\r\n"),
+            "tab": join(head + b + c + [x.replace(b" ", b"\t") for x in a]),
+            "form feed in a row": join(head + b + c + [x.replace(b" ", b"\x0c", 1) for x in a]),
+            "form feed in b": join(head + [b[0] + b"\x0c" + b[1]] + c + a),
+            "file separator": join(head + b + c + [x.replace(b" ", b"\x1c") for x in a]),
+            "non-ASCII digit": join(head + b + c + a_token(0, 1, "٣".encode())),
+            "blank line in b": join(head + b[:1] + [b""] + b[1:] + c + a),
+            "CRLF with a bad token": join(head + b + c + a_token(0, 2, b"x"), sep=b"\r\n"),
+            "dot-only token": join(head + b + c + a_token(0, 0, b".")),
+            "DEL in a token": join(head + b + c + a_token(0, 0, b"1\x7f")),
+            "form feed in the header": join([head[0], head[1] + b"\x0c"] + head[2:] + b + c + a),
+        }[layout]
+        if expected is not None:
+            with pytest.raises(InstanceFormatError) as info:
+                _load_quietly(doc)
+            assert str(info.value) == expected
+            return
+        back = _load_quietly(doc)
+        for got, want in ((back.A, want_a), (back.b, inst.b), (back.c, inst.c)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
