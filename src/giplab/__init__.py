@@ -3,10 +3,11 @@
 Generate seeded instances, solve their LP relaxations and exact IPs,
 certify small integrality gaps through the constructive rounding pipeline,
 and verify the probabilistic behavior of all the moving parts by Monte
-Carlo.  The command line entry point lives in :mod:`giplab.cli`.
+Carlo.  The command line entry point lives in :mod:`giplab.cli`, and
+instance files are written and read by :mod:`giplab.fileformat`.
 """
 
-from .instance import BSpec, Instance, generate, read_instance, validate_b, write_instance
+from .instance import BSpec, Instance, generate, validate_b
 from .rng import RngHandle
 
 __all__ = [
@@ -14,9 +15,7 @@ __all__ = [
     "Instance",
     "RngHandle",
     "generate",
-    "read_instance",
     "validate_b",
-    "write_instance",
 ]
 
 __version__ = "0.1.0"

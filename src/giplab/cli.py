@@ -20,7 +20,8 @@ import numpy as np
 # process started for one subcommand neither loads nor compiles the solvers
 # of the others; gen and lp need only these.
 from . import lp
-from .instance import BSpec, InstanceFormatError, generate, read_instance, write_instance
+from .fileformat import InstanceFormatError, read_instance, write_instance
+from .instance import BSpec, generate
 from .rng import RngHandle
 
 USAGE_ERROR = 1

@@ -42,7 +42,7 @@ class TestGenLpIp:
         assert "value:" in out and "pivots:" in out and "n0_size:" in out
 
     def test_lp_value_matches_library(self, tmp_path, capsys):
-        from giplab.instance import read_instance
+        from giplab.fileformat import read_instance
         from giplab.lp import solve_lp
 
         path = str(tmp_path / "a.gip")
@@ -65,7 +65,7 @@ class TestGenLpIp:
         assert "nodes_created:" in out
 
     def test_lp_infeasible_prints_farkas_vector(self, tmp_path, capsys):
-        from giplab.instance import read_instance
+        from giplab.fileformat import read_instance
         from giplab.lp import InfeasibleError, solve_lp
 
         path = str(tmp_path / "a.gip")
@@ -81,7 +81,7 @@ class TestGenLpIp:
 
     def test_ip_node_limit_prints_bracket(self, tmp_path, capsys):
         from giplab.bnb import solve_ip
-        from giplab.instance import read_instance
+        from giplab.fileformat import read_instance
 
         path = str(tmp_path / "a.gip")
         cli("gen", "--m", "2", "--n", "30", "--b", "zeros",
@@ -103,7 +103,7 @@ class TestGenLpIp:
     ])
     def test_lp_report_matches_entry_by_entry_formatting(self, tmp_path, capsys,
                                                          m, n, b, seed):
-        from giplab.instance import read_instance
+        from giplab.fileformat import read_instance
         from giplab.lp import solve_lp
 
         path = str(tmp_path / "a.gip")
@@ -282,7 +282,7 @@ class TestRound:
         assert "pool_index_used:" in out
 
     def test_round_full_x_prints_the_rounded_point(self, tmp_path, capsys):
-        from giplab.instance import read_instance
+        from giplab.fileformat import read_instance
         from giplab.lp import solve_lp
         from giplab.rng import RngHandle
         from giplab.rounding import RoundingParams, round_pipeline
@@ -499,7 +499,7 @@ def loaded():
     return {m for m in sys.modules if m.split(".")[0] == "giplab"}
 
 import giplab.cli as cli
-start = {"giplab", "giplab.instance", "giplab.rng", "giplab.lp", "giplab.cli"}
+start = {"giplab", "giplab.instance", "giplab.rng", "giplab.lp", "giplab.cli", "giplab.fileformat"}
 assert loaded() == start, sorted(loaded())
 assert "json" not in sys.modules
 path = sys.argv[1]
@@ -524,3 +524,20 @@ for argv, modules in [
         res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.gip")],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("module", ["giplab.experiments", "giplab.bnb"])
+    def test_solvers_leave_the_file_format_unloaded(self, module):
+        # no paper claim reads or writes a file, so a sweep never loads it
+        script = f"import sys, {module}\nassert 'giplab.fileformat' not in sys.modules"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env)
+        assert res.returncode == 0, res.stderr
+
+    def test_file_commands_read_and_write_through_the_format_module(self):
+        # the names the benchmark traces on giplab.cli are the codec's own
+        from giplab import cli as cli_module, fileformat
+
+        assert cli_module.read_instance is fileformat.read_instance
+        assert cli_module.write_instance is fileformat.write_instance

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -5,19 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from giplab import instance as instance_module
-from giplab.instance import (
-    BSpec,
-    Instance,
+from giplab import fileformat
+from giplab.fileformat import (
     InstanceFormatError,
-    InstanceMeta,
     deserialize,
-    generate,
     read_instance,
     serialize,
-    validate_b,
     write_instance,
 )
+from giplab.instance import BSpec, Instance, InstanceMeta, generate, validate_b
+from giplab.experiments import SweepConfig
 from giplab.lp import solve_lp
 from giplab.rng import RngHandle
 
@@ -107,7 +105,7 @@ class TestBSpec:
     def test_bad_kind(self):
         with pytest.raises(ValueError):
             BSpec("ones")
-        with pytest.raises(InstanceFormatError):
+        with pytest.raises(ValueError):
             BSpec.parse("ones 1 2")
 
     def test_scaled_ones_needs_values(self):
@@ -121,7 +119,7 @@ class TestBSpec:
         ("ones 1", "unknown b_spec kind: 'ones'"),
     ])
     def test_parse_refuses_a_spec_the_constructor_refuses(self, text, message):
-        with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BSpec.parse(text)
 
     @pytest.mark.parametrize("text, message", [
@@ -129,7 +127,7 @@ class TestBSpec:
         ("explicit 1 x", "bad b_spec value: could not convert string to float: 'x'"),
     ])
     def test_parse_refuses_a_descriptor_it_cannot_read(self, text, message):
-        with pytest.raises(InstanceFormatError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             BSpec.parse(text)
 
 
@@ -142,6 +140,15 @@ class TestGenerate:
     def test_scaled_ones(self):
         inst = generate(1, 100, BSpec.scaled_ones([0.3]), RngHandle(7))
         assert inst.b[0] == pytest.approx(30.0)
+
+    def test_config_errors_are_not_format_errors(self):
+        # only the reader turns a b recipe's ValueError into a format error
+        for build in (lambda: BSpec.parse("ones 1"),
+                      lambda: generate(3, 5, BSpec.explicit([1.0, 2.0]), RngHandle(1)),
+                      lambda: SweepConfig(m_list=(2,), n_list=(10,), b_spec="explicit 1 2 3")):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert type(info.value) is ValueError
 
     def test_explicit_dimension_mismatch(self):
         with pytest.raises(ValueError, match="^b_spec 'explicit' has 2 values, expected 3$"):
@@ -202,7 +209,7 @@ class TestSerialization:
         assert back.meta == inst.meta
         for name in ("A", "b", "c"):
             assert np.array_equal(getattr(back, name), getattr(inst, name))
-        with pytest.raises(InstanceFormatError, match="^b_spec 'explicit' requires values$"):
+        with pytest.raises(ValueError, match="^b_spec 'explicit' requires values$"):
             Instance(m=1, n=1, A=np.zeros((1, 1)), b=np.zeros(1), c=np.zeros(1),
                      meta=InstanceMeta(None, "explicit"))
         doc = b"GIPLAB v1\n2 1\nexplicit 1.0 2.0 3.0\n-\n1.0\n2.0\n0.5\n0.25\n-0.5\n"
@@ -494,8 +501,8 @@ class TestFormatKernel:
         x = np.concatenate([scaled, bits[np.isfinite(bits)]])
         assert x.size > 1_000_000
         sep = np.full(x.size, 32, np.uint8)
-        step = instance_module._CHUNK
-        got = b"".join(instance_module._format(x[i:i + step], sep[i:i + step])
+        step = fileformat._CHUNK
+        got = b"".join(fileformat._format(x[i:i + step], sep[i:i + step])
                        for i in range(0, x.size, step))
         assert got == (" ".join(map(repr, x.tolist())) + " ").encode()
 
@@ -505,7 +512,7 @@ class TestFormatKernel:
         hand = [v for vals in FALLBACK_ENTRIES.values() for v in vals] + DECIDED_ENTRIES
         x = np.concatenate([hand, np.negative(hand), rng.standard_normal(5000)])
         sep = _separators(kind, x.size, rng)
-        assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+        assert fileformat._format(x, sep) == _repr_oracle(x, sep)
 
     def test_every_fallback_reason(self, monkeypatch):
         handed = []
@@ -514,13 +521,13 @@ class TestFormatKernel:
             handed.append(value)
             return repr(value)
 
-        monkeypatch.setattr(instance_module, "repr", spy, raising=False)
+        monkeypatch.setattr(fileformat, "repr", spy, raising=False)
         fallback = [v for vals in FALLBACK_ENTRIES.values() for v in vals]
         for sign in (1.0, -1.0):
             x = sign * np.array(fallback + DECIDED_ENTRIES)
             sep = np.full(x.size, 32, np.uint8)
             handed.clear()
-            assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+            assert fileformat._format(x, sep) == _repr_oracle(x, sep)
             assert [repr(v) for v in handed] == [repr(sign * v) for v in fallback]
 
     def test_no_floating_point_exception(self):
@@ -531,13 +538,13 @@ class TestFormatKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                assert instance_module._format(x, sep) == _repr_oracle(x, sep)
-            assert instance_module._format(x, sep) == _repr_oracle(x, sep)
+                assert fileformat._format(x, sep) == _repr_oracle(x, sep)
+            assert fileformat._format(x, sep) == _repr_oracle(x, sep)
         assert np.geterr() == before
 
     def test_chunks_split_b_c_and_rows_anywhere(self, monkeypatch, tmp_path):
         # a chunk of 7 entries ends inside b, c and A rows and spans blocks
-        monkeypatch.setattr(instance_module, "_CHUNK", 7)
+        monkeypatch.setattr(fileformat, "_CHUNK", 7)
         inst = generate(3, 5, BSpec.gaussian(), RngHandle(3))
         data = serialize(inst)
         assert data == serialize_oracle(inst)
@@ -570,8 +577,8 @@ def _parse_all(text):
     """`_parse` over text cut into chunks as the reader cuts a document."""
     parts, lo = [], 0
     while lo < len(text):
-        end = instance_module._cut(text, lo)
-        parsed = instance_module._parse(text[lo:end])
+        end = fileformat._cut(text, lo)
+        parsed = fileformat._parse(text[lo:end])
         assert parsed is not None
         parts.append(parsed[0])
         lo = end
@@ -625,9 +632,9 @@ class TestParseKernel:
         scaled = rng.standard_normal(700_000) * 10.0 ** rng.integers(-8, 18, 700_000)
         bits = rng.integers(0, 2**64, 100_000, dtype=np.uint64).view(np.float64)
         x = np.concatenate([scaled, bits[np.isfinite(bits)]])
-        step = instance_module._CHUNK
+        step = fileformat._CHUNK
         text = b"".join(
-            instance_module._format(x[i:i + step], _separators("mixed", x[i:i + step].size, rng))
+            fileformat._format(x[i:i + step], _separators("mixed", x[i:i + step].size, rng))
             for i in range(0, x.size, step))
         text += _hand_decimals(rng, 250_000)
         want = _float_oracle(text)
@@ -644,7 +651,7 @@ class TestParseKernel:
         toks = DECIDED_TOKENS + near + [t for ts in UNDECIDED_TOKENS.values() for t in ts]
         for sign in ("", "-"):
             text = (" ".join(sign + t.lstrip("-+") for t in toks) + "\n").encode()
-            got, sep = instance_module._parse(text)
+            got, sep = fileformat._parse(text)
             assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
             assert text[sep[-1]:] == b"\n"
 
@@ -655,10 +662,10 @@ class TestParseKernel:
             handed.append(token.decode())
             return float(token)
 
-        monkeypatch.setattr(instance_module, "float", spy, raising=False)
+        monkeypatch.setattr(fileformat, "float", spy, raising=False)
         undecided = [t for ts in UNDECIDED_TOKENS.values() for t in ts]
         text = (" ".join(DECIDED_TOKENS + undecided) + "\n").encode()
-        got, _ = instance_module._parse(text)
+        got, _ = fileformat._parse(text)
         assert handed == undecided
         monkeypatch.undo()
         assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
@@ -669,13 +676,13 @@ class TestParseKernel:
     ])
     def test_refused_token_refuses_the_run(self, text):
         # float() refuses it or reads it as a value that is not finite
-        assert instance_module._parse(text) is None
+        assert fileformat._parse(text) is None
 
     @pytest.mark.parametrize("byte", [b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x7f",
                                       b"\x00", "٣".encode(), b"\xff"])
     def test_other_bytes_refuse_the_run(self, byte):
-        assert instance_module._parse(b"1.5 2" + byte + b"5 3.5\n") is None
-        assert instance_module._parse(b"1.5" + byte + b"2.5\n") is None
+        assert fileformat._parse(b"1.5 2" + byte + b"5 3.5\n") is None
+        assert fileformat._parse(b"1.5" + byte + b"2.5\n") is None
 
     def test_no_floating_point_exception(self):
         hand = DECIDED_TOKENS + [t for ts in UNDECIDED_TOKENS.values() for t in ts]
@@ -686,9 +693,9 @@ class TestParseKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise"):
-                got, _ = instance_module._parse(text)
+                got, _ = fileformat._parse(text)
                 assert np.array_equal(got.view(np.uint64), _float_oracle(text).view(np.uint64))
-                assert instance_module._parse(text + b"x\n") is None
+                assert fileformat._parse(text + b"x\n") is None
                 assert serialize(deserialize(doc)) == doc
         assert np.geterr() == before
 
@@ -696,7 +703,7 @@ class TestParseKernel:
     def test_chunks_end_at_any_token(self, monkeypatch, size):
         # chunks of a few bytes end after every token, or hold a single
         # token longer than the chunk, with or without a final newline
-        monkeypatch.setattr(instance_module, "_PARSE_BYTES", size)
+        monkeypatch.setattr(fileformat, "_PARSE_BYTES", size)
         inst = generate(3, 5, BSpec.gaussian(), RngHandle(3))
         doc = serialize(inst)
         *head, body = doc.split(b"\n", 4)
@@ -706,6 +713,90 @@ class TestParseKernel:
             for name in ("A", "b", "c"):
                 got, want = getattr(back, name), getattr(inst, name)
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("layout, kernel", [
+        ("CRLF", True), ("CRLF, no final line end", True), ("CRLF header", True),
+        ("tabs", True), ("unit separators", True), ("form feeds and group separators in A", True),
+        ("lone CR in A", True), ("vertical tab line ends", False),
+        ("form feed in b a blank line makes up for", False),
+        ("lone CR line ends", False), ("lone CR in b", False),
+        ("lone CR in b a blank line makes up for", False), ("CR and form feed in the header", False),
+        ("tab in the b_spec descriptor", False), ("tab in the magic line", False),
+        ("CRLF with a bad token", False), ("CRLF with a bad b_spec", True),
+    ])
+    def test_blanked_documents_read_as_the_per_token_pass_reads_them(
+            self, monkeypatch, layout, kernel):
+        inst = generate(2, 3, BSpec.explicit([0.5, -1.5]), RngHandle(4))
+        head, b, c, a = (lambda ls: (ls[:4], ls[4:6], ls[6:9], ls[9:11]))(
+            serialize(inst).split(b"\n"))
+
+        def join(lines, sep=b"\r\n", end=b"\r\n"):
+            return sep.join(lines) + end
+
+        doc = {
+            "CRLF": join(head + b + c + a),
+            "CRLF, no final line end": join(head + b + c + a, end=b""),
+            "CRLF header": join(head, end=b"\r\n") + b"\n".join(b + c + a),
+            "tabs": join(head + [x + b"\t" for x in b + c] + [x.replace(b" ", b"\t") for x in a]),
+            "unit separators": join(head + b + c + [x.replace(b" ", b"\x1f") for x in a]),
+            "form feeds and group separators in A": join(
+                head + b + c + [a[0].replace(b" ", b"\x0c"), a[1].replace(b" ", b"\x1d")]),
+            "vertical tab line ends": join(head + b + c + a, b"\x0b"),
+            "form feed in b a blank line makes up for": join(head + [b[0] + b"\x0c" + b[1], b""]
+                                                             + c + a),
+            "lone CR in A": join(head + b + c + [x.replace(b" ", b"\r", 1) for x in a]),
+            "lone CR line ends": join(head + b + c + a, b"\r", b"\r"),
+            "lone CR in b": join(head + [b[0] + b"\r" + b[1]] + c + a),
+            "lone CR in b a blank line makes up for": join(head + [b[0] + b" \r" + b[1], b""]
+                                                           + c + a),
+            "CR and form feed in the header": join(head[:1] + [head[1] + b"\r\x0c" + head[2]]
+                                                   + head[3:] + b + c + a),
+            "tab in the b_spec descriptor": join(head[:2] + [head[2].replace(b" ", b"\t", 1)]
+                                                 + head[3:] + b + c + a),
+            "tab in the magic line": join([b"GIPLAB\tv1"] + head[1:] + b + c + a),
+            "CRLF with a bad token": join(head + b + c + [a[0].replace(b" ", b" x", 1)] + a[1:]),
+            "CRLF with a bad b_spec": join(head[:2] + [b"explicit 0.5"] + head[3:] + b + c + a),
+        }[layout]
+
+        def outcome():
+            try:
+                back = deserialize(doc)
+            except InstanceFormatError as exc:
+                return str(exc)
+            return [getattr(back, k).tobytes() for k in ("A", "b", "c")], back.meta
+
+        per_token = fileformat._from_lines
+        calls = []
+        monkeypatch.setattr(fileformat, "_from_lines",
+                            lambda lines: calls.append(1) or per_token(lines))
+        got = outcome()
+        assert calls == ([] if kernel else [1])
+        monkeypatch.setattr(fileformat, "_from_bytes", lambda data, text: None)
+        assert got == outcome()
+
+    def test_crlf_document_reads_within_a_tenth_of_the_lf_time(self, tmp_path):
+        # the median of 25 back-to-back pairs, measured again up to twice
+        # when other load on the machine pushes it over
+        inst = generate(8, 4000, BSpec.gaussian(), RngHandle(6))
+        lf = serialize(inst)
+        paths = [tmp_path / "lf.giplab", tmp_path / "crlf.giplab"]
+        paths[0].write_bytes(lf)
+        paths[1].write_bytes(lf.replace(b"\n", b"\r\n"))
+        ratios = []
+        for _ in range(3):
+            pairs = []
+            for rep in range(25):
+                seconds = [0.0, 0.0]
+                for k in (rep % 2, 1 - rep % 2):
+                    start = time.perf_counter()
+                    back = read_instance(paths[k])
+                    seconds[k] = time.perf_counter() - start
+                    assert np.array_equal(back.A, inst.A)
+                pairs.append(seconds[1] / seconds[0])
+            ratios.append(float(np.median(pairs)))
+            if ratios[-1] <= 1.1:
+                break
+        assert ratios[-1] <= 1.1, ratios
 
     def test_header_claiming_more_entries_than_bytes_is_named(self):
         # 2.5e9 entries would take 20 GB; the count is named instead
