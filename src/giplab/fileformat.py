@@ -26,10 +26,11 @@ of printable ASCII, spaces and newlines goes to `_parse`, which mirrors
 `_format`: _PARSE_BYTES of text at a time, it reads the digits of every
 token with numpy operations on the whole chunk, decides each value
 exactly and calls float() for the 0.01% of Gaussian entries it leaves
-undecided (the comment above it says which); so does one whose other
-ASCII blanks (CRLF, tabs) `_from_bytes` makes spaces.  Any other, or one
-with a wrong block count or a token float() refuses or reads as not
-finite, goes to a per-token float() pass, which names the first bad field.
+undecided (the comment above it says which).  Any other document, or one
+with a block count that is wrong or a token float() refuses or reads as
+not finite, goes to a per-token float() pass over its lines, which reads
+it as before and names the first bad field in document order; a b_spec
+the Instance refuses is an InstanceFormatError here, a ValueError elsewhere.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .instance import Instance, InstanceMeta
+from .instance import BSpec, Instance, InstanceMeta
 
 __all__ = [
     "InstanceFormatError",
@@ -409,6 +410,13 @@ def _parse_block(name: str, lines: list[str], *shape: int) -> np.ndarray:
     return values.reshape(shape)
 
 
+def _text(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InstanceFormatError("document is not UTF-8 text") from None
+
+
 def _header(lines: list[str]) -> tuple[int, int, InstanceMeta]:
     """m, n and the provenance the first four lines of a document give."""
     if not lines:
@@ -418,14 +426,27 @@ def _header(lines: list[str]) -> tuple[int, int, InstanceMeta]:
     if len(lines) < 4:
         missing = ("dimensions", "b_spec descriptor", "seed token")[len(lines) - 1]
         raise InstanceFormatError(f"truncated document (missing {missing})")
+    dims = lines[1].split()
+    if len(dims) != 2:
+        raise InstanceFormatError(f"bad dimension line: {lines[1]!r}")
     try:
-        m, n = map(int, lines[1].split())
+        m, n = int(dims[0]), int(dims[1])
     except ValueError:
         raise InstanceFormatError(f"bad dimension line: {lines[1]!r}") from None
     if m < 1 or n < 1:
         raise InstanceFormatError(f"dimensions must be positive: {lines[1]!r}")
-    seed = lines[3].strip()
-    return m, n, InstanceMeta(seed=None if seed == "-" else seed, b_spec=lines[2].strip())
+    seed_tok = lines[3].strip()
+    seed = None if seed_tok == "-" else seed_tok
+    return m, n, InstanceMeta(seed=seed, b_spec=lines[2].strip())
+
+
+def _instance(m: int, n: int, a, b, c, meta: InstanceMeta) -> Instance:
+    """The document's Instance; a b_spec descriptor it refuses is a format error."""
+    try:
+        BSpec.parse(meta.b_spec).check_count(m)
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
+    return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
 
 
 def _from_lines(lines: list[str]) -> Instance:
@@ -434,25 +455,24 @@ def _from_lines(lines: list[str]) -> Instance:
     m, n, meta = _header(lines[:4])
     body = lines[4:]
     if len(body) < m + n:
-        raise InstanceFormatError(f"truncated document: expected {m + n} vector lines, "
-                                  f"got {len(body)}")
+        raise InstanceFormatError(
+            f"truncated document: expected {m + n} vector lines, got {len(body)}"
+        )
     b = _parse_block("b", body[:m], m)
     c = _parse_block("c", body[m : m + n], n)
     a = _parse_block("A", body[m + n :], m, n)
-    return Instance(m=m, n=n, A=a, b=b, c=c, meta=meta)
+    return _instance(m, n, a, b, c, meta)
 
 
-def _from_bytes(data: bytes, blanks: bytes) -> Instance | None:
-    r"""The instance a document holds, its body read by `_parse` _PARSE_BYTES
-    at a time with each of `blanks` made a space; when there are any, a line
-    may end in '\r\n'.  None when a header line is not printable ASCII, a b
-    or c line ends in another line break, a byte but ' ' and '\n' separates
-    tokens, or the per-token pass would refuse the body."""
+def _from_bytes(data: bytes) -> Instance | None:
+    """The instance a document of printable ASCII, spaces and newlines
+    holds, its body read by `_parse` _PARSE_BYTES at a time; None when it
+    holds another byte or the per-token pass would refuse its body."""
     lines, at = [], 0
     while len(lines) < 4 and at < len(data):
         stop = data.find(b"\n", at)
         stop = len(data) if stop < 0 else stop
-        lines.append(data[at:stop].removesuffix(b"\r" if blanks else b"").decode("latin-1"))
+        lines.append(data[at:stop].decode("latin-1"))
         at = stop + 1
     if not all(line.isascii() and line.isprintable() for line in lines):
         return None
@@ -462,12 +482,6 @@ def _from_bytes(data: bytes, blanks: bytes) -> Instance | None:
     ends = _line_ends(data, at, m + n) if m + n + m * n <= len(data) else None
     if ends is None:
         return None
-    if blanks:  # str.splitlines would also end a b or c line at these or a lone '\r'
-        head = data[at:ends[-1] + 1]
-        raw = np.frombuffer(head, np.uint8)
-        if any(map(head.__contains__, b"\x0b\x0c\x1c\x1d\x1e")) or (
-                raw[np.flatnonzero(raw == 13) + 1] != 10).any():
-            return None
     # the blocks' entries, and how many end at or before the last newline
     # of b and of c
     last = (int(ends[m - 1]), int(ends[-1]))
@@ -477,8 +491,6 @@ def _from_bytes(data: bytes, blanks: bytes) -> Instance | None:
     while at < len(data):
         end = _cut(data, at)
         chunk = data[at:end]
-        for blank in blanks:  # a byte replace is a memchr scan, unlike translate
-            chunk = chunk.replace(bytes([blank]), b" ")
         if not chunk.endswith((b" ", b"\n")):
             chunk += b"\n"
         parsed = _parse(chunk)
@@ -493,30 +505,18 @@ def _from_bytes(data: bytes, blanks: bytes) -> Instance | None:
         at = end
     if got != values.size or through != [m, m + n]:
         return None
-    return Instance(m=m, n=n, A=values[m + n:].reshape(m, n), b=values[:m],
-                    c=values[m:m + n], meta=meta)
-
-
-_BLANKS = b"\r\t\x0b\x0c\x1c\x1d\x1e\x1f"  # the other ASCII bytes str.split splits at
+    return _instance(m, n, values[m + n:].reshape(m, n), values[:m], values[m:m + n], meta)
 
 
 def deserialize(data: bytes) -> Instance:
-    try:
-        instance = _from_bytes(data, b"")
-        if instance is None and (blanks := bytes(b for b in _BLANKS if b in data)):
-            instance = _from_bytes(data, blanks)
-        return instance or _from_lines(data.decode("utf-8").splitlines())
-    except InstanceFormatError:
-        raise
-    except UnicodeDecodeError:
-        raise InstanceFormatError("document is not UTF-8 text") from None
-    except ValueError as exc:  # the Instance refuses its b_spec descriptor
-        raise InstanceFormatError(str(exc)) from None
+    instance = _from_bytes(data)
+    return instance if instance is not None else _from_lines(_text(data).splitlines())
 
 
 def write_instance(path, instance: Instance) -> None:
     with open(path, "wb") as fh:
-        fh.writelines(_pieces(instance))
+        for piece in _pieces(instance):
+            fh.write(piece)
 
 
 def read_instance(path) -> Instance:
