@@ -105,8 +105,8 @@ def fits_exact_budget(count: int, k: int) -> bool:
 
 @lru_cache(maxsize=8)
 def _split_plan(count: int, k: int):
-    """Subset table and size-pair blocks of the split-half enumeration of
-    C(count, k).
+    """Subset table, size-pair blocks, sum plan and band groups of the
+    split-half enumeration of C(count, k).
 
     Column r of `table` holds one subset of a half as k + 1 indices into
     [columns | 0 | -target], one per slot (row).  A left size-j subset
@@ -118,10 +118,34 @@ def _split_plan(count: int, k: int):
     lexicographically within each (half, size) block.  Block
     (l0, l1, r0, r1) pairs the left columns l0..l1-1 of size j with the
     right columns r0..r1-1 of size k-j: the k-subsets with j members in
-    the left half.  Blocks run from the most pairs to the fewest.
+    the left half.  Blocks, and each half's columns, run from the size
+    pair with the most pairs to the one with the fewest.
+
+    `sum_plan`, (steps, pieces, split), builds those sums without the
+    table (_split_sums).  Step s makes the size-s subset sums of both
+    halves, left then right, each in lexicographic order, from the
+    size-(s-1) sums of the step before; before step 1 they are the empty
+    sum of each half.  Its (prefix, last) give each subset the position
+    of its first s-1 members among those sums and its last member, so a
+    sum is its prefix's sum plus its last column: the columns are added in
+    ascending order, as the slots add them.  `pieces` lists (s, cut), the
+    step-s sums of each block in table column order, and the table
+    columns from `split` on, the right half's, add -target last.
+
+    `groups` holds the band join's two passes over the left sums, the
+    largest size pair and then all the others, as (rows, parts, base):
+    rows is the slice of table columns they take, part (a, b, p0, p1)
+    says the bands of its left sums a..b-1 lie in positions p0..p1-1 of
+    the right sums sorted block by block, and base holds each left sum's
+    p0.  Laying the blocks out from the most pairs to the fewest keeps
+    each pass's left sums together.
     """
     h = count // 2
-    sizes = range(max(0, k - (count - h)), min(k, h) + 1)
+    # j, the left size of a size pair, from the most pairs to the fewest
+    sizes = sorted(
+        range(max(0, k - (count - h)), min(k, h) + 1),
+        key=lambda j: -math.comb(h, j) * math.comb(count - h, k - j),
+    )
     halves = [(range(h), j, 0) for j in sizes]
     halves += [(range(h, count), k - j, j) for j in sizes]
     starts = np.cumsum([0] + [math.comb(len(items), size) for items, size, _ in halves])
@@ -136,8 +160,38 @@ def _split_plan(count: int, k: int):
     table.flags.writeable = False
     s, b = starts.tolist(), len(sizes)
     blocks = [(s[i], s[i + 1], s[b + i], s[b + i + 1]) for i in range(b)]
-    blocks.sort(key=lambda lr: (lr[1] - lr[0]) * (lr[3] - lr[2]), reverse=True)
-    return table, tuple(blocks)
+
+    steps, lefts = [], [1]  # lefts[s]: the number of size-s left subsets
+    last = np.array([-1]), np.array([h - 1])  # the empty subset of each half
+    for _ in range(min(k, count - h)):
+        (lp, ll), (rp, rl) = _extend(last[0], h), _extend(last[1], count)
+        steps.append((np.concatenate([lp, rp + lefts[-1]]), np.concatenate([ll, rl])))
+        last = ll, rl
+        lefts.append(ll.size)
+    pieces = [(j, slice(0, lefts[j])) for j in sizes]
+    pieces += [(k - j, slice(lefts[k - j], None)) for j in sizes]
+
+    at = [r0 - s[b] for _, _, r0, _ in blocks] + [s[-1] - s[b]]
+    groups = []
+    for first, stop in ((0, 1), (1, b)):
+        parts = tuple((s[i] - s[first], s[i + 1] - s[first], at[i], at[i + 1])
+                      for i in range(first, stop))
+        base = np.repeat(at[first:stop], np.diff(s[first : stop + 1]))
+        groups.append((slice(s[first], s[stop]), parts, base))
+    for array in chain(*steps, (base for _, _, base in groups)):
+        array.flags.writeable = False
+    sum_plan = tuple(steps), tuple(pieces), s[b]
+    return table, tuple(blocks), sum_plan, tuple(groups)
+
+
+def _extend(last, end):
+    """(prefix, last) of the subsets of range(end) one member larger than
+    the subsets whose last members are `last`, in lexicographic order:
+    each of those subsets followed by each member after its last, in turn."""
+    reps = end - 1 - last
+    prefix = np.repeat(np.arange(last.size), reps)
+    first = (np.cumsum(reps) - reps)[prefix]
+    return prefix, np.arange(prefix.size) - first + last[prefix] + 1
 
 
 @lru_cache(maxsize=8)
@@ -185,16 +239,18 @@ def _band_join(instance: DiscInstance):
     The pool splits into columns [0, h) and [h, count), and a k-subset
     with j members on the left is a pair of a size-j left sum l and a
     size-(k-j) right sum r minus the target, with split-half score
-    max_i |l_i + r_i|.  The right sums of each size pair are sorted on
-    coordinate 0.  In the largest size pair each left sum is scored with
-    its two nearest right sums on that coordinate (the probes), which
-    bounds the minimum score.  A pair within tol of the minimum has
-    |l_0 + r_0| <= near + tol, near being the smallest score so far, and
-    for each left sum those pairs are one run of the sorted right sums,
-    its band, found by searchsorted.  The largest size pair's bands, which
-    hold its probes, are scored first, and the scores found there narrow
-    the bands of the other size pairs.  Only bands are scored, at most
-    _ENUM_CHUNK * k pairs at a time.
+    max_i |l_i + r_i|.  Each half's size-s sums are its size-(s-1) sums
+    plus one column (_split_sums), which adds a subset's columns in
+    ascending order and the target last.  The right sums of each size
+    pair are sorted on coordinate 0.  In the largest size pair each left
+    sum is scored with its two nearest right sums on that coordinate (the
+    probes), which bounds the minimum score.  A pair within tol of the
+    minimum has |l_0 + r_0| <= near + tol, near being the smallest score
+    so far, and for each left sum those pairs are one run of the sorted
+    right sums, its band, found by one searchsorted per size pair.  The
+    largest size pair's bands, which hold its probes, are scored first,
+    and the scores found there narrow the bands of the other size pairs.
+    Only bands are scored, at most _ENUM_CHUNK * k pairs at a time.
 
     A split-half score differs from the direct score
     |cols[:, subset].sum() - target|_inf by rounding only.  The subsets
@@ -204,13 +260,11 @@ def _band_join(instance: DiscInstance):
     """
     count, k = instance.count, instance.k
     m = instance.columns.shape[0]
-    table, blocks = _split_plan(count, k)
-    ext = np.zeros((m, count + 2))
+    table, blocks, sum_plan, groups = _split_plan(count, k)
+    ext = np.empty((m, count + 1))
     ext[:, :count] = instance.columns
-    np.negative(instance.target, out=ext[:, -1])
-    sums = np.take(ext, table[0], axis=1)
-    for slot in table[1:]:
-        sums += np.take(ext, slot, axis=1)
+    np.negative(instance.target, out=ext[:, count])
+    sums = _split_sums(ext, *sum_plan)
     # the two scores of a subset add at most k + 1 terms bounded by max|ext|
     # in different orders, rounding at most to the columns' precision, so
     # they differ by less than tol / 4; the window needs tol / 2 to hold
@@ -220,11 +274,10 @@ def _band_join(instance: DiscInstance):
 
     order = np.concatenate([r0 + np.argsort(sums[0, r0:r1]) for _, _, r0, r1 in blocks])
     right = np.take(sums, order, axis=1)
-    # size pair b owns positions starts[b]..starts[b + 1] - 1 of `right`
-    starts = np.cumsum([0] + [r1 - r0 for _, _, r0, r1 in blocks]).tolist()
-    probe = np.arange(blocks[0][0], blocks[0][1])  # left sums of the largest size pair
-    pos = np.searchsorted(right[0, : starts[1]], -sums[0, probe])
-    below, above = np.maximum(pos - 1, 0), np.minimum(pos, starts[1] - 1)
+    rows, ((_, _, _, n0),), _ = groups[0]
+    probe = np.arange(rows.start, rows.stop)  # left sums of the largest size pair
+    pos = np.searchsorted(right[0, :n0], -sums[0, rows])
+    below, above = np.maximum(pos - 1, 0), np.minimum(pos, n0 - 1)
     near = min(_scores(sums, right, probe, p).min() for p in (below, above))
 
     slack = 4.0 * _EPS64 * np.abs(sums[0]).max()
@@ -234,26 +287,27 @@ def _band_join(instance: DiscInstance):
     best = (np.inf, ())
     # the scores found in the largest size pair's bands narrow the others';
     # a pool this large has k < count, which gives at least two size pairs
-    for group in (range(1), range(1, len(blocks))):
+    for g, (rows, parts, base) in enumerate(groups):
         # |fl(l_0 + r_0)| <= s gives |l_0 + r_0| <= s (1 + eps64), and the
         # keys -l_0 -/+ w, slack included, round to outside that interval
         s = near + tol
         w = s + slack + 4.0 * _EPS64 * s
-        rows, lo, hi = _band_edges(sums, right, blocks, starts, group, w)
-        if group.start == 0:  # lo <= pos <= hi: widen each band over its probes
+        lo, hi = _band_edges(sums[0, rows], right[0], parts, w)
+        if g == 0:  # lo <= pos <= hi: widen each band over its probes
             lo, hi = np.minimum(lo, below), np.maximum(hi, above + 1)
         ends = np.cumsum(hi - lo)  # left sum r owns the band slots up to ends[r]
         band = int(ends[-1])
         scored += band
-        shift = hi - ends  # right position of a slot minus the slot
+        shift = hi + base - ends  # right position of a slot minus the slot
         for t0 in range(0, band, cap):
             t = np.arange(t0, min(t0 + cap, band))
             r = np.searchsorted(ends, t, side="right")
             cols = t + shift[r]
-            dev = _scores(sums, right, rows[r], cols)
+            r += rows.start  # the table column of the slot's left sum
+            dev = _scores(sums, right, r, cols)
             near = min(near, dev.min())
             hit = np.flatnonzero(dev <= near + tol)
-            kept.append((dev[hit], rows[r[hit]], order[cols[hit]]))
+            kept.append((dev[hit], r[hit], order[cols[hit]]))
             kept_size += hit.size
             if kept_size > cap:
                 best = _rescore(instance, table, kept, near + tol, best)
@@ -261,18 +315,35 @@ def _band_join(instance: DiscInstance):
     return _rescore(instance, table, kept, near + tol, best), scored
 
 
-def _band_edges(sums, right, blocks, starts, group, w):
-    """Left table columns of the size pairs in `group`, and for each its
-    band lo..hi-1: the positions of `right` in its size pair whose
-    coordinate 0 lies within w of -l_0."""
-    rows, lo, hi = [], [], []
-    for b in group:
-        l0, l1, _, _ = blocks[b]
-        seg, key = right[0, starts[b] : starts[b + 1]], -sums[0, l0:l1]
-        rows.append(np.arange(l0, l1))
-        lo.append(starts[b] + np.searchsorted(seg, key - w, side="left"))
-        hi.append(starts[b] + np.searchsorted(seg, key + w, side="right"))
-    return np.concatenate(rows), np.concatenate(lo), np.concatenate(hi)
+def _split_sums(ext, steps, pieces, split):
+    """Sums of _split_plan's table columns, from ext = [columns | -target]
+    and its sum plan: per subset size, one gather of the prefix sums, one
+    of the last columns and one add for both halves."""
+    sizes = [np.zeros((ext.shape[0], 2))]  # the empty sum of each half
+    for prefix, last in steps:
+        sizes.append(np.take(sizes[-1], prefix, axis=1) + np.take(ext, last, axis=1))
+    sums = np.concatenate([sizes[s][:, cut] for s, cut in pieces], axis=1)
+    sums[:, split:] += ext[:, -1:]
+    return sums
+
+
+def _band_edges(left0, right0, parts, w):
+    """(lo, hi) of the bands of the left sums with coordinate 0 in
+    `left0`: positions lo..hi-1 of right0[p0:p1], within the part, hold
+    the values within w of -l_0.  One searchsorted per size pair finds
+    both edges: hi, what side="right" counts at w - l_0, is the count
+    below w - l_0 plus one ulp.  Sign symmetry makes -w - l_0 and w - l_0
+    the same floats as -l_0 - w and -l_0 + w."""
+    keys = np.empty((left0.size, 2))  # each sum's two edges side by side
+    np.subtract(-w, left0, out=keys[:, 0])
+    upper = np.subtract(w, left0, out=keys[:, 1]).view(np.int64)
+    # one ulp up is one more in the integer bits of a float >= +0.0 and one
+    # less in those of a negative one (w - l_0 is never -0.0, as w >= 0):
+    # np.nextafter(w - l_0, np.inf) at a fraction of its cost, except that
+    # +inf goes to NaN, which searchsorted also sorts past every number
+    upper += (upper >> 63) | 1
+    pos = np.concatenate([right0[p0:p1].searchsorted(keys[a:b]) for a, b, p0, p1 in parts])
+    return pos[:, 0], pos[:, 1]
 
 
 def _scores(left, right, rows, cols):

@@ -34,7 +34,9 @@ class RngHandle:
     The handle owns a stateful generator; constructing a new handle with the
     same identity replays the same sequence.  Use :meth:`derive` to split off
     statistically independent child streams (e.g. one per trial or per
-    worker) without coordinating state.
+    worker) without coordinating state.  The identity is checked when the
+    handle is made, but its generator is seeded on the first read of
+    :attr:`gen`, so a handle that is only derived from costs no stream.
     """
 
     __slots__ = ("seed", "stream", "path", "_gen")
@@ -49,11 +51,15 @@ class RngHandle:
         self.seed = seed
         self.stream = stream
         self.path = tuple(int(p) for p in path)
-        entropy = (self.seed, self.stream) + self.path
-        self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+        if min(self.path, default=0) < 0:
+            raise ValueError("path entries must be nonnegative integers")
+        self._gen = None
 
     @property
     def gen(self) -> np.random.Generator:
+        if self._gen is None:
+            entropy = (self.seed, self.stream) + self.path
+            self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
         return self._gen
 
     def derive(self, *keys: int) -> "RngHandle":

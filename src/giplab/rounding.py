@@ -265,7 +265,7 @@ def _flip_search(
     z = z[np.argsort(np.abs(lp_solution.reduced_costs[z]), kind="stable")][:need]
 
     u_star = lp_solution.u_star
-    u_norm = float(np.linalg.norm(u_star))
+    u_norm = diagnostics["u_norm"]  # set by _event_flags
     rot = householder_to_axis(u_star) if u_norm > 1e-15 else np.eye(m)
     mu_t = params.delta * t / 2.0
     sigma_t = sigma_last(u_norm, params.delta, t)

@@ -229,10 +229,94 @@ def test_split_plan_pairs_every_proper_subset_size():
     # pool it sees (k < count) must give at least two size pairs
     for count in range(2, 25):
         for k in range(1, count):
-            table, blocks = discrepancy._split_plan(count, k)
+            table, blocks, *_ = discrepancy._split_plan(count, k)
             assert len(blocks) >= 2
             assert sum((l1 - l0) * (r1 - r0) for l0, l1, r0, r1 in blocks) == math.comb(count, k)
     assert len(discrepancy._split_plan(6, 6)[1]) == 1
+
+
+def slot_table_sums(inst):
+    """The split-half sums as the slot table defines them: the k + 1 slot
+    columns of [columns | 0 | -target] added slot by slot, target last."""
+    table = discrepancy._split_plan(inst.count, inst.k)[0]
+    ext = np.zeros((inst.columns.shape[0], inst.count + 2))
+    ext[:, : inst.count] = inst.columns
+    ext[:, -1] = -inst.target
+    sums = np.take(ext, table[0], axis=1)
+    for slot in table[1:]:
+        sums += np.take(ext, slot, axis=1)
+    return sums
+
+
+class TestSplitSums:
+    """The prefix-built split-half sums are the slot table's sums, bit for
+    bit, so the band join returns what it returned when it added the slots."""
+
+    # (seed, m, count, k, column dtype, zero column) and the outcome, frozen
+    # from the slot-table build as (subset, deviation, found, evaluations, scored)
+    POOLS = [
+        ((1, 2, 24, 8, np.float64, False),
+         ((2, 3, 4, 6, 8, 15, 18, 23), 0.009831134124308472, True, 735471, 4042)),
+        ((2, 1, 22, 11, np.float64, False),
+         ((1, 4, 9, 11, 13, 15, 16, 18, 19, 20, 21), 6.319942927768274e-06, True, 705432, 833)),
+        ((3, 3, 28, 7, np.float64, False),
+         ((0, 4, 5, 11, 13, 16, 23), 0.020514399495836277, True, 1184040, 11948)),
+        ((4, 2, 60, 3, np.float64, False),
+         ((1, 33, 41), 0.008460932927313425, True, 34220, 101)),
+        ((5, 4, 200, 2, np.float64, False),
+         ((24, 32), 0.09710209332552716, False, 19900, 3729)),
+        ((6, 2, 24, 8, np.float32, False),
+         ((0, 2, 9, 14, 16, 18, 22, 23), 0.006682006812087193, True, 735471, 2729)),
+        ((7, 2, 20, 6, np.float64, True),
+         ((1, 5, 7, 8, 10, 14), 0.015391743802457336, True, 38760, 474)),
+    ]
+
+    @staticmethod
+    def pool(seed, m, count, k, dtype, zero_column):
+        gen = np.random.default_rng(seed)
+        cols = gen.standard_normal((m, count)).astype(dtype)
+        if zero_column:
+            cols[:, count // 2] = 0.0
+        return DiscInstance(cols, gen.standard_normal(m), 0.05, k)
+
+    @staticmethod
+    def assert_sums_are_the_slot_sums(inst):
+        ext = np.empty((inst.columns.shape[0], inst.count + 1))
+        ext[:, :-1] = inst.columns
+        ext[:, -1] = -inst.target
+        sums = discrepancy._split_sums(ext, *discrepancy._split_plan(inst.count, inst.k)[2])
+        assert sums.view(np.int64).tolist() == slot_table_sums(inst).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("spec, frozen", POOLS, ids=[
+        "C(24,8)", "C(22,11)", "C(28,7)", "C(60,3)", "C(200,2)", "float32", "zero-column"])
+    def test_sums_and_outcome(self, spec, frozen):
+        inst = self.pool(*spec)
+        self.assert_sums_are_the_slot_sums(inst)
+        out = disc_exact(inst)
+        assert (out.subset, out.deviation, out.found, out.evaluations, out.scored) == frozen
+
+    @pytest.mark.parametrize("count, k", [(6, 6), (13, 10), (17, 13), (20, 15), (16, 15)])
+    def test_sums_where_some_sizes_pair_with_none(self, count, k):
+        # k > count - h leaves the small subsets of both halves unpaired:
+        # they are built as prefixes but are no block's sums
+        self.assert_sums_are_the_slot_sums(self.pool(count, 3, count, k, np.float64, False))
+
+
+@pytest.mark.parametrize("w", [0.0, 0.25, 1.0])
+def test_band_edges_count_as_side_left_and_right(w):
+    # left sums whose key -l_0 + w lands on a right value exactly, at a
+    # binade boundary of either sign, on zero and at the ends of the range
+    big = np.finfo(np.float64).max
+    tiny = np.nextafter(0.0, 1.0)
+    values = np.array([-big, -2.0, -1.0, -1.0, -tiny, 0.0, 0.0, tiny, 0.75, 1.0, 1.0, 2.0, big])
+    right0 = np.concatenate([values, np.sort(values[::3]), [0.5]])
+    left0 = np.concatenate([w - values, [-np.inf, np.inf], 0.25 - values[::3], [w - 0.5]])
+    parts = ((0, 15, 0, 13), (15, 20, 13, 18), (20, 21, 18, 19))
+    lo, hi = discrepancy._band_edges(left0, right0, parts, w)
+    for a, b, p0, p1 in parts:
+        seg, key = right0[p0:p1], -left0[a:b]
+        assert lo[a:b].tolist() == seg.searchsorted(key - w, side="left").tolist()
+        assert hi[a:b].tolist() == seg.searchsorted(key + w, side="right").tolist()
 
 
 class TestDiscSearch:

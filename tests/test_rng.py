@@ -46,6 +46,49 @@ class TestRngHandle:
         with pytest.raises(ValueError):
             RngHandle(2**64)
 
+    def test_negative_path_entry_raises_at_construction(self):
+        with pytest.raises(ValueError, match="path entries must be nonnegative"):
+            RngHandle(1, 0, (-1,))
+        with pytest.raises(ValueError, match="path entries must be nonnegative"):
+            RngHandle(1).derive(2, -3)
+
+    @staticmethod
+    def count_philox(monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        return built
+
+    def test_a_handle_seeds_its_stream_on_first_read(self, monkeypatch):
+        built = self.count_philox(monkeypatch)
+        trial = RngHandle(3, 1)
+        pipeline = trial.derive(9)  # round_pipeline only derives from it
+        rounding_rng = pipeline.derive(0)
+        assert (trial.key, pipeline.key) == ("3/1", "3/1/9")
+        assert built == []
+        rounding_rng.gen.random()
+        rounding_rng.gen.random()
+        assert len(built) == 1
+
+    def test_late_read_draws_what_an_early_read_draws(self):
+        early = RngHandle(11, 2, (5,))
+        early_draws = early.gen.standard_normal(8)
+        late = RngHandle(11, 2, (5,))
+        RngHandle(11, 2, (6,)).gen.standard_normal(8)  # another stream in between
+        assert np.array_equal(late.gen.standard_normal(8), early_draws)
+
+        parent = RngHandle(11)
+        child = parent.derive(2, 5)
+        parent.gen.standard_normal(3)  # the parent's draws do not move the child
+        direct = RngHandle(11, 0, (2, 5)).gen.standard_normal(8)
+        assert np.array_equal(child.gen.standard_normal(8), direct)
+        assert np.array_equal(RngHandle(11).derive(2).derive(5).gen.standard_normal(8), direct)
+
 
 class TestGaussianMatrix:
     """The A block of `generate`, drawn first from the instance's stream."""

@@ -13,13 +13,15 @@ and each side runs them with the workload's own ``run_op``: tree_exact
 (the default) and round_cert call ``experiments.run_trial``, lp_cli runs
 ``giplab gen`` then ``giplab lp`` through ``cli.run_cli`` on one file.
 Every round runs each op on both sides back to back, parent first on even
-ops and change first on odd ones, and sums each side's op times.  It
-prints each round's ratio (change time / parent time) and the median ratio
-over the rounds; a ratio above 1 means the change is slower.  Every output
-must be equal on both sides, or the run stops: trial records are compared
-by repr (the two packages define the record type twice), and an lp_cli op
-must print the same ``gen`` and ``lp`` output and leave the same file
-bytes on both sides.
+ops and change first on odd ones, and times each op.  It prints each
+round's total-time ratio (change time / parent time) and its p50 ratio
+(the change's median op time / the parent's, the in-process counterpart
+of perfbench's ``op_p50_ms``), then the median of each over the rounds; a
+ratio above 1 means the change is slower.  Every output must be equal on
+both sides, or the run stops: trial records are compared by repr (the two
+packages define the record type twice), and an lp_cli op must print the
+same ``gen`` and ``lp`` output and leave the same file bytes on both
+sides.
 
 One process, one thread: the thread pins perfbench sets are set here
 before numpy is imported.  The benchmark's own pairs (separate processes,
@@ -109,16 +111,16 @@ def main(argv=None) -> int:
 
 def compare(work, ctxs, ops, sides, args) -> int:
     print(f"{len(ops)} {work.name} ops at seed {args.seed}, {args.rounds} rounds")
-    ratios = []
+    ratios, p50s = [], []
     for rnd in range(args.rounds):
-        total = [0.0, 0.0]
+        times = ([], [])
         for i, op in enumerate(ops):
             outs = [None, None]
             for k in ((0, 1) if i % 2 == 0 else (1, 0)):
                 with as_giplab(sides[k]):
                     t0 = time.perf_counter()
                     out = work.run_op(ctxs[k], op)
-                    total[k] += time.perf_counter() - t0
+                    times[k].append(time.perf_counter() - t0)
                 if work.name == "lp_cli":
                     with open(ctxs[k], "rb") as fh:
                         out = (out, fh.read())
@@ -127,11 +129,16 @@ def compare(work, ctxs, ops, sides, args) -> int:
                 print(f"op {op}: outputs differ\n  parent {outs[0]!r:.500}\n"
                       f"  change {outs[1]!r:.500}", file=sys.stderr)
                 return 1
+        total = [sum(side) for side in times]
+        p50 = [statistics.median(side) for side in times]
         ratios.append(total[1] / total[0])
+        p50s.append(p50[1] / p50[0])
         print(f"round {rnd}: parent {total[0]:.4f} s  change {total[1]:.4f} s  "
-              f"ratio {ratios[-1]:.4f}", flush=True)
-    print(f"median ratio (change / parent) over {len(ratios)} rounds: "
-          f"{statistics.median(ratios):.4f} (min {min(ratios):.4f}, max {max(ratios):.4f})")
+              f"ratio {ratios[-1]:.4f}  p50 {p50[0] * 1e3:.3f} / {p50[1] * 1e3:.3f} ms  "
+              f"p50 ratio {p50s[-1]:.4f}", flush=True)
+    for name, series in (("ratio", ratios), ("p50 ratio", p50s)):
+        print(f"median {name} (change / parent) over {len(series)} rounds: "
+              f"{statistics.median(series):.4f} (min {min(series):.4f}, max {max(series):.4f})")
     return 0
 
 
