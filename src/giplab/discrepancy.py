@@ -46,7 +46,6 @@ __all__ = [
 EXACT_ENUM_BUDGET = 2_000_000
 SIDEWAYS_PROB = 0.1   # chance of taking the best swap when it does not improve
 _ENUM_CHUNK = 32768
-_DIRECT_MAX = 1024  # pools up to this many subsets skip the band join
 _EPS64 = np.finfo(np.float64).eps
 
 
@@ -194,22 +193,13 @@ def _extend(last, end):
     return prefix, np.arange(prefix.size) - first + last[prefix] + 1
 
 
-@lru_cache(maxsize=8)
-def _all_subsets(count: int, k: int) -> np.ndarray:
-    """Every k-subset of range(count), one per row, in lexicographic order."""
-    subsets = np.array(list(combinations(range(count), k)), dtype=np.intp)
-    subsets.flags.writeable = False
-    return subsets
-
-
 def disc_exact(instance: DiscInstance) -> DiscOutcome:
     """Minimum-deviation k-subset, ties going to the lexicographically
     first: what scoring every combinations() tuple in order returns.
 
-    Pools of at most _DIRECT_MAX subsets, too small to repay the band
-    join's fixed cost, are scored that way.  Larger ones go through
-    _band_join, and `scored` counts the pairs of half sums it scored.
-    `evaluations` is C(count, k), the subsets the search decides between.
+    Every pool goes through _band_join, and `scored` counts the pairs of
+    half sums it scored.  `evaluations` is C(count, k), the subsets the
+    search decides between.
 
     Refuses instances with more than EXACT_ENUM_BUDGET subsets; the
     module docstring says why that budget stays fixed.
@@ -220,10 +210,7 @@ def disc_exact(instance: DiscInstance) -> DiscOutcome:
         raise ExactBudgetError(
             f"{total} subsets exceed the exact budget of {EXACT_ENUM_BUDGET}"
         )
-    if total <= _DIRECT_MAX:
-        (best_dev, best_subset), scored = _fold(instance, _all_subsets(count, k)), 0
-    else:
-        (best_dev, best_subset), scored = _band_join(instance)
+    (best_dev, best_subset), scored = _band_join(instance)
     return DiscOutcome(
         found=best_dev <= instance.theta,
         subset=best_subset,
@@ -249,8 +236,10 @@ def _band_join(instance: DiscInstance):
     so far, and for each left sum those pairs are one run of the sorted
     right sums, its band, found by one searchsorted per size pair.  The
     largest size pair's bands, which hold its probes, are scored first,
-    and the scores found there narrow the bands of the other size pairs.
-    Only bands are scored, at most _ENUM_CHUNK * k pairs at a time.
+    and the scores found there narrow the bands of the other size pairs,
+    if there are any: k == count, or count == 1 with its empty left half,
+    gives one size pair.  Only bands are scored, at most _ENUM_CHUNK * k
+    pairs at a time.
 
     A split-half score differs from the direct score
     |cols[:, subset].sum() - target|_inf by rounding only.  The subsets
@@ -285,9 +274,10 @@ def _band_join(instance: DiscInstance):
     kept = []  # (scores, left, right) table columns of pairs that may hold the minimum
     kept_size = scored = 0
     best = (np.inf, ())
-    # the scores found in the largest size pair's bands narrow the others';
-    # a pool this large has k < count, which gives at least two size pairs
+    # the scores found in the largest size pair's bands narrow the others'
     for g, (rows, parts, base) in enumerate(groups):
+        if not parts:  # a pool with one size pair
+            continue
         # |fl(l_0 + r_0)| <= s gives |l_0 + r_0| <= s (1 + eps64), and the
         # keys -l_0 -/+ w, slack included, round to outside that interval
         s = near + tol
@@ -366,7 +356,7 @@ def _rescore(instance, table, kept, cutoff, best):
     return best
 
 
-def _fold(instance, subsets, best=(np.inf, ())):
+def _fold(instance, subsets, best):
     """Fold the k-subsets in the rows of `subsets` into `best`, a
     (deviation, subset) pair, by their direct score, ties going to the
     lexicographically first subset."""

@@ -24,6 +24,7 @@ __all__ = [
     "solve_beta",
     "theory_params",
     "log_binomial",
+    "pool_multiplier",
     "calibrate_theta",
     "householder_to_axis",
 ]
@@ -33,7 +34,7 @@ __all__ = [
 class DiscParams:
     """Calibrated parameters of the k-subset selection problem.
 
-    `a` is the universe multiplier ceil(2*sqrt(m)); `theta` solves
+    `a` is the universe multiplier pool_multiplier(m); `theta` solves
     (2*theta / sqrt(2*pi*k))**m * C(a*k, k) = 1, i.e. it makes the expected
     number of k-subsets of a*k standard-normal-sum columns landing within
     theta of a fixed target approximately one.
@@ -131,6 +132,12 @@ def log_binomial(n: int, k: int) -> float:
     return math.log(math.comb(n, k))
 
 
+def pool_multiplier(m: int) -> int:
+    """a = ceil(2*sqrt(m)): a k-subset is drawn from a pool of a*k columns,
+    in the calibration and in every pool of the rounding pipeline."""
+    return math.ceil(2.0 * math.sqrt(m))
+
+
 def calibrate_theta(m: int, k: int) -> DiscParams:
     """Solve the subset-count calibration identity for theta.
 
@@ -139,7 +146,7 @@ def calibrate_theta(m: int, k: int) -> DiscParams:
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be >= 1")
-    a = math.ceil(2.0 * math.sqrt(m))
+    a = pool_multiplier(m)
     log_c = log_binomial(a * k, k)
     theta = math.exp(0.5 * math.log(2.0 * math.pi * k) - LN2 - log_c / m)
     return DiscParams(m=m, k=k, a=a, theta=theta)

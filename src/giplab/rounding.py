@@ -33,7 +33,7 @@ import numpy as np
 
 from .instance import Instance
 from .lp import LpSolution, gap_formula
-from .numerics import calibrate_theta, householder_to_axis
+from .numerics import calibrate_theta, householder_to_axis, pool_multiplier
 from .discrepancy import DiscInstance, disc_exact, fits_exact_budget
 from .discrepancy import disc_search  # noqa: F401  kept: perfbench/spans.py traces this name
 from .rng import RngHandle
@@ -64,7 +64,7 @@ def exact_pool_k_cap(m: int) -> int:
     exactly within the subset solver's enumeration budget."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    a = math.ceil(2.0 * math.sqrt(m))
+    a = pool_multiplier(m)
     k = 1
     while fits_exact_budget(a * (k + 1), k + 1):
         k += 1
@@ -250,7 +250,7 @@ def _flip_search(
     z = filter_reduced_costs(lp_solution, params.delta, t)
     diagnostics["z_size"] = float(z.size)
 
-    pool_size = math.ceil(2.0 * math.sqrt(m)) * k
+    pool_size = pool_multiplier(m) * k
     need = pool_size * t
     diagnostics["pool_size"] = float(pool_size)
     diagnostics["pools"] = float(t)

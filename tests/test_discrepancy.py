@@ -195,12 +195,40 @@ class TestDiscExactOracle:
         cap = discrepancy._ENUM_CHUNK * 10
         assert max(sizes) == cap < math.comb(12, 5) ** 2
 
+    @pytest.mark.parametrize("m, count, k, law", [
+        (2, 6, 6, "gaussian"),   # one size pair
+        (3, 1, 1, "gaussian"),   # an empty left half
+        (1, 4, 2, "gaussian"),
+        (1, 10, 5, "gaussian"),
+        (2, 8, 4, "integer"),    # few distinct sums, so exact ties
+        (3, 9, 3, "gaussian"),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_pools(self, m, count, k, law, seed):
+        # the band join serves the smallest pools too: one size pair, an
+        # empty left half, and pools of a few subsets to a few hundred
+        gen = np.random.default_rng(1100 + seed)
+        if law == "integer":
+            cols = gen.integers(-2, 3, size=(m, count)).astype(float)
+            target = gen.integers(-3, 4, size=m).astype(float)
+        else:
+            cols = gen.standard_normal((m, count))
+            target = gen.standard_normal(m)
+        out = assert_matches_oracle(DiscInstance(cols, target, 0.3, k))
+        assert out.scored <= out.evaluations == math.comb(count, k)
+
+    def test_small_pool_all_subsets_tied(self):
+        # zero columns tie every subset, so every pair lies in a band
+        out = assert_matches_oracle(DiscInstance(np.zeros((2, 6)), np.array([0.25, -0.5]), 0.1, 3))
+        assert out.subset == (0, 1, 2)
+        assert out.scored == out.evaluations == 20
+
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(st.data())
     def test_matches_oracle_on_random_pools(self, data):
         m = data.draw(st.integers(1, 4), label="m")
-        # pools past _DIRECT_MAX subsets, which take the band join, need
-        # count >= 13 and k near count / 2, so half the draws are such
+        # half the draws have count >= 13, where k near count / 2 gives pools
+        # of more than 1,024 subsets whose bands hold a small share of the pairs
         count = data.draw(st.integers(1, 16) | st.integers(13, 16), label="count")
         k = data.draw(st.integers(1, count) | st.just(count // 2 + 1), label="k")
         law = data.draw(st.sampled_from(["gaussian", "integer", "float32", "tenths32"]),
@@ -225,14 +253,16 @@ class TestDiscExactOracle:
 
 
 def test_split_plan_pairs_every_proper_subset_size():
-    # _band_join scores the largest size pair, then all the others: every
-    # pool it sees (k < count) must give at least two size pairs
+    # _band_join scores the largest size pair, then all the others: k <
+    # count gives at least two size pairs, while k == count and count == 1
+    # (an empty left half) give one, and _band_join skips the second pass
     for count in range(2, 25):
         for k in range(1, count):
             table, blocks, *_ = discrepancy._split_plan(count, k)
             assert len(blocks) >= 2
             assert sum((l1 - l0) * (r1 - r0) for l0, l1, r0, r1 in blocks) == math.comb(count, k)
     assert len(discrepancy._split_plan(6, 6)[1]) == 1
+    assert len(discrepancy._split_plan(1, 1)[1]) == 1
 
 
 def slot_table_sums(inst):

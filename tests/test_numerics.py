@@ -16,6 +16,7 @@ from giplab.numerics import (
     entropy,
     householder_to_axis,
     log_binomial,
+    pool_multiplier,
     solve_beta,
     theory_params,
 )
@@ -132,6 +133,12 @@ class TestCalibrateTheta:
         assert p.theta == pytest.approx(math.sqrt(2.0 * math.pi) / 4.0, rel=1e-12)
         p = calibrate_theta(1, 2)
         assert p.theta == pytest.approx(math.sqrt(4.0 * math.pi) / 12.0, rel=1e-12)
+
+    def test_pool_multiplier_is_the_integer_ceiling(self):
+        # ceil(2 sqrt(m)) is the least a with a^2 >= 4m, in integers
+        for m in range(1, 10_001):
+            assert pool_multiplier(m) == math.isqrt(4 * m - 1) + 1
+            assert pool_multiplier(m) == math.ceil(2.0 * math.sqrt(m))
 
     def test_defining_identity_on_grid(self):
         for m in range(1, 5):
