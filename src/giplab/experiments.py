@@ -3,8 +3,9 @@
 Every trial is identified by (master seed, stream index); the stream index
 enumerates (m, n, seed_index) cells in sorted order, so any row can be
 recomputed in isolation from the config alone.  Workers may run in parallel
-(GIPLAB_THREADS overrides the config), but rows are buffered and emitted in
-deterministic order, so parallel and serial runs produce identical files.
+(`parallelism`, the config's one worker count), but rows are buffered and
+emitted in deterministic order, so parallel and serial runs produce
+identical files.
 
 Rows are laid out by the frozen CSV_HEADER.  Its three timing columns are
 always written as zero; real wall times would break byte-level
@@ -51,7 +52,8 @@ class SweepConfig:
     exceeded), "always", or "never".  k/delta/t/theta default to the
     per-cell calibrated values when left as None; every cell's values are
     checked here, before any trial runs, as are the integer fields, the
-    seed range and the b recipe against every m.
+    seed range and the b recipe against every m.  `parallelism` is the
+    number of worker processes, min(cores, 8) when left as None.
     """
 
     m_list: tuple[int, ...]
@@ -98,6 +100,8 @@ class SweepConfig:
             raise ValueError("rounding must be auto, always, or never")
         if self.node_limit < 1:
             raise ValueError("node_limit must be >= 1")
+        if self.parallelism is not None and self.parallelism < 1:
+            raise ValueError("parallelism must be >= 1")
         for m in self.m_list:
             for n in self.n_list:
                 _cell_params(self, m, n)
@@ -239,16 +243,8 @@ def _solve_trial(cfg, stream, m, n, with_knapsack, rec) -> str:
 
 
 def _parallelism(cfg: SweepConfig) -> int:
-    env = os.environ.get("GIPLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"GIPLAB_THREADS must be an integer, got {env!r}"
-            ) from None
     if cfg.parallelism is not None:
-        return max(1, cfg.parallelism)
+        return cfg.parallelism
     return min(os.cpu_count() or 1, 8)
 
 

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import math
 from pathlib import Path
 
@@ -331,6 +332,15 @@ class TestOnePivotBound:
             solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
         # the key prints as a plain float, as the other lp/bnb messages do
         assert "np.float64(" not in str(exc_info.value)
+
+    def test_integral_point_outside_a_row_raises(self):
+        # a root LP point that is integral but breaks A x <= b
+        inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
+        ones = np.ones(inst.n)
+        assert (inst.A @ ones > inst.b + 1e-7).any()
+        root = dataclasses.replace(solve_lp(inst), x_star=ones)
+        with pytest.raises(ArithmeticError, match="^integral node LP point is infeasible$"):
+            solve_ip(inst, root=root)
 
 
 class TestModuleBoundary:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giplab.cli import run_cli
+from giplab.cli import main, run_cli
 
 from test_instance import HEADER_ERRORS
 
@@ -409,6 +409,13 @@ class TestSweepCli:
     def test_missing_config_exits_one(self, capsys):
         assert cli("gap-sweep", "--config", "nope.json") == 1
 
+    def test_console_entry_exits_with_the_status(self, monkeypatch, capsys):
+        # the `giplab` console script is cli.main
+        monkeypatch.setattr(sys, "argv", ["giplab", "gap-sweep", "--config", "nope.json"])
+        with pytest.raises(SystemExit) as exc_info:
+            main()
+        assert exc_info.value.code == 1
+
     def test_tree_sweep_out_flag_overrides_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(
@@ -420,18 +427,21 @@ class TestSweepCli:
         assert capsys.readouterr().out == f"wrote {out}: 2 rows\n"
         assert len(out.read_text().splitlines()) == 3
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", "two"])
+    @pytest.mark.parametrize("value", [0, -2, 1.5, "two", "abc"])
     @pytest.mark.parametrize("command", ["gap-sweep", "tree-sweep"])
-    def test_malformed_threads_env_exits_one(self, tmp_path, capsys,
-                                             monkeypatch, command, value):
+    def test_bad_parallelism_exits_one(self, tmp_path, capsys, command, value):
+        # the config holds the one worker count, checked when it loads
         cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "s.csv"
         cfg_path.write_text(json.dumps(dict(
             m_list=[2], n_list=[12], seeds_per_cell=1, rounding="never",
+            parallelism=value, out=str(out),
         )))
-        monkeypatch.setenv("GIPLAB_THREADS", value)
         assert cli(command, "--config", str(cfg_path)) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: GIPLAB_THREADS must be an integer, got {value!r}\n"
+        rule = ("must be >= 1" if isinstance(value, int)
+                else f"must hold integers, got {value!r}")
+        assert capsys.readouterr().err == f"error: bad config: parallelism {rule}\n"
+        assert not out.exists()
 
 
 class TestMonteCarloCommands:

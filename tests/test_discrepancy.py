@@ -434,6 +434,10 @@ class TestSuccessMc:
             wins_big += b
         assert wins_big >= wins_small
 
+    def test_unknown_column_law_refused(self):
+        with pytest.raises(ValueError, match="^unknown column law: 'cauchy'$"):
+            draw_columns(1, 4, "cauchy", RngHandle(80))
+
     def test_mixture_law_supported(self):
         rate, _ = disc_success_mc(
             1, 2, "mixture:0.5", np.zeros(1), 200, RngHandle(80)

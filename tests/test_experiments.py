@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giplab import bnb, cli, lp, rounding
+from giplab import bnb, cli, experiments, lp, rounding
 from giplab.experiments import (
     CSV_HEADER,
     ExperimentRecord,
@@ -95,8 +95,10 @@ class TestSweepConfig:
             small_config(m_list=(2,), k=9)
         with pytest.raises(ValueError):
             small_config(k=0)
-        with pytest.raises(ValueError, match="node_limit"):
-            small_config(node_limit=0)
+        for key, value in (("node_limit", 0), ("seeds_per_cell", 0),
+                           ("parallelism", 0), ("parallelism", -2)):
+            with pytest.raises(ValueError, match=rf"^{key} must be >= 1$"):
+                small_config(**{key: value})
         for key, value in (("n_list", 0), ("n_list", -5), ("m_list", 0)):
             with pytest.raises(ValueError, match=rf"{key} .*>= 1, got {value}$"):
                 small_config(**{key: (value,)})
@@ -106,6 +108,13 @@ class TestSweepConfig:
                     dict(m_list=(2, 3), b_spec="scaled_ones 0.1 0.2")):
             with pytest.raises(ValueError):
                 small_config(**bad)
+
+    @pytest.mark.parametrize("cores, workers", [(None, 1), (2, 2), (16, 8)])
+    def test_unset_parallelism_takes_the_cores_up_to_eight(
+            self, monkeypatch, cores, workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        assert experiments._parallelism(small_config(parallelism=None)) == workers
+        assert experiments._parallelism(small_config(parallelism=3)) == 3
 
     def test_b_spec_count_rule_is_the_instance_rule(self):
         # a config and a generated instance refuse a recipe of the wrong
@@ -287,15 +296,6 @@ class TestSweeps:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, env=env, check=True)
         assert res.stdout.strip() == "False"
-
-    def test_env_var_overrides_parallelism(self, tmp_path, monkeypatch):
-        out = tmp_path / "env.csv"
-        monkeypatch.setenv("GIPLAB_THREADS", "2")
-        gap_sweep(small_config(out=str(out), parallelism=1))
-        ref = tmp_path / "ref.csv"
-        monkeypatch.delenv("GIPLAB_THREADS")
-        gap_sweep(small_config(out=str(ref), parallelism=1))
-        assert out.read_bytes() == ref.read_bytes()
 
     def test_tree_sweep_side_file(self, tmp_path):
         out = tmp_path / "tree.csv"

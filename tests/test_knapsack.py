@@ -44,6 +44,8 @@ class TestKnapsackCount:
             knapsack_count(np.ones(49), 1.0, method="meet_in_middle")
         with pytest.raises(ValueError):
             knapsack_count([0.1], 1.0, method="greedy")
+        with pytest.raises(ValueError, match="^weights must be a vector$"):
+            knapsack_count(np.ones((2, 3)), 1.0)
 
     @pytest.mark.parametrize("method", ["dfs_pruned", "meet_in_middle"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1])
@@ -210,6 +212,12 @@ class TestExpectationMc:
             mean, _, bound = knapsack_expectation_mc(10, law, 0.5, 100, RngHandle(44))
             assert 1.0 <= mean <= bound
 
+    def test_validation(self):
+        with pytest.raises(ValueError, match="^trials must be >= 1$"):
+            knapsack_expectation_mc(10, "uniform01", 0.5, 0, RngHandle(45))
+        with pytest.raises(ValueError, match="^unknown weight law: 'normal'$"):
+            knapsack.draw_weights(10, "normal", RngHandle(45))
+
 
 class TestReducedCostKnapsack:
     def test_gap_zero_counts_zero_weight_subsets(self):
@@ -274,6 +282,10 @@ class TestSphereNet:
     def test_unit_vectors(self, d):
         net = sphere_net(d)
         assert np.allclose(np.linalg.norm(net, axis=1), 1.0, atol=1e-12)
+
+    def test_only_up_to_three_dimensions(self):
+        with pytest.raises(ValueError, match="^sphere nets provided only for d <= 3$"):
+            sphere_net(4)
 
     def test_covering_radius_d2(self):
         net = sphere_net(2)

@@ -992,6 +992,68 @@ class TestCheckOptimum:
         assert float(found[1]) == shifted.value
         assert float(found[2]) == dual_value(sol.u_star, inst)
 
+    def test_point_outside_a_row_breaks_primal_feasibility(self):
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(19))
+        sol = solve_lp(inst)
+        ones = np.ones(inst.n)
+        assert (inst.A @ ones > inst.b + 1e-7).any()
+        with pytest.raises(ArithmeticError,
+                           match="^optimal point violates A x <= b beyond tolerance$"):
+            lp._check_optimum(inst, dataclasses.replace(sol, x_star=ones))
+
+    def test_origin_breaks_complementary_slackness_on_variables(self):
+        # x = 0 meets A x <= b = 0 and leaves the value and the duals as
+        # they were, but holds every column of positive reduced cost at 0
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(19))
+        sol = solve_lp(inst)
+        assert (sol.reduced_costs > 1e-7).any()
+        with pytest.raises(ArithmeticError,
+                           match="^complementary slackness violated on variables$"):
+            lp._check_optimum(inst, dataclasses.replace(sol, x_star=np.zeros(inst.n)))
+
+    def test_slack_row_with_a_positive_dual_breaks_complementary_slackness(self):
+        # b_i + delta on a row with u_i > 0, and the value + u_i * delta,
+        # keep the point feasible and strong duality exact but leave row i
+        # slack under its positive dual
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(19))
+        sol = solve_lp(inst)
+        i = int(np.argmax(sol.u_star))
+        delta = 1e-3 / sol.u_star[i]
+        b = inst.b.copy()
+        b[i] += delta
+        with pytest.raises(ArithmeticError,
+                           match="^complementary slackness violated on rows$"):
+            lp._check_optimum(dataclasses.replace(inst, b=b), dataclasses.replace(
+                sol, value=sol.value + float(sol.u_star[i] * delta)))
+
+
+class TestSolveLpVerdicts:
+    """`solve_lp`'s own checks on what `_run` returns."""
+
+    @staticmethod
+    def patch_run(monkeypatch, change):
+        run = lp._run
+        monkeypatch.setattr(lp, "_run", lambda core: change(run(core)))
+
+    def test_negative_dual_is_refused(self, monkeypatch):
+        def dented(sol):
+            duals = sol.duals.copy()
+            duals[0] = -1e-3
+            return dataclasses.replace(sol, duals=duals)
+
+        self.patch_run(monkeypatch, dented)
+        with pytest.raises(ArithmeticError,
+                           match="^negative dual beyond roundoff tolerance$"):
+            solve_lp(generate(3, 40, BSpec.zeros(), RngHandle(19)))
+
+    def test_more_fractional_coordinates_than_rows_is_refused(self, monkeypatch):
+        self.patch_run(monkeypatch, lambda sol: dataclasses.replace(
+            sol, x_star=np.full(sol.x_star.size, 0.5)))
+        monkeypatch.setattr(lp, "_check_optimum", lambda instance, sol: None)
+        with pytest.raises(ArithmeticError,
+                           match="^more fractional coordinates than constraints$"):
+            solve_lp(generate(3, 40, BSpec.zeros(), RngHandle(19)))
+
 
 class TestOneResultType:
     def test_root_solve_is_the_box_solve(self):
@@ -1336,6 +1398,14 @@ class TestGapFormula:
         inst = generate(1, 3, BSpec.zeros(), RngHandle(1))
         with pytest.raises(ValueError):
             gap_formula(np.array([1.5, 0.0, 0.0]), np.zeros(1), inst)
+
+    def test_definition_off_the_expansion_raises(self, monkeypatch):
+        inst = generate(3, 40, BSpec.zeros(), RngHandle(19))
+        sol = solve_lp(inst)
+        honest = lp.dual_value
+        monkeypatch.setattr(lp, "dual_value", lambda u, instance: honest(u, instance) + 1.0)
+        with pytest.raises(ArithmeticError, match=r"^gap formula mismatch: \S+ vs \S+$"):
+            gap_formula(sol.x_star, sol.u_star, inst)
 
 
 class TestResampleZeroColumn:

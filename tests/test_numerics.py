@@ -197,6 +197,10 @@ class TestHouseholder:
         with pytest.raises(ValueError):
             householder_to_axis(np.zeros(3))
 
+    def test_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^u must be a vector$"):
+            householder_to_axis(np.ones((2, 2)))
+
 
 class TestMixtureDensity:
     """The uniform+Gaussian mixture's density, read from the oracle: the
@@ -247,6 +251,13 @@ class TestTheoryParams:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValueError):
             theory_params(0.3, 0.0)
+
+    @pytest.mark.parametrize("delta", [-0.1, 0.8])
+    def test_rejects_delta_out_of_range(self, delta):
+        # at epsilon = 1/9 the range is [0, (1 - 3/9)/(1 - 1/9)), about [0, 0.75)
+        with pytest.raises(ValueError,
+                           match=r"^delta must lie in \[0, \(1-3\*eps\)/\(1-eps\)\)$"):
+            theory_params(1.0 / 9.0, delta)
 
 
 def test_importing_every_module_loads_no_scipy():

@@ -45,6 +45,13 @@ class TestRngHandle:
             RngHandle(-1)
         with pytest.raises(ValueError):
             RngHandle(2**64)
+        with pytest.raises(ValueError,
+                           match="^stream must be an unsigned 64-bit integer$"):
+            RngHandle(1, 2**64)
+
+    def test_repr_shows_the_identity(self):
+        assert repr(RngHandle(7)) == "RngHandle(7)"
+        assert repr(RngHandle(7, 3).derive(0, 2)) == "RngHandle(7/3/0/2)"
 
     def test_negative_path_entry_raises_at_construction(self):
         with pytest.raises(ValueError, match="path entries must be nonnegative"):
@@ -143,6 +150,10 @@ class TestConditionedColumn:
     def test_negative_u_rejected(self):
         with pytest.raises(ValueError):
             conditioned_column(np.array([-0.1]), RngHandle(1))
+
+    def test_matrix_u_rejected(self):
+        with pytest.raises(ValueError, match="^u must be a vector$"):
+            conditioned_column(np.ones((2, 2)), RngHandle(1))
 
 
 class TestBandSample:
