@@ -145,6 +145,9 @@ def _cmd_sweep(args) -> int:
     from . import experiments
 
     cfg = _read_config(args)
+    if args.sweep == "tree_sweep" and not cfg.out:
+        raise ValueError("bad config: tree-sweep needs out, as it writes "
+                         "the knapsack counts to <out>.knap.csv")
     if cfg.out:
         # a missing output directory fails here, not after every trial
         os.scandir(os.path.dirname(cfg.out) or ".").close()

@@ -395,8 +395,10 @@ def disc_search(
     the best (in, out) swap; a non-improving best swap is still taken with
     probability SIDEWAYS_PROB to escape plateaus.  A restart stops after 30k
     moves, or after 3k moves without improvement.  found=False is a legal
-    outcome and does not prove nonexistence.
+    outcome and does not prove nonexistence.  ValueError when restarts < 1.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     cols = instance.columns
     target = instance.target
     m, count = cols.shape
@@ -407,7 +409,7 @@ def disc_search(
     best_subset: tuple[int, ...] = ()
     evaluations = 0
 
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         members = np.zeros(count, dtype=bool)
         members[gen.choice(count, size=k, replace=False)] = True
         current = cols[:, members].sum(axis=1)

@@ -199,7 +199,7 @@ def _solve_trial(cfg, stream, m, n, with_knapsack, rec) -> str:
     except lp.IterationLimitError:
         return "lp_iteration_limit"
     rec["lp_value"] = sol.value
-    rec["u_norm"] = float(np.linalg.norm(sol.u_star))
+    rec["u_norm"] = sol.u_norm
     rec["n0"] = int(sol.n0.size)
     rec["s"] = int(sol.s.size)
 
@@ -279,14 +279,13 @@ def tree_sweep(cfg: SweepConfig) -> list[ExperimentRecord]:
     `<out>.knap.csv` since the main header is fixed."""
     records = _run_sweep(cfg, with_knapsack=True)
     if cfg.out:
-        with open(cfg.out + ".knap.csv", "w", encoding="utf-8") as fh:
-            fh.write("seed,m,n,ipgap,tree_size,knap_count,envelope\n")
-            for r in records:
-                if r.knap_count is None:
-                    continue
+        lines = ["seed,m,n,ipgap,tree_size,knap_count,envelope"]
+        for r in records:
+            if r.knap_count is not None:
                 envelope = knapsack.expectation_bound(r.n, r.ipgap)
                 cells = (r.seed, r.m, r.n, r.ipgap, r.tree_size, r.knap_count, envelope)
-                fh.write(",".join(map(_cell, cells)) + "\n")
+                lines.append(",".join(map(_cell, cells)))
+        _write_text("\n".join(lines) + "\n", cfg.out + ".knap.csv")
     return records
 
 
@@ -330,14 +329,13 @@ def stats_check(
         except (lp.InfeasibleError, lp.IterationLimitError):
             lp_failures += 1
             continue
-        u_norm = float(np.linalg.norm(sol.u_star))
         if sol.value >= params.alpha * n:
             counts["value_ge_alpha_n"] += 1
-        if u_norm <= params.dual_norm_bound:
+        if sol.u_norm <= params.dual_norm_bound:
             counts["u_norm_le_bound"] += 1
         if sol.n0.size >= (1.0 - params.beta) * n - m:
             counts["n0_ge_beta_bound"] += 1
-        u_norm_ok, n0_ok = rounding.fixed_events(u_norm, sol.n0.size, n)
+        u_norm_ok, n0_ok = rounding.fixed_events(sol.u_norm, sol.n0.size, n)
         counts["u_norm_le_3"] += u_norm_ok
         counts["n0_ge_n_over_500"] += n0_ok
     freq = {key: val / seeds for key, val in counts.items()}
@@ -361,5 +359,11 @@ def records_to_csv(records) -> str:
 
 
 def write_csv(records, path) -> None:
+    _write_text(records_to_csv(records), path)
+
+
+def _write_text(text, path) -> None:
+    """The one writer of sweep files: UTF-8 with LF line ends on every
+    platform."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(records_to_csv(records))
+        fh.write(text)

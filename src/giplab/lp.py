@@ -51,12 +51,11 @@ one rule there detects a singular basis: the invalid flag the LAPACK
 gufunc sets becomes ArithmeticError("simplex basis became singular").
 
 Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals, its pivot and refactorization counts
-and its final `_Simplex`.  The dual vector, the reduced costs and the
-support (variables at 0, at 1, fractional; `support_partition` composes
-the one fractional test with the two bound tests) are computed on first
-read and kept, so a child that is never expanded never computes them,
-and expanding a node reads only its fractional support.
+point, its value and basic duals and its final `_Simplex`, which holds
+the pivot and refactorization counts.  The dual vector and its norm, the
+reduced costs, the fractional support and the variables at 0 are
+computed on first read and kept, so a child that is never expanded never
+computes them, and expanding a node reads only its fractional support.
 `child_bounds(j)` bounds the values of the two children that fix a basic
 x_j by one pivot.
 """
@@ -82,7 +81,6 @@ __all__ = [
     "IterationLimitError",
     "solve_lp",
     "solve_box_lp",
-    "support_partition",
     "dual_value",
     "gap_formula",
     "resample_zero_column",
@@ -129,29 +127,34 @@ class LpSolution:
     """Optimal basic solution of one box LP.
 
     `duals` are the basic duals of the final basis, which roundoff can
-    leave slightly below zero.  `refactors` maps each cause of a fresh
-    basis inverse during the solve ("tiny_pivot", "verdict",
-    "exit_check") to how many it took.  `simplex` is the solve's final
-    `_Simplex`: what a branch-and-bound child re-solves from
-    (`solve_box_lp`) and what `child_bounds` bounds the children's values
-    from.  A child copies what it changes and never writes it.
+    leave slightly below zero.  `simplex` is the solve's final `_Simplex`:
+    what a branch-and-bound child re-solves from (`solve_box_lp`) and what
+    `child_bounds` bounds the children's values from.  A child copies what
+    it changes and never writes it.  `pivots` and `refactors` (each cause
+    of a fresh basis inverse during the solve, "tiny_pivot", "verdict"
+    and "exit_check", mapped to how many it took) are read from it.
 
-    `u_star` (the positive part of `duals`), `reduced_costs` (c - A' u_star),
-    the fractional support `s` and the indices `n0`, `n1` at 0 and at 1
-    (the parts of `support_partition(x_star)`) are computed on first read
-    and kept, each on its own (`functools.cached_property`).
+    `u_star` (the positive part of `duals`), its norm `u_norm`,
+    `reduced_costs` (c - A' u_star), the fractional support `s` and the
+    indices `n0` at 0 are computed on first read and kept, each on its
+    own (`functools.cached_property`).
     """
 
     x_star: np.ndarray
     value: float
     duals: np.ndarray
-    pivots: int
-    refactors: dict
     simplex: _Simplex
+
+    pivots = property(lambda self: self.simplex.pivots)
+    refactors = property(lambda self: self.simplex.refactors)
 
     @cached_property
     def u_star(self) -> np.ndarray:
         return np.where(self.duals > 0.0, self.duals, 0.0)
+
+    @cached_property
+    def u_norm(self) -> float:
+        return float(np.linalg.norm(self.u_star))
 
     @cached_property
     def reduced_costs(self) -> np.ndarray:
@@ -163,11 +166,8 @@ class LpSolution:
         return _fractional(self.x_star)
 
     @cached_property
-    def _n0_n1(self):
-        return _at_bounds(self.x_star)
-
-    n0 = property(lambda self: self._n0_n1[0])
-    n1 = property(lambda self: self._n0_n1[1])
+    def n0(self) -> np.ndarray:
+        return (self.x_star <= CLASSIFY_TOL).nonzero()[0]
 
     def _branch_row(self, j: int) -> tuple:
         """(r, s, d, tests): the basis position r of x_j, alpha * sgn on
@@ -305,10 +305,11 @@ class _Simplex:
     it changes them.  `first`, when set, is (r, s, d, tests) for the first
     pass: the row alpha * sgn at position r, the reduced costs and the
     ratio tests of the two ways out of the row, kept by the parent, with
-    `xb` and `rhs_n` its own.  `pivots` counts basis changes, `refactors`
-    counts fresh inverses by cause (a pivot element too small to divide
-    by, an infeasibility verdict and the exit check), and `fresh` says
-    binv was inverted afresh at the current basis.
+    `xb` and `rhs_n` its own.  `pivots` counts basis changes up to
+    `pivot_budget`, 50 per column of mat, `refactors` counts fresh
+    inverses by cause (a pivot element too small to divide by, an
+    infeasibility verdict and the exit check), and `fresh` says binv was
+    inverted afresh at the current basis.
 
     The constructor builds a cold solve's crash start and `branch` a
     child's start from a parent's final state.  dual_run() pivots from a
@@ -318,7 +319,7 @@ class _Simplex:
     binv, which one product-form step updates per basis change.
     """
 
-    def __init__(self, a, b, c, max_pivots):
+    def __init__(self, a, b, c):
         """The crash start of max c @ x, a @ x <= b, x in [0,1]^n: the
         slacks basic with binv = I, each structural with c_j > 0 at its
         upper bound 1 and every other one at 0."""
@@ -336,7 +337,7 @@ class _Simplex:
         self.x_n[:n] = at_upper
         self.low_b, self.upp_b = [0.0] * m, [np.inf] * m
         self.first = None
-        self._start(max_pivots)
+        self._start()
 
     def branch(self, j, side, first):
         """The child that fixes x_j at side: a copy of this final state
@@ -345,8 +346,7 @@ class _Simplex:
         (`first` None), it moves to side; basic, `first` is the (r, s, d,
         tests) the parent kept for it, its bounds at position r change,
         and the first pass reads the kept row, reduced costs and ratio
-        tests and this state's last pass.  The child has the default
-        pivot budget."""
+        tests and this state's last pass."""
         core = object.__new__(_Simplex)
         core.__dict__.update(
             self.__dict__, lower=self.lower.copy(), upper=self.upper.copy(),
@@ -361,11 +361,9 @@ class _Simplex:
         core._start()
         return core
 
-    def _start(self, max_pivots=None):
+    def _start(self):
         self.fresh = False
-        if max_pivots is None:  # the default: 50 pivots per column of [A | I]
-            max_pivots = 50 * len(self.gamma)
-        self.max_pivots = max(int(max_pivots), 1)
+        self.pivot_budget = 50 * len(self.gamma)  # per column of [A | I]
         self.pivots = 0
         self.refactors = {"tiny_pivot": 0, "verdict": 0, "exit_check": 0}
 
@@ -470,8 +468,8 @@ class _Simplex:
             e = int(eligible[ties][mag[ties].argmax()])
             self._exchange(r, e, self.binv.dot(self.mat[:, e]), not rise_to_lower)
             self.pivots += 1
-            if self.pivots >= self.max_pivots:
-                raise IterationLimitError(f"pivot budget of {self.max_pivots} exhausted")
+            if self.pivots >= self.pivot_budget:
+                raise IterationLimitError(f"pivot budget of {self.pivot_budget} exhausted")
 
     def certify(self):
         """Solve the final basis afresh and return (x, y) from that solve.
@@ -534,13 +532,13 @@ def _run(core: _Simplex) -> LpSolution:
     x = x_full[:n]
     np.maximum(x, lower, out=x)
     np.minimum(x, upper, out=x)
-    return LpSolution(x, float(core.gamma[:n].dot(x)), y, core.pivots, core.refactors, core)
+    return LpSolution(x, float(core.gamma[:n].dot(x)), y, core)
 
 
 def solve_box_lp(parent: LpSolution, j: int, side: float) -> LpSolution:
     """The child of `parent` (`solve_lp`'s result or an earlier child's)
     that fixes x_j at `side`, solved by `_run` from a copy of the parent's
-    final simplex state (`_Simplex.branch`) under the default pivot budget.
+    final simplex state (`_Simplex.branch`) under its own pivot budget.
     The [A | I] system is shared, and the parent is read and never
     changed, so two children can start from one parent.  A fixing outside
     the structurals or the parent's box raises ValueError.
@@ -586,31 +584,20 @@ def _fractional(x) -> np.ndarray:
     return ((x > CLASSIFY_TOL) & (x < 1.0 - CLASSIFY_TOL)).nonzero()[0]
 
 
-def _at_bounds(x) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of x at 0 and at 1, within CLASSIFY_TOL."""
-    return (x <= CLASSIFY_TOL).nonzero()[0], (x >= 1.0 - CLASSIFY_TOL).nonzero()[0]
-
-
-def support_partition(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices of x at 0, at 1 and strictly between, within CLASSIFY_TOL."""
-    x = np.asarray(x, dtype=float)
-    return (*_at_bounds(x), _fractional(x))
-
-
-def solve_lp(instance: Instance, *, max_pivots: int | None = None) -> LpSolution:
+def solve_lp(instance: Instance) -> LpSolution:
     """Optimal basic solution of the box relaxation of `instance`.
 
     The one cold solve: `_run` from the crash start (`_Simplex`) on a new
     [A | I], then checked: no dual below zero beyond roundoff, primal
     feasibility, strong duality, complementary slackness and at most m
     fractional coordinates.  The checks read `u_star`, `reduced_costs` and
-    the support partition, so a root solution returns with them computed.
+    the fractional support, so a root solution returns with them computed.
 
     Raises InfeasibleError (with a Farkas certificate) when no x in [0,1]^n
-    satisfies A x <= b, and IterationLimitError on reaching `max_pivots`
-    pivots (by default 50 per column of [A | I]).
+    satisfies A x <= b, and IterationLimitError on reaching the pivot
+    budget of 50 per column of [A | I].
     """
-    sol = _run(_Simplex(instance.A, instance.b, instance.c, max_pivots))
+    sol = _run(_Simplex(instance.A, instance.b, instance.c))
     if (sol.duals < -1e-7).any():
         raise ArithmeticError("negative dual beyond roundoff tolerance")
     _check_optimum(instance, sol)

@@ -212,8 +212,7 @@ def fixed_events(u_norm: float, n0_size: int, n: int) -> tuple[bool, bool]:
 
 
 def _event_flags(instance: Instance, lp_solution: LpSolution) -> dict[str, float]:
-    n = instance.n
-    u_norm = float(np.linalg.norm(lp_solution.u_star))
+    n, u_norm = instance.n, lp_solution.u_norm
     u_norm_ok, n0_ok = fixed_events(u_norm, lp_solution.n0.size, n)
     col_limit = 4.0 * math.sqrt(math.log(n)) + math.sqrt(instance.m)
     s_cols = lp_solution.s
@@ -264,8 +263,7 @@ def _flip_search(
     # the first success pays the smallest objective price
     z = z[np.argsort(np.abs(lp_solution.reduced_costs[z]), kind="stable")][:need]
 
-    u_star = lp_solution.u_star
-    u_norm = diagnostics["u_norm"]  # set by _event_flags
+    u_star, u_norm = lp_solution.u_star, lp_solution.u_norm
     rot = householder_to_axis(u_star) if u_norm > 1e-15 else np.eye(m)
     mu_t = params.delta * t / 2.0
     sigma_t = sigma_last(u_norm, params.delta, t)
@@ -362,9 +360,9 @@ def gap_chain_check(
     """
     if not certificate.feasible:
         raise ValueError("gap_chain_check requires a feasible certificate")
-    u_norm = float(np.linalg.norm(lp_solution.u_star))
     budget = certificate.diagnostics["t_delta_k"]
     bound = (
-        math.sqrt(instance.m) * u_norm * certificate.slack_inf_norm + budget + 1e-7
+        math.sqrt(instance.m) * lp_solution.u_norm * certificate.slack_inf_norm
+        + budget + 1e-7
     )
     return certificate.certified_gap <= bound

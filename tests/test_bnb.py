@@ -179,23 +179,15 @@ class TestBranchVariable:
     def test_tie_breaks_low_index(self, monkeypatch):
         assert self._first_branch(monkeypatch, [1.0, 0.75, 0.25]) == 1
 
-    def test_each_expanded_node_classified_once(self, monkeypatch):
+    def test_each_expanded_node_classified_once(self, classify_calls):
         # the integrality test and the branching rule share one fractional
         # support, computed when a node is read and never for a child that
-        # is not expanded, and no node classifies its entries at 0 and 1;
+        # is not expanded, and no node classifies its entries at 0;
         # TestFrozenTrees checks the branching
-        calls = collections.Counter()
-
-        def counted(name):
-            classify = getattr(lp, name)
-            return lambda x: calls.update([name]) or classify(x)
-
-        for name in ("_fractional", "_at_bounds"):
-            monkeypatch.setattr(lp, name, counted(name))
         res = solve_ip(generate(2, 24, BSpec.zeros(), RngHandle(5)))
         assert res.status == "Optimal" and res.nodes_expanded > 5
         assert res.nodes_created > res.nodes_expanded
-        assert calls == {"_fractional": res.nodes_expanded}
+        assert classify_calls == {"_fractional": res.nodes_expanded}
 
 
 class TestHighsDifferential:

@@ -427,6 +427,26 @@ class TestSweepCli:
         assert capsys.readouterr().out == f"wrote {out}: 2 rows\n"
         assert len(out.read_text().splitlines()) == 3
 
+    def test_tree_sweep_without_out_exits_one_before_any_trial(
+            self, tmp_path, capsys, monkeypatch):
+        # the knapsack counts have no place on stdout, so tree-sweep needs a
+        # file to write them beside
+        from giplab import experiments
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiments, "run_trial", no_trial)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            m_list=[2], n_list=[12], seeds_per_cell=3, parallelism=1,
+        )))
+        assert cli("tree-sweep", "--config", str(cfg_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: bad config: tree-sweep needs out, as it "
+                                "writes the knapsack counts to <out>.knap.csv\n")
+
     @pytest.mark.parametrize("value", [0, -2, 1.5, "two", "abc"])
     @pytest.mark.parametrize("command", ["gap-sweep", "tree-sweep"])
     def test_bad_parallelism_exits_one(self, tmp_path, capsys, command, value):

@@ -367,6 +367,11 @@ class TestDiscSearch:
         # each restart scores its one subset and finds no swap
         assert out.evaluations == 3
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_refuses_fewer_than_one_restart(self, restarts):
+        with pytest.raises(ValueError, match=r"^restarts must be >= 1$"):
+            disc_search(random_instance(5), RngHandle(6), restarts=restarts)
+
     def test_determinism(self):
         inst = random_instance(5)
         a = disc_search(inst, RngHandle(6), restarts=10)

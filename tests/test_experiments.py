@@ -215,9 +215,10 @@ class TestTrialStatusRows:
         assert self._empty_cells(rec) == LP_CELLS | TREE_CELLS | IP_CELLS | ROUND_CELLS
 
     def test_lp_iteration_limit(self, monkeypatch):
-        solve_lp = lp.solve_lp
-        monkeypatch.setattr(lp, "solve_lp",
-                            lambda instance: solve_lp(instance, max_pivots=1))
+        def exhausted(instance):
+            raise lp.IterationLimitError("pivot budget of 1 exhausted")
+
+        monkeypatch.setattr(lp, "solve_lp", exhausted)
         rec = run_trial(small_config(n_list=(12,), seeds_per_cell=1), 0, 2, 12)
         assert rec.status == "lp_iteration_limit"
         assert self._empty_cells(rec) == LP_CELLS | TREE_CELLS | IP_CELLS | ROUND_CELLS

@@ -22,7 +22,6 @@ from giplab.lp import (
     resample_zero_column,
     solve_box_lp,
     solve_lp,
-    support_partition,
 )
 from giplab.numerics import theory_params
 from giplab.rng import RngHandle
@@ -49,7 +48,7 @@ class TestSolveLpHandCases:
         assert np.allclose(sol.x_star, [1.0, 1.0], atol=1e-9)
         assert sol.value == pytest.approx(2.0, abs=1e-9)
         assert sol.u_star[0] == pytest.approx(0.0, abs=1e-9)
-        assert list(sol.n1) == [0, 1]
+        assert list(np.flatnonzero(sol.x_star >= 1.0 - lp.CLASSIFY_TOL)) == [0, 1]
 
     def test_infeasible_with_farkas(self):
         inst = make_instance([[-1.0], [1.0]], [-0.9, 0.5], [1.0])
@@ -62,19 +61,30 @@ class TestSolveLpHandCases:
         box_min = np.minimum(w, 0.0).sum()
         assert box_min > inst.b @ u + 1e-9
 
+    @staticmethod
+    def _run_with_budget(inst, budget):
+        core = lp._Simplex(inst.A, inst.b, inst.c)
+        core.pivot_budget = budget
+        return lp._run(core)
+
     def test_iteration_limit(self):
         inst = generate(3, 60, BSpec.zeros(), RngHandle(3))
         with pytest.raises(IterationLimitError):
-            solve_lp(inst, max_pivots=2)
+            self._run_with_budget(inst, 2)
 
     def test_pivot_budget_covers_both_phases(self):
         inst = generate(3, 400, BSpec.zeros(), RngHandle(1))
         # the crash start breaks a row, so the solve takes dual pivots
         assert np.any(inst.A @ (inst.c > 0) > inst.b)
-        pivots = solve_lp(inst).pivots
-        assert solve_lp(inst, max_pivots=pivots + 1).pivots == pivots
+        root = solve_lp(inst)
+        pivots = root.pivots
+        assert self._run_with_budget(inst, pivots + 1).pivots == pivots
         with pytest.raises(IterationLimitError, match=f"budget of {pivots} exhausted"):
-            solve_lp(inst, max_pivots=pivots)
+            self._run_with_budget(inst, pivots)
+        # every solve, root or child, has 50 pivots per column of [A | I]
+        child = solve_box_lp(root, int(root.s[0]), 0.0)
+        budget = 50 * (inst.n + inst.m)
+        assert root.simplex.pivot_budget == child.simplex.pivot_budget == budget
 
 
 class TestStartRule:
@@ -367,16 +377,16 @@ class TestWarmStart:
                 for side in (0.0, 1.0):
                     pairs.append(self._warm_and_cold(inst, root, j, side))
             # three fixings down one path, each re-solved from its parent
-            x, start = root.x_star, root
+            start = root
             for depth in range(3):
-                frac = support_partition(x)[2]
+                frac = start.s
                 if frac.size == 0:
                     break
                 pair = self._warm_and_cold(inst, start, frac[0], float(depth % 2))
                 pairs.append(pair)
                 if pair is None:
                     break
-                x, start = pair[0].x_star, pair[0]
+                start = pair[0]
             for warm, cold in filter(None, pairs):
                 pivots["warm"] += warm.pivots
                 pivots["cold"] += cold.pivots
@@ -769,10 +779,10 @@ def all_at_upper(a, b, c):
     a structural with c_j > 0 at the bound it sits at: the start is not
     dual feasible."""
     m, n = a.shape
-    core = lp._Simplex(a, b, c, None)
+    core = lp._Simplex(a, b, c)
     put_all_at_upper(core)
     start = lp.LpSolution(x_star=np.ones(n), value=float(c.sum()), duals=np.zeros(m),
-                          pivots=0, refactors=core.refactors, simplex=core)
+                          simplex=core)
     return start, int(np.argmax(c)), 1.0
 
 
@@ -933,7 +943,7 @@ class TestExactCertificates:
 
     def test_the_oracle_sees_a_start_that_is_not_optimal(self):
         inst = generate(3, 400, BSpec.zeros(), RngHandle(1))
-        start = lp._Simplex(inst.A, inst.b, inst.c, 1)
+        start = lp._Simplex(inst.A, inst.b, inst.c)
         bound_gap, rc_gap, _ = exact_basis_check(
             inst.A, inst.b, inst.c, np.zeros(400), np.ones(400), start.basis, start.x_n)
         # the crash start breaks a row (TestSolveLpHandCases) and is dual feasible
@@ -1061,7 +1071,7 @@ class TestOneResultType:
         # checks, and a child runs that loop too: one type, and every field
         # and derived quantity bit for bit, also for a child that fixes a
         # nonbasic variable where it sits, which takes no pivot
-        fields = ("x_star", "value", "u_star", "reduced_costs", "n0", "n1",
+        fields = ("x_star", "value", "u_star", "u_norm", "reduced_costs", "n0",
                   "s", "pivots")
         solved = 0
         for i in range(50):
@@ -1069,7 +1079,7 @@ class TestOneResultType:
             n = (20, 60, 150, 400)[(i // 4) % 4]
             b_spec = BSpec.zeros() if i % 2 else BSpec.gaussian()
             inst = generate(m, n, b_spec, RngHandle(4700, i))
-            start = lp._Simplex(inst.A, inst.b, inst.c, None)
+            start = lp._Simplex(inst.A, inst.b, inst.c)
             try:
                 sol = solve_lp(inst)
             except InfeasibleError:
@@ -1087,45 +1097,55 @@ class TestOneResultType:
             solved += 1
         assert solved >= 40
 
+    def test_counts_are_the_simplex_counts(self, monkeypatch):
+        # every solve refactorizes on its tiny pivots, so the counts are
+        # not all zero; a child's solve leaves its parent's counts alone
+        monkeypatch.setattr(lp._Simplex, "_exchange", _tiny_pivots(lambda: True))
+        inst = generate(2, 60, BSpec.gaussian(), RngHandle(2703))
+        root = solve_lp(inst)
+        kept = root.pivots, dict(root.refactors)
+        children = [solve_box_lp(root, int(root.s[0]), side) for side in (0.0, 1.0)]
+        for sol in (root, *children):
+            assert sol.pivots == sol.simplex.pivots
+            assert sol.refactors is sol.simplex.refactors
+        assert (root.pivots, root.refactors) == kept
+        assert root.pivots > 0 and root.refactors["tiny_pivot"] == root.pivots
+        assert any(child.pivots for child in children)
+        assert [f.name for f in dataclasses.fields(root)] == [
+            "x_star", "value", "duals", "simplex"]
+
+
 class TestLazyFields:
-    """`u_star`, `reduced_costs`, `s`, `n0` and `n1` are computed on first
-    read and kept; a solution is frozen."""
+    """`u_star`, `u_norm`, `reduced_costs`, `s` and `n0` are computed on
+    first read and kept; a solution is frozen."""
 
-    LAZY = ("u_star", "reduced_costs", "s", "n0", "n1")
+    LAZY = ("u_star", "u_norm", "reduced_costs", "s", "n0")
 
-    @staticmethod
-    def _counted(monkeypatch):
-        calls = collections.Counter()
-        for name in ("_fractional", "_at_bounds"):
-            classify = getattr(lp, name)
-            monkeypatch.setattr(
-                lp, name, lambda x, name=name, f=classify: calls.update([name]) or f(x))
-        return calls
-
-    def test_each_is_computed_once_and_kept(self, monkeypatch):
+    def test_each_is_computed_once_and_kept(self, classify_calls):
         # a child, as solve_lp's checks read them on a root
         inst = generate(3, 40, BSpec.gaussian(), RngHandle(2701))
         root = solve_lp(inst)
         j = int(root.s[0])
-        calls = self._counted(monkeypatch)
+        classify_calls.clear()
         sol = solve_box_lp(root, j, 0.0)
-        assert not calls
+        assert not classify_calls
         first = {name: getattr(sol, name) for name in self.LAZY}
-        assert calls == {"_fractional": 1, "_at_bounds": 1}
+        assert classify_calls == {"_fractional": 1, "n0": 1}
         for name in self.LAZY:
             assert getattr(sol, name) is first[name], name
-        assert calls == {"_fractional": 1, "_at_bounds": 1}
+        assert classify_calls == {"_fractional": 1, "n0": 1}
         assert np.array_equal(first["u_star"], np.maximum(sol.duals, 0.0))
-        assert sum(first[name].size for name in ("n0", "n1", "s")) == 40
+        n1 = np.flatnonzero(sol.x_star >= 1.0 - lp.CLASSIFY_TOL)
+        assert first["n0"].size + n1.size + first["s"].size == 40
 
-    def test_a_child_never_read_computes_none(self, monkeypatch):
+    def test_a_child_never_read_computes_none(self, classify_calls):
         inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
         root = solve_lp(inst)
         j = int(root.s[0])
         before = set(vars(root))
-        calls = self._counted(monkeypatch)
+        classify_calls.clear()
         children = [solve_box_lp(root, j, side) for side in (0, 1)]
-        assert not calls
+        assert not classify_calls
         for child in children:
             assert set(vars(child)) == {f.name for f in dataclasses.fields(child)}
         # the children read the parent's kept row, not its lazy fields
@@ -1288,7 +1308,7 @@ class TestDirectSolve:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(bmat, np.ones(m))
         # a basis of the structural columns bmat, refactorized afresh
-        core = lp._Simplex(bmat, np.ones(m), np.zeros(m), None)
+        core = lp._Simplex(bmat, np.ones(m), np.zeros(m))
         core.basis = np.arange(m)
         for solve in (lambda: lp._solve((np.eye(m), np.ones(m)), (bmat, np.ones(m))),
                       lambda: lp._solve((bmat,)),
@@ -1328,7 +1348,8 @@ class TestSolutionStructure:
         assert np.all(inst.A @ sol.x_star <= inst.b + 1e-7)
         assert np.all(sol.x_star >= -1e-12) and np.all(sol.x_star <= 1.0 + 1e-12)
         assert np.all(sol.u_star >= 0.0)
-        parts = np.concatenate([sol.n0, sol.n1, sol.s])
+        n1 = np.flatnonzero(sol.x_star >= 1.0 - lp.CLASSIFY_TOL)
+        parts = np.concatenate([sol.n0, n1, sol.s])
         assert sorted(parts.tolist()) == list(range(inst.n))
         assert sol.s.size <= inst.m
         assert abs(sol.value - dual_value(sol.u_star, inst)) <= 1e-7 * (1 + abs(sol.value))

@@ -1,4 +1,3 @@
-import collections
 import math
 from fractions import Fraction
 
@@ -6,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from giplab import lp, rounding
+from giplab import rounding
 from giplab.discrepancy import ExactBudgetError
-from giplab.experiments import SweepConfig, run_trial
+from giplab.experiments import CSV_HEADER, SweepConfig, run_trial
 from giplab.instance import BSpec, generate
 from giplab.lp import solve_lp
 from giplab.numerics import calibrate_theta, householder_to_axis
@@ -260,24 +259,15 @@ class TestRoundPipeline:
         assert cert.certified_gap >= -1e-7
         assert gap_chain_check(cert, inst, sol)
 
-    def test_pipeline_reads_the_partition_of_its_lp_solution(self, monkeypatch):
+    def test_pipeline_reads_the_partition_of_its_lp_solution(self, classify_calls):
         # solve_lp finds the fractional support of x* once; the pipeline
-        # reads it and the entries at 0 and 1, each classified once, on
-        # its first read
-        calls = collections.Counter()
-
-        def counted(name):
-            classify = getattr(lp, name)
-            return lambda x: calls.update([name]) or classify(x)
-
-        for name in ("_fractional", "_at_bounds"):
-            monkeypatch.setattr(lp, name, counted(name))
+        # reads it and the entries at 0, each classified once, on its
+        # first read
         inst, sol = solved(42)
-        assert calls == {"_fractional": 1} and sol.s.size > 0
+        assert classify_calls == {"_fractional": 1} and sol.s.size > 0
         cert = round_pipeline(inst, sol, RoundingParams.defaults(2, 400), RngHandle(6))
         assert cert.feasible and cert.flip_set
-        assert calls == {"_fractional": 1, "_at_bounds": 1}
-        assert not hasattr(rounding, "support_partition")
+        assert classify_calls == {"_fractional": 1, "n0": 1}
 
     def test_flip_count_and_pools_disjoint(self):
         inst, sol = solved(43)
@@ -366,6 +356,31 @@ class TestOutcomeDiagnostics:
         assert params.k > exact_pool_k_cap(2)
         with pytest.raises(ExactBudgetError):
             round_pipeline(inst, sol, params, RngHandle(403))
+
+
+class TestOneDualNorm:
+    def test_csv_cell_diagnostic_and_solution_agree(self, monkeypatch):
+        # one seeded m=2, n=400 trial that reaches the flip search: the CSV
+        # cell, the diagnostic and the sigma the search scaled by all take
+        # LpSolution.u_norm, bit for bit
+        seen = []
+        pipeline = rounding.round_pipeline
+
+        def recorded(instance, lp_solution, params, rng):
+            seen.append((lp_solution, params, pipeline(instance, lp_solution, params, rng)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(rounding, "round_pipeline", recorded)
+        cfg = SweepConfig(m_list=(2,), n_list=(400,), seeds_per_cell=1, seed=1,
+                          rounding="always", parallelism=1)
+        rec = run_trial(cfg, 0, 2, 400)
+        [(sol, params, cert)] = seen
+        assert rec.status == "cert_bound" and "z_size" in cert.diagnostics
+        cell = dict(zip(CSV_HEADER.split(","), rec.to_csv_row().split(",")))["u_norm"]
+        u_norm = sol.u_norm
+        assert float(cell).hex() == cert.diagnostics["u_norm"].hex() == u_norm.hex()
+        assert cert.diagnostics["sigma_t"] == sigma_last(u_norm, params.delta, params.t)
+        assert u_norm == float(np.linalg.norm(sol.u_star))
 
 
 class TestGapChain:
