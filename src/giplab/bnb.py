@@ -9,10 +9,11 @@ keyed by min(U, parent bound), where U is the parent's
 optimal basis bounds the child's LP value (Driebeek 1966; Tomlin 1971).
 When it reaches the top of the queue it is solved by dual simplex from
 the parent's `LpSolution` and the fixing (`solve_box_lp(node, j,
-side)`): the parent's final simplex state with x_j fixed, which
-stays dual feasible, and whose first pass reads the row and reduced
-costs the bound computed.  It is then pushed again with its exact key
-min(LP value, parent bound) and the same counter.  Keys only fall, to
+side)`): the parent's final simplex state with x_j, fractional and so
+basic, fixed, which stays dual feasible, and whose first pass reads the
+reduced costs and the ratio test the bound computed.  It is then pushed
+again with its exact key min(LP value, parent bound) and the same
+counter.  Keys only fall, to
 the exact key, so nodes are expanded in the order that solving every
 child at creation gives, and a child the search ends before reaching is
 never solved.  An exact key above the pushed one raises ArithmeticError.

@@ -384,11 +384,7 @@ def _deviation(subset_sum, target):
     return float(np.abs(subset_sum - target).max())
 
 
-def disc_search(
-    instance: DiscInstance,
-    rng: RngHandle,
-    restarts: int = 50,
-) -> DiscOutcome:
+def disc_search(instance: DiscInstance, rng: RngHandle, restarts: int) -> DiscOutcome:
     """Randomized swap local search on the infinity-norm objective.
 
     Each restart starts from a uniform random k-subset and repeatedly applies

@@ -17,17 +17,18 @@ bounds, under one pivot budget.  The basis it ends at is then optimal.
 The one cold solve, `solve_lp`, starts from a crash point (Bixby 1992):
 each structural with c_j > 0 at 1, every other structural at 0, and the
 slacks basic, so the reduced costs are c itself and have the optimal
-signs.  A branch-and-bound child (`solve_box_lp`) starts from its
-parent's final simplex state and one fixing (j, side): a copy with the
-entries x_j touches set.  Reduced costs depend on the basis alone and a
-fixed column never enters, so that start is dual feasible too.  When x_j
-is basic, the child's first pass reads the parent's last-pass basic
-values and the branched row and reduced costs that `child_bounds(j)`
-keeps, the same products on the same inverse, and enters the column
-that the bound's ratio test for its side picks.  One rule, `_entering`,
-says which columns can enter a dual pivot.  When a violated row has no
-entering candidate, the bounds are infeasible, and that row of the
-basis inverse, solved afresh, is the Farkas vector of the verdict.
+signs.  A branch-and-bound child (`solve_box_lp`) fixes a basic x_j at
+a side, as branching on a fractional variable does, and starts from its
+parent's final simplex state: a copy with x_j's bounds set at its basis
+position.  Reduced costs depend on the basis alone and a fixed column
+never enters, so that start is dual feasible too.  The child's first
+pass reads the parent's last-pass basic values and the reduced costs
+and ratio test that `child_bounds(j)` keeps for its side, the same
+products on the same inverse, and enters that test's column.  One rule,
+`_entering`, says which columns can enter a dual pivot.  When a violated
+row has no entering candidate, the bounds are infeasible, and that row
+of the basis inverse, solved afresh, is the Farkas vector of the
+verdict.
 
 A tree's LPs are small (n + m entries), so numpy's fixed cost per call
 is most of a solve.  The products of the simplex (basic values, pivot
@@ -170,24 +171,28 @@ class LpSolution:
         return (self.x_star <= CLASSIFY_TOL).nonzero()[0]
 
     def _branch_row(self, j: int) -> tuple:
-        """(r, s, d, tests): the basis position r of x_j, alpha * sgn on
-        its row alpha of B^-1 [A | I], the reduced costs d of gamma at the
-        final basis, as a dual simplex pass computes them from binv, and
-        the ratio tests (`_ratio_test`) of the columns that move x_j down
-        and up (`_entering`'s fall and rise), in that order; kept for the
-        last j asked, s and d read-only and the tests never written, so a
-        node's bound and both its children read one product and one ratio
-        test per side.  ValueError when x_j is nonbasic."""
+        """(r, d, tests): the basis position r of x_j, the reduced costs d
+        of gamma at the final basis, as a dual simplex pass computes them
+        from binv, and the ratio tests (`_ratio_test`, each a pair (least
+        ratio, entering column) or None) of the columns that move x_j down
+        and up (`_entering`'s fall and rise on its row of B^-1 [A | I]), in
+        that order; kept for the last j asked, d read-only, so a node's
+        bound and both its children read one product and one ratio test
+        per side.  ValueError when x_j is nonbasic."""
         kept = self.__dict__.get("_row")
         if kept is None or kept[0] != j:
             core = self.simplex
             r = core.position(j)
-            d = kept[3] if kept else _read_only(core.reduced())
-            s = _read_only(core.row(r))
+            if kept:
+                d = kept[2]
+            else:
+                d = core.reduced()
+                d.setflags(write=False)
+            s = core.row(r)
             rise, fall = _entering(s)
             tests = (_ratio_test(s, d, fall.nonzero()[0]),
                      _ratio_test(s, d, rise.nonzero()[0]))
-            kept = self.__dict__["_row"] = (j, r, s, d, tests)
+            kept = self.__dict__["_row"] = (j, r, d, tests)
         return kept[1:]
 
     def child_bounds(self, j: int) -> tuple[float, float]:
@@ -201,11 +206,11 @@ class LpSolution:
         |alpha_k| per unit and costs |d_k| (d = gamma - [A | I]' (gamma_B
         B^-1)).  So U = value - delta * min |d_k| / |alpha_k|, widened by
         1e-9 (1 + |U|), and -inf when no column can enter, as the child LP
-        is then infeasible.  The row, d and each side's ratio test are
-        kept, and a child's first pass takes its entering column from its
-        side's test.  ValueError when x_j is nonbasic.
+        is then infeasible.  d and each side's least ratio and entering
+        column are kept, and a child's first pass enters its side's
+        column.  ValueError when x_j is nonbasic.
         """
-        down, up = self._branch_row(j)[3]
+        down, up = self._branch_row(j)[2]
         x_j = self.x_star[j]
         return _bound(self.value, x_j, down), _bound(self.value, 1.0 - x_j, up)
 
@@ -215,13 +220,8 @@ def _bound(value, delta, test):
     |U|); -inf when no column can enter."""
     if test is None:
         return -np.inf
-    u = value - delta * test[3]
+    u = value - delta * test[0]
     return u + 1e-9 * (1.0 + abs(u))
-
-
-def _read_only(v):
-    v.setflags(write=False)
-    return v
 
 
 def _entering(s):
@@ -236,15 +236,18 @@ def _entering(s):
 
 
 def _ratio_test(s, d, eligible):
-    """(eligible, |s|, ratios, least) of the dual ratio test on a row
-    s = alpha * sgn over the indices `eligible` of the columns that can
-    enter: |alpha_k|, |d_k| / |alpha_k| and the least ratio as a float;
-    None when no column is eligible."""
+    """(least, e) of the dual ratio test on a row s = alpha * sgn over the
+    indices `eligible` of the columns that can enter: the least |d_k| /
+    |alpha_k| as a float, and the entering column e, of the largest
+    |alpha_k| among those whose ratio is within RC_TOL of the least (the
+    first on ties); None when no column is eligible."""
     if not eligible.size:
         return None
     mag = abs(s[eligible])
     ratios = abs(d[eligible]) / mag
-    return eligible, mag, ratios, float(ratios[ratios.argmin()])
+    least = float(ratios[ratios.argmin()])
+    ties = ratios <= least + RC_TOL
+    return least, int(eligible[ties][mag[ties].argmax()])
 
 
 def _worst_row(xb, low_b, upp_b):
@@ -302,14 +305,14 @@ class _Simplex:
     of dual_run's last pass, on the current binv, which certify solves
     against and a child's first pass reads; `binv`, `rhs_n` and `xb` are
     replaced, never written in place, so a child shares its parent's until
-    it changes them.  `first`, when set, is (r, s, d, tests) for the first
-    pass: the row alpha * sgn at position r, the reduced costs and the
-    ratio tests of the two ways out of the row, kept by the parent, with
-    `xb` and `rhs_n` its own.  `pivots` counts basis changes up to
-    `pivot_budget`, 50 per column of mat, `refactors` counts fresh
-    inverses by cause (a pivot element too small to divide by, an
-    infeasibility verdict and the exit check), and `fresh` says binv was
-    inverted afresh at the current basis.
+    it changes them.  `first`, when set, is (r, d, tests) for the first
+    pass: the basis position r of the branched variable, the reduced
+    costs and the ratio tests of the two ways out of its row, kept by the
+    parent, with `xb` and `rhs_n` its own.  `pivots` counts basis
+    changes up to `pivot_budget`, 50 per column of mat, `refactors`
+    counts fresh inverses by cause (a pivot element too small to divide
+    by, an infeasibility verdict and the exit check), and `fresh` says
+    binv was inverted afresh at the current basis.
 
     The constructor builds a cold solve's crash start and `branch` a
     child's start from a parent's final state.  dual_run() pivots from a
@@ -340,24 +343,19 @@ class _Simplex:
         self._start()
 
     def branch(self, j, side, first):
-        """The child that fixes x_j at side: a copy of this final state
-        with each array it changes in place copied once and the entries
-        x_j touches set.  x_j fixed never enters (sgn 0).  Nonbasic
-        (`first` None), it moves to side; basic, `first` is the (r, s, d,
-        tests) the parent kept for it, its bounds at position r change,
-        and the first pass reads the kept row, reduced costs and ratio
-        tests and this state's last pass."""
+        """The child that fixes the basic x_j at side: a copy of this
+        final state with each array it changes in place copied once and
+        x_j's bounds set, in the box and at its basis position r.  `first`
+        is the (r, d, tests) the parent kept for x_j, which the first pass
+        reads with this state's last pass.  x_j is basic, so it already
+        has sgn 0, and fixed it never enters."""
         core = object.__new__(_Simplex)
         core.__dict__.update(
             self.__dict__, lower=self.lower.copy(), upper=self.upper.copy(),
             basis=self.basis.copy(), sgn=self.sgn.copy(), x_n=self.x_n.copy(),
             low_b=self.low_b.copy(), upp_b=self.upp_b.copy(), first=first)
         core.lower[j] = core.upper[j] = side
-        core.sgn[j] = 0.0
-        if first is None:
-            core.x_n[j] = side
-        else:
-            core.low_b[first[0]] = core.upp_b[first[0]] = float(side)
+        core.low_b[first[0]] = core.upp_b[first[0]] = float(side)
         core._start()
         return core
 
@@ -422,11 +420,11 @@ class _Simplex:
         B^-1 [A | I], it enters the one that keeps the reduced costs dual
         feasible (`_ratio_test`: the smallest |d_k| / |alpha_k|, the
         largest |alpha_k| among ties); d is computed only once there is a
-        candidate.  On the first pass of a child whose parent kept the
-        branched row, that row's ratio test is the parent's.  Returns None
-        once the basis is primal feasible.  When the violated row r has no
-        entering candidate, no point of the box can move that basic value
-        toward its bound, and the row rho = B^-T e_r proves it: every
+        candidate.  On a child's first pass, the branched row's ratio test
+        is the one its parent kept.  Returns None once the basis is primal
+        feasible.  When the violated row r has no entering candidate, no
+        point of the box can move that basic value toward its bound, and
+        the row rho = B^-T e_r proves it: every
         solution has alpha @ z = rho @ b, which no point of the box
         reaches.  The slack entries of alpha are rho itself, so sign * rho
         is nonnegative up to PIV_TOL, and the Farkas vector returned is
@@ -441,7 +439,7 @@ class _Simplex:
                 self.xb = self.binv.dot(self.rhs_n).tolist()
                 r_kept = d = None
             else:
-                r_kept, s, d, tests = first
+                r_kept, d, tests = first
             low_b = self.low_b
             r = _worst_row(self.xb, low_b, self.upp_b)
             if r < 0:
@@ -463,9 +461,7 @@ class _Simplex:
                     continue
                 rho, = _solve((self.mat[:, self.basis].T, self.eye[r]))
                 return np.maximum(rho if rise_to_lower else -rho, 0.0)
-            eligible, mag, ratios, least = test
-            ties = ratios <= least + RC_TOL
-            e = int(eligible[ties][mag[ties].argmax()])
+            e = test[1]
             self._exchange(r, e, self.binv.dot(self.mat[:, e]), not rise_to_lower)
             self.pivots += 1
             if self.pivots >= self.pivot_budget:
@@ -537,11 +533,13 @@ def _run(core: _Simplex) -> LpSolution:
 
 def solve_box_lp(parent: LpSolution, j: int, side: float) -> LpSolution:
     """The child of `parent` (`solve_lp`'s result or an earlier child's)
-    that fixes x_j at `side`, solved by `_run` from a copy of the parent's
-    final simplex state (`_Simplex.branch`) under its own pivot budget.
-    The [A | I] system is shared, and the parent is read and never
-    changed, so two children can start from one parent.  A fixing outside
-    the structurals or the parent's box raises ValueError.
+    that fixes the basic x_j at `side`, solved by `_run` from a copy of
+    the parent's final simplex state (`_Simplex.branch`) and the branch
+    row `child_bounds(j)` keeps, under its own pivot budget.  The [A | I]
+    system is shared, and the parent is read and never changed, so two
+    children can start from one parent.  A fixing outside the structurals
+    or the parent's box raises ValueError, and so does a nonbasic x_j
+    ("x_{j} is not basic"), with the parent left as it was.
 
     Only children are solved here; `solve_lp` is the one cold start.  The
     name stays its own because perfbench's tracer wraps
@@ -550,11 +548,7 @@ def solve_box_lp(parent: LpSolution, j: int, side: float) -> LpSolution:
     start = parent.simplex
     if not (0 <= j < start.n and start.lower[j] <= side <= start.upper[j]):
         raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
-    try:
-        first = parent._branch_row(j)
-    except ValueError:  # x_j is nonbasic
-        first = None
-    return _run(start.branch(j, side, first))
+    return _run(start.branch(j, side, parent._branch_row(j)))
 
 
 def _check_optimum(instance, sol):

@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 FEAS_CHECK_TOL = 1e-9
+MAX_TRIES = 1000  # draws of randomized_round before RoundingBoundNotMetError
 
 
 class PoolTooSmallError(RuntimeError):
@@ -72,7 +73,7 @@ def exact_pool_k_cap(m: int) -> int:
 
 
 class RoundingBoundNotMetError(RuntimeError):
-    """Randomized rounding failed to meet its norm bound within max_tries."""
+    """Randomized rounding failed to meet its norm bound within MAX_TRIES."""
 
 
 @dataclass(frozen=True)
@@ -156,17 +157,15 @@ class RoundingCertificate:
     diagnostics: dict[str, float]
 
 
-def randomized_round(
-    x_star, frac, a: np.ndarray, rng: RngHandle, max_tries: int = 1000
-) -> tuple[np.ndarray, float]:
+def randomized_round(x_star, frac, a: np.ndarray, rng: RngHandle) -> tuple[np.ndarray, float]:
     """Round the fractional coordinates of x_star, whose indices `frac`
     the caller gives (an LP solution's `s`), to binary, independently
     with P(1) = x_i, resampling until ||A (x* - x')||_2 <= Cmax*sqrt(|S|)/2
     where Cmax is the largest fractional-column norm.
 
     Returns (x', achieved norm).  Raises RoundingBoundNotMetError after
-    max_tries; the expectation argument makes each try succeed with positive
-    probability, so small max_tries values already suffice in practice.
+    MAX_TRIES; the expectation argument makes each try succeed with positive
+    probability, so far fewer tries already suffice in practice.
     """
     x_star = np.asarray(x_star, dtype=float)
     if not ((x_star >= -1e-12) & (x_star <= 1.0 + 1e-12)).all():
@@ -178,14 +177,14 @@ def randomized_round(
     cmax = float(np.linalg.norm(a[:, frac], axis=0).max())
     bound = cmax * math.sqrt(frac.size) / 2.0
     gen = rng.gen
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         x_prime = base.copy()
         x_prime[frac] = (gen.random(frac.size) < x_star[frac]).astype(float)
         achieved = float(np.linalg.norm(a @ (x_star - x_prime)))
         if achieved <= bound * (1.0 + 1e-12) + 1e-12:
             return x_prime, achieved
     raise RoundingBoundNotMetError(
-        f"no rounding met the bound {bound:.6g} in {max_tries} tries"
+        f"no rounding met the bound {bound:.6g} in {MAX_TRIES} tries"
     )
 
 

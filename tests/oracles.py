@@ -1,11 +1,13 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately brute force and shares no code with the
-library paths it checks.
+library paths it checks, apart from `fixed_child`, a test start for the
+fixings branch and bound never makes.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 from fractions import Fraction
@@ -360,6 +362,29 @@ def serialize_oracle(instance) -> bytes:
     for row in instance.A:
         lines.append(" ".join(repr(float(v)) for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def fixed_child(parent, j, side):
+    """The LP of `parent`'s box (an `lp.LpSolution`) with x_j fixed at
+    `side`.  A basic x_j is fixed by `lp.solve_box_lp`, as branch and bound
+    does.  A nonbasic one, which branch and bound never fixes, moves to
+    `side` on a copy of the parent's final simplex state, which `lp._run`
+    solves: moving a nonbasic column changes no reduced cost and a fixed
+    column never enters, so that start is dual feasible, and its first
+    pass computes the basic values afresh."""
+    from giplab import lp
+
+    start = parent.simplex
+    if j in start.basis.tolist():
+        return lp.solve_box_lp(parent, j, side)
+    core = copy.copy(start)
+    for name in ("lower", "upper", "basis", "sgn", "x_n", "low_b", "upp_b"):
+        setattr(core, name, copy.copy(getattr(start, name)))
+    core.lower[j] = core.upper[j] = core.x_n[j] = side
+    core.sgn[j] = 0.0
+    core.first, core.fresh, core.pivots = None, False, 0
+    core.refactors = dict.fromkeys(start.refactors, 0)
+    return lp._run(core)
 
 
 def _exact_solve(rows, rhs):

@@ -231,11 +231,7 @@ class TestTrialStatusRows:
         assert self._empty_cells(rec) == IP_CELLS | ROUND_CELLS
 
     def test_round_bound_not_met(self, monkeypatch):
-        randomized_round = rounding.randomized_round
-        monkeypatch.setattr(
-            rounding, "randomized_round",
-            lambda x_star, frac, a, rng: randomized_round(x_star, frac, a, rng,
-                                                          max_tries=0))
+        monkeypatch.setattr(rounding, "MAX_TRIES", 0)
         cfg = small_config(n_list=(12,), seeds_per_cell=1, rounding="always")
         rec = run_trial(cfg, 0, 2, 12)
         assert rec.status == "round_bound_not_met"

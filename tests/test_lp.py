@@ -29,6 +29,7 @@ from giplab.rng import RngHandle
 from oracles import (
     exact_basis_check,
     exact_farkas_margin,
+    fixed_child,
     linprog_oracle,
     lp_vertex_oracle,
 )
@@ -114,7 +115,8 @@ class TestStartRule:
         # a child fixes x_j at 0 or 1 with sgn 0, so a fixed structural
         # never enters a later pivot and ends at its value; twelve fixings
         # down one chain of children, each of a fractional variable or,
-        # when there is none, of one at 1, at 0 and 1 in turn
+        # when there is none, of one at 1 (`oracles.fixed_child`), at 0
+        # and 1 in turn
         inst = generate(3, 40, BSpec.zeros(), RngHandle(35))
         entered = []
         exchange = lp._Simplex._exchange
@@ -132,7 +134,7 @@ class TestStartRule:
                 int(k) for k in np.flatnonzero(sol.x_star == 1.0) if k not in fixed)
             side = float(step % 2)
             start = len(entered)
-            sol = solve_box_lp(sol, j, side)
+            sol = fixed_child(sol, j, side)
             fixed[j] = side
             assert not set(entered[start:]) & set(fixed)
             core = sol.simplex
@@ -192,7 +194,8 @@ class TestHighsLpDifferential:
 
     @staticmethod
     def _child_fixings(inst, gen):
-        """Six sets of fixings (idx, vals): x_idx = vals."""
+        """Six sets of fixings (idx, vals): x_idx = vals, of variables basic
+        or not, which `oracles.fixed_child` solves."""
         n = inst.n
         for k in range(6):
             idx = gen.choice(n, int(gen.integers(1, max(2, n // 4))), replace=False)
@@ -255,13 +258,28 @@ class TestHighsLpDifferential:
             for j, side in zip(idx.tolist(), vals.tolist()):
                 lower[j] = upper[j] = side
                 try:
-                    parent = solve_box_lp(parent, j, side)
+                    parent = fixed_child(parent, j, side)
                 except InfeasibleError:
                     self._check(inst, lower, upper,
-                                lambda: solve_box_lp(parent, j, side).value)
+                                lambda: fixed_child(parent, j, side).value)
                     break
             else:
                 self._check(inst, lower, upper, lambda: parent.value)
+        # and children as branch and bound makes them: a fractional x_j
+        # fixed, at 0 and 1 in turn, down one chain
+        lower, upper = np.zeros(n), np.ones(n)
+        parent = root
+        for depth in range(8):
+            if not parent.s.size:
+                break
+            j, side = int(parent.s[0]), float(depth % 2)
+            lower[j] = upper[j] = side
+            try:
+                parent = solve_box_lp(parent, j, side)
+            except InfeasibleError:
+                self._check(inst, lower, upper, lambda: solve_box_lp(parent, j, side).value)
+                break
+            self._check(inst, lower, upper, lambda: parent.value)
 
 
 class TestWarmStart:
@@ -398,8 +416,9 @@ class TestWarmStart:
     @given(st.data())
     def test_warm_and_cold_agree_on_random_boxes(self, data):
         # entries on a quarter grid, so zeros, ties and degenerate vertices
-        # come up; fixings of any variables, basic or not, keep the parent's
-        # basis dual feasible, and each is solved from the one before
+        # come up; each fixing is of a basic structural still free in the
+        # parent's box, fractional or degenerate at a bound, the k-th of
+        # them (k mod their count), and is solved from the one before
         m = data.draw(st.integers(1, 4), label="m")
         n = data.draw(st.integers(3, 12), label="n")
         grid = st.integers(-8, 8).map(lambda v: v / 4.0)
@@ -409,15 +428,19 @@ class TestWarmStart:
         c = np.array(data.draw(st.lists(grid, min_size=n, max_size=n), label="c"))
         inst = make_instance(a, b + 1.0, c)
         fixings = data.draw(st.lists(
-            st.tuples(st.integers(0, n - 1), st.sampled_from((0.0, 1.0))),
-            min_size=1, max_size=3, unique_by=lambda f: f[0]), label="fixings")
+            st.tuples(st.integers(0, m - 1), st.sampled_from((0.0, 1.0))),
+            min_size=1, max_size=3), label="fixings")
         try:
             parent = solve_lp(inst)
         except InfeasibleError:
             return
         self._check_inverse(parent)
-        for j, side in fixings:
-            pair = self._warm_and_cold(inst, parent, j, side)
+        for k, side in fixings:
+            core = parent.simplex
+            free = [j for j in core.basis.tolist() if j < n and core.lower[j] < core.upper[j]]
+            if not free:
+                return
+            pair = self._warm_and_cold(inst, parent, free[k % len(free)], side)
             if pair is None:
                 return
             parent = pair[0]
@@ -466,12 +489,13 @@ class TestWarmStart:
         assert solves >= 30 and causes.count("exit_check") > 0
 
     def test_exit_check_runs_the_dual_simplex_again(self, monkeypatch):
-        # a nonbasic x_j at 0 fixed at 1 breaks the box of the parent's
+        # a fractional x_j fixed at a side breaks the box of the parent's
         # basis, and the parent's inverse is bent (rank one) so that the
-        # child's carried basic values all read 0.5, inside every box: the
-        # first pass finds nothing to pivot, the fresh solve of certify
-        # finds a value outside, refactorizes and returns None, and the
-        # dual simplex runs again from the fresh inverse to the cold optimum
+        # child's carried basic values read side at x_j and 0.5 elsewhere,
+        # inside every box: the first pass finds nothing to pivot, the
+        # fresh solve of certify finds x_j outside, refactorizes and
+        # returns None, and the dual simplex runs again from the fresh
+        # inverse to the cold optimum
         self._count_refactors(monkeypatch)
         runs = []
         dual_run = lp._Simplex.dual_run
@@ -486,14 +510,15 @@ class TestWarmStart:
             inst = self._instance(i)
             root = solve_lp(inst)
             core = root.simplex
-            bmat = core.mat[:, core.basis]
-            for j in np.setdiff1d(root.n0, core.basis)[:6]:
-                rhs_n = core.rhs_n - core.mat[:, j]
-                xb = np.linalg.solve(bmat, rhs_n)
-                if not (xb < -lp.FEAS_TOL).any():
+            rhs_n = core.rhs_n
+            for j, side in itertools.product(root.s.tolist(), (0.0, 1.0)):
+                try:
+                    solve_box_lp(root, j, side)
+                except InfeasibleError:
                     continue
-                bent = core.binv + np.outer(0.5 - core.binv @ rhs_n, rhs_n) / (rhs_n @ rhs_n)
-                pair = self._warm_and_cold(inst, self._with_binv(root, bent), j, 1.0)
+                target = np.where(core.basis == j, side, 0.5)
+                bent = core.binv + np.outer(target - core.binv @ rhs_n, rhs_n) / (rhs_n @ rhs_n)
+                pair = self._warm_and_cold(inst, self._with_binv(root, bent), j, side)
                 assert pair is not None
                 assert pair[0].refactors["exit_check"] == 1
                 assert runs.count(pair[0].simplex) == 2
@@ -539,9 +564,9 @@ class TestWarmStart:
     def test_siblings_start_from_one_unchanged_parent(self):
         # side 0 then side 1 from one parent result, as in the tree: side 1
         # matches side 1 solved from an untouched copy, bit for bit; the
-        # row and reduced costs the parent keeps for its children are
-        # read-only, and they, the two ratio tests and the basic values
-        # stay unchanged and the same objects across siblings
+        # reduced costs the parent keeps for its children are read-only,
+        # and they, the two ratio tests and the basic values stay
+        # unchanged and the same objects across siblings
         def state(res):
             core = res.simplex
             return (res.x_star, res.duals, res.value, res.pivots, core.basis,
@@ -559,9 +584,9 @@ class TestWarmStart:
             before = carried(parent.simplex)
             for j in parent.s:
                 parent.child_bounds(j)
-                (_, row, d, tests), xb = parent._branch_row(j), parent.simplex.xb
-                kept = (row.copy(), d.copy(), xb, copy.deepcopy(tests))
-                assert not (row.flags.writeable or d.flags.writeable)
+                (_, d, tests), xb = parent._branch_row(j), parent.simplex.xb
+                kept = (d.copy(), xb, tests)
+                assert not d.flags.writeable
                 try:
                     moved += solve_box_lp(parent, j, 0.0).pivots > 0
                 except InfeasibleError:
@@ -576,15 +601,13 @@ class TestWarmStart:
                     for g, e in zip(got, expected):
                         assert np.array_equal(g, e)
                 again = parent._branch_row(j)
-                assert again[1] is row and again[2] is d and again[3] is tests
-                assert parent.simplex.xb is xb and xb == kept[2]
-                for now, then in zip((row, d), kept[:2]):
-                    assert np.array_equal(now, then)
-                for now, then in zip(tests, kept[3]):
-                    assert (now is None) == (then is None)
-                    if now is not None:
-                        for a, b in zip(now, then):
-                            assert np.array_equal(a, b)
+                assert again[1] is d and again[2] is tests
+                assert parent.simplex.xb is xb and xb == kept[1]
+                assert np.array_equal(d, kept[0])
+                # each side's (least ratio, entering column) is a tuple of
+                # a float and an int, so it cannot change in place
+                for test in tests:
+                    assert test is None or tuple(map(type, test)) == (float, int)
             for now, then in zip(carried(parent.simplex), before):
                 assert np.array_equal(now, then)
         assert moved >= 10
@@ -598,21 +621,31 @@ class TestWarmStart:
                       (child, j, 1.0), (root, j, np.nan)):
             with pytest.raises(ValueError, match="not inside the parent's box"):
                 solve_box_lp(*start)
-        # a variable already fixed may be fixed again at the same value
-        again = solve_box_lp(child, j, 0.0)
-        assert again.value == child.value and again.pivots == 0
+        # fixing x_j again at its value is inside the child's box, but x_j
+        # has left the basis, so it is refused as nonbasic
+        assert j not in child.simplex.basis.tolist()
+        with pytest.raises(ValueError, match=rf"^x_{j} is not basic$"):
+            solve_box_lp(child, j, 0.0)
 
     def test_child_bounds_of_a_nonbasic_variable_is_refused(self):
+        # child_bounds and solve_box_lp both refuse a nonbasic x_j, with
+        # one message, and the refusal leaves the parent as it was
         inst = generate(2, 24, BSpec.zeros(), RngHandle(5))
         root = solve_lp(inst)
-        basic = root.simplex.basis.tolist()
+        core = root.simplex
+        basic = core.basis.tolist()
         j = next(k for k in range(inst.n) if k not in basic)
-        with pytest.raises(ValueError, match=rf"^x_{j} is not basic$"):
-            root.child_bounds(j)
-        # the refusal keeps nothing, and the fixing still re-solves
-        assert "_row" not in root.__dict__
-        child = solve_box_lp(root, j, root.x_star[j])
-        assert child.pivots == 0 and child.value == root.value
+        state = {k: copy.deepcopy(v) for k, v in vars(core).items()}
+        before = dict(vars(root))
+        for refused in (lambda: root.child_bounds(j),
+                        lambda: solve_box_lp(root, j, root.x_star[j]),
+                        lambda: solve_box_lp(root, j, 1.0 - root.x_star[j])):
+            with pytest.raises(ValueError, match=rf"^x_{j} is not basic$"):
+                refused()
+            assert vars(root) == before and "_row" not in vars(root)
+            assert vars(core).keys() == state.keys()
+            for name, value in state.items():
+                assert np.array_equal(getattr(core, name), value), name
 
     def test_infeasible_child_falls_back_to_a_farkas_proof(self, monkeypatch):
         # row 0 at -0.3 n: with x_21 at 1 no point of the box fits it
@@ -658,10 +691,10 @@ class TestWarmStart:
             float(exact_farkas_margin(other.A, other.b, u, lower, upper)), rel=1e-3)
 
     def test_first_pivot_takes_the_bound_s_ratio_test(self, monkeypatch):
-        # every child whose parent kept the branched row (x_j basic) enters,
-        # on its first pivot, the column its parent's child_bounds ratio
-        # test for that side picks: among the eligible columns whose ratio
-        # is within RC_TOL of the least, the first of largest |alpha_k|.
+        # every child enters, on its first pivot, the column its parent's
+        # child_bounds ratio test for that side picks: among the eligible
+        # columns of the branched row, recomputed here, whose ratio is
+        # within RC_TOL of the least, the first of largest |alpha_k|.
         # Each instance is solved again with its last column twice its
         # first, (c, A) and all: the twins' ratios are equal bit for bit
         # and the twin's |alpha_k| twice as large, so the tie rule decides
@@ -677,25 +710,30 @@ class TestWarmStart:
 
         def branched(parent, j, side, first):
             core = branch(parent, j, side, first)
-            if first is not None:
-                sol, out, row = kept[id(parent), j]
-                assert all(a is b for a, b in zip(first, row))
-                test = row[3][side]
-                # the bound of that side is read from the same test
-                if test is None:
-                    assert out[side] == -np.inf
-                else:
-                    delta = sol.x_star[j] if side == 0 else 1.0 - sol.x_star[j]
-                    u = sol.value - delta * test[3]
-                    assert out[side] == u + 1e-9 * (1.0 + abs(u))
-                # the child itself is kept, so no other solve reuses its id
-                first_entered[id(core)] = (test, None, core)
+            sol, out, row = kept[id(parent), j]
+            assert all(a is b for a, b in zip(first, row))
+            r, d, tests = row
+            test = tests[side]
+            # the bound of that side is read from the same test
+            if test is None:
+                assert out[side] == -np.inf
+            else:
+                delta = sol.x_star[j] if side == 0 else 1.0 - sol.x_star[j]
+                u = sol.value - delta * test[0]
+                assert out[side] == u + 1e-9 * (1.0 + abs(u))
+            # the eligible columns of the side's way out of row r
+            s = (parent.mat.T @ parent.binv[r]) * parent.sgn
+            eligible = np.flatnonzero(s > lp.PIV_TOL if side == 0 else s < -lp.PIV_TOL)
+            mag = np.abs(s[eligible])
+            # the child itself is kept, so no other solve reuses its id
+            first_entered[id(core)] = (
+                test, None, (eligible, mag, np.abs(d[eligible]) / mag), core)
             return core
 
         def exchanged(core, pos, e, w, to_upper):
             pending = first_entered.get(id(core))
             if pending is not None and pending[1] is None:
-                first_entered[id(core)] = (pending[0], e, core)
+                first_entered[id(core)] = (pending[0], e, *pending[2:])
             exchange(core, pos, e, w, to_upper)
 
         monkeypatch.setattr(lp.LpSolution, "child_bounds", bounded)
@@ -712,16 +750,17 @@ class TestWarmStart:
                                 bnb.solve_ip(case)
                             except InfeasibleError:
                                 pass
-                        for test, e, _ in first_entered.values():
+                        for test, e, (eligible, mag, ratios), _ in first_entered.values():
                             if test is None:
+                                assert eligible.size == 0
                                 seen["no_candidate"] += 1
                                 continue
-                            eligible, mag, ratios, least = test
+                            least = test[0]
                             assert least == min(ratios.tolist())
                             ties = [k for k, t in enumerate(ratios.tolist())
                                     if t <= least + lp.RC_TOL]
                             pick = max(ties, key=lambda k: (mag[k], -k))
-                            assert e == eligible[pick]
+                            assert e == test[1] == eligible[pick]
                             seen["checked"] += 1
                             seen["tied"] += len(ties) > 1
                             seen["larger_alpha_won"] += pick != ties[0]
@@ -735,7 +774,8 @@ class TestWarmStart:
         # simplex ends at a basis whose reduced costs certify no optimum
         m, n = 3, 60
         inst = generate(m, n, BSpec.scaled_ones([-0.1] * m), RngHandle(4600, n))
-        start = all_at_upper(inst.A, inst.b, inst.c)
+        start = lp._Simplex(inst.A, inst.b, inst.c)
+        put_all_at_upper(start)
         cores = []
         certify = lp._Simplex.certify
 
@@ -745,7 +785,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(lp._Simplex, "certify", recorded)
         with pytest.raises(ArithmeticError) as exc_info:
-            solve_box_lp(*start)
+            lp._run(start)
         message = str(exc_info.value)
         assert "np.float64(" not in message
         found = re.fullmatch(
@@ -773,19 +813,6 @@ def put_all_at_upper(core):
     core.sgn[:core.n], core.x_n[:core.n] = -1.0, 1.0
 
 
-def all_at_upper(a, b, c):
-    """A child start (parent, j, side) with every structural of max c @ x,
-    a @ x <= b at its upper bound and the slacks basic, and the fixing of
-    a structural with c_j > 0 at the bound it sits at: the start is not
-    dual feasible."""
-    m, n = a.shape
-    core = lp._Simplex(a, b, c)
-    put_all_at_upper(core)
-    start = lp.LpSolution(x_star=np.ones(n), value=float(c.sum()), duals=np.zeros(m),
-                          simplex=core)
-    return start, int(np.argmax(c)), 1.0
-
-
 def _tiny_pivots(when):
     """`_Simplex._exchange` reading the pivot element as zero whenever
     when() is true, which forces the tiny-pivot refactorization."""
@@ -805,9 +832,11 @@ class TestCarriedState:
     across pivots equal the ones recomputed from the basis, the box and
     the bound each nonbasic column sits at, at the start of every cold
     solve and child and after every pivot of a small tree grid.  A
-    child's box is its parent's with one variable fixed, and the row,
-    reduced costs and basic values its first pass reads from the parent
-    are the ones that pass would compute."""
+    child's box is its parent's with one basic variable fixed, and the
+    reduced costs, ratio tests and basic values its first pass reads from
+    the parent are the ones that pass would compute.  Each instance is
+    solved again with its last column twice its first, so that ratios tie
+    and the tie rule decides."""
 
     @staticmethod
     def _check(state):
@@ -829,6 +858,8 @@ class TestCarriedState:
 
     @classmethod
     def _check_child(cls, core, parent, j, side):
+        """The checks of one child; returns how many of its two ratio
+        tests the tie rule decided for a column other than the first."""
         cls._check(core)
         n = core.mat.shape[1] - core.mat.shape[0]
         assert core.mat is parent.mat and core.gamma is parent.gamma
@@ -839,30 +870,33 @@ class TestCarriedState:
             assert np.array_equal(box[n:], bound[n:])
         assert np.array_equal(core.basis, parent.basis)
         assert np.array_equal(core.binv, parent.binv)
-        if j not in parent.basis.tolist():
-            assert core.first is None
-            return
-        r, s, d, tests = core.first
+        r, d, tests = core.first
         assert core.basis[r] == j
-        assert not (s.flags.writeable or d.flags.writeable)
+        assert not d.flags.writeable
         rhs_n = core.rhs - core.mat @ core.x_n
         assert np.array_equal(core.rhs_n, rhs_n)
         assert list(core.xb) == (core.binv @ rhs_n).tolist()
-        assert np.array_equal(s, (core.mat.T @ core.binv[r]) * core.sgn)
         gamma = parent.gamma
         assert np.array_equal(d, gamma - core.mat.T @ (gamma[core.basis] @ core.binv))
-        # the ratio tests of the columns that move x_j down, then up
-        rise, fall = s < -lp.PIV_TOL, s > lp.PIV_TOL
-        for test, moves in zip(tests, (fall, rise)):
+        # the full ratio tests of the columns that move x_j down, then up,
+        # on its row alpha * sgn, with the tie rule: the first of largest
+        # |alpha_k| among the ratios within RC_TOL of the least
+        s = (core.mat.T @ core.binv[r]) * core.sgn
+        decided = 0
+        for test, moves in zip(tests, (s > lp.PIV_TOL, s < -lp.PIV_TOL)):
             eligible = np.flatnonzero(moves)
             if eligible.size == 0:
                 assert test is None
                 continue
-            ratios = np.abs(d[eligible]) / np.abs(s[eligible])
-            assert np.array_equal(test[0], eligible)
-            assert np.array_equal(test[1], np.abs(s[eligible]))
-            assert np.array_equal(test[2], ratios)
-            assert type(test[3]) is float and test[3] == ratios.min()
+            mag = np.abs(s[eligible])
+            ratios = np.abs(d[eligible]) / mag
+            least = ratios.min()
+            ties = np.flatnonzero(ratios <= least + lp.RC_TOL)
+            pick = ties[np.argmax(mag[ties])]
+            assert type(test[0]) is float and test[0] == least
+            assert type(test[1]) is int and test[1] == eligible[pick]
+            decided += pick != ties[0]
+        return decided
 
     def test_after_every_pivot(self, monkeypatch):
         seen = collections.Counter()
@@ -877,9 +911,9 @@ class TestCarriedState:
 
         def branched(parent, j, side, *args):
             core = branch(parent, j, side, *args)
-            self._check_child(core, parent, j, side)
+            seen["larger_alpha_won"] += self._check_child(core, parent, j, side)
             seen["solves"] += 1
-            seen["seeded"] += core.first is not None
+            seen["children"] += 1
             return core
 
         # every seventh basis change takes the tiny-pivot path
@@ -908,13 +942,15 @@ class TestCarriedState:
                 for k, b_spec in enumerate(specs):
                     for seed in range(6):
                         inst = generate(m, n, b_spec, RngHandle(4900 + seed, 10 * m + k))
-                        try:
-                            res = bnb.solve_ip(inst)
-                        except InfeasibleError:
-                            continue
-                        seen["infeasible"] += res.children_infeasible
+                        twin = inst.with_column(n - 1, 2.0 * inst.c[0], 2.0 * inst.A[:, 0])
+                        for case in (inst, twin):
+                            try:
+                                res = bnb.solve_ip(case)
+                            except InfeasibleError:
+                                continue
+                            seen["infeasible"] += res.children_infeasible
         assert seen["solves"] >= 1000 and seen["pivots"] >= 1500
-        assert seen["seeded"] >= 900
+        assert seen["children"] >= 900 and seen["larger_alpha_won"] >= 1
         assert seen["infeasible"] >= 5 and seen["tiny"] >= 100
 
 
@@ -1070,10 +1106,10 @@ class TestOneResultType:
         # solve_lp is the one loop `_run` from the crash start plus its
         # checks, and a child runs that loop too: one type, and every field
         # and derived quantity bit for bit, also for a child that fixes a
-        # nonbasic variable where it sits, which takes no pivot
+        # basic structural at its value, which takes no pivot
         fields = ("x_star", "value", "u_star", "u_norm", "reduced_costs", "n0",
                   "s", "pivots")
-        solved = 0
+        solved = children = 0
         for i in range(50):
             m = 1 + i % 4
             n = (20, 60, 150, 400)[(i // 4) % 4]
@@ -1087,15 +1123,19 @@ class TestOneResultType:
                     lp._run(start)
                 continue
             run = lp._run(start)
-            j = next(k for k in range(n) if k not in sol.simplex.basis.tolist())
-            child = solve_box_lp(sol, j, sol.x_star[j])
-            assert child.pivots == 0
-            for other, names in ((run, fields), (child, fields[:-1])):
+            others = [(run, fields)]
+            j = next((k for k in sol.simplex.basis.tolist() if k < n), None)
+            if j is not None:
+                child = solve_box_lp(sol, j, sol.x_star[j])
+                assert child.pivots == 0
+                others.append((child, fields[:-1]))
+                children += 1
+            for other, names in others:
                 assert type(sol) is type(other) is lp.LpSolution
                 for name in names:
                     assert np.array_equal(getattr(sol, name), getattr(other, name)), name
             solved += 1
-        assert solved >= 40
+        assert solved >= 40 and children >= 30
 
     def test_counts_are_the_simplex_counts(self, monkeypatch):
         # every solve refactorizes on its tiny pivots, so the counts are

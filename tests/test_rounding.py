@@ -86,11 +86,12 @@ class TestRandomizedRound:
         assert np.array_equal(out, x)
         assert norm == 0.0
 
-    def test_single_fractional_half(self):
+    def test_single_fractional_half(self, monkeypatch):
         # both roundings attain the bound exactly, so the first try succeeds
+        monkeypatch.setattr(rounding, "MAX_TRIES", 1)
         a = np.array([[3.0], [4.0]])
         x = np.array([0.5])
-        out, norm = randomized_round(x, [0], a, RngHandle(2), max_tries=2)
+        out, norm = randomized_round(x, [0], a, RngHandle(2))
         assert out[0] in (0.0, 1.0)
         assert norm == pytest.approx(0.5 * 5.0)
 
@@ -105,8 +106,9 @@ class TestRandomizedRound:
             off = [i for i in range(inst.n) if i not in set(sol.s.tolist())]
             assert np.array_equal(out[off], np.round(sol.x_star[off]))
 
-    def test_mean_norm_respects_variance_bound(self):
+    def test_mean_norm_respects_variance_bound(self, monkeypatch):
         # E||A(x*-x')|| <= Cmax sqrt(|S|)/2 over fresh roundings
+        monkeypatch.setattr(rounding, "MAX_TRIES", 10**6)
         gen_inst = generate(3, 30, BSpec.zeros(), RngHandle(77))
         sol = solve_lp(gen_inst)
         if sol.s.size == 0:
@@ -114,18 +116,19 @@ class TestRandomizedRound:
         h = RngHandle(78)
         norms = []
         for _ in range(1000):
-            _, norm = randomized_round(sol.x_star, sol.s, gen_inst.A, h,
-                                       max_tries=10**6)
+            _, norm = randomized_round(sol.x_star, sol.s, gen_inst.A, h)
             norms.append(norm)
         cmax = np.linalg.norm(gen_inst.A[:, sol.s], axis=0).max()
         assert np.mean(norms) <= cmax * math.sqrt(sol.s.size) / 2.0 + 1e-9
 
-    def test_bound_not_met_raises(self):
+    def test_bound_not_met_raises(self, monkeypatch):
         a = np.array([[1.0, 1.0]])
         x = np.array([0.5, 0.5])
-        with pytest.raises(RoundingBoundNotMetError):
-            # max_tries=0 forces the failure branch regardless of draws
-            randomized_round(x, [0, 1], a, RngHandle(3), max_tries=0)
+        # no tries forces the failure branch regardless of draws
+        monkeypatch.setattr(rounding, "MAX_TRIES", 0)
+        with pytest.raises(RoundingBoundNotMetError,
+                           match=r"^no rounding met the bound 0\.707107 in 0 tries$"):
+            randomized_round(x, [0, 1], a, RngHandle(3))
 
 
 class TestFilterReducedCosts:
