@@ -109,9 +109,12 @@ class SweepConfig:
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         data = json.loads(text)
-        for key in ("m_list", "n_list"):
-            if key in data:
-                data[key] = tuple(data[key])
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {json.dumps(data)}")
+        for key in sorted({"m_list", "n_list"} & set(data)):
+            if not isinstance(data[key], list):
+                raise ValueError(f"{key} must be a JSON array, got {json.dumps(data[key])}")
+            data[key] = tuple(data[key])
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

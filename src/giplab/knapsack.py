@@ -76,9 +76,10 @@ def _count_dfs(weights: np.ndarray, cap_eff: float) -> int:
 
     At depth i with residual r: all remaining weights fit -> add 2**(n-i),
     which at i = n counts the empty completion, as r >= 0; even the smallest
-    remaining weight exceeds r -> only the empty completion remains.  Each popped node follows its exclude branch in
-    place and pushes its include branch, so every pop ends in one leaf,
-    every leaf adds at least 1, and a pop visits at most n + 1 nodes.
+    remaining weight exceeds r -> only the empty completion remains.  Each
+    popped node follows its exclude branch in place and pushes its include
+    branch, so every pop ends in one leaf, every leaf adds at least 1, and a
+    pop visits at most n + 1 nodes.
     """
     desc = np.sort(weights)[::-1]
     n = desc.size

@@ -5,11 +5,11 @@ variables in [0, 1], or fixed by branching, and slacks in [0, inf).  It
 carries the inverse of the m x m basis matrix (m <= ~10) and updates it by
 one rank-one product-form step (Dantzig and Orchard-Hays 1954) on each
 basis change; basic values, duals and the pivot row are products with it.
-The inverse is computed afresh when a pivot element is too small to
-divide by, and before an infeasibility verdict.  What each pass reads
-besides is carried across pivots (`_Simplex` holds the whole state of a
-solve).  Carrying it changes no product, so every pivot and every
-returned bit is what rebuilding it on each pass gives.
+The inverse is computed afresh when a pivot element is too small to divide
+by, and before an infeasibility verdict.  What each pass reads besides,
+each column's bounds included, is carried across pivots (`_Simplex` holds
+the whole state of a solve).  Carrying it changes no product, so every
+pivot and every returned bit is what rebuilding it on each pass gives.
 
 Every solve runs bounded dual simplex pivots on the one system [A | I]
 from a dual feasible start until the basic values lie inside their
@@ -19,11 +19,11 @@ each structural with c_j > 0 at 1, every other structural at 0, and the
 slacks basic, so the reduced costs are c itself and have the optimal
 signs.  A branch-and-bound child (`solve_box_lp`) fixes a basic x_j at
 a side, as branching on a fractional variable does, and starts from its
-parent's final simplex state: a copy with x_j's bounds set at its basis
-position.  Reduced costs depend on the basis alone and a fixed column
-never enters, so that start is dual feasible too.  The child's first
-pass reads the parent's last-pass basic values and the reduced costs
-and ratio test that `child_bounds(j)` keeps for its side, the same
+parent's final simplex state: a copy with the side as x_j's bounds at
+its basis position.  Reduced costs depend on the basis alone and a fixed
+column never enters, so that start is dual feasible too.  The child's
+first pass reads the parent's last-pass basic values and the reduced
+costs and ratio test that `child_bounds(j)` keeps for its side, the same
 products on the same inverse, and enters that test's column.  One rule,
 `_entering`, says which columns can enter a dual pivot.  When a violated
 row has no entering candidate, the bounds are infeasible, and that row
@@ -51,14 +51,10 @@ of a basis, a fresh inverse or a gesv solve, goes through `_solve`, and
 one rule there detects a singular basis: the invalid flag the LAPACK
 gufunc sets becomes ArithmeticError("simplex basis became singular").
 
-Every solve, root or child, returns one `LpSolution`: the optimal basic
-point, its value and basic duals and its final `_Simplex`, which holds
-the pivot and refactorization counts.  The dual vector and its norm, the
-reduced costs, the fractional support and the variables at 0 are
-computed on first read and kept, so a child that is never expanded never
-computes them, and expanding a node reads only its fractional support.
-`child_bounds(j)` bounds the values of the two children that fix a basic
-x_j by one pivot.
+Every solve, root or child, returns one `LpSolution` with its final
+`_Simplex`; what else it offers is computed on first read and kept, so a
+child that is never expanded never computes it.  `child_bounds(j)`
+bounds the values of the two children that fix a basic x_j by one pivot.
 """
 
 from __future__ import annotations
@@ -128,12 +124,13 @@ class LpSolution:
     """Optimal basic solution of one box LP.
 
     `duals` are the basic duals of the final basis, which roundoff can
-    leave slightly below zero.  `simplex` is the solve's final `_Simplex`:
-    what a branch-and-bound child re-solves from (`solve_box_lp`) and what
-    `child_bounds` bounds the children's values from.  A child copies what
-    it changes and never writes it.  `pivots` and `refactors` (each cause
-    of a fresh basis inverse during the solve, "tiny_pivot", "verdict"
-    and "exit_check", mapped to how many it took) are read from it.
+    leave slightly below zero.  `simplex` is the solve's final `_Simplex`,
+    the one record of the box solved over: what a branch-and-bound child
+    re-solves from (`solve_box_lp`) and what `child_bounds` bounds the
+    children's values from.  A child copies what it changes and never
+    writes it.  `pivots` and `refactors` (each cause of a fresh basis
+    inverse during the solve, "tiny_pivot", "verdict" and "exit_check",
+    mapped to how many it took) are read from it.
 
     `u_star` (the positive part of `duals`), its norm `u_norm`,
     `reduced_costs` (c - A' u_star), the fractional support `s` and the
@@ -287,20 +284,21 @@ def _solve(*systems):
 
 class _Simplex:
     """The whole state of one bounded dual simplex solve of max gamma @ x
-    over mat x = rhs, lower <= x <= upper, with one pivot budget.
+    over mat x = rhs within each column's bounds, with one pivot budget,
+    from a cold start (the constructor) or a child's (`branch`).
 
     `mat` is [A | I] (the n structurals, then the m slacks), `eye` its
     slack block and `gamma` the costs [c, 0]; with `rhs` and `n` they are
-    shared by every child.  `lower` and `upper` are the box of all n + m
-    columns: [0, 1] for each structural, or the value a child fixes it
-    at, then [0, inf) for each slack.  `basis` holds the m basic columns
-    and `binv` the inverse of mat[:, basis], consistent with it to
-    roundoff.  A nonbasic column sits at its bound
-    `x_n` (basic columns read 0 there), and the signed entering mask `sgn`
-    is +1 for a free nonbasic column at its lower bound, -1 at its upper
-    bound and 0 for a basic or fixed one.  `low_b` and `upp_b` are the
-    bounds of the basic variables in basis order, lists of floats.  These
-    are carried across pivots, where a basis change moves two columns.
+    shared by every child.  `basis` holds the m basic columns and `binv`
+    the inverse of mat[:, basis], consistent with it to roundoff.  A
+    nonbasic column sits at its bound `x_n` (basic columns read 0 there),
+    and the signed entering mask `sgn` is +1 for a free nonbasic column at
+    its lower bound, -1 at its upper bound and 0 for a basic or fixed one.
+    `low_b` and `upp_b` are the bounds of the basic columns in basis
+    order, lists of floats; a nonbasic column with sgn 0 is fixed at x_n,
+    and any other has [0, 1] (a structural) or [0, inf) (a slack), so a
+    column's bounds live only here (`bounds`).  These are carried across
+    pivots, where a basis change moves two columns.
     `rhs_n` and `xb` are b - N x_N and the basic values (a list of floats)
     of dual_run's last pass, on the current binv, which certify solves
     against and a child's first pass reads; `binv`, `rhs_n` and `xb` are
@@ -313,13 +311,6 @@ class _Simplex:
     counts fresh inverses by cause (a pivot element too small to divide
     by, an infeasibility verdict and the exit check), and `fresh` says
     binv was inverted afresh at the current basis.
-
-    The constructor builds a cold solve's crash start and `branch` a
-    child's start from a parent's final state.  dual_run() pivots from a
-    dual feasible basis until it is primal feasible too, within the
-    budget, and certify() solves the basis it leaves afresh and returns
-    the optimum.  Basic values, duals and pivot rows are products with
-    binv, which one product-form step updates per basis change.
     """
 
     def __init__(self, a, b, c):
@@ -331,9 +322,8 @@ class _Simplex:
         self.mat = np.zeros((m, n + m))
         self.mat[:, :n], self.mat[:, n:] = a, np.eye(m)
         self.eye = self.mat[:, n:]
-        self.gamma, self.lower, self.x_n, self.sgn = np.zeros((4, n + m))
-        self.upper = np.full(n + m, np.inf)
-        self.gamma[:n], self.upper[:n] = c, 1.0
+        self.gamma, self.x_n, self.sgn = np.zeros((3, n + m))
+        self.gamma[:n] = c
         self.basis, self.binv = np.arange(n, n + m), np.eye(m)
         at_upper = c > 0.0
         self.sgn[:n] = np.where(at_upper, -1.0, 1.0)
@@ -344,17 +334,16 @@ class _Simplex:
 
     def branch(self, j, side, first):
         """The child that fixes the basic x_j at side: a copy of this
-        final state with each array it changes in place copied once and
-        x_j's bounds set, in the box and at its basis position r.  `first`
-        is the (r, d, tests) the parent kept for x_j, which the first pass
-        reads with this state's last pass.  x_j is basic, so it already
-        has sgn 0, and fixed it never enters."""
+        final state with each array it changes in place copied once, and
+        side as both bounds of x_j in low_b and upp_b at its basis
+        position r, where a basic column's bounds live.  `first` is the
+        (r, d, tests) the parent kept for x_j, which the first pass reads
+        with this state's last pass.  x_j is basic, so it already has sgn
+        0, and fixed it never enters."""
         core = object.__new__(_Simplex)
         core.__dict__.update(
-            self.__dict__, lower=self.lower.copy(), upper=self.upper.copy(),
-            basis=self.basis.copy(), sgn=self.sgn.copy(), x_n=self.x_n.copy(),
+            self.__dict__, basis=self.basis.copy(), sgn=self.sgn.copy(), x_n=self.x_n.copy(),
             low_b=self.low_b.copy(), upp_b=self.upp_b.copy(), first=first)
-        core.lower[j] = core.upper[j] = side
         core.low_b[first[0]] = core.upp_b[first[0]] = float(side)
         core._start()
         return core
@@ -364,6 +353,13 @@ class _Simplex:
         self.pivot_budget = 50 * len(self.gamma)  # per column of [A | I]
         self.pivots = 0
         self.refactors = {"tiny_pivot": 0, "verdict": 0, "exit_check": 0}
+
+    def bounds(self, j):
+        """(lower, upper) of the structural x_j, read where they live."""
+        basic = self.basis.tolist()
+        if j in basic:
+            return self.low_b[basic.index(j)], self.upp_b[basic.index(j)]
+        return (0.0, 1.0) if self.sgn[j] else (self.x_n[j],) * 2
 
     def position(self, j):
         """The basis position of x_j; ValueError when x_j is nonbasic."""
@@ -389,9 +385,9 @@ class _Simplex:
         """Column e takes basis position pos, where w = B^-1 a_e under the
         old basis, and the column leaving it goes to its upper bound when
         `to_upper`, else to its lower bound: the carried state moves with
-        both columns, and binv takes a product-form step into a new array,
-        or a fresh inverse when the pivot element w[pos] is too small to
-        divide by."""
+        both columns, e with the bounds of the free column it was, and
+        binv takes a product-form step into a new array, or a fresh
+        inverse when the pivot element w[pos] is too small to divide by."""
         basis, sgn, x_n, low_b, upp_b = self.basis, self.sgn, self.x_n, self.low_b, self.upp_b
         leave = basis[pos]
         lo, up = low_b[pos], upp_b[pos]
@@ -399,7 +395,7 @@ class _Simplex:
         x_n[leave] = up if to_upper else lo
         basis[pos] = e
         sgn[e] = x_n[e] = 0.0
-        low_b[pos], upp_b[pos] = float(self.lower[e]), float(self.upper[e])
+        low_b[pos], upp_b[pos] = 0.0, 1.0 if e < self.n else np.inf
         pivot = w[pos]
         if abs(pivot) <= PIV_TOL:
             self._refactor("tiny_pivot")
@@ -418,19 +414,18 @@ class _Simplex:
         (`_worst_row`) out at the bound it violates.  Of the columns
         `_entering` finds moving it toward that bound on its row alpha of
         B^-1 [A | I], it enters the one that keeps the reduced costs dual
-        feasible (`_ratio_test`: the smallest |d_k| / |alpha_k|, the
-        largest |alpha_k| among ties); d is computed only once there is a
+        feasible (`_ratio_test`); d is computed only once there is a
         candidate.  On a child's first pass, the branched row's ratio test
         is the one its parent kept.  Returns None once the basis is primal
         feasible.  When the violated row r has no entering candidate, no
         point of the box can move that basic value toward its bound, and
-        the row rho = B^-T e_r proves it: every
-        solution has alpha @ z = rho @ b, which no point of the box
-        reaches.  The slack entries of alpha are rho itself, so sign * rho
-        is nonnegative up to PIV_TOL, and the Farkas vector returned is
-        max(sign * rho, 0).  The verdict stands only on a binv inverted
-        afresh at the current basis, so a carried binv is refactorized and
-        the row taken again first; the returned rho is then solved afresh.
+        the row rho = B^-T e_r proves it: every solution has alpha @ z =
+        rho @ b, which no point of the box reaches.  The slack entries of
+        alpha are rho itself, so sign * rho is nonnegative up to PIV_TOL,
+        and the Farkas vector returned is max(sign * rho, 0).  The verdict
+        stands only on a binv inverted afresh at the current basis, so a
+        carried binv is refactorized and the row taken again first; the
+        returned rho is then solved afresh.
         """
         while True:
             first, self.first = self.first, None
@@ -500,7 +495,7 @@ class _Simplex:
                 return None
             self.xb = self.binv.dot(self.rhs_n).tolist()
         x = self.x_n.copy()
-        x[basis] = xb
+        x[basis] = np.minimum(np.maximum(xb, self.low_b), self.upp_b)
         return x, y
 
 
@@ -513,40 +508,40 @@ def _run(core: _Simplex) -> LpSolution:
     column whose reduced cost has the wrong sign at the exit when the
     start was not dual feasible."""
     n = core.n
-    lower, upper = core.lower[:n], core.upper[:n]
     point = None
     while point is None:
         u = core.dual_run()
         if u is not None:
+            # the structural box, rebuilt from where it lives (`_Simplex`)
+            fixed = core.sgn == 0.0
+            lower, upper = np.where(fixed, core.x_n, 0.0), np.where(fixed, core.x_n, 1.0)
+            lower[core.basis], upper[core.basis] = core.low_b, core.upp_b
             # aggregated row of the solved LP; margin = its box minimum - b @ u
             w = core.mat[:, :n].T @ u
-            margin = float(np.minimum(w * lower, w * upper).sum()) - float(core.rhs @ u)
+            margin = float(np.minimum(w * lower[:n], w * upper[:n]).sum()) - float(core.rhs @ u)
             raise InfeasibleError(
                 f"LP infeasible: aggregated row violates the box by {margin:.3e}", u)
         point = core.certify()
-    x_full, y = point
-    x = x_full[:n]
-    np.maximum(x, lower, out=x)
-    np.minimum(x, upper, out=x)
+    x, y = point[0][:n], point[1]
     return LpSolution(x, float(core.gamma[:n].dot(x)), y, core)
 
 
 def solve_box_lp(parent: LpSolution, j: int, side: float) -> LpSolution:
     """The child of `parent` (`solve_lp`'s result or an earlier child's)
-    that fixes the basic x_j at `side`, solved by `_run` from a copy of
-    the parent's final simplex state (`_Simplex.branch`) and the branch
-    row `child_bounds(j)` keeps, under its own pivot budget.  The [A | I]
-    system is shared, and the parent is read and never changed, so two
-    children can start from one parent.  A fixing outside the structurals
-    or the parent's box raises ValueError, and so does a nonbasic x_j
-    ("x_{j} is not basic"), with the parent left as it was.
+    that fixes the basic x_j at `side`, solved by `_run` from a copy of the
+    parent's final simplex state (`_Simplex.branch`) and the branch row
+    `child_bounds(j)` keeps, under its own pivot budget.  The [A | I] system
+    is shared, and the parent is read and never changed, so two children
+    can start from one parent.  A fixing outside the structurals or x_j's
+    bounds (`_Simplex.bounds`) raises ValueError, as does a nonbasic x_j
+    ("x_{j} is not basic"), and leaves the parent as it was.
 
     Only children are solved here; `solve_lp` is the one cold start.  The
     name stays its own because perfbench's tracer wraps
     `giplab.bnb.solve_box_lp` as its `lp.child` span.
     """
     start = parent.simplex
-    if not (0 <= j < start.n and start.lower[j] <= side <= start.upper[j]):
+    if not (0 <= j < start.n and (box := start.bounds(j))[0] <= side <= box[1]):
         raise ValueError(f"fixing x_{j} = {side} is not inside the parent's box")
     return _run(start.branch(j, side, parent._branch_row(j)))
 

@@ -378,13 +378,25 @@ def fixed_child(parent, j, side):
     if j in start.basis.tolist():
         return lp.solve_box_lp(parent, j, side)
     core = copy.copy(start)
-    for name in ("lower", "upper", "basis", "sgn", "x_n", "low_b", "upp_b"):
+    for name in ("basis", "sgn", "x_n", "low_b", "upp_b"):
         setattr(core, name, copy.copy(getattr(start, name)))
-    core.lower[j] = core.upper[j] = core.x_n[j] = side
-    core.sgn[j] = 0.0
+    core.x_n[j], core.sgn[j] = side, 0.0
     core.first, core.fresh, core.pivots = None, False, 0
     core.refactors = dict.fromkeys(start.refactors, 0)
     return lp._run(core)
+
+
+def carried_box(core):
+    """(lower, upper) of all n + m columns of an `lp._Simplex`, rebuilt
+    from the state its pivots read: low_b and upp_b at a basic column's
+    basis position, x_n twice for a fixed nonbasic column (sgn 0), and
+    [0, 1] for a free structural, [0, inf) for a free slack."""
+    width = core.mat.shape[1]
+    lower, upper = np.zeros(width), np.where(np.arange(width) < core.n, 1.0, np.inf)
+    fixed = core.sgn == 0.0
+    lower[fixed] = upper[fixed] = core.x_n[fixed]
+    lower[core.basis], upper[core.basis] = core.low_b, core.upp_b
+    return lower, upper
 
 
 def _exact_solve(rows, rhs):

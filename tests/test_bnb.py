@@ -13,7 +13,7 @@ from giplab.instance import BSpec, generate
 from giplab.lp import InfeasibleError, solve_lp
 from giplab.rng import RngHandle
 
-from oracles import bnb_tree_oracle, brute_force_ip, linprog_oracle, milp_oracle
+from oracles import bnb_tree_oracle, brute_force_ip, carried_box, linprog_oracle, milp_oracle
 from test_instance import make_instance
 
 
@@ -284,8 +284,8 @@ class TestOnePivotBound:
         def recorded(node, j):
             keys = bounds(node, j)
             n = node.x_star.size
-            box = node.simplex
-            seen.append((inst, j, box.lower[:n].copy(), box.upper[:n].copy(), keys))
+            lower, upper = carried_box(node.simplex)
+            seen.append((inst, j, lower[:n], upper[:n], keys))
             return keys
 
         monkeypatch.setattr(lp.LpSolution, "child_bounds", recorded)

@@ -406,6 +406,23 @@ class TestSweepCli:
             assert capsys.readouterr().err.startswith("error: bad config:")
             assert not out.exists()
 
+    @pytest.mark.parametrize("text, problem", [
+        ('"abc"', 'a config must be a JSON object, got "abc"'),
+        ("5", "a config must be a JSON object, got 5"),
+        ("null", "a config must be a JSON object, got null"),
+        ('{"m_list": [2], "n_list": 12}', "n_list must be a JSON array, got 12"),
+    ], ids=["string", "number", "null", "n_list_number"])
+    def test_config_of_the_wrong_json_type_exits_one(self, tmp_path, capsys, text, problem):
+        # the message names the value of the wrong type, and no trial runs
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "s.csv"
+        assert cli("gap-sweep", "--config", str(cfg_path), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad config: {problem}\n"
+        assert not out.exists()
+
     def test_missing_config_exits_one(self, capsys):
         assert cli("gap-sweep", "--config", "nope.json") == 1
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -385,6 +386,50 @@ class TestSweeps:
         for line in out.read_text().splitlines()[1:]:
             cells = line.split(",")
             assert cells[14] == "0" and cells[15] == "0" and cells[16] == "0"
+
+
+class TestTreeSizeBound:
+    """nodes_expanded <= (n + 1) * knap_count on every trial of a tree
+    sweep.  The bound is derived here, not quoted from the paper.
+
+    Let x* be the root LP optimum, u* >= 0 its duals and r = c - A'u* its
+    reduced costs.  For every x in [0,1]^n with A x <= b, c x = r x + u*'A x
+    <= r x + u*'b, and val_LP = r x* + u*'b by complementary slackness, so
+    c x <= val_LP + r (x - x*) = val_LP - sum_j |r_j| |x_j - x*_j|, since
+    r_j > 0 puts x*_j at 1 and r_j < 0 puts it at 0.
+
+    Best-bound search expands a node only while its key beats the
+    incumbent, and until the incumbent is optimal some open node holds the
+    IP optimum with a key of at least val_IP.  So an expanded node has an
+    LP value of at least val_IP (up to roundoff), and the set D of its
+    fixings that disagree with x* has sum_{j in D} |r_j| <= val_LP - val_IP,
+    the gap: D is one of the sets `knap_count` counts.  A fractional x*_j
+    has r_j = 0, so either of its sides may be taken as the one that
+    disagrees; fix one.
+
+    Two expanded nodes with the same D cannot lie in different subtrees of
+    their lowest common ancestor, as its branching variable disagrees with
+    x* in exactly one of them.  So they lie on one root path, which holds
+    at most n + 1 nodes, one per depth.
+
+    The slice: master seed 2024, m 2-3, n 24/40/100, b zeros, gaussian
+    and the edge scaled_ones -0.1/sqrt(m) per row, 10 seeds per cell, IP
+    solved exactly at every n (180 trials).
+    """
+
+    def test_every_trial_meets_the_bound(self):
+        trials = 0
+        for m in (2, 3):
+            edge = "scaled_ones" + f" {-0.1 / math.sqrt(m)!r}" * m
+            for b_spec in ("zeros", "gaussian", edge):
+                cfg = SweepConfig(m_list=(m,), n_list=(24, 40, 100), seeds_per_cell=10,
+                                  seed=2024, b_spec=b_spec, rounding="never",
+                                  exact_ip_max_n=100, parallelism=1)
+                for rec in tree_sweep(cfg):
+                    assert rec.status == "ok" and rec.knap_count is not None, rec
+                    assert rec.nodes_expanded <= (rec.n + 1) * rec.knap_count, rec
+                    trials += 1
+        assert trials == 180
 
 
 class TestStatsCheck:

@@ -28,6 +28,7 @@ from giplab.rng import RngHandle
 
 from oracles import (
     exact_basis_check,
+    carried_box,
     exact_farkas_margin,
     fixed_child,
     linprog_oracle,
@@ -138,9 +139,10 @@ class TestStartRule:
             fixed[j] = side
             assert not set(entered[start:]) & set(fixed)
             core = sol.simplex
+            lower, upper = carried_box(core)
             for k, v in fixed.items():
                 assert sol.x_star[k] == v and core.sgn[k] == 0.0
-                assert core.lower[k] == core.upper[k] == v
+                assert lower[k] == upper[k] == v
         assert len(entered) >= 20
 
 
@@ -342,8 +344,7 @@ class TestWarmStart:
         solve of its substituted LP, checked against each other; None when
         both find the box infeasible.  When every column is fixed, the
         cold side is the slack b - A x_F itself, and None stands for it."""
-        box = parent.simplex
-        lower, upper = cls._fixed(box.lower[:inst.n], box.upper[:inst.n], j, side)
+        lower, upper = cls._fixed(*(v[:inst.n] for v in carried_box(parent.simplex)), j, side)
         free, x_f, offset, sub = cls._substituted(inst, lower, upper)
         try:
             if sub is None:
@@ -357,8 +358,9 @@ class TestWarmStart:
                 solve_box_lp(parent, j, side)
             return None
         warm = solve_box_lp(parent, j, side)
-        assert np.array_equal(warm.simplex.lower[:inst.n], lower)
-        assert np.array_equal(warm.simplex.upper[:inst.n], upper)
+        warm_lower, warm_upper = carried_box(warm.simplex)
+        assert np.array_equal(warm_lower[:inst.n], lower)
+        assert np.array_equal(warm_upper[:inst.n], upper)
         assert np.array_equal(warm.x_star[~free], x_f)
         cold_value = offset + (cold.value if cold is not None else 0.0)
         assert abs(warm.value - cold_value) <= 1e-9 * max(1.0, abs(cold_value))
@@ -369,10 +371,14 @@ class TestWarmStart:
             inst.A, inst.b, inst.c, lower, upper, warm.simplex.basis, warm.simplex.x_n)
         assert bound_gap <= lp.FEAS_TOL and rc_gap <= lp.RC_TOL
         assert abs(value - Fraction(warm.value)) <= 1e-9 * (1 + abs(warm.value))
-        for res in filter(None, (warm, cold)):
-            cls._check_inverse(res)
-            TestCarriedState._check(res.simplex)
+        # each solve's box with the slacks' [0, inf) appended
+        slacks = np.zeros(inst.m), np.full(inst.m, np.inf)
+        cls._check_inverse(warm)
+        TestCarriedState._check(warm.simplex, *map(np.append, (lower, upper), slacks))
         if cold is not None:
+            cls._check_inverse(cold)
+            TestCarriedState._check(
+                cold.simplex, *map(np.append, (np.zeros(sub.n), np.ones(sub.n)), slacks))
             cls._check_certificate(sub, np.zeros(sub.n), np.ones(sub.n), cold)
         return warm, cold
 
@@ -437,7 +443,8 @@ class TestWarmStart:
         self._check_inverse(parent)
         for k, side in fixings:
             core = parent.simplex
-            free = [j for j in core.basis.tolist() if j < n and core.lower[j] < core.upper[j]]
+            lower, upper = carried_box(core)
+            free = [j for j in core.basis.tolist() if j < n and lower[j] < upper[j]]
             if not free:
                 return
             pair = self._warm_and_cold(inst, parent, free[k % len(free)], side)
@@ -574,7 +581,7 @@ class TestWarmStart:
 
         def carried(core):
             return [np.array(v, copy=True) for v in (
-                core.lower, core.upper, core.basis, core.binv, core.sgn,
+                *carried_box(core), core.basis, core.binv, core.sgn,
                 core.x_n, core.low_b, core.upp_b, core.rhs_n, core.xb)]
 
         moved = 0
@@ -797,8 +804,9 @@ class TestWarmStart:
         assert core.pivots >= 1 and e not in core.basis.tolist()
         # a column at its lower bound would gain from rising, one at its
         # upper bound from falling
-        at_lower = core.x_n[e] == core.lower[e]
-        assert at_lower != (core.x_n[e] == core.upper[e])
+        lower, upper = carried_box(core)
+        at_lower = core.x_n[e] == lower[e]
+        assert at_lower != (core.x_n[e] == upper[e])
         assert (d > lp.RC_TOL) if at_lower else (d < -lp.RC_TOL)
         gamma = np.concatenate([inst.c, np.zeros(m)])
         assert np.array_equal(core.gamma, gamma)
@@ -831,43 +839,42 @@ class TestCarriedState:
     """The signed mask, nonbasic point and basic bounds `_Simplex` carries
     across pivots equal the ones recomputed from the basis, the box and
     the bound each nonbasic column sits at, at the start of every cold
-    solve and child and after every pivot of a small tree grid.  A
-    child's box is its parent's with one basic variable fixed, and the
-    reduced costs, ratio tests and basic values its first pass reads from
-    the parent are the ones that pass would compute.  Each instance is
-    solved again with its last column twice its first, so that ratios tie
-    and the tie rule decides."""
+    solve and child and after every pivot of a small tree grid.  The box
+    is tracked apart from the simplex: [0, 1]^n x [0, inf)^m at a cold
+    start, and a child's is its parent's with the basic variable it
+    branches on fixed; the box rebuilt from the carried state
+    (`oracles.carried_box`) equals it throughout.  The reduced costs,
+    ratio tests and basic values a child's first pass reads from the
+    parent are the ones that pass would compute.  Each instance is solved
+    again with its last column twice its first, so that ratios tie and
+    the tie rule decides."""
 
     @staticmethod
-    def _check(state):
+    def _check(state, lower, upper):
         m, width = state.mat.shape
-        assert state.lower.shape == state.upper.shape == (width,)
+        for rebuilt, tracked in zip(carried_box(state), (lower, upper)):
+            assert np.array_equal(rebuilt, tracked)
         assert np.unique(state.basis).size == state.basis.size == m
         nonbasic = np.ones(width, dtype=bool)
         nonbasic[state.basis] = False
         # a nonbasic column at its upper bound, else at its lower bound;
         # a basic one reads 0
-        at_upper = nonbasic & (state.x_n == state.upper)
-        free = state.upper - state.lower > lp.PIV_TOL
+        at_upper = nonbasic & (state.x_n == upper)
+        free = upper - lower > lp.PIV_TOL
         sgn = np.where(nonbasic & free, np.where(at_upper, -1.0, 1.0), 0.0)
-        x_n = np.where(at_upper, state.upper, np.where(nonbasic, state.lower, 0.0))
+        x_n = np.where(at_upper, upper, np.where(nonbasic, lower, 0.0))
         assert np.array_equal(state.sgn, sgn)
         assert np.array_equal(state.x_n, x_n)
-        assert state.low_b == state.lower[state.basis].tolist()
-        assert state.upp_b == state.upper[state.basis].tolist()
+        assert state.low_b == lower[state.basis].tolist()
+        assert state.upp_b == upper[state.basis].tolist()
 
     @classmethod
-    def _check_child(cls, core, parent, j, side):
-        """The checks of one child; returns how many of its two ratio
-        tests the tie rule decided for a column other than the first."""
-        cls._check(core)
-        n = core.mat.shape[1] - core.mat.shape[0]
+    def _check_child(cls, core, parent, j, lower, upper):
+        """The checks of one child, whose tracked box is (lower, upper);
+        returns how many of its two ratio tests the tie rule decided for a
+        column other than the first."""
+        cls._check(core, lower, upper)
         assert core.mat is parent.mat and core.gamma is parent.gamma
-        for box, bound in ((core.lower, parent.lower), (core.upper, parent.upper)):
-            expected = bound.copy()
-            expected[j] = side
-            assert np.array_equal(box, expected)
-            assert np.array_equal(box[n:], bound[n:])
         assert np.array_equal(core.basis, parent.basis)
         assert np.array_equal(core.binv, parent.binv)
         r, d, tests = core.first
@@ -898,20 +905,63 @@ class TestCarriedState:
             decided += pick != ties[0]
         return decided
 
+    def test_a_child_owns_only_what_it_changes(self):
+        # right after `branch`, of the n + m wide arrays a child shares
+        # every one with its parent but sgn and x_n, and besides those it
+        # owns only basis, low_b and upp_b: an array shares when it is the
+        # parent's object or a view of its memory
+        def shared(value, theirs):
+            return value is theirs or isinstance(theirs, np.ndarray) and np.shares_memory(
+                value, theirs)
+
+        children = 0
+        for m, n in ((2, 24), (3, 40), (8, 400)):
+            for seed in range(3):
+                parent = solve_lp(generate(m, n, BSpec.zeros(), RngHandle(4950 + seed, m)))
+                for depth in range(4):
+                    if not parent.s.size:
+                        break
+                    j = int(parent.s[0])
+                    for side in (0.0, 1.0):
+                        start = parent.simplex
+                        core = start.branch(j, side, parent._branch_row(j))
+                        width = start.mat.shape[1]
+                        wide = {name for name, value in vars(core).items()
+                                if isinstance(value, np.ndarray) and value.shape[-1] == width}
+                        mine = {name for name, value in vars(core).items()
+                                if isinstance(value, (np.ndarray, list))
+                                and not shared(value, vars(start).get(name))}
+                        assert wide & mine == {"sgn", "x_n"}
+                        assert mine - wide == {"basis", "low_b", "upp_b"}
+                        children += 1
+                    try:
+                        parent = solve_box_lp(parent, j, float(depth % 2))
+                    except InfeasibleError:
+                        break
+        assert children >= 30
+
     def test_after_every_pivot(self, monkeypatch):
         seen = collections.Counter()
         init = lp._Simplex.__init__
         branch = lp._Simplex.branch
         solve = bnb.solve_box_lp
 
+        boxes = {}  # id of each core: (the core, its tracked lower, upper)
+
         def started(core, *args):
             init(core, *args)
-            self._check(core)
+            width = core.mat.shape[1]
+            box = np.zeros(width), np.where(np.arange(width) < core.n, 1.0, np.inf)
+            boxes[id(core)] = (core, *box)
+            self._check(core, *box)
             seen["solves"] += 1
 
         def branched(parent, j, side, *args):
             core = branch(parent, j, side, *args)
-            seen["larger_alpha_won"] += self._check_child(core, parent, j, side)
+            lower, upper = (v.copy() for v in boxes[id(parent)][1:])
+            lower[j] = upper[j] = side
+            boxes[id(core)] = (core, lower, upper)
+            seen["larger_alpha_won"] += self._check_child(core, parent, j, lower, upper)
             seen["solves"] += 1
             seen["children"] += 1
             return core
@@ -921,13 +971,13 @@ class TestCarriedState:
 
         def pivoted(core, *args):
             tiny(core, *args)
-            self._check(core)
+            self._check(core, *boxes[id(core)][1:])
             seen["pivots"] += 1
 
         def solved(*args, **kwargs):
             res = solve(*args, **kwargs)
             core = res.simplex
-            self._check(core)
+            self._check(core, *boxes[id(core)][1:])
             assert core.xb == (core.binv @ core.rhs_n).tolist()
             seen["tiny"] += res.refactors["tiny_pivot"]
             return res
@@ -963,8 +1013,8 @@ class TestExactCertificates:
     @staticmethod
     def _exact(inst, sol):
         core = sol.simplex
-        n = inst.n
-        return exact_basis_check(inst.A, inst.b, inst.c, core.lower[:n], core.upper[:n],
+        lower, upper = carried_box(core)
+        return exact_basis_check(inst.A, inst.b, inst.c, lower[:inst.n], upper[:inst.n],
                                  core.basis, core.x_n)
 
     @pytest.mark.parametrize("m, n", [(8, 4000), (5, 2000), (3, 1000), (2, 400)])
@@ -1009,8 +1059,7 @@ class TestExactCertificates:
                         child = solve_box_lp(parent, j, side)
                     except InfeasibleError as exc:
                         # the parent's box with x_j fixed
-                        lower = parent.simplex.lower[:n].copy()
-                        upper = parent.simplex.upper[:n].copy()
+                        lower, upper = (v[:n] for v in carried_box(parent.simplex))
                         lower[j] = upper[j] = side
                         margin = exact_farkas_margin(inst.A, inst.b, exc.farkas_u, lower, upper)
                         assert margin > 0
